@@ -12,6 +12,7 @@ from .models import (
     RnQParams,
     RnMlpParams,
     RnDmlpParams,
+    bind,
     sample_log_returns,
     rnq_mu_from_constraint,
     init_rnmlp,

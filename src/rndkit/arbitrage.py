@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import dtau_log_returns, sample_log_returns
+from .models import bind, sample_log_returns
 from .numerics import kahan_sum, logmeanexp, parallel_map
 
 __all__ = [
@@ -90,26 +90,21 @@ def build_synthetic_grid(taus, strikes) -> SyntheticGrid:
 # penalty terms
 
 
-def _tau_tables(model, tau, rate, samples):
-    x = sample_log_returns(model, tau, samples, rate)
-    growth = np.exp(x)
-    slope = dtau_log_returns(model, tau, samples, rate)
-    return x, growth, slope
-
-
 def penalty_calendar_call(model, tau, strike, spot, rate, samples) -> float:
     """Signed calendar value for a call; negative means a violation."""
     if tau <= 0.0:
         raise ValueError("calendar penalty needs tau > 0")
-    _, growth, slope = _tau_tables(model, tau, rate, samples)
-    return _calendar_call_from_tables(growth, slope, strike / spot, rate)
+    bound = bind(model, samples)
+    growth = np.exp(bound.log_returns(tau, rate))
+    return _calendar_call_from_tables(growth, bound.dtau(tau, rate), strike / spot, rate)
 
 
 def penalty_calendar_put(model, tau, strike, spot, rate, samples) -> float:
     if tau <= 0.0:
         raise ValueError("calendar penalty needs tau > 0")
-    _, growth, slope = _tau_tables(model, tau, rate, samples)
-    return _calendar_put_from_tables(growth, slope, strike / spot, rate)
+    bound = bind(model, samples)
+    growth = np.exp(bound.log_returns(tau, rate))
+    return _calendar_put_from_tables(growth, bound.dtau(tau, rate), strike / spot, rate)
 
 
 def _calendar_call_from_tables(growth, slope, moneyness, rate) -> float:
@@ -160,13 +155,18 @@ class PenaltyReport:
 def total_penalty(model, grid: SyntheticGrid, spot, rate_fn, samples, threads=None) -> PenaltyReport:
     """Hinged penalty over the whole grid plus martingale terms per maturity.
 
-    rate_fn maps a maturity to its interpolated rate.  Log returns are
-    computed once per maturity and shared across strikes and sides.
+    rate_fn maps a maturity to its interpolated rate.  The model is bound
+    to the draws once, so G_Z(Z) is evaluated once for the whole grid; log
+    returns and their maturity derivative are formed once per maturity and
+    shared across strikes and sides.
     """
+    bound = bind(model, samples)
 
     def run_tau(tau):
         rate = rate_fn(tau)
-        x, growth, slope = _tau_tables(model, tau, rate, samples)
+        x = bound.log_returns(tau, rate)
+        growth = np.exp(x)
+        slope = bound.dtau(tau, rate)
         defect = logmeanexp(x) - rate * tau
         rows = []
         for k in grid.strikes:
@@ -233,10 +233,13 @@ def price_surface(model, taus, strikes, spot, rate_fn, samples, threads=None) ->
     strikes = np.sort(np.unique(np.asarray(strikes, dtype=float)))
     if np.any(taus <= 0.0):
         raise ValueError("audit maturities must be positive (tau = 0 is checked separately)")
+    bound = bind(model, samples)
 
     def run_tau(tau):
         rate = rate_fn(tau)
-        x, growth, slope = _tau_tables(model, tau, rate, samples)
+        x = bound.log_returns(tau, rate)
+        growth = np.exp(x)
+        slope = bound.dtau(tau, rate)
         n = growth.size
         disc = np.exp(-rate * tau)
         calls = np.empty(strikes.size)

@@ -31,6 +31,7 @@ from .models import (
     RnDmlpParams,
     RnMlpParams,
     RnQParams,
+    bind,
     init_rndmlp,
     init_rnmlp,
     model_kind,
@@ -722,7 +723,12 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
             break
         grad = _chain_rule_to_state(kind, state, nat_grad)
         state = adam_step(adam, state, grad, config.learning_rate)
-        current = _model_from_state(kind, model, state)
+        try:
+            current = _model_from_state(kind, model, state)
+        except ValueError as exc:
+            # the step left the model's domain (e.g. sigma < 0); the next
+            # iteration is the one that would have evaluated it
+            raise CalibrationDivergence(it + 1, str(exc)) from exc
 
     final = current
     if kind == "rn-q":
@@ -733,12 +739,13 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
             sigma=final.sigma, u=final.u, v=final.v, a_const=final.a_const)
 
     # final metrics through the canonical pricing and penalty routes
-    prices = price_chain(final, train_chain, samples, threads)
+    bound = bind(final, samples)
+    prices = price_chain(bound, train_chain, samples, threads)
     observed = np.array([q.mid for q in train_chain.quotes])
     sides = [q.side for q in train_chain.quotes]
     final_mse = mse(observed, prices, sides)
     final_rel, n_excl = relative_mse(observed, prices, sides, config.relative_mse_floor)
-    report = total_penalty(final, grid, train_chain.spot, train_chain.rate, samples, threads)
+    report = total_penalty(bound, grid, train_chain.spot, train_chain.rate, samples, threads)
 
     return CalibrationResult(
         kind=kind,

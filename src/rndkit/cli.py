@@ -36,10 +36,11 @@ from .data_io import (
     save_rates,
     split_train_test,
 )
-from .density import characteristics, kde_log_return, price_density, \
-    risk_neutral_moments, silverman_bandwidth, subsample
+from .density import RndCharacteristics, characteristics, kde_log_return, \
+    price_density, risk_neutral_moments, silverman_bandwidth, subsample
 from .heston import SCENARIOS, generate_simulated_chain, heston_rnd, heston_true_moments
 from .models import (
+    bind,
     checkpoint_document,
     checkpoint_json,
     model_from_checkpoint,
@@ -61,9 +62,6 @@ _CONFIG_FIELDS = {
     "convergence_tol": float,
     "relative_mse_floor": float,
 }
-
-_CHARACTERISTIC_NAMES = ("mean", "std", "skewness", "skew_pm", "skew_am",
-                         "kurtosis", "x01", "x05", "x95", "x99")
 
 
 # ----------------------------------------------------------------------
@@ -341,12 +339,13 @@ def cmd_evaluate(args) -> int:
     split = split_train_test(chain)
     samples, seed = _checkpoint_samples(args, ctx)
     floor = ctx["config"].get("relative_mse_floor", 0.05)
+    bound = bind(model, samples)
 
     metrics = {"checkpoint_kind": model_kind(model)}
     for name, sub in (("train", split.train), ("test", split.test),
                       ("extreme", split.extreme)):
         if sub.quotes:
-            metrics[name] = _set_metrics(model, sub, samples, args.threads, floor)
+            metrics[name] = _set_metrics(bound, sub, samples, args.threads, floor)
         else:
             print(f"warning: {name} set is empty", file=sys.stderr)
             metrics[name] = {"n_quotes": 0, "mse": None,
@@ -377,7 +376,7 @@ def cmd_perturb(args) -> int:
                 else float(max(q.tau for q in train.quotes)))
     rate_star = train.rate(tau_star)
 
-    header = ["trial", "diverged", "train_mse"] + list(_CHARACTERISTIC_NAMES)
+    header = ["trial", "diverged", "train_mse"] + list(RndCharacteristics.FIELD_ORDER)
     rows = []
     kept = []
     for trial in range(args.trials):
@@ -398,7 +397,7 @@ def cmd_perturb(args) -> int:
             result.params, tau_star, eval_samples, rate_star))
         ch = characteristics(values)
         row = [trial, 0, result.final_train_mse]
-        row += [getattr(ch, name) for name in _CHARACTERISTIC_NAMES]
+        row += [getattr(ch, name) for name in RndCharacteristics.FIELD_ORDER]
         rows.append(row)
         kept.append(row)
         print(f"trial {trial}: train MSE {result.final_train_mse:.6g}", flush=True)
@@ -433,12 +432,13 @@ def cmd_report(args) -> int:
                 else max(ctx["train_days"]))
     tau = tau_days / 365.0
     rate = interpolate_rate(curve, tau)
+    bound = bind(model, samples)
 
-    log_returns = sample_log_returns(model, tau, samples, rate)
+    log_returns = bound.log_returns(tau, rate)
     bandwidth = silverman_bandwidth(subsample(log_returns))
     grid = np.linspace(log_returns.min() - 4.0 * bandwidth,
                        log_returns.max() + 4.0 * bandwidth, 1001)
-    est = kde_log_return(model, tau, samples, grid, rate)
+    est = kde_log_return(bound, tau, samples, grid, rate)
     log_density_path = out / "density_log_return.csv"
     write_csv(log_density_path, ["grid", "value"], zip(est.grid, est.values))
     price_est = price_density(est, spot)
@@ -453,7 +453,7 @@ def cmd_report(args) -> int:
     term_rows = []
     for days in parse_tau_grid(args.tau_grid):
         t = days / 365.0
-        rnm2, rnm3, rnm4 = risk_neutral_moments(model, t, samples,
+        rnm2, rnm3, rnm4 = risk_neutral_moments(bound, t, samples,
                                                 interpolate_rate(curve, t))
         term_rows.append((t, rnm2, rnm3, rnm4))
     term_path = out / "term_structure.csv"
@@ -491,11 +491,12 @@ def cmd_audit(args) -> int:
         taus = [d / 365.0 for d in ctx["train_days"]]
         strikes = [float(k) for k in ctx["train_strikes"]]
     samples, seed = _checkpoint_samples(args, ctx)
+    bound = bind(model, samples)
 
-    audit = audit_surface(model, taus, strikes, spot, rate_fn, samples,
+    audit = audit_surface(bound, taus, strikes, spot, rate_fn, samples,
                           threads=args.threads)
     grid = build_synthetic_grid(taus, strikes)
-    penalty = total_penalty(model, grid, spot, rate_fn, samples,
+    penalty = total_penalty(bound, grid, spot, rate_fn, samples,
                             threads=args.threads)
     audit_path = out / "audit.json"
     write_json(audit_path, {"audit": audit, "penalty": penalty.to_jsonable()})

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import sample_log_returns
+from .models import bind, sample_log_returns
 
 __all__ = [
     "DensityEstimate",
@@ -202,8 +202,9 @@ def term_structure(model, tau_grid, samples, rate=0.0) -> np.ndarray:
         raise ValueError("tau grid must be a non-empty 1-d array")
     if np.any(tau_grid <= 0.0) or np.any(np.diff(tau_grid) <= 0.0):
         raise ValueError("tau grid must be positive and ascending")
+    bound = bind(model, samples)
     rows = np.empty((tau_grid.size, 4))
     for i, tau in enumerate(tau_grid):
-        rnm2, rnm3, rnm4 = risk_neutral_moments(model, float(tau), samples, rate)
+        rnm2, rnm3, rnm4 = risk_neutral_moments(bound, float(tau), samples, rate)
         rows[i] = (tau, rnm2, rnm3, rnm4)
     return rows

@@ -12,7 +12,10 @@ X = ln(S_T / S_t):
   network components sharing the same draws.
 
 The additive structure keeps the maturity derivative of X analytic, which
-the no-arbitrage penalties rely on.
+the no-arbitrage penalties rely on.  It also means G_Z(Z), the only
+network term evaluated on all N draws, does not depend on tau: ``bind``
+evaluates it once per (model, draws), and every maturity of every
+consumer reads X and dX/dtau from that binding.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ __all__ = [
     "rndmlp_dtau",
     "sample_log_returns",
     "dtau_log_returns",
+    "BoundModel",
+    "bind",
     "init_rnmlp",
     "init_rndmlp",
     "zero_net_rnmlp",
@@ -135,36 +140,30 @@ def _tau_scalars(p: RnMlpParams, tau: float):
     return float(gmu[0]), float(gmu_s[0]), float(gtau[0]), float(gtau_s[0])
 
 
-def rnmlp_log_return(p: RnMlpParams, z, tau, rate) -> np.ndarray:
-    """X(Z, tau); exactly zero at tau = 0."""
-    z = np.asarray(z, dtype=float)
-    if tau < 0.0:
-        raise ValueError("tau must be non-negative")
-    if tau == 0.0:
-        return np.zeros_like(z)
+def _component_log_return(p: RnMlpParams, z, gz, tau, rate) -> np.ndarray:
     gmu = float(p.net_mu.forward(np.array([tau]))[0])
     gtau = float(p.net_tau.forward(np.array([tau]))[0])
-    gz = p.net_z.forward_batch(z.reshape(-1, 1))[:, 0].reshape(z.shape)
     return rate * tau * gmu + p.sigma * np.sqrt(tau) * z * (gz + gtau + 1.0)
 
 
-def rnmlp_dtau(p: RnMlpParams, z, tau, rate) -> np.ndarray:
-    """Analytic dX/dtau at fixed Z:
-
-    r G_mu + r tau G_mu' + sigma Z [ (G_Z + G_tau + 1) / (2 sqrt(tau))
-                                     + sqrt(tau) G_tau' ].
-    """
-    z = np.asarray(z, dtype=float)
-    if tau <= 0.0:
-        raise ValueError("maturity derivative needs tau > 0")
+def _component_dtau(p: RnMlpParams, z, gz, tau, rate) -> np.ndarray:
     gmu, gmu_s, gtau, gtau_s = _tau_scalars(p, tau)
-    gz = p.net_z.forward_batch(z.reshape(-1, 1))[:, 0].reshape(z.shape)
     root = np.sqrt(tau)
     return (
         rate * gmu
         + rate * tau * gmu_s
         + p.sigma * z * ((gz + gtau + 1.0) / (2.0 * root) + root * gtau_s)
     )
+
+
+def rnmlp_log_return(p: RnMlpParams, z, tau, rate) -> np.ndarray:
+    """X(Z, tau); exactly zero at tau = 0."""
+    return bind(p, z).log_returns(tau, rate)
+
+
+def rnmlp_dtau(p: RnMlpParams, z, tau, rate) -> np.ndarray:
+    """Analytic dX/dtau at fixed Z (see ``BoundModel.dtau``)."""
+    return bind(p, z).dtau(tau, rate)
 
 
 # ----------------------------------------------------------------------
@@ -179,15 +178,11 @@ class RnDmlpParams:
 
 
 def rndmlp_log_return(p: RnDmlpParams, z, tau, rate) -> np.ndarray:
-    x1 = rnmlp_log_return(p.comp1, z, tau, rate)
-    x2 = rnmlp_log_return(p.comp2, z, tau, rate)
-    return p.alpha * x1 + (1.0 - p.alpha) * x2
+    return bind(p, z).log_returns(tau, rate)
 
 
 def rndmlp_dtau(p: RnDmlpParams, z, tau, rate) -> np.ndarray:
-    d1 = rnmlp_dtau(p.comp1, z, tau, rate)
-    d2 = rnmlp_dtau(p.comp2, z, tau, rate)
-    return p.alpha * d1 + (1.0 - p.alpha) * d2
+    return bind(p, z).dtau(tau, rate)
 
 
 # ----------------------------------------------------------------------
@@ -204,38 +199,107 @@ def model_kind(model) -> str:
     raise TypeError(f"not a model: {type(model)!r}")
 
 
-def sample_log_returns(model, tau, samples, rate) -> np.ndarray:
-    """Log-return vector on the shared draws at one maturity.
+def _components(model) -> tuple:
+    """The network components of a model, in mixture order."""
+    if isinstance(model, RnMlpParams):
+        return (model,)
+    if isinstance(model, RnDmlpParams):
+        return (model.comp1, model.comp2)
+    return ()
 
-    tau = 0 returns the zero vector for every model kind (degenerate
-    distribution at no elapsed time), so prices collapse to intrinsic.
+
+class BoundModel:
+    """A model bound to one draw vector, with G_Z(Z) evaluated once.
+
+    ``G_Z`` is the only network term that runs over all N draws, and it
+    does not depend on the maturity, so every ``net_z`` is evaluated when
+    the binding is made.  ``log_returns`` and ``dtau`` then cost two
+    scalar network calls per component plus elementwise arithmetic at any
+    maturity.  Nothing changes after construction, so pool threads may
+    share one instance.  Build it with ``bind``.
+    """
+
+    __slots__ = ("model", "kind", "z", "_parts")
+
+    def __init__(self, model, z):
+        self.model = model
+        self.kind = model_kind(model)
+        # Private read-only copy: ``bind`` compares draws against it, so
+        # a caller mutating its own array cannot leave G_Z stale.
+        self.z = np.array(z, dtype=float)
+        self.z.setflags(write=False)
+        # (component, G_Z(Z)) pairs in mixture order
+        self._parts = tuple(
+            (comp, comp.net_z.forward_batch(self.z.reshape(-1, 1))[:, 0].reshape(self.z.shape))
+            for comp in _components(model)
+        )
+
+    def _mix(self, parts):
+        if self.kind == "rn-mlp":
+            return parts[0]
+        alpha = self.model.alpha
+        return alpha * parts[0] + (1.0 - alpha) * parts[1]
+
+    def log_returns(self, tau, rate) -> np.ndarray:
+        """Log-return vector X(Z, tau) on the bound draws.
+
+        tau = 0 returns the zero vector for every model kind (degenerate
+        distribution at no elapsed time), so prices collapse to intrinsic.
+        The quantile model ignores tau and rate.
+        """
+        z = self.z
+        if tau < 0.0:
+            raise ValueError("tau must be non-negative")
+        if tau == 0.0:
+            return np.zeros_like(z)
+        if self.kind == "rn-q":
+            return rnq_log_return(self.model, z)
+        return self._mix([_component_log_return(comp, z, gz, tau, rate)
+                          for comp, gz in self._parts])
+
+    def dtau(self, tau, rate) -> np.ndarray:
+        """Analytic dX/dtau at fixed Z on the bound draws.
+
+        Per network component:
+        r G_mu + r tau G_mu' + sigma Z [ (G_Z + G_tau + 1) / (2 sqrt(tau))
+                                         + sqrt(tau) G_tau' ].
+        For the quantile model the location tracks the martingale
+        constraint mu(tau) = r tau - const, so the derivative is the
+        constant rate.
+        """
+        z = self.z
+        if self.kind == "rn-q":
+            return np.full_like(z, float(rate))
+        if tau <= 0.0:
+            raise ValueError("maturity derivative needs tau > 0")
+        return self._mix([_component_dtau(comp, z, gz, tau, rate)
+                          for comp, gz in self._parts])
+
+
+def bind(model, samples) -> BoundModel:
+    """Bind a model (or rebind a bound one) to a draw set.
+
+    A model already bound to bit-identical draws is returned unchanged,
+    so consumers can call ``bind`` at their top and callers can pass a
+    binding through many of them; a binding to other draws is rebuilt
+    from its model.
     """
     z = _values(samples)
-    if tau < 0.0:
-        raise ValueError("tau must be non-negative")
-    if tau == 0.0:
-        return np.zeros_like(z)
-    kind = model_kind(model)
-    if kind == "rn-q":
-        return rnq_log_return(model, z)
-    if kind == "rn-mlp":
-        return rnmlp_log_return(model, z, tau, rate)
-    return rndmlp_log_return(model, z, tau, rate)
+    if isinstance(model, BoundModel):
+        if np.array_equal(model.z.view(np.int64), z.view(np.int64)):
+            return model
+        model = model.model
+    return BoundModel(model, z)
+
+
+def sample_log_returns(model, tau, samples, rate) -> np.ndarray:
+    """Log-return vector on the shared draws at one maturity."""
+    return bind(model, samples).log_returns(tau, rate)
 
 
 def dtau_log_returns(model, tau, samples, rate) -> np.ndarray:
-    """dX/dtau on the shared draws.
-
-    For the quantile model the location tracks the martingale constraint
-    mu(tau) = r tau - const, so the derivative is the constant rate.
-    """
-    z = _values(samples)
-    kind = model_kind(model)
-    if kind == "rn-q":
-        return np.full_like(z, float(rate))
-    if kind == "rn-mlp":
-        return rnmlp_dtau(model, z, tau, rate)
-    return rndmlp_dtau(model, z, tau, rate)
+    """dX/dtau on the shared draws at one maturity."""
+    return bind(model, samples).dtau(tau, rate)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-__all__ = ["kahan_sum", "kahan_mean", "logmeanexp", "parallel_map"]
+__all__ = ["kahan_sum", "logmeanexp", "parallel_map"]
 
 _CHUNK = 4096
 
@@ -33,13 +33,6 @@ def kahan_sum(values, chunk: int = _CHUNK) -> float:
         comp = (t - total) - y
         total = t
     return total
-
-
-def kahan_mean(values) -> float:
-    x = np.asarray(values, dtype=float).ravel()
-    if x.size == 0:
-        raise ValueError("mean of empty array")
-    return kahan_sum(x) / x.size
 
 
 def logmeanexp(values) -> float:

@@ -8,6 +8,9 @@ model's log returns:
 
 The draws are fixed per run, so prices are deterministic functions of the
 model parameters; reductions use compensated summation in fixed order.
+Each entry point binds the model to the draws once (``models.bind``), so
+G_Z(Z) is evaluated once per call however many maturities it prices, and
+not at all when the caller passes a model already bound to these draws.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import sample_log_returns
+from .models import bind, sample_log_returns
 from .numerics import kahan_sum, parallel_map
 
 __all__ = ["PriceRequest", "price", "price_with_stderr", "price_chain"]
@@ -75,8 +78,10 @@ def price_with_stderr(model, req: PriceRequest, samples):
 def price_chain(model, chain, samples, threads=None) -> np.ndarray:
     """Price every quote in a chain, reusing one log-return vector per maturity.
 
+    The model is bound to the draws before the per-maturity fan-out.
     Returns prices aligned with ``chain.quotes``.
     """
+    bound = bind(model, samples)
     quotes = chain.quotes
     by_tau = {}
     for i, q in enumerate(quotes):
@@ -92,8 +97,7 @@ def price_chain(model, chain, samples, threads=None) -> np.ndarray:
                 q = quotes[i]
                 out.append(max(chain.spot - q.strike, 0.0) if q.side == "call" else max(q.strike - chain.spot, 0.0))
             return idx, out
-        x = sample_log_returns(model, tau, samples, rate)
-        growth = np.exp(x)
+        growth = np.exp(bound.log_returns(tau, rate))
         scale = np.exp(-rate * tau) * chain.spot
         n = growth.size
         out = []

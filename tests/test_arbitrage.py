@@ -15,6 +15,7 @@ from rndkit.arbitrage import (
 )
 from rndkit.models import (
     RnQParams,
+    bind,
     init_rndmlp,
     init_rnmlp,
     rnq_mu_from_constraint,
@@ -270,6 +271,31 @@ def test_total_penalty_thread_count_is_invisible():
     many = total_penalty(model, grid, 100.0, lambda tau: 0.03, z, threads=4)
     assert one.total == many.total
     assert one.calendar_values == many.calendar_values
+
+
+def test_penalty_and_surface_bound_model_is_bit_identical():
+    model = init_rndmlp(seed=21)
+    z = draw_standard_normal(8_000, seed=22)
+    other = draw_standard_normal(8_000, seed=23)
+    grid = build_synthetic_grid([0.2, 0.4], [90.0, 110.0])
+    rate_fn = lambda tau: 0.03
+    want = total_penalty(model, grid, 100.0, rate_fn, z)
+    want_surface = price_surface(model, [0.2, 0.4], [90.0, 100.0, 110.0], 100.0, rate_fn, z)
+    for bound in (bind(model, z), bind(model, other)):
+        got = total_penalty(bound, grid, 100.0, rate_fn, z, threads=2)
+        assert got.total == want.total
+        assert got.calendar_values == want.calendar_values
+        assert got.mu_values == want.mu_values
+        surface = price_surface(bound, [0.2, 0.4], [90.0, 100.0, 110.0], 100.0, rate_fn, z,
+                                threads=2)
+        for name in ("calls", "puts", "defects", "jtau_calls", "jtau_puts",
+                     "call_far", "put_near"):
+            np.testing.assert_array_equal(getattr(surface, name), getattr(want_surface, name))
+        assert penalty_calendar_call(bound, 0.3, 95.0, 100.0, 0.03, z) == \
+            penalty_calendar_call(model, 0.3, 95.0, 100.0, 0.03, z)
+        assert penalty_calendar_put(bound, 0.3, 95.0, 100.0, 0.03, z) == \
+            penalty_calendar_put(model, 0.3, 95.0, 100.0, 0.03, z)
+        assert penalty_mu(bound, 0.3, 0.03, z) == penalty_mu(model, 0.3, 0.03, z)
 
 
 # ----------------------------------------------------------------------

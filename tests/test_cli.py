@@ -9,6 +9,7 @@ from rndkit.cli import main, parse_tau_grid, read_config_file
 from rndkit.data_io import DataError, load_chain, save_chain, save_rates
 from rndkit.heston import generate_simulated_chain
 from rndkit.models import load_checkpoint
+from rndkit.nn import DenseNetwork
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +28,35 @@ def fit_dir(tmp_path_factory, sim_dir):
                "--samples", "4000", "--iterations", "120", "--seed", "1"])
     assert rc == 0
     return out
+
+
+DMLP_SAMPLES = 2000
+
+
+@pytest.fixture(scope="module")
+def dmlp_dir(tmp_path_factory):
+    """A two-maturity chain and a short rn-dmlp fit on it."""
+    out = tmp_path_factory.mktemp("dmlp")
+    assert main(["simulate", "--scenario", "left-skew", "--days", "30,91",
+                 "--out", str(out / "sim")]) == 0
+    assert main(["calibrate", "--chain", str(out / "sim" / "left-skew_chain.csv"),
+                 "--kind", "rn-dmlp", "--out", str(out / "fit"),
+                 "--samples", str(DMLP_SAMPLES), "--iterations", "3",
+                 "--seed", "2"]) == 0
+    return out
+
+
+def _network_commands(dmlp_dir, out, threads):
+    ck = str(dmlp_dir / "fit" / "checkpoint.json")
+    chain = str(dmlp_dir / "sim" / "left-skew_chain.csv")
+    common = ["--threads", str(threads)]
+    return {
+        "evaluate": ["evaluate", "--checkpoint", ck, "--chain", chain,
+                     "--out", str(out / "evaluate")] + common,
+        "audit": ["audit", "--checkpoint", ck, "--out", str(out / "audit")] + common,
+        "report": ["report", "--checkpoint", ck, "--tau-grid", "1w,1m,3m",
+                   "--out", str(out / "report")] + common,
+    }
 
 
 def test_simulate_writes_chain_and_sidecars(sim_dir):
@@ -78,12 +108,20 @@ def test_calibrate_rnq_on_multi_maturity_chain_exits_2(tmp_path, capsys):
     assert "single-maturity" in capsys.readouterr().err
 
 
-def test_calibrate_divergence_exits_3(sim_dir, tmp_path):
+def test_calibrate_divergence_exits_3(sim_dir, tmp_path, capsys):
     rc = main(["calibrate", "--chain", str(sim_dir / "left-skew_chain.csv"),
                "--kind", "rn-mlp", "--out", str(tmp_path),
                "--samples", "1000", "--iterations", "50",
                "--learning-rate", "1e8"])
     assert rc == 3
+    # a first step that drives sigma below zero is a divergence too
+    capsys.readouterr()
+    rc = main(["calibrate", "--chain", str(sim_dir / "left-skew_chain.csv"),
+               "--kind", "rn-mlp", "--out", str(tmp_path), "--seed", "1",
+               "--samples", "1000", "--iterations", "20",
+               "--learning-rate", "1"])
+    assert rc == 3
+    assert "iteration 1: sigma must be non-negative" in capsys.readouterr().err
 
 
 def test_calibrate_missing_chain_exits_2(tmp_path, capsys):
@@ -242,3 +280,32 @@ def test_audit_reports_checks_and_penalty(fit_dir, tmp_path):
         "monotone_in_strike", "convex_in_strike", "strike_limits",
         "intrinsic_at_tau0", "calendar_in_tau", "parity_and_bounds"}
     assert doc["penalty"]["total"] >= 0.0
+
+
+def test_network_checkpoint_artifacts_do_not_depend_on_threads(dmlp_dir, tmp_path):
+    for threads in (1, 2):
+        for argv in _network_commands(dmlp_dir, tmp_path / f"t{threads}", threads).values():
+            assert main(argv) == 0
+    artifacts = sorted(p.relative_to(tmp_path / "t1")
+                       for p in (tmp_path / "t1").rglob("*")
+                       if p.is_file() and not p.name.endswith("_manifest.json"))
+    assert len(artifacts) == 6  # metrics, audit and four report files
+    for rel in artifacts:
+        assert (tmp_path / "t1" / rel).read_bytes() == (tmp_path / "t2" / rel).read_bytes()
+
+
+def test_network_checkpoint_commands_pass_draws_once_per_component(
+        dmlp_dir, tmp_path, monkeypatch):
+    full_passes = []
+    forward_batch = DenseNetwork.forward_batch
+
+    def spy(self, x):
+        if np.shape(x)[0] == DMLP_SAMPLES:
+            full_passes.append(1)
+        return forward_batch(self, x)
+
+    monkeypatch.setattr(DenseNetwork, "forward_batch", spy)
+    for name, argv in _network_commands(dmlp_dir, tmp_path, 2).items():
+        full_passes.clear()
+        assert main(argv) == 0
+        assert len(full_passes) <= 2, name  # one G_Z pass per mixture component

@@ -10,7 +10,7 @@ from rndkit.density import (
     subsample,
     term_structure,
 )
-from rndkit.models import RnQParams, zero_net_rnmlp
+from rndkit.models import RnQParams, bind, init_rndmlp, zero_net_rnmlp
 from rndkit.sampling import draw_standard_normal
 
 from oracles import norm_pdf
@@ -255,6 +255,22 @@ def test_term_structure_shape_and_behavior():
 
     single = term_structure(model, [0.25], z)
     assert single.shape == (1, 4)
+
+
+def test_density_bound_model_is_bit_identical():
+    model = init_rndmlp(seed=5)
+    z = draw_standard_normal(20_000, seed=25)
+    other = draw_standard_normal(20_000, seed=26)
+    grid = np.linspace(-1.0, 1.0, 101)
+    want = kde_log_return(model, 0.5, z, grid, 0.03)
+    for bound in (bind(model, z), bind(model, other)):
+        got = kde_log_return(bound, 0.5, z, grid, 0.03)
+        np.testing.assert_array_equal(got.values, want.values)
+        assert got.bandwidth == want.bandwidth
+        assert risk_neutral_moments(bound, 0.5, z, 0.03) == \
+            risk_neutral_moments(model, 0.5, z, 0.03)
+        np.testing.assert_array_equal(term_structure(bound, [0.1, 0.5], z, 0.03),
+                                      term_structure(model, [0.1, 0.5], z, 0.03))
 
 
 def test_term_structure_validation():

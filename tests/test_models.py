@@ -8,6 +8,7 @@ from rndkit.models import (
     RnDmlpParams,
     RnMlpParams,
     RnQParams,
+    bind,
     checkpoint_document,
     dtau_log_returns,
     init_rndmlp,
@@ -170,6 +171,35 @@ def test_dtau_log_returns_rnq_is_flat_rate():
     z = draw_standard_normal(32, seed=2)
     d = dtau_log_returns(RnQParams(0.1, 0.2, 1.3, 1.1), 0.5, z, 0.07)
     np.testing.assert_array_equal(d, np.full(32, 0.07))
+
+
+def test_bound_model_is_bit_identical_and_rebinds_on_other_draws():
+    za = draw_standard_normal(512, seed=3)
+    zb = draw_standard_normal(512, seed=4)
+    for model in (RnQParams(0.05, 0.3, 1.2, 1.4), init_rnmlp(seed=12), init_rndmlp(seed=12)):
+        bound = bind(model, za)
+        assert bind(bound, za) is bound
+        assert bind(bound, draw_standard_normal(512, seed=3)) is bound
+        for tau in (0.0, 0.25, 1.0):
+            np.testing.assert_array_equal(sample_log_returns(bound, tau, za, 0.03),
+                                          sample_log_returns(model, tau, za, 0.03))
+        np.testing.assert_array_equal(dtau_log_returns(bound, 0.5, za, 0.03),
+                                      dtau_log_returns(model, 0.5, za, 0.03))
+        # bound to draws A, asked about draws B: the unbound result on B
+        rebound = bind(bound, zb)
+        assert rebound is not bound and rebound.model is model
+        np.testing.assert_array_equal(sample_log_returns(bound, 0.5, zb, 0.03),
+                                      sample_log_returns(model, 0.5, zb, 0.03))
+        np.testing.assert_array_equal(dtau_log_returns(bound, 0.5, zb, 0.03),
+                                      dtau_log_returns(model, 0.5, zb, 0.03))
+
+    # editing the caller's array after binding cannot leave G_Z stale
+    model = init_rnmlp(seed=12)
+    raw = za.values.copy()
+    bound = bind(model, raw)
+    raw[0] += 1.0
+    np.testing.assert_array_equal(sample_log_returns(bound, 0.5, raw, 0.03),
+                                  sample_log_returns(model, 0.5, raw, 0.03))
 
 
 def test_mlp_variance_scale_bounded_near_zero_tau():

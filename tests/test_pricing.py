@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from rndkit.data_io import OptionChain, OptionQuote
-from rndkit.models import RnQParams, init_rnmlp, rnq_mu_from_constraint, sample_log_returns, zero_net_rnmlp
+from rndkit.models import (
+    RnQParams,
+    bind,
+    init_rndmlp,
+    init_rnmlp,
+    rnq_mu_from_constraint,
+    sample_log_returns,
+    zero_net_rnmlp,
+)
 from rndkit.numerics import logmeanexp
 from rndkit.pricing import PriceRequest, price, price_chain, price_with_stderr
 from rndkit.sampling import draw_standard_normal
@@ -127,6 +135,24 @@ def test_price_chain_threaded_is_bit_identical():
         price_chain(model, chain, z, threads=1),
         price_chain(model, chain, z, threads=8),
     )
+
+
+def test_price_chain_bound_model_is_bit_identical():
+    model = init_rndmlp(seed=2)
+    z = draw_standard_normal(5_000, seed=9)
+    other = draw_standard_normal(5_000, seed=10)
+    quotes = [
+        OptionQuote(side, k, days, 1.0, 1.2)
+        for days in (30, 91)
+        for k in (90.0, 110.0)
+        for side in ("call", "put")
+    ]
+    chain = make_chain(quotes)
+    want = price_chain(model, chain, z)
+    req = PriceRequest("put", S, 95.0, 0.4, 0.03)
+    for bound in (bind(model, z), bind(model, other)):
+        np.testing.assert_array_equal(price_chain(bound, chain, z, threads=2), want)
+        assert price_with_stderr(bound, req, z) == price_with_stderr(model, req, z)
 
 
 def test_stderr_scales_with_sample_count():
