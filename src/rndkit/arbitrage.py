@@ -49,7 +49,6 @@ class SyntheticGrid:
 
     taus: np.ndarray
     strikes: np.ndarray
-    points: list  # (tau, strike, side) triples
 
     @property
     def n_pairs(self) -> int:
@@ -75,15 +74,7 @@ def build_synthetic_grid(taus, strikes) -> SyntheticGrid:
         raise ValueError("grid needs at least one maturity and one strike")
     if np.any(taus <= 0.0) or np.any(strikes <= 0.0):
         raise ValueError("maturities and strikes must be positive")
-    taus = _with_midpoints(taus)
-    strikes = _with_midpoints(strikes)
-    points = [
-        (float(tau), float(k), side)
-        for tau in taus
-        for k in strikes
-        for side in ("call", "put")
-    ]
-    return SyntheticGrid(taus=taus, strikes=strikes, points=points)
+    return SyntheticGrid(taus=_with_midpoints(taus), strikes=_with_midpoints(strikes))
 
 
 # ----------------------------------------------------------------------

@@ -10,17 +10,25 @@ J is the hinged static-arbitrage penalty evaluated on a synthetic
 Monte Carlo payoffs, with the payoff hinge and the penalty indicator
 sets treated as locally constant (piecewise-smooth convention).
 
-The quantile model is special-cased twice: its location is eliminated
-through the martingale constraint at every evaluation (so the gradient
-carries a softmax correction term), and the arbitrage penalty is omitted
-from its objective.  With the location pinned, the martingale term is
-identically zero and, at a positive rate, the remaining calendar terms
-are constants of the data rather than useful training signal; the fit
-reduces to the data MSE alone.
+What differs between model kinds lives in one adapter per kind: the
+initial model, the flat parameter vector, the coordinates Adam works in,
+chain validation, whether the penalty applies, the forward tables, the
+gradient and finalisation.  The objective and the Adam loop never test
+the kind.  ``_NetworkAdapter`` serves rn-mlp and rn-dmlp alike, rn-mlp
+being the one-component mixture.  ``_QuantileAdapter`` holds every rn-q
+difference: the location is eliminated through the martingale
+constraint at every evaluation (so the gradient carries a softmax
+correction term) and recomputed on the final parameters, Adam works in
+softplus coordinates, the chain must be single-maturity, and the
+arbitrage penalty is omitted.  With the location pinned, the martingale
+term is identically zero and, at a positive rate, the remaining calendar
+terms are constants of the data rather than useful training signal; the
+fit reduces to the data MSE alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -32,8 +40,10 @@ from .models import (
     RnMlpParams,
     RnQParams,
     bind,
+    checkpoint_document,
     init_rndmlp,
     init_rnmlp,
+    mixture_components,
     model_kind,
     rnq_mu_from_constraint,
 )
@@ -41,6 +51,7 @@ from .nn import DenseNetwork, softplus, softplus_prime
 from .numerics import logmeanexp
 from .pricing import price_chain
 from .sampling import draw_standard_normal
+
 
 __all__ = [
     "CalibrationConfig",
@@ -113,7 +124,7 @@ class CalibrationResult:
     def to_jsonable(self) -> dict:
         return {
             "kind": self.kind,
-            "params": params_to_jsonable(self.params),
+            "params": checkpoint_document(self.params),
             "loss_trajectory": [float(v) for v in self.loss_trajectory],
             "penalty_trajectory": [float(v) for v in self.penalty_trajectory],
             "final_train_mse": self.final_train_mse,
@@ -220,78 +231,12 @@ def params_to_vector(model) -> np.ndarray:
     rn-dmlp: alpha | comp1 block | comp2 block.  The rn-q location mu is
     not trained (eliminated by the martingale constraint).
     """
-    kind = model_kind(model)
-    if kind == "rn-q":
-        return np.array([model.sigma, model.u, model.v])
-    if kind == "rn-mlp":
-        return np.concatenate([
-            [model.sigma],
-            model.net_mu.to_vector(), model.net_z.to_vector(), model.net_tau.to_vector(),
-        ])
-    return np.concatenate([
-        [model.alpha], params_to_vector(model.comp1), params_to_vector(model.comp2),
-    ])
+    return _adapter_of(model).to_vector(model)
 
 
 def vector_to_params(template, vec):
     """Rebuild a model like ``template`` from a flat trainable vector."""
-    vec = np.asarray(vec, dtype=float)
-    kind = model_kind(template)
-    if kind == "rn-q":
-        if vec.shape != (3,):
-            raise ValueError("rn-q expects a length-3 vector")
-        return RnQParams(mu=template.mu, sigma=float(vec[0]), u=float(vec[1]),
-                         v=float(vec[2]), a_const=template.a_const)
-    if kind == "rn-mlp":
-        nets = []
-        pos = 1
-        for net in (template.net_mu, template.net_z, template.net_tau):
-            n = net.n_params
-            nets.append(DenseNetwork.from_vector(net.layer_dims, vec[pos:pos + n]))
-            pos += n
-        if pos != vec.size:
-            raise ValueError("vector length does not match network geometry")
-        return RnMlpParams(sigma=float(vec[0]), net_mu=nets[0], net_z=nets[1],
-                           net_tau=nets[2])
-    n1 = params_to_vector(template.comp1).size
-    return RnDmlpParams(
-        alpha=float(vec[0]),
-        comp1=vector_to_params(template.comp1, vec[1:1 + n1]),
-        comp2=vector_to_params(template.comp2, vec[1 + n1:]),
-    )
-
-
-def params_to_jsonable(model) -> dict:
-    """JSON-ready dict holding the model kind and every parameter."""
-    kind = model_kind(model)
-    if kind == "rn-q":
-        return {"kind": kind, "mu": model.mu, "sigma": model.sigma,
-                "u": model.u, "v": model.v, "a_const": model.a_const}
-    if kind == "rn-mlp":
-        return {"kind": kind, "sigma": model.sigma,
-                "net_mu": model.net_mu.to_jsonable(),
-                "net_z": model.net_z.to_jsonable(),
-                "net_tau": model.net_tau.to_jsonable()}
-    return {"kind": kind, "alpha": model.alpha,
-            "comp1": params_to_jsonable(model.comp1),
-            "comp2": params_to_jsonable(model.comp2)}
-
-
-def params_from_jsonable(doc: dict):
-    kind = doc["kind"]
-    if kind == "rn-q":
-        return RnQParams(mu=float(doc["mu"]), sigma=float(doc["sigma"]),
-                         u=float(doc["u"]), v=float(doc["v"]), a_const=float(doc["a_const"]))
-    if kind == "rn-mlp":
-        return RnMlpParams(sigma=float(doc["sigma"]),
-                           net_mu=DenseNetwork.from_jsonable(doc["net_mu"]),
-                           net_z=DenseNetwork.from_jsonable(doc["net_z"]),
-                           net_tau=DenseNetwork.from_jsonable(doc["net_tau"]))
-    if kind == "rn-dmlp":
-        return RnDmlpParams(alpha=float(doc["alpha"]),
-                            comp1=params_from_jsonable(doc["comp1"]),
-                            comp2=params_from_jsonable(doc["comp2"]))
-    raise ValueError(f"unknown model kind {kind!r}")
+    return _adapter_of(template).from_vector(template, vec)
 
 
 # ----------------------------------------------------------------------
@@ -307,13 +252,15 @@ def params_from_jsonable(doc: dict):
 class _TauTable:
     """Sorted growth factors at one maturity plus adjoint accumulators."""
 
-    __slots__ = ("tau", "rate", "x", "growth", "slope", "order", "gs", "cum_g",
+    __slots__ = ("rate", "growth", "slope", "order", "gs", "cum_g",
                  "cum_a", "coef_pen", "coef_data", "wx", "wd", "mean_growth")
 
-    def __init__(self, tau, rate, x, growth, slope):
-        self.tau = tau
+    def __init__(self, rate, x, slope):
+        with np.errstate(over="ignore"):
+            growth = np.exp(x)
+        if not np.all(np.isfinite(growth)):
+            raise FloatingPointError("model produced non-finite growth factors")
         self.rate = rate
-        self.x = x
         self.growth = growth
         self.slope = slope
         self.order = np.argsort(growth, kind="stable")
@@ -412,153 +359,257 @@ def _loss_weights(observed, fitted, sides_call, loss_kind, floor):
     return value, grad, n_excluded
 
 
-def _mlp_components(model):
-    kind = model_kind(model)
-    if kind == "rn-mlp":
-        return [(1.0, model)]
-    return [(model.alpha, model.comp1), (1.0 - model.alpha, model.comp2)]
+# ----------------------------------------------------------------------
+# per-kind adapters
 
 
-def _forward_tables(model, taus, chain_rate, z):
-    """X, growth and d/dtau tables per maturity, plus backward caches.
+def _softplus_inverse(y: float) -> float:
+    if y <= 0.0:
+        raise ValueError("softplus inverse needs a positive value")
+    return float(np.log(np.expm1(y)))
 
-    Network values are computed through the cached scalar-batch path so
-    one backward pass per network serves every maturity at once.
+
+class _Adapter:
+    """Defaults: Adam works on the natural vector, the penalty applies."""
+
+    penalized = True
+
+    def check_chain(self, chain):
+        pass
+
+    def to_state(self, model):
+        return self.to_vector(model)
+
+    def from_state(self, template, state):
+        return self.from_vector(template, state)
+
+    def state_gradient(self, state, nat_grad):
+        return nat_grad
+
+    def finalize(self, model, chain, samples):
+        return model
+
+
+class _QuantileAdapter(_Adapter):
+    """rn-q: one maturity, location pinned by the martingale constraint.
+
+    Adam works in unconstrained coordinates sigma = softplus(s),
+    u = 1 + softplus(b), v = 1 + softplus(c); no penalty is applied.
     """
-    kind = model_kind(model)
-    tables = {}
-    caches = []
-    tau_arr = np.asarray(taus, dtype=float)
-    if kind == "rn-q":
-        if tau_arr.size != 1:
-            raise ValueError("the quantile model is single-maturity")
-        tau = float(tau_arr[0])
+
+    penalized = False
+
+    def init_model(self, seed):
+        return RnQParams(mu=0.0, sigma=0.2, u=1.1, v=1.1)
+
+    def to_vector(self, model):
+        return np.array([model.sigma, model.u, model.v])
+
+    def from_vector(self, template, vec):
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (3,):
+            raise ValueError("rn-q expects a length-3 vector")
+        return RnQParams(mu=template.mu, sigma=float(vec[0]), u=float(vec[1]),
+                         v=float(vec[2]), a_const=template.a_const)
+
+    def to_state(self, model):
+        return np.array([_softplus_inverse(model.sigma), _softplus_inverse(model.u - 1.0),
+                         _softplus_inverse(model.v - 1.0)])
+
+    def from_state(self, template, state):
+        nat = np.array([softplus(state[0]), 1.0 + softplus(state[1]), 1.0 + softplus(state[2])])
+        return self.from_vector(template, nat)
+
+    def state_gradient(self, state, nat_grad):
+        return nat_grad * softplus_prime(np.asarray(state))
+
+    def check_chain(self, chain):
+        n_taus = len({q.tau for q in chain.quotes})
+        if n_taus > 1:
+            raise ValueError("the quantile model is single-maturity; "
+                             f"the chain has {n_taus} maturities")
+
+    def forward(self, model, taus, chain_rate, z):
+        """The one maturity's table, plus the shape factor for the gradient."""
+        tau = float(taus[0])
         rate = chain_rate(tau)
         shape = (np.power(model.u, z) + np.power(model.v, -z)) / model.a_const + 1.0
         t = model.sigma * z * shape
-        mu = rate * tau - logmeanexp(t)
-        x = mu + t
-        with np.errstate(over="ignore"):
-            growth = np.exp(x)
-        if not np.all(np.isfinite(growth)):
-            raise FloatingPointError("model produced non-finite growth factors")
-        tables[tau] = _TauTable(tau, rate, x, growth, None)
-        return tables, {"t": t, "shape": shape, "mu": mu}
+        x = rate * tau - logmeanexp(t) + t
+        return {tau: _TauTable(rate, x, None)}, shape
 
-    for coef, comp in _mlp_components(model):
-        gz, cache_z = comp.net_z.scalar_batch(z)
-        gmu, gmu_s, cache_mu = comp.net_mu.scalar_batch(tau_arr, want_slope=True)
-        gtau, gtau_s, cache_tau = comp.net_tau.scalar_batch(tau_arr, want_slope=True)
-        caches.append({"coef": coef, "comp": comp, "gz": gz, "cache_z": cache_z,
-                       "gmu": gmu, "gmu_s": gmu_s, "cache_mu": cache_mu,
-                       "gtau": gtau, "gtau_s": gtau_s, "cache_tau": cache_tau})
-    for i, tau in enumerate(tau_arr):
-        tau = float(tau)
-        rate = chain_rate(tau)
-        root = np.sqrt(tau)
-        x = np.zeros_like(z)
-        slope = np.zeros_like(z)
-        for c in caches:
-            comp = c["comp"]
-            band = c["gz"] + c["gtau"][i] + 1.0
-            x += c["coef"] * (rate * tau * c["gmu"][i] + comp.sigma * root * z * band)
-            slope += c["coef"] * (
-                rate * c["gmu"][i] + rate * tau * c["gmu_s"][i]
-                + comp.sigma * z * (band / (2.0 * root) + root * c["gtau_s"][i])
-            )
-        with np.errstate(over="ignore"):
-            growth = np.exp(x)
-        if not np.all(np.isfinite(growth)):
-            raise FloatingPointError("model produced non-finite growth factors")
-        tables[tau] = _TauTable(tau, rate, x, growth, slope)
-    return tables, caches
+    def gradient(self, model, tables, shape, z):
+        """Natural-space (sigma, u, v) gradient with the location eliminated.
+
+        mu = r tau - logmeanexp(t) couples every sample, contributing a
+        softmax-weighted mean-field term: dX_n = dt_n - sum_m rho_m dt_m.
+        """
+        (table,) = tables.values()
+        wx, _ = table.adjoint_weights()
+        rho = table.growth / (table.growth.size * table.mean_growth)
+        w_eff = wx - np.sum(wx) * rho
+        dt_sigma = z * shape
+        zz = model.sigma * z * z
+        dt_u = zz * np.power(model.u, z - 1.0) / model.a_const
+        dt_v = -zz * np.power(model.v, -z - 1.0) / model.a_const
+        return np.array([
+            float(np.dot(w_eff, dt_sigma)),
+            float(np.dot(w_eff, dt_u)),
+            float(np.dot(w_eff, dt_v)),
+        ])
+
+    def finalize(self, model, chain, samples):
+        """Pin the location on the final parameters."""
+        tau = chain.quotes[0].tau
+        mu = rnq_mu_from_constraint(model.sigma, model.u, model.v, model.a_const,
+                                    samples, chain.rate(tau), tau)
+        return dataclasses.replace(model, mu=mu)
 
 
-def _rnq_gradient(model, table, aux, z):
-    """Natural-space (sigma, u, v) gradient with the location eliminated.
+class _NetworkAdapter(_Adapter):
+    """rn-mlp and rn-dmlp: a mixture of one or two network components.
 
-    mu = r tau - logmeanexp(t) couples every sample, contributing a
-    softmax-weighted mean-field term: dX_n = dt_n - sum_m rho_m dt_m.
+    Network values go through the cached scalar-batch path so one
+    backward pass per network serves every maturity at once.
     """
-    wx, _ = table.adjoint_weights()
-    rho = table.growth / (table.growth.size * table.mean_growth)
-    w_eff = wx - np.sum(wx) * rho
-    dt_sigma = z * aux["shape"]
-    zz = model.sigma * z * z
-    dt_u = zz * np.power(model.u, z - 1.0) / model.a_const
-    dt_v = -zz * np.power(model.v, -z - 1.0) / model.a_const
-    return np.array([
-        float(np.dot(w_eff, dt_sigma)),
-        float(np.dot(w_eff, dt_u)),
-        float(np.dot(w_eff, dt_v)),
-    ])
 
+    def __init__(self, init_model, has_alpha):
+        self.init_model = init_model
+        self.has_alpha = has_alpha  # rn-dmlp: alpha leads the vector
 
-def _mlp_gradient(model, tables, caches, z):
-    taus = sorted(tables)
-    kind = model_kind(model)
-    parts = []
-    comp_proj = []  # sum over (tau, n) of wx dX_comp + wd dslope_comp
-    for c in caches:
-        coef, comp = c["coef"], c["comp"]
-        wz = np.zeros_like(z)
-        zg = z * c["gz"]
-        wv_mu = np.zeros(len(taus))
-        ws_mu = np.zeros(len(taus))
-        wv_tau = np.zeros(len(taus))
-        ws_tau = np.zeros(len(taus))
-        d_sigma = 0.0
-        proj = 0.0
-        for i, tau in enumerate(taus):
-            table = tables[tau]
-            wx, wd = table.wx, table.wd
-            rate, root = table.rate, np.sqrt(tau)
-            wz += coef * comp.sigma * z * (root * wx + wd / (2.0 * root))
-            sx = float(np.sum(wx))
-            sd = float(np.sum(wd))
-            sxz = float(np.dot(wx, z))
-            sdz = float(np.dot(wd, z))
-            sxzg = float(np.dot(wx, zg))
-            sdzg = float(np.dot(wd, zg))
-            base = c["gtau"][i] + 1.0
-            wv_mu[i] = coef * rate * (tau * sx + sd)
-            ws_mu[i] = coef * rate * tau * sd
-            wv_tau[i] = coef * comp.sigma * (root * sxz + sdz / (2.0 * root))
-            ws_tau[i] = coef * comp.sigma * root * sdz
-            # adjoints against the scale direction z (G_Z + G_tau + 1)
-            x_dir = root * (sxzg + base * sxz)
-            s_dir = (sdzg + base * sdz) / (2.0 * root) + root * c["gtau_s"][i] * sdz
-            d_sigma += coef * (x_dir + s_dir)
-            # adjoints against the full component map (for d/dalpha)
-            proj += rate * tau * c["gmu"][i] * sx \
-                + rate * (c["gmu"][i] + tau * c["gmu_s"][i]) * sd \
-                + comp.sigma * (x_dir + s_dir)
-        comp_proj.append(proj)
-        g_mu = comp.net_mu.weighted_value_slope_param_gradient(c["cache_mu"], wv_mu, ws_mu)
-        g_z = comp.net_z.weighted_param_gradient(c["cache_z"], wz)
-        g_tau = comp.net_tau.weighted_value_slope_param_gradient(c["cache_tau"], wv_tau, ws_tau)
-        parts.append(np.concatenate([
-            [d_sigma], g_mu.to_vector(), g_z.to_vector(), g_tau.to_vector(),
-        ]))
-    if kind == "rn-mlp":
+    def to_vector(self, model):
+        parts = [[model.alpha]] if self.has_alpha else []
+        for _, comp in mixture_components(model):
+            parts += [[comp.sigma], comp.net_mu.to_vector(), comp.net_z.to_vector(),
+                      comp.net_tau.to_vector()]
         return np.concatenate(parts)
-    d_alpha = comp_proj[0] - comp_proj[1]
-    return np.concatenate([[d_alpha], parts[0], parts[1]])
+
+    def from_vector(self, template, vec):
+        vec = np.asarray(vec, dtype=float)
+        if vec.size != self.to_vector(template).size:
+            raise ValueError("vector length does not match network geometry")
+        pos = int(self.has_alpha)
+        comps = []
+        for _, comp in mixture_components(template):
+            sigma = float(vec[pos])
+            pos += 1
+            nets = []
+            for net in (comp.net_mu, comp.net_z, comp.net_tau):
+                nets.append(DenseNetwork.from_vector(net.layer_dims, vec[pos:pos + net.n_params]))
+                pos += net.n_params
+            comps.append(RnMlpParams(sigma, *nets))
+        if self.has_alpha:
+            return RnDmlpParams(alpha=float(vec[0]), comp1=comps[0], comp2=comps[1])
+        return comps[0]
+
+    def forward(self, model, taus, chain_rate, z):
+        """X, growth and d/dtau tables per maturity, plus backward caches."""
+        tables = {}
+        caches = []
+        tau_arr = np.asarray(taus, dtype=float)
+        for coef, comp in mixture_components(model):
+            gz, cache_z = comp.net_z.scalar_batch(z)
+            gmu, gmu_s, cache_mu = comp.net_mu.scalar_batch(tau_arr, want_slope=True)
+            gtau, gtau_s, cache_tau = comp.net_tau.scalar_batch(tau_arr, want_slope=True)
+            caches.append({"coef": coef, "comp": comp, "gz": gz, "cache_z": cache_z,
+                           "gmu": gmu, "gmu_s": gmu_s, "cache_mu": cache_mu,
+                           "gtau": gtau, "gtau_s": gtau_s, "cache_tau": cache_tau})
+        for i, tau in enumerate(tau_arr):
+            tau = float(tau)
+            rate = chain_rate(tau)
+            root = np.sqrt(tau)
+            x = np.zeros_like(z)
+            slope = np.zeros_like(z)
+            for c in caches:
+                comp = c["comp"]
+                band = c["gz"] + c["gtau"][i] + 1.0
+                x += c["coef"] * (rate * tau * c["gmu"][i] + comp.sigma * root * z * band)
+                slope += c["coef"] * (
+                    rate * c["gmu"][i] + rate * tau * c["gmu_s"][i]
+                    + comp.sigma * z * (band / (2.0 * root) + root * c["gtau_s"][i])
+                )
+            tables[tau] = _TauTable(rate, x, slope)
+        return tables, caches
+
+    def gradient(self, model, tables, caches, z):
+        taus = sorted(tables)
+        for table in tables.values():
+            table.adjoint_weights()
+        parts = []
+        comp_proj = []  # sum over (tau, n) of wx dX_comp + wd dslope_comp
+        for c in caches:
+            coef, comp = c["coef"], c["comp"]
+            wz = np.zeros_like(z)
+            zg = z * c["gz"]
+            wv_mu = np.zeros(len(taus))
+            ws_mu = np.zeros(len(taus))
+            wv_tau = np.zeros(len(taus))
+            ws_tau = np.zeros(len(taus))
+            d_sigma = 0.0
+            proj = 0.0
+            for i, tau in enumerate(taus):
+                table = tables[tau]
+                wx, wd = table.wx, table.wd
+                rate, root = table.rate, np.sqrt(tau)
+                wz += coef * comp.sigma * z * (root * wx + wd / (2.0 * root))
+                sx = float(np.sum(wx))
+                sd = float(np.sum(wd))
+                sxz = float(np.dot(wx, z))
+                sdz = float(np.dot(wd, z))
+                sxzg = float(np.dot(wx, zg))
+                sdzg = float(np.dot(wd, zg))
+                base = c["gtau"][i] + 1.0
+                wv_mu[i] = coef * rate * (tau * sx + sd)
+                ws_mu[i] = coef * rate * tau * sd
+                wv_tau[i] = coef * comp.sigma * (root * sxz + sdz / (2.0 * root))
+                ws_tau[i] = coef * comp.sigma * root * sdz
+                # adjoints against the scale direction z (G_Z + G_tau + 1)
+                x_dir = root * (sxzg + base * sxz)
+                s_dir = (sdzg + base * sdz) / (2.0 * root) + root * c["gtau_s"][i] * sdz
+                d_sigma += coef * (x_dir + s_dir)
+                # adjoints against the full component map (for d/dalpha)
+                proj += rate * tau * c["gmu"][i] * sx \
+                    + rate * (c["gmu"][i] + tau * c["gmu_s"][i]) * sd \
+                    + comp.sigma * (x_dir + s_dir)
+            comp_proj.append(proj)
+            g_mu = comp.net_mu.weighted_value_slope_param_gradient(c["cache_mu"], wv_mu, ws_mu)
+            g_z = comp.net_z.weighted_param_gradient(c["cache_z"], wz)
+            g_tau = comp.net_tau.weighted_value_slope_param_gradient(c["cache_tau"], wv_tau, ws_tau)
+            parts += [[d_sigma], g_mu.to_vector(), g_z.to_vector(), g_tau.to_vector()]
+        head = [[comp_proj[0] - comp_proj[1]]] if self.has_alpha else []
+        return np.concatenate(head + parts)
 
 
-def _objective_parts(model, chain, grid, config, samples):
+_ADAPTERS = {
+    "rn-q": _QuantileAdapter(),
+    "rn-mlp": _NetworkAdapter(init_rnmlp, has_alpha=False),
+    "rn-dmlp": _NetworkAdapter(init_rndmlp, has_alpha=True),
+}
+
+
+def _adapter(kind: str):
+    try:
+        return _ADAPTERS[kind]
+    except KeyError:
+        raise ValueError(f"unknown model kind {kind!r}") from None
+
+
+def _adapter_of(model):
+    return _ADAPTERS[model_kind(model)]
+
+
+def _objective_parts(adapter, model, chain, grid, config, samples):
     """Loss, natural-parameter gradient and diagnostic pieces."""
     z = samples.values
     n = z.size
-    kind = model_kind(model)
     groups = _quote_groups(chain)
     market_taus = sorted(groups)
-    use_penalty = kind != "rn-q" and config.lam > 0.0 and grid is not None
+    use_penalty = adapter.penalized and config.lam > 0.0 and grid is not None
     if use_penalty:
         all_taus = sorted(set(market_taus) | {float(t) for t in grid.taus})
     else:
         all_taus = market_taus
-    tables, caches = _forward_tables(model, all_taus, chain.rate, z)
+    tables, aux = adapter.forward(model, all_taus, chain.rate, z)
 
     # pass 1: price every quote from the cumulative sums
     quotes = [q for tau in market_taus for q in groups[tau]]
@@ -608,12 +659,7 @@ def _objective_parts(model, chain, grid, config, samples):
     if not np.isfinite(loss):
         raise FloatingPointError("objective is not finite")
 
-    if kind == "rn-q":
-        grad = _rnq_gradient(model, tables[market_taus[0]], caches, z)
-    else:
-        for table in tables.values():
-            table.adjoint_weights()
-        grad = _mlp_gradient(model, tables, caches, z)
+    grad = adapter.gradient(model, tables, aux, z)
     return loss, grad, {"data_loss": data_loss, "penalty": penalty,
                         "n_excluded": n_excluded, "fitted": fitted}
 
@@ -626,57 +672,14 @@ def objective_and_gradient(model, train_chain, grid, config, samples):
     """
     if not train_chain.quotes:
         raise ValueError("empty chain")
-    loss, grad, _ = _objective_parts(model, train_chain, grid, config, samples)
+    adapter = _adapter_of(model)
+    adapter.check_chain(train_chain)
+    loss, grad, _ = _objective_parts(adapter, model, train_chain, grid, config, samples)
     return loss, grad
 
 
 # ----------------------------------------------------------------------
 # optimization loop
-
-
-def _softplus_inverse(y: float) -> float:
-    if y <= 0.0:
-        raise ValueError("softplus inverse needs a positive value")
-    return float(np.log(np.expm1(y)))
-
-
-def _init_model(kind: str, seed: int, init_model=None):
-    if init_model is not None:
-        if model_kind(init_model) != kind:
-            raise ValueError("init_model kind does not match model_kind")
-        return init_model
-    if kind == "rn-q":
-        return RnQParams(mu=0.0, sigma=0.2, u=1.1, v=1.1)
-    if kind == "rn-mlp":
-        return init_rnmlp(seed)
-    if kind == "rn-dmlp":
-        return init_rndmlp(seed)
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
-def _state_from_model(kind, model):
-    nat = params_to_vector(model)
-    if kind != "rn-q":
-        return nat
-    # unconstrained coordinates: sigma = softplus(s), u = 1 + softplus(b)
-    return np.array([
-        _softplus_inverse(nat[0]),
-        _softplus_inverse(nat[1] - 1.0),
-        _softplus_inverse(nat[2] - 1.0),
-    ])
-
-
-def _model_from_state(kind, template, state):
-    if kind != "rn-q":
-        return vector_to_params(template, state)
-    nat = np.array([softplus(state[0]), 1.0 + softplus(state[1]), 1.0 + softplus(state[2])])
-    return vector_to_params(template, nat)
-
-
-def _chain_rule_to_state(kind, state, nat_grad):
-    if kind != "rn-q":
-        return nat_grad
-    return nat_grad * softplus_prime(np.asarray(state))
 
 
 def calibrate(kind: str, train_chain, config: CalibrationConfig,
@@ -693,22 +696,25 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     t0 = time.perf_counter()
     if not train_chain.quotes:
         raise ValueError("empty chain")
-    if kind == "rn-q" and len({q.days_to_maturity for q in train_chain.quotes}) > 1:
-        raise ValueError("the quantile model is single-maturity")
-    model = _init_model(kind, config.seed, init_model)
+    adapter = _adapter(kind)
+    adapter.check_chain(train_chain)
+    model = adapter.init_model(config.seed) if init_model is None else init_model
+    if _adapter_of(model) is not adapter:
+        raise ValueError("init_model kind does not match model_kind")
     samples = draw_standard_normal(config.n_samples, config.seed)
     grid = build_synthetic_grid([q.tau for q in train_chain.quotes],
                                 [q.strike for q in train_chain.quotes])
 
-    state = _state_from_model(kind, model)
+    state = adapter.to_state(model)
     adam = AdamState.zeros(state.size)
     trajectory = []
     penalties = []
     converged = False
-    current = _model_from_state(kind, model, state)
+    current = adapter.from_state(model, state)
     for it in range(config.iterations):
         try:
-            loss, nat_grad, parts = _objective_parts(current, train_chain, grid, config, samples)
+            loss, nat_grad, parts = _objective_parts(adapter, current, train_chain, grid,
+                                                     config, samples)
         except FloatingPointError as exc:
             raise CalibrationDivergence(it, str(exc)) from exc
         if not np.isfinite(loss):
@@ -721,22 +727,16 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
             break
         if it == config.iterations - 1:
             break
-        grad = _chain_rule_to_state(kind, state, nat_grad)
+        grad = adapter.state_gradient(state, nat_grad)
         state = adam_step(adam, state, grad, config.learning_rate)
         try:
-            current = _model_from_state(kind, model, state)
+            current = adapter.from_state(model, state)
         except ValueError as exc:
             # the step left the model's domain (e.g. sigma < 0); the next
             # iteration is the one that would have evaluated it
             raise CalibrationDivergence(it + 1, str(exc)) from exc
 
-    final = current
-    if kind == "rn-q":
-        final = RnQParams(
-            mu=rnq_mu_from_constraint(final.sigma, final.u, final.v, final.a_const,
-                                      samples, train_chain.rate(train_chain.quotes[0].tau),
-                                      train_chain.quotes[0].tau),
-            sigma=final.sigma, u=final.u, v=final.v, a_const=final.a_const)
+    final = adapter.finalize(current, train_chain, samples)
 
     # final metrics through the canonical pricing and penalty routes
     bound = bind(final, samples)

@@ -52,16 +52,11 @@ from .sampling import draw_standard_normal
 
 _TENOR_DAYS = {"d": 1, "w": 7, "m": 30, "y": 365}
 
-_CONFIG_FIELDS = {
-    "learning_rate": float,
-    "iterations": int,
-    "lam": float,
-    "n_samples": int,
-    "seed": int,
-    "loss_kind": str,
-    "convergence_tol": float,
-    "relative_mse_floor": float,
-}
+# CalibrationConfig field -> type; the module's postponed annotations make
+# field.type a string, so the default's type stands in for it
+_CONFIG_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(CalibrationConfig)}
+# flags named differently from their field
+_FLAG_ATTRS = {"n_samples": "samples"}
 
 
 # ----------------------------------------------------------------------
@@ -163,17 +158,8 @@ def build_calibration_config(args) -> CalibrationConfig:
     if getattr(args, "config", None):
         for key, text in read_config_file(args.config).items():
             values[key] = _convert(key, text)
-    flags = {
-        "learning_rate": args.learning_rate,
-        "iterations": args.iterations,
-        "lam": args.lam,
-        "n_samples": args.samples,
-        "seed": args.seed,
-        "loss_kind": args.loss_kind,
-        "convergence_tol": args.convergence_tol,
-        "relative_mse_floor": args.relative_mse_floor,
-    }
-    for key, val in flags.items():
+    for key in _CONFIG_FIELDS:
+        val = getattr(args, _FLAG_ATTRS.get(key, key))
         if val is not None:
             values[key] = _convert(key, val)
     try:
@@ -196,6 +182,10 @@ def parse_tau_grid(text) -> list:
     return sorted(days)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_checkpoint(path):
     """Read a checkpoint file; returns (context dict, model)."""
     try:
@@ -210,9 +200,24 @@ def _load_checkpoint(path):
     ctx = doc.get("context")
     if not isinstance(ctx, dict):
         raise DataError("checkpoint has no context block")
-    for key in ("config", "spot", "rate_curve", "train_days"):
+    for key in ("config", "spot", "rate_curve", "train_days", "train_strikes"):
         if key not in ctx:
             raise DataError(f"checkpoint context is missing field {key!r}")
+    config = ctx["config"]
+    if not (isinstance(config, dict)
+            and all(_is_number(config.get(key)) for key in ("n_samples", "seed"))):
+        raise DataError("checkpoint context config needs numeric n_samples and seed")
+    if not _is_number(ctx["spot"]):
+        raise DataError("checkpoint context spot must be a number")
+    for key in ("train_days", "train_strikes"):
+        if not (isinstance(ctx[key], list) and all(map(_is_number, ctx[key]))):
+            raise DataError(f"checkpoint context {key} must be a list of numbers")
+    curve = ctx["rate_curve"]
+    if not (isinstance(curve, list)
+            and all(isinstance(pair, list) and len(pair) == 2
+                    and all(map(_is_number, pair)) for pair in curve)):
+        raise DataError("checkpoint context rate_curve must be a list of "
+                        "[tenor, rate] pairs")
     return ctx, model
 
 
@@ -277,9 +282,6 @@ def cmd_calibrate(args) -> int:
     train = split.train
     if not train.quotes:
         raise DataError("empty training set after the moneyness split")
-    if args.kind == "rn-q" and len(train.maturities()) > 1:
-        raise DataError("rn-q is a single-maturity model; the chain has "
-                        f"{len(train.maturities())} maturities")
     config = build_calibration_config(args)
     result = calibrate(args.kind, train, config, threads=args.threads)
 

@@ -50,7 +50,6 @@ class OptionQuote:
     days_to_maturity: int
     bid: float
     ask: float
-    weight: float = 1.0
 
     def __post_init__(self):
         if self.side not in ("call", "put"):

@@ -21,7 +21,8 @@ consumer reads X and dX/dtau from that binding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -47,6 +48,7 @@ __all__ = [
     "init_rndmlp",
     "zero_net_rnmlp",
     "model_kind",
+    "mixture_components",
     "CHECKPOINT_VERSION",
     "checkpoint_document",
     "checkpoint_json",
@@ -199,12 +201,17 @@ def model_kind(model) -> str:
     raise TypeError(f"not a model: {type(model)!r}")
 
 
-def _components(model) -> tuple:
-    """The network components of a model, in mixture order."""
+def mixture_components(model) -> tuple:
+    """(coefficient, network component) pairs, in mixture order.
+
+    rn-mlp is the one-component case ``((1.0, model),)``, rn-dmlp gives
+    ``((alpha, comp1), (1 - alpha, comp2))`` and the quantile model, which
+    has no network, gives ``()``.
+    """
     if isinstance(model, RnMlpParams):
-        return (model,)
+        return ((1.0, model),)
     if isinstance(model, RnDmlpParams):
-        return (model.comp1, model.comp2)
+        return ((model.alpha, model.comp1), (1.0 - model.alpha, model.comp2))
     return ()
 
 
@@ -228,17 +235,19 @@ class BoundModel:
         # a caller mutating its own array cannot leave G_Z stale.
         self.z = np.array(z, dtype=float)
         self.z.setflags(write=False)
-        # (component, G_Z(Z)) pairs in mixture order
+        # (coefficient, component, G_Z(Z)) triples in mixture order
         self._parts = tuple(
-            (comp, comp.net_z.forward_batch(self.z.reshape(-1, 1))[:, 0].reshape(self.z.shape))
-            for comp in _components(model)
+            (coef, comp,
+             comp.net_z.forward_batch(self.z.reshape(-1, 1))[:, 0].reshape(self.z.shape))
+            for coef, comp in mixture_components(model)
         )
 
-    def _mix(self, parts):
-        if self.kind == "rn-mlp":
-            return parts[0]
-        alpha = self.model.alpha
-        return alpha * parts[0] + (1.0 - alpha) * parts[1]
+    def _mix(self, term):
+        """c_1 term(comp_1, G_Z_1) + c_2 term(comp_2, G_Z_2) + ...
+
+        The one-component coefficient 1.0 multiplies exactly.
+        """
+        return reduce(np.add, (coef * term(comp, gz) for coef, comp, gz in self._parts))
 
     def log_returns(self, tau, rate) -> np.ndarray:
         """Log-return vector X(Z, tau) on the bound draws.
@@ -254,8 +263,7 @@ class BoundModel:
             return np.zeros_like(z)
         if self.kind == "rn-q":
             return rnq_log_return(self.model, z)
-        return self._mix([_component_log_return(comp, z, gz, tau, rate)
-                          for comp, gz in self._parts])
+        return self._mix(lambda comp, gz: _component_log_return(comp, z, gz, tau, rate))
 
     def dtau(self, tau, rate) -> np.ndarray:
         """Analytic dX/dtau at fixed Z on the bound draws.
@@ -272,8 +280,7 @@ class BoundModel:
             return np.full_like(z, float(rate))
         if tau <= 0.0:
             raise ValueError("maturity derivative needs tau > 0")
-        return self._mix([_component_dtau(comp, z, gz, tau, rate)
-                          for comp, gz in self._parts])
+        return self._mix(lambda comp, gz: _component_dtau(comp, z, gz, tau, rate))
 
 
 def bind(model, samples) -> BoundModel:

@@ -20,7 +20,6 @@ __all__ = [
     "init_network",
     "softplus",
     "softplus_prime",
-    "softplus_double_prime",
 ]
 
 
@@ -34,12 +33,6 @@ def softplus(x):
 def softplus_prime(x):
     """d/dx softplus = logistic sigmoid."""
     out = expit(np.asarray(x, dtype=float))
-    return out if out.ndim else float(out)
-
-
-def softplus_double_prime(x):
-    s = expit(np.asarray(x, dtype=float))
-    out = s * (1.0 - s)
     return out if out.ndim else float(out)
 
 
@@ -225,49 +218,6 @@ class DenseNetwork:
                 abar = hbar @ self.weights[l]
                 tbar = ubar @ self.weights[l]
         return ParamGradient(g_w, g_b)
-
-    # ------------------------------------------------------------------
-    # single-point API
-
-    def backward_params(self, x, upstream) -> ParamGradient:
-        """Gradient of upstream . y(x) in all parameters at one input."""
-        a = np.asarray(x, dtype=float).reshape(1, self.layer_dims[0])
-        upstream = np.asarray(upstream, dtype=float).reshape(1, self.layer_dims[-1])
-        last = self.n_layers - 1
-        acts = [a]
-        sigs = []
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = acts[-1] @ w.T + b
-            if l < last:
-                sp, sig = _softplus_and_sigmoid(h)
-                sigs.append(sig)
-                acts.append(sp)
-            else:
-                acts.append(h)
-        cache = _BatchCache(acts, sigs)
-        delta = upstream
-        g_w = [None] * self.n_layers
-        g_b = [None] * self.n_layers
-        for l in range(self.n_layers - 1, -1, -1):
-            g_w[l] = delta.T @ cache.acts[l]
-            g_b[l] = delta[0].copy()
-            if l > 0:
-                delta = (delta @ self.weights[l]) * cache.sigs[l - 1]
-        return ParamGradient(g_w, g_b)
-
-    def input_gradient(self, x) -> np.ndarray:
-        """Jacobian dy/dx at a single input, shape (dims[-1], dims[0])."""
-        a = np.asarray(x, dtype=float).reshape(1, self.layer_dims[0])
-        last = self.n_layers - 1
-        jac = None
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = a @ w.T + b
-            jac = w if jac is None else w @ jac
-            if l < last:
-                sp, sig = _softplus_and_sigmoid(h)
-                a = sp
-                jac = sig[0][:, None] * jac
-        return jac
 
     # ------------------------------------------------------------------
     # flat vector and serialization helpers

@@ -2,13 +2,17 @@
 
 These stay deliberately separate from the package code paths they check:
 Black-Scholes via the error function, normal integrals via adaptive
-quadrature.
+quadrature, and single-input network derivatives by plain layer-by-layer
+chain rule (the package only has the batched passes).
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import expit
+
+from rndkit.nn import ParamGradient
 
 
 def norm_cdf(x):
@@ -37,3 +41,48 @@ def normal_expectation(fn, lower=-np.inf, upper=np.inf, **kwargs):
     """E[fn(Z) 1{lower <= Z <= upper}] for standard normal Z by quadrature."""
     value, _ = quad(lambda z: fn(z) * norm_pdf(z), lower, upper, limit=400, **kwargs)
     return value
+
+
+# ----------------------------------------------------------------------
+# dense softplus networks at a single input
+
+
+def softplus_double_prime(x):
+    s = expit(np.asarray(x, dtype=float))
+    return s * (1.0 - s)
+
+
+def _layers(net, x):
+    """Activations (input first) and hidden-layer sigmoids at one input."""
+    acts = [np.asarray(x, dtype=float).reshape(1, net.layer_dims[0])]
+    sigs = []
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = acts[-1] @ w.T + b
+        if l < net.n_layers - 1:
+            sigs.append(expit(h))
+            h = np.logaddexp(0.0, h)
+        acts.append(h)
+    return acts, sigs
+
+
+def backward_params(net, x, upstream):
+    """Gradient of upstream . y(x) in all network parameters."""
+    acts, sigs = _layers(net, x)
+    delta = np.asarray(upstream, dtype=float).reshape(1, net.layer_dims[-1])
+    g_w = [None] * net.n_layers
+    g_b = [None] * net.n_layers
+    for l in range(net.n_layers - 1, -1, -1):
+        g_w[l] = delta.T @ acts[l]
+        g_b[l] = delta[0].copy()
+        if l > 0:
+            delta = (delta @ net.weights[l]) * sigs[l - 1]
+    return ParamGradient(g_w, g_b)
+
+
+def input_gradient(net, x):
+    """Jacobian dy/dx at one input, shape (dims[-1], dims[0])."""
+    _, sigs = _layers(net, x)
+    jac = net.weights[0]
+    for sig, w in zip(sigs, net.weights[1:]):
+        jac = w @ (sig[0][:, None] * jac)
+    return jac

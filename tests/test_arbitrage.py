@@ -39,16 +39,14 @@ def make_rnq(z, rate, tau, sigma=0.2, u=1.1, v=1.1):
 def test_grid_single_point():
     grid = build_synthetic_grid([0.1], [100.0])
     assert grid.n_pairs == 1
-    assert len(grid.points) == 2
-    assert grid.points[0] == (0.1, 100.0, "call")
-    assert grid.points[1] == (0.1, 100.0, "put")
+    np.testing.assert_array_equal(grid.taus, [0.1])
+    np.testing.assert_array_equal(grid.strikes, [100.0])
 
 
 def test_grid_counts_with_midpoints():
     grid = build_synthetic_grid([0.1, 0.25, 0.5], [80, 90, 100, 110, 120])
     # (2*3 - 1) * (2*5 - 1) pairs, each with a call and a put side.
     assert grid.n_pairs == 45
-    assert len(grid.points) == 90
     np.testing.assert_allclose(grid.taus, [0.1, 0.175, 0.25, 0.375, 0.5])
     assert 85.0 in grid.strikes and 115.0 in grid.strikes
 

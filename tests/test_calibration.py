@@ -13,7 +13,6 @@ from rndkit.calibration import (
     calibrate,
     mse,
     objective_and_gradient,
-    params_from_jsonable,
     params_to_vector,
     relative_mse,
     vector_to_params,
@@ -22,8 +21,10 @@ from rndkit.data_io import OptionQuote
 from rndkit.heston import generate_simulated_chain
 from rndkit.models import (
     RnQParams,
+    checkpoint_document,
     init_rndmlp,
     init_rnmlp,
+    model_from_checkpoint,
     rnq_mu_from_constraint,
 )
 from rndkit.pricing import price_chain
@@ -159,13 +160,9 @@ def test_params_jsonable_round_trip(call_chain):
     for kind in ("rn-q", "rn-mlp", "rn-dmlp"):
         res = calibrate(kind, call_chain, cfg)
         doc = res.to_jsonable()
-        back = params_from_jsonable(doc["params"])
+        assert doc["params"] == checkpoint_document(res.params)
+        back = model_from_checkpoint(doc["params"])
         assert np.array_equal(params_to_vector(back), params_to_vector(res.params))
-
-
-def test_params_from_jsonable_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        params_from_jsonable({"kind": "rn-cnn"})
 
 
 # ----------------------------------------------------------------------
@@ -203,8 +200,9 @@ def test_gradient_matches_fd_rnmlp(mixed_chain, loss_kind):
     assert fd_worst_error(init_rnmlp(11, hidden=(4, 4)), mixed_chain, cfg) < 1e-4
 
 
-def test_gradient_matches_fd_rndmlp(mixed_chain):
-    cfg = CalibrationConfig(n_samples=2000, seed=3)
+@pytest.mark.parametrize("loss_kind", ["absolute-MSE", "relative-MSE"])
+def test_gradient_matches_fd_rndmlp(mixed_chain, loss_kind):
+    cfg = CalibrationConfig(n_samples=2000, seed=3, loss_kind=loss_kind)
     assert fd_worst_error(init_rndmlp(5, hidden=(4, 4)), mixed_chain, cfg) < 1e-4
 
 
@@ -280,17 +278,19 @@ def test_zero_iterations_returns_initialization(call_chain):
     assert np.isfinite(res.final_penalty.total)
 
 
-def test_calibrate_is_deterministic(call_chain):
+@pytest.mark.parametrize("kind", ["rn-q", "rn-mlp", "rn-dmlp"])
+def test_calibrate_is_deterministic(call_chain, kind):
     cfg = CalibrationConfig(n_samples=10_000, seed=9, iterations=25)
-    r1 = calibrate("rn-mlp", call_chain, cfg)
-    r2 = calibrate("rn-mlp", call_chain, cfg)
+    r1 = calibrate(kind, call_chain, cfg)
+    r2 = calibrate(kind, call_chain, cfg)
     assert np.array_equal(r1.loss_trajectory, r2.loss_trajectory)
     assert np.array_equal(params_to_vector(r1.params), params_to_vector(r2.params))
 
 
-def test_objective_at_returned_params_equals_last_trajectory_entry(call_chain):
+@pytest.mark.parametrize("kind", ["rn-q", "rn-mlp", "rn-dmlp"])
+def test_objective_at_returned_params_equals_last_trajectory_entry(call_chain, kind):
     cfg = CalibrationConfig(n_samples=10_000, seed=9, iterations=25)
-    res = calibrate("rn-mlp", call_chain, cfg)
+    res = calibrate(kind, call_chain, cfg)
     samples = draw_standard_normal(cfg.n_samples, cfg.seed)
     loss, _ = objective_and_gradient(res.params, call_chain, grid_for(call_chain),
                                      cfg, samples)

@@ -204,6 +204,30 @@ def test_evaluate_bad_checkpoint_exits_2(sim_dir, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command, edit", [
+    ("evaluate", lambda ctx: ctx["config"].pop("n_samples")),
+    ("evaluate", lambda ctx: ctx.update(config="oops")),
+    ("audit", lambda ctx: ctx.pop("train_strikes")),
+    ("audit", lambda ctx: ctx.update(rate_curve=5)),
+    ("report", lambda ctx: ctx.update(rate_curve=5)),
+    ("evaluate", lambda ctx: ctx.update(spot="1000")),
+    ("report", lambda ctx: ctx.update(train_days=91)),
+], ids=["config-without-n_samples", "config-not-an-object", "no-train_strikes",
+        "audit-rate_curve-not-a-list", "report-rate_curve-not-a-list",
+        "spot-not-a-number", "train_days-not-a-list"])
+def test_malformed_checkpoint_context_exits_2(sim_dir, fit_dir, tmp_path, capsys,
+                                              command, edit):
+    doc = json.loads((fit_dir / "checkpoint.json").read_text())
+    edit(doc["context"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = [command, "--checkpoint", str(bad), "--out", str(tmp_path / "out")]
+    if command == "evaluate":
+        argv += ["--chain", str(sim_dir / "left-skew_chain.csv")]
+    assert main(argv) == 2
+    assert "error: checkpoint context" in capsys.readouterr().err
+
+
 def test_perturb_tick_zero_gives_identical_rows_and_zero_stds(sim_dir, tmp_path):
     rc = main(["perturb", "--chain", str(sim_dir / "left-skew_chain.csv"),
                "--kind", "rn-q", "--trials", "3", "--tick", "0",

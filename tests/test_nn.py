@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from rndkit.nn import (
-    DenseNetwork,
-    init_network,
-    softplus,
-    softplus_double_prime,
-    softplus_prime,
-)
+from rndkit.nn import DenseNetwork, init_network, softplus, softplus_prime
+
+from oracles import backward_params, input_gradient, softplus_double_prime
 
 
 def straight_line_forward(net, x):
@@ -88,13 +84,13 @@ def test_forward_batch_matches_forward():
 
 def test_backward_params_zero_upstream():
     net = init_network([1, 4, 1], seed=0)
-    g = net.backward_params(np.array([0.3]), np.array([0.0]))
+    g = backward_params(net, np.array([0.3]), np.array([0.0]))
     assert np.all(g.to_vector() == 0.0)
 
 
 def test_backward_params_affine():
     net = DenseNetwork([1, 1], [np.array([[1.5]])], [np.array([0.2])])
-    g = net.backward_params(np.array([3.0]), np.array([2.0]))
+    g = backward_params(net, np.array([3.0]), np.array([2.0]))
     # d(2 y)/dw = 2 x, d(2 y)/db = 2
     assert g.weights[0][0, 0] == pytest.approx(6.0, abs=1e-15)
     assert g.biases[0][0] == pytest.approx(2.0, abs=1e-15)
@@ -116,7 +112,7 @@ def test_backward_params_matches_fd():
     net = init_network([1, 32, 32, 1], seed=7)
     x = np.array([0.85])
     upstream = np.array([1.3])
-    analytic = net.backward_params(x, upstream).to_vector()
+    analytic = backward_params(net, x, upstream).to_vector()
     fd = _fd_param_gradient(net, x, upstream)
     mask = np.abs(analytic) >= 1e-10
     np.testing.assert_allclose(analytic[mask], fd[mask], rtol=1e-5)
@@ -127,16 +123,16 @@ def test_input_gradient_cases():
     zero = DenseNetwork(
         [1, 2, 1], [np.zeros((2, 1)), np.zeros((1, 2))], [np.zeros(2), np.zeros(1)]
     )
-    assert zero.input_gradient(np.array([0.4]))[0, 0] == 0.0
+    assert input_gradient(zero, np.array([0.4]))[0, 0] == 0.0
 
     affine = DenseNetwork([1, 1], [np.array([[-0.7]])], [np.array([4.0])])
-    assert affine.input_gradient(np.array([1.0]))[0, 0] == pytest.approx(-0.7, abs=1e-15)
+    assert input_gradient(affine, np.array([1.0]))[0, 0] == pytest.approx(-0.7, abs=1e-15)
 
     net = init_network([1, 32, 32, 1], seed=2)
     x = np.array([0.1])
     h = 1e-6
     fd = (net.forward(x + h) - net.forward(x - h)) / (2 * h)
-    np.testing.assert_allclose(net.input_gradient(x)[:, 0], fd, rtol=1e-6)
+    np.testing.assert_allclose(input_gradient(net, x)[:, 0], fd, rtol=1e-6)
 
 
 def test_scalar_batch_slope_matches_input_gradient():
@@ -145,7 +141,7 @@ def test_scalar_batch_slope_matches_input_gradient():
     vals, slopes, _ = net.scalar_batch(xs, want_slope=True)
     for x, v, s in zip(xs, vals, slopes):
         assert v == pytest.approx(float(net.forward(np.array([x]))[0]), abs=1e-14)
-        assert s == pytest.approx(float(net.input_gradient(np.array([x]))[0, 0]), rel=1e-12)
+        assert s == pytest.approx(float(input_gradient(net, np.array([x]))[0, 0]), rel=1e-12)
 
 
 def test_weighted_param_gradient_matches_sum_of_pointwise():
@@ -155,7 +151,7 @@ def test_weighted_param_gradient_matches_sum_of_pointwise():
     _, cache = net.scalar_batch(xs)
     combined = net.weighted_param_gradient(cache, w).to_vector()
     pointwise = sum(
-        net.backward_params(np.array([x]), np.array([wi])).to_vector()
+        backward_params(net, np.array([x]), np.array([wi])).to_vector()
         for x, wi in zip(xs, w)
     )
     np.testing.assert_allclose(combined, pointwise, rtol=1e-12, atol=1e-15)
