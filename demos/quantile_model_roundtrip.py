@@ -6,6 +6,8 @@ location parameter is eliminated through the martingale constraint, put-call
 parity holds on the Monte Carlo estimates themselves, not just in the limit.
 """
 
+import sys
+
 import numpy as np
 
 from rndkit.calibration import CalibrationConfig, calibrate
@@ -24,7 +26,8 @@ truth = RnQParams(mu=mu, sigma=0.25, u=1.05, v=1.2)
 strikes = np.arange(700.0, 1301.0, 25.0)
 quotes = []
 for k in strikes:
-    mid = price(truth, PriceRequest("call", k, tau, spot, rate), samples)
+    mid = price(truth, PriceRequest(side="call", spot=spot, strike=k, tau=tau, rate=rate),
+                samples)
     quotes.append(OptionQuote("call", float(k), days, mid, mid))
 chain = OptionChain("2026-06-30", spot, quotes, [(days, rate)])
 print(f"priced {len(quotes)} calls from sigma=0.25, u=1.05, v=1.2")
@@ -39,10 +42,13 @@ print(f"train MSE {result.final_train_mse:.3e} "
 # parity: with mu eliminated, C - P = S - K e^{-r tau} on the same draw
 worst = 0.0
 for k in (700.0, 1000.0, 1300.0):
-    c = price(p, PriceRequest("call", k, tau, spot, rate), samples)
-    q = price(p, PriceRequest("put", k, tau, spot, rate), samples)
+    c = price(p, PriceRequest(side="call", spot=spot, strike=k, tau=tau, rate=rate), samples)
+    q = price(p, PriceRequest(side="put", spot=spot, strike=k, tau=tau, rate=rate), samples)
     gap = abs(c - q - (spot - k * np.exp(-rate * tau)))
     worst = max(worst, gap)
     print(f"K={k:6.0f}  C-P={c - q:12.6f}  S-Ke^(-rt)="
           f"{spot - k * np.exp(-rate * tau):12.6f}  |gap|={gap:.2e}")
-print(f"worst parity gap {worst:.2e} (target 1e-10 of spot = 1e-7)")
+target = 1e-10 * spot
+print(f"worst parity gap {worst:.2e} (target 1e-10 of spot = {target:.0e})")
+if worst > target:
+    sys.exit("parity gap misses its target")

@@ -13,16 +13,24 @@ defect J_mu(tau) = (ln (1/N) sum_n e^X_n - r tau)^2.
 
 Aggregation hinges the calendar terms, so only violations contribute:
 J = sum (-Jt_C)^+ + sum (-Jt_P)^+ + sum J_mu.
+
+Every term, and every price the audit checks, is a lookup on the sorted
+prefix sums of one ``pricing.MaturitySlice`` per maturity, the same
+slice calibration reads, so the sums run in one fixed order whatever
+the thread count, and the final metrics of a fit reproduce its last
+objective evaluation bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .models import bind, sample_log_returns
-from .numerics import kahan_sum, logmeanexp, parallel_map
+from .numerics import parallel_map
+from .pricing import MaturitySlice
 
 __all__ = [
     "SyntheticGrid",
@@ -31,6 +39,8 @@ __all__ = [
     "penalty_calendar_put",
     "penalty_mu",
     "total_penalty",
+    "penalty_terms",
+    "penalty_report",
     "aggregate_penalties",
     "PenaltyReport",
     "price_surface",
@@ -81,33 +91,21 @@ def build_synthetic_grid(taus, strikes) -> SyntheticGrid:
 # penalty terms
 
 
+def _slope_slice(bound, tau, rate) -> MaturitySlice:
+    return MaturitySlice(tau, rate, bound.log_returns(tau, rate), bound.dtau(tau, rate))
+
+
 def penalty_calendar_call(model, tau, strike, spot, rate, samples) -> float:
     """Signed calendar value for a call; negative means a violation."""
     if tau <= 0.0:
         raise ValueError("calendar penalty needs tau > 0")
-    bound = bind(model, samples)
-    growth = np.exp(bound.log_returns(tau, rate))
-    return _calendar_call_from_tables(growth, bound.dtau(tau, rate), strike / spot, rate)
+    return float(_slope_slice(bind(model, samples), tau, rate).calendar_call(strike / spot)[0])
 
 
 def penalty_calendar_put(model, tau, strike, spot, rate, samples) -> float:
     if tau <= 0.0:
         raise ValueError("calendar penalty needs tau > 0")
-    bound = bind(model, samples)
-    growth = np.exp(bound.log_returns(tau, rate))
-    return _calendar_put_from_tables(growth, bound.dtau(tau, rate), strike / spot, rate)
-
-
-def _calendar_call_from_tables(growth, slope, moneyness, rate) -> float:
-    mask = growth >= moneyness
-    terms = (slope[mask] - rate) * growth[mask] + rate * moneyness
-    return kahan_sum(terms) / growth.size
-
-
-def _calendar_put_from_tables(growth, slope, moneyness, rate) -> float:
-    mask = growth <= moneyness
-    terms = (rate - slope[mask]) * growth[mask] - rate * moneyness
-    return kahan_sum(terms) / growth.size
+    return float(_slope_slice(bind(model, samples), tau, rate).calendar_put(strike / spot)[0])
 
 
 def penalty_mu(model, tau, rate, samples) -> float:
@@ -116,8 +114,7 @@ def penalty_mu(model, tau, rate, samples) -> float:
         raise ValueError("tau must be non-negative")
     if tau == 0.0:
         return 0.0
-    x = sample_log_returns(model, tau, samples, rate)
-    defect = logmeanexp(x) - rate * tau
+    defect = MaturitySlice(tau, rate, sample_log_returns(model, tau, samples, rate)).defect
     return float(defect * defect)
 
 
@@ -154,39 +151,53 @@ def total_penalty(model, grid: SyntheticGrid, spot, rate_fn, samples, threads=No
     bound = bind(model, samples)
 
     def run_tau(tau):
-        rate = rate_fn(tau)
-        x = bound.log_returns(tau, rate)
-        growth = np.exp(x)
-        slope = bound.dtau(tau, rate)
-        defect = logmeanexp(x) - rate * tau
-        rows = []
-        for k in grid.strikes:
-            m = k / spot
-            rows.append((tau, float(k), "call", _calendar_call_from_tables(growth, slope, m, rate)))
-            rows.append((tau, float(k), "put", _calendar_put_from_tables(growth, slope, m, rate)))
-        return rows, (float(tau), float(defect * defect))
+        return penalty_terms(_slope_slice(bound, tau, rate_fn(tau)), grid.strikes, spot)
 
-    results = parallel_map(run_tau, [float(t) for t in grid.taus], threads)
-    calendar_values = []
-    mu_values = []
-    for rows, mu_term in results:
-        calendar_values.extend(rows)
-        mu_values.append(mu_term)
-    return aggregate_penalties(calendar_values, mu_values)
+    return penalty_report(parallel_map(run_tau, [float(t) for t in grid.taus], threads))
+
+
+def penalty_terms(table: MaturitySlice, strikes, spot):
+    """One maturity's penalty terms, read off a slice that carries dX/dtau.
+
+    Returns the signed calendar rows (call, then put, at each strike) and
+    the (tau, squared martingale defect) pair.
+    """
+    rows = []
+    for k in strikes:
+        m = k / spot
+        rows.append((table.tau, float(k), "call", float(table.calendar_call(m)[0])))
+        rows.append((table.tau, float(k), "put", float(table.calendar_put(m)[0])))
+    return rows, (table.tau, float(table.defect * table.defect))
+
+
+def penalty_report(terms) -> PenaltyReport:
+    """Aggregate ``penalty_terms`` results listed in maturity order."""
+    return aggregate_penalties([row for rows, _ in terms for row in rows],
+                               [mu for _, mu in terms])
 
 
 def aggregate_penalties(calendar_values, mu_values) -> PenaltyReport:
-    """Hinge the signed calendar values and add the martingale terms."""
-    total = 0.0
+    """Hinge the signed calendar values and add the martingale terms.
+
+    The total adds maturity by maturity, in order of first appearance:
+    that maturity's hinged calendar values in row order, then its
+    martingale term.  Calibration's objective adds in the same order, so
+    both give the same bits for the same values.
+    """
+    terms = {}
     n_violations = 0
     worst = 0.0
-    for _, _, _, value in calendar_values:
+    for tau, _, _, value in calendar_values:
+        hinges = terms.setdefault(tau, [])
         if value < 0.0:
-            total += -value
+            hinges.append(-value)
             n_violations += 1
             worst = min(worst, value)
-    for _, mu in mu_values:
-        total += mu
+    for tau, mu in mu_values:
+        terms.setdefault(tau, []).append(mu)
+    total = 0.0
+    for term in itertools.chain.from_iterable(terms.values()):
+        total += term
     return PenaltyReport(
         total=float(total),
         n_violations=n_violations,
@@ -228,43 +239,24 @@ def price_surface(model, taus, strikes, spot, rate_fn, samples, threads=None) ->
 
     def run_tau(tau):
         rate = rate_fn(tau)
-        x = bound.log_returns(tau, rate)
-        growth = np.exp(x)
-        slope = bound.dtau(tau, rate)
-        n = growth.size
-        disc = np.exp(-rate * tau)
-        calls = np.empty(strikes.size)
-        puts = np.empty(strikes.size)
-        jc = np.empty(strikes.size)
-        jp = np.empty(strikes.size)
-        for j, k in enumerate(strikes):
-            m = k / spot
-            calls[j] = disc * spot * kahan_sum(np.maximum(growth - m, 0.0)) / n
-            puts[j] = disc * spot * kahan_sum(np.maximum(m - growth, 0.0)) / n
-            jc[j] = _calendar_call_from_tables(growth, slope, m, rate)
-            jp[j] = _calendar_put_from_tables(growth, slope, m, rate)
-        defect = logmeanexp(x) - rate * tau
-        far_m = float(np.max(growth)) * (1.0 + 1e-9)
-        near_m = float(np.min(growth)) * (1.0 - 1e-9)
-        call_far = disc * spot * kahan_sum(np.maximum(growth - far_m, 0.0)) / n
-        put_near = disc * spot * kahan_sum(np.maximum(near_m - growth, 0.0)) / n
-        return calls, puts, jc, jp, rate, defect, call_far, put_near
+        table = _slope_slice(bound, tau, rate)
+        return {
+            "calls": [table.price("call", k, spot)[0] for k in strikes],
+            "puts": [table.price("put", k, spot)[0] for k in strikes],
+            "jtau_calls": [table.calendar_call(k / spot)[0] for k in strikes],
+            "jtau_puts": [table.calendar_put(k / spot)[0] for k in strikes],
+            "rates": rate,
+            "defects": table.defect,
+            # strikes just beyond the largest and below the smallest growth
+            "call_far": table.price("call", spot * table.gs[-1] * (1.0 + 1e-9), spot)[0],
+            "put_near": table.price("put", spot * table.gs[0] * (1.0 - 1e-9), spot)[0],
+        }
 
     rows = parallel_map(run_tau, [float(t) for t in taus], threads)
-    calls = np.vstack([r[0] for r in rows])
-    puts = np.vstack([r[1] for r in rows])
-    jtau_calls = np.vstack([r[2] for r in rows])
-    jtau_puts = np.vstack([r[3] for r in rows])
-    rates = np.array([r[4] for r in rows])
-    defects = np.array([r[5] for r in rows])
-    call_far = np.array([r[6] for r in rows])
-    put_near = np.array([r[7] for r in rows])
-    tau0_calls = np.maximum(spot - strikes, 0.0)
-    tau0_puts = np.maximum(strikes - spot, 0.0)
     return PriceSurface(
-        spot=float(spot), taus=taus, strikes=strikes, calls=calls, puts=puts,
-        rates=rates, defects=defects, jtau_calls=jtau_calls, jtau_puts=jtau_puts,
-        call_far=call_far, put_near=put_near, tau0_calls=tau0_calls, tau0_puts=tau0_puts,
+        spot=float(spot), taus=taus, strikes=strikes,
+        **{name: np.array([row[name] for row in rows]) for name in rows[0]},
+        tau0_calls=np.maximum(spot - strikes, 0.0), tau0_puts=np.maximum(strikes - spot, 0.0),
     )
 
 

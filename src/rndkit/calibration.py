@@ -34,12 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arbitrage import PenaltyReport, build_synthetic_grid, total_penalty
+from .arbitrage import (PenaltyReport, build_synthetic_grid, penalty_report, penalty_terms,
+                        total_penalty)
 from .models import (
     RnDmlpParams,
     RnMlpParams,
     RnQParams,
-    bind,
     checkpoint_document,
     init_rndmlp,
     init_rnmlp,
@@ -49,7 +49,7 @@ from .models import (
 )
 from .nn import DenseNetwork, softplus, softplus_prime
 from .numerics import logmeanexp
-from .pricing import price_chain
+from .pricing import MaturitySlice
 from .sampling import draw_standard_normal
 
 
@@ -243,61 +243,24 @@ def vector_to_params(template, vec):
 # objective evaluation
 #
 # Everything below works on one shared draw of N normals.  Per maturity
-# the growth factors are sorted once; option prices, penalty values and
-# the per-sample adjoint weights all become cumulative-sum lookups, so
-# the cost per iteration is O(N log N) plus one weighted backward pass
-# per network, independent of the number of quotes and grid points.
+# the growth factors are sorted once into a ``pricing.MaturitySlice``,
+# the class every pricing and penalty consumer reads; option prices,
+# penalty values and the per-sample adjoint weights all become
+# cumulative-sum lookups, so the cost per iteration is O(N log N) plus
+# one weighted backward pass per network, independent of the number of
+# quotes and grid points.
 
 
-class _TauTable:
-    """Sorted growth factors at one maturity plus adjoint accumulators."""
+class _TauTable(MaturitySlice):
+    """A maturity slice plus the adjoint accumulators of one evaluation."""
 
-    __slots__ = ("rate", "growth", "slope", "order", "gs", "cum_g",
-                 "cum_a", "coef_pen", "coef_data", "wx", "wd", "mean_growth")
+    __slots__ = ("coef_pen", "coef_data", "wx", "wd")
 
-    def __init__(self, rate, x, slope):
-        with np.errstate(over="ignore"):
-            growth = np.exp(x)
-        if not np.all(np.isfinite(growth)):
-            raise FloatingPointError("model produced non-finite growth factors")
-        self.rate = rate
-        self.growth = growth
-        self.slope = slope
-        self.order = np.argsort(growth, kind="stable")
-        self.gs = growth[self.order]
-        self.cum_g = np.concatenate([[0.0], np.cumsum(self.gs)])
-        if slope is not None:
-            a = (slope - rate) * growth
-            self.cum_a = np.concatenate([[0.0], np.cumsum(a[self.order])])
-        n = growth.size
+    def __init__(self, tau, rate, x, slope):
+        super().__init__(tau, rate, x, slope)
+        n = self.growth.size
         self.coef_pen = np.zeros(n + 1)
         self.coef_data = np.zeros(n + 1)
-        self.mean_growth = self.cum_g[-1] / n
-
-    # range helpers; pos splits the sorted growth array
-
-    def call_price_sum(self, moneyness):
-        """sum of (growth - k)^+ and the strict-ITM split position."""
-        n = self.gs.size
-        pos = int(np.searchsorted(self.gs, moneyness, side="right"))
-        return (self.cum_g[-1] - self.cum_g[pos]) - moneyness * (n - pos), pos
-
-    def put_price_sum(self, moneyness):
-        pos = int(np.searchsorted(self.gs, moneyness, side="left"))
-        return moneyness * pos - self.cum_g[pos], pos
-
-    def calendar_call(self, moneyness):
-        """(1/N) sum_{growth >= k} [(slope - r) growth + r k], with position."""
-        n = self.gs.size
-        pos = int(np.searchsorted(self.gs, moneyness, side="left"))
-        value = (self.cum_a[-1] - self.cum_a[pos]) + self.rate * moneyness * (n - pos)
-        return value / n, pos
-
-    def calendar_put(self, moneyness):
-        n = self.gs.size
-        pos = int(np.searchsorted(self.gs, moneyness, side="right"))
-        value = -self.cum_a[pos] - self.rate * moneyness * pos
-        return value / n, pos
 
     def add_suffix(self, which, pos, coeff):
         # weight applies to sorted indices >= pos
@@ -436,7 +399,7 @@ class _QuantileAdapter(_Adapter):
         shape = (np.power(model.u, z) + np.power(model.v, -z)) / model.a_const + 1.0
         t = model.sigma * z * shape
         x = rate * tau - logmeanexp(t) + t
-        return {tau: _TauTable(rate, x, None)}, shape
+        return {tau: _TauTable(tau, rate, x, None)}, shape
 
     def gradient(self, model, tables, shape, z):
         """Natural-space (sigma, u, v) gradient with the location eliminated.
@@ -528,7 +491,7 @@ class _NetworkAdapter(_Adapter):
                     rate * c["gmu"][i] + rate * tau * c["gmu_s"][i]
                     + comp.sigma * z * (band / (2.0 * root) + root * c["gtau_s"][i])
                 )
-            tables[tau] = _TauTable(rate, x, slope)
+            tables[tau] = _TauTable(tau, rate, x, slope)
         return tables, caches
 
     def gradient(self, model, tables, caches, z):
@@ -618,11 +581,7 @@ def _objective_parts(adapter, model, chain, grid, config, samples):
     fitted = np.empty(observed.size)
     positions = np.empty(observed.size, dtype=int)
     for j, q in enumerate(quotes):
-        table = tables[q.tau]
-        m = q.strike / chain.spot
-        total, pos = table.call_price_sum(m) if q.side == "call" else table.put_price_sum(m)
-        fitted[j] = np.exp(-table.rate * q.tau) * chain.spot * (total / n)
-        positions[j] = pos
+        fitted[j], positions[j] = tables[q.tau].price(q.side, q.strike, chain.spot)
 
     # pass 2: per-side averaging over the whole chain fixes the weights
     data_loss, dl_dfit, n_excluded = _loss_weights(
@@ -650,7 +609,7 @@ def _objective_parts(adapter, model, chain, grid, config, samples):
                 if jp < 0.0:
                     penalty += -jp
                     table.add_prefix("pen", pos_p, lam_n)
-            defect = np.log(table.mean_growth) - table.rate * float(tau)
+            defect = table.defect
             penalty += defect * defect
             table.add_suffix("data", 0,
                              config.lam * 2.0 * defect / (n * table.mean_growth))
@@ -683,7 +642,7 @@ def objective_and_gradient(model, train_chain, grid, config, samples):
 
 
 def calibrate(kind: str, train_chain, config: CalibrationConfig,
-              init_model=None, threads=None) -> CalibrationResult:
+              init_model=None) -> CalibrationResult:
     """Fit a model of the given kind to the chain by full-batch Adam.
 
     The synthetic penalty grid comes from the chain's own maturities and
@@ -738,14 +697,24 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
 
     final = adapter.finalize(current, train_chain, samples)
 
-    # final metrics through the canonical pricing and penalty routes
-    bound = bind(final, samples)
-    prices = price_chain(bound, train_chain, samples, threads)
+    # Final metrics read off one more forward pass at the returned
+    # parameters, over the loop's maturities and through the same slices
+    # and penalty terms, so they reproduce the last evaluation bit for bit.
+    # An adapter that trains without the penalty forms no dX/dtau, so its
+    # report is priced afresh.
+    taus = sorted({q.tau for q in train_chain.quotes} | {float(t) for t in grid.taus})
+    tables, _ = adapter.forward(final, taus, train_chain.rate, samples.values)
+    prices = np.array([tables[q.tau].price(q.side, q.strike, train_chain.spot)[0]
+                       for q in train_chain.quotes])
     observed = np.array([q.mid for q in train_chain.quotes])
     sides = [q.side for q in train_chain.quotes]
     final_mse = mse(observed, prices, sides)
     final_rel, n_excl = relative_mse(observed, prices, sides, config.relative_mse_floor)
-    report = total_penalty(bound, grid, train_chain.spot, train_chain.rate, samples, threads)
+    if adapter.penalized:
+        report = penalty_report([penalty_terms(tables[float(t)], grid.strikes, train_chain.spot)
+                                 for t in grid.taus])
+    else:
+        report = total_penalty(final, grid, train_chain.spot, train_chain.rate, samples)
 
     return CalibrationResult(
         kind=kind,

@@ -5,7 +5,8 @@ Every command writes its artifacts into ``--out`` plus a run manifest
 the effective configuration, the seed and the wall time.  Wall time is the
 only field that differs between two runs with identical inputs and seed.
 
-Exit codes: 0 success, 2 data or usage error, 3 calibration divergence.
+Exit codes: 0 success, 2 data or usage error (including a checkpoint whose
+growth factors overflow), 3 calibration divergence.
 """
 
 import argparse
@@ -47,7 +48,7 @@ from .models import (
     model_kind,
     sample_log_returns,
 )
-from .pricing import price_chain
+from .pricing import MaturitySlice, price_chain
 from .sampling import draw_standard_normal
 
 _TENOR_DAYS = {"d": 1, "w": 7, "m": 30, "y": 365}
@@ -283,7 +284,7 @@ def cmd_calibrate(args) -> int:
     if not train.quotes:
         raise DataError("empty training set after the moneyness split")
     config = build_calibration_config(args)
-    result = calibrate(args.kind, train, config, threads=args.threads)
+    result = calibrate(args.kind, train, config)
 
     train_days = sorted({q.days_to_maturity for q in train.quotes})
     train_strikes = sorted({float(q.strike) for q in train.quotes})
@@ -389,7 +390,7 @@ def cmd_perturb(args) -> int:
                   for q, s in zip(train.quotes, signs)]
         perturbed = train.with_quotes(quotes)
         try:
-            result = calibrate(args.kind, perturbed, config, threads=args.threads)
+            result = calibrate(args.kind, perturbed, config)
         except CalibrationDivergence as exc:
             print(f"trial {trial}: diverged at iteration {exc.iteration}",
                   file=sys.stderr)
@@ -437,6 +438,7 @@ def cmd_report(args) -> int:
     bound = bind(model, samples)
 
     log_returns = bound.log_returns(tau, rate)
+    growth = MaturitySlice(tau, rate, log_returns).growth
     bandwidth = silverman_bandwidth(subsample(log_returns))
     grid = np.linspace(log_returns.min() - 4.0 * bandwidth,
                        log_returns.max() + 4.0 * bandwidth, 1001)
@@ -448,7 +450,7 @@ def cmd_report(args) -> int:
     write_csv(price_density_path, ["grid", "value"],
               zip(price_est.grid, price_est.values))
 
-    ch = characteristics(spot * np.exp(log_returns))
+    ch = characteristics(spot * growth)
     char_path = out / "characteristics.json"
     write_json(char_path, dataclasses.asdict(ch))
 
@@ -618,7 +620,8 @@ def main(argv=None) -> int:
     except CalibrationDivergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
+        # FloatingPointError: a model whose growth factors e^X overflow
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

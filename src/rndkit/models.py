@@ -36,10 +36,6 @@ __all__ = [
     "RnDmlpParams",
     "rnq_log_return",
     "rnq_mu_from_constraint",
-    "rnmlp_log_return",
-    "rnmlp_dtau",
-    "rndmlp_log_return",
-    "rndmlp_dtau",
     "sample_log_returns",
     "dtau_log_returns",
     "BoundModel",
@@ -158,16 +154,6 @@ def _component_dtau(p: RnMlpParams, z, gz, tau, rate) -> np.ndarray:
     )
 
 
-def rnmlp_log_return(p: RnMlpParams, z, tau, rate) -> np.ndarray:
-    """X(Z, tau); exactly zero at tau = 0."""
-    return bind(p, z).log_returns(tau, rate)
-
-
-def rnmlp_dtau(p: RnMlpParams, z, tau, rate) -> np.ndarray:
-    """Analytic dX/dtau at fixed Z (see ``BoundModel.dtau``)."""
-    return bind(p, z).dtau(tau, rate)
-
-
 # ----------------------------------------------------------------------
 # mixture model
 
@@ -177,14 +163,6 @@ class RnDmlpParams:
     alpha: float
     comp1: RnMlpParams
     comp2: RnMlpParams
-
-
-def rndmlp_log_return(p: RnDmlpParams, z, tau, rate) -> np.ndarray:
-    return bind(p, z).log_returns(tau, rate)
-
-
-def rndmlp_dtau(p: RnDmlpParams, z, tau, rate) -> np.ndarray:
-    return bind(p, z).dtau(tau, rate)
 
 
 # ----------------------------------------------------------------------

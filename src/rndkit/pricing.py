@@ -7,10 +7,15 @@ model's log returns:
     P = e^(-r tau) S (1/N) sum_n (K/S - e^X_n)^+
 
 The draws are fixed per run, so prices are deterministic functions of the
-model parameters; reductions use compensated summation in fixed order.
-Each entry point binds the model to the draws once (``models.bind``), so
-G_Z(Z) is evaluated once per call however many maturities it prices, and
-not at all when the caller passes a model already bound to these draws.
+model parameters.  Every sum over the draws at one maturity is read off
+one ``MaturitySlice``: the growth factors e^X are sorted once (stable
+sort) and prefix-summed in that fixed order, so a price, a calendar
+value or the martingale defect costs one binary search, and results do
+not depend on the thread count.  Calibration, pricing, the penalties and
+the audit all read the same slice.  Each entry point binds the model to
+the draws once (``models.bind``), so G_Z(Z) is evaluated once per call
+however many maturities it prices, and not at all when the caller passes
+a model already bound to these draws.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 from .models import bind, sample_log_returns
 from .numerics import kahan_sum, parallel_map
 
-__all__ = ["PriceRequest", "price", "price_with_stderr", "price_chain"]
+__all__ = ["MaturitySlice", "PriceRequest", "price", "price_with_stderr", "price_chain"]
 
 SIDES = ("call", "put")
 
@@ -46,10 +51,75 @@ class PriceRequest:
             raise ValueError("tau must be non-negative")
 
 
-def _payoff(side: str, growth: np.ndarray, moneyness: float) -> np.ndarray:
-    if side == "call":
-        return np.maximum(growth - moneyness, 0.0)
-    return np.maximum(moneyness - growth, 0.0)
+class MaturitySlice:
+    """The growth factors e^X at one maturity, sorted once, with prefix sums.
+
+    ``slope`` is dX/dtau on the same draws; without it the calendar
+    lookups are unavailable.  Each lookup returns its value and the
+    position splitting the sorted growth array, which calibration's
+    adjoint pass reuses.  A call sums growth > K/S, a put growth < K/S,
+    a calendar call growth >= K/S and a calendar put growth <= K/S.
+    """
+
+    __slots__ = ("tau", "rate", "growth", "slope", "order", "gs", "cum_g",
+                 "cum_a", "mean_growth")
+
+    def __init__(self, tau, rate, x, slope=None):
+        with np.errstate(over="ignore"):
+            growth = np.exp(x)
+        if not np.all(np.isfinite(growth)):
+            raise FloatingPointError(
+                f"model produced non-finite growth factors at tau={float(tau):.6g}")
+        self.tau = tau
+        self.rate = rate
+        self.growth = growth
+        self.slope = slope
+        self.order = np.argsort(growth, kind="stable")
+        self.gs = growth[self.order]
+        self.cum_g = np.concatenate([[0.0], np.cumsum(self.gs)])
+        if slope is not None:
+            a = (slope - rate) * growth
+            self.cum_a = np.concatenate([[0.0], np.cumsum(a[self.order])])
+        self.mean_growth = self.cum_g[-1] / growth.size
+
+    @property
+    def defect(self):
+        """Martingale defect ln((1/N) sum_n e^X_n) - r tau."""
+        return np.log(self.mean_growth) - self.rate * self.tau
+
+    def call_price_sum(self, moneyness):
+        """sum of (growth - k)^+ and the strict-ITM split position."""
+        n = self.gs.size
+        pos = int(np.searchsorted(self.gs, moneyness, side="right"))
+        return (self.cum_g[-1] - self.cum_g[pos]) - moneyness * (n - pos), pos
+
+    def put_price_sum(self, moneyness):
+        pos = int(np.searchsorted(self.gs, moneyness, side="left"))
+        return moneyness * pos - self.cum_g[pos], pos
+
+    def price(self, side, strike, spot):
+        """Discounted Monte Carlo price of one option, with its position."""
+        m = strike / spot
+        total, pos = self.call_price_sum(m) if side == "call" else self.put_price_sum(m)
+        return np.exp(-self.rate * self.tau) * spot * (total / self.gs.size), pos
+
+    def calendar_call(self, moneyness):
+        """(1/N) sum_{growth >= k} [(slope - r) growth + r k], with position."""
+        n = self.gs.size
+        pos = int(np.searchsorted(self.gs, moneyness, side="left"))
+        value = (self.cum_a[-1] - self.cum_a[pos]) + self.rate * moneyness * (n - pos)
+        return value / n, pos
+
+    def calendar_put(self, moneyness):
+        n = self.gs.size
+        pos = int(np.searchsorted(self.gs, moneyness, side="right"))
+        value = -self.cum_a[pos] - self.rate * moneyness * pos
+        return value / n, pos
+
+
+def _intrinsic(side, spot, strike) -> float:
+    """Exact price at tau = 0, where the distribution is degenerate."""
+    return max(spot - strike, 0.0) if side == "call" else max(strike - spot, 0.0)
 
 
 def price(model, req: PriceRequest, samples) -> float:
@@ -59,24 +129,21 @@ def price(model, req: PriceRequest, samples) -> float:
 def price_with_stderr(model, req: PriceRequest, samples):
     """Monte Carlo price and its standard error for one request."""
     if req.tau == 0.0:
-        # Degenerate distribution at tau = 0: intrinsic payoff, no MC noise.
-        intrinsic = max(req.spot - req.strike, 0.0) if req.side == "call" else max(req.strike - req.spot, 0.0)
-        return intrinsic, 0.0
+        return _intrinsic(req.side, req.spot, req.strike), 0.0
     x = sample_log_returns(model, req.tau, samples, req.rate)
-    growth = np.exp(x)
-    if not np.all(np.isfinite(growth)):
-        raise FloatingPointError("model produced non-finite growth factors")
-    payoff = _payoff(req.side, growth, req.strike / req.spot)
+    table = MaturitySlice(req.tau, req.rate, x)
+    value, pos = table.price(req.side, req.strike, req.spot)
+    # second moment of the discounted payoff, summed over the paying draws
+    m = req.strike / req.spot
+    payoff = table.gs[pos:] - m if req.side == "call" else m - table.gs[:pos]
+    n = table.gs.size
     scale = np.exp(-req.rate * req.tau) * req.spot
-    n = payoff.size
-    mean = kahan_sum(payoff) / n
-    second = kahan_sum(payoff * payoff) / n
-    var = max(second - mean * mean, 0.0)
-    return scale * mean, scale * np.sqrt(var / n)
+    second = scale * scale * (kahan_sum(payoff * payoff) / n)
+    return value, np.sqrt(max(second - value * value, 0.0) / n)
 
 
 def price_chain(model, chain, samples, threads=None) -> np.ndarray:
-    """Price every quote in a chain, reusing one log-return vector per maturity.
+    """Price every quote in a chain from one maturity slice per maturity.
 
     The model is bound to the draws before the per-maturity fan-out.
     Returns prices aligned with ``chain.quotes``.
@@ -92,21 +159,9 @@ def price_chain(model, chain, samples, threads=None) -> np.ndarray:
         idx = by_tau[tau]
         rate = chain.rate(tau)
         if tau == 0.0:
-            out = []
-            for i in idx:
-                q = quotes[i]
-                out.append(max(chain.spot - q.strike, 0.0) if q.side == "call" else max(q.strike - chain.spot, 0.0))
-            return idx, out
-        growth = np.exp(bound.log_returns(tau, rate))
-        scale = np.exp(-rate * tau) * chain.spot
-        n = growth.size
-        out = []
-        for i in idx:
-            q = quotes[i]
-            payoff = _payoff(q.side, growth, q.strike / chain.spot)
-            # Same association order as price_with_stderr so both paths agree bitwise.
-            out.append(scale * (kahan_sum(payoff) / n))
-        return idx, out
+            return idx, [_intrinsic(quotes[i].side, chain.spot, quotes[i].strike) for i in idx]
+        table = MaturitySlice(tau, rate, bound.log_returns(tau, rate))
+        return idx, [table.price(quotes[i].side, quotes[i].strike, chain.spot)[0] for i in idx]
 
     prices = np.empty(len(quotes))
     for idx, vals in parallel_map(run_group, taus, threads):

@@ -21,7 +21,8 @@ from rndkit.models import (
     rnq_mu_from_constraint,
     zero_net_rnmlp,
 )
-from rndkit.pricing import PriceRequest, price
+from rndkit.data_io import OptionChain, OptionQuote
+from rndkit.pricing import PriceRequest, price, price_chain
 from rndkit.sampling import draw_standard_normal
 
 from oracles import normal_expectation
@@ -294,6 +295,27 @@ def test_penalty_and_surface_bound_model_is_bit_identical():
         assert penalty_calendar_put(bound, 0.3, 95.0, 100.0, 0.03, z) == \
             penalty_calendar_put(model, 0.3, 95.0, 100.0, 0.03, z)
         assert penalty_mu(bound, 0.3, 0.03, z) == penalty_mu(model, 0.3, 0.03, z)
+
+
+def test_surface_agrees_with_chain_prices_and_penalty_terms():
+    model = init_rndmlp(seed=31)
+    z = draw_standard_normal(8_000, seed=32)
+    bound = bind(model, z)
+    spot, days, strikes = 100.0, (30, 91), (85.0, 100.0, 115.0)
+    quotes = [OptionQuote(side, k, d, 1.0, 1.0)
+              for d in days for k in strikes for side in ("call", "put")]
+    chain = OptionChain("2026-01-05", spot, quotes, [(30.0, 0.02), (365.0, 0.04)])
+    taus = [d / 365.0 for d in days]
+    surface = price_surface(bound, taus, strikes, spot, chain.rate, z)
+    prices = iter(price_chain(bound, chain, z))
+    for i, tau in enumerate(taus):
+        rate = chain.rate(tau)
+        for j, k in enumerate(strikes):
+            assert surface.calls[i, j] == next(prices)
+            assert surface.puts[i, j] == next(prices)
+            assert surface.jtau_calls[i, j] == penalty_calendar_call(bound, tau, k, spot, rate, z)
+            assert surface.jtau_puts[i, j] == penalty_calendar_put(bound, tau, k, spot, rate, z)
+        assert surface.defects[i] ** 2 == penalty_mu(bound, tau, rate, z)
 
 
 # ----------------------------------------------------------------------

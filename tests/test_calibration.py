@@ -297,6 +297,24 @@ def test_objective_at_returned_params_equals_last_trajectory_entry(call_chain, k
     assert loss == res.loss_trajectory[-1]
 
 
+@pytest.mark.parametrize("kind", ["rn-q", "rn-mlp", "rn-dmlp"])
+def test_final_metrics_reproduce_last_evaluation(call_chain, kind):
+    # the final metrics and the loop read the same maturity slices; the
+    # network kinds fit a three-maturity chain so the penalty grid has
+    # maturities between the quoted ones
+    if kind == "rn-q":
+        chain = call_chain
+    else:
+        full = generate_simulated_chain("left-skew", days=[30, 91, 182])
+        chain = full.with_quotes([q for q in full.quotes if 700 <= q.strike <= 1300][::4])
+    cfg = CalibrationConfig(n_samples=5000, seed=9, iterations=8)
+    res = calibrate(kind, chain, cfg)
+    assert res.final_train_mse + cfg.lam * res.penalty_trajectory[-1] == \
+        res.loss_trajectory[-1]
+    if kind != "rn-q":
+        assert res.final_penalty.total == res.penalty_trajectory[-1]
+
+
 def test_divergence_raises_with_iteration_index(call_chain):
     cfg = CalibrationConfig(n_samples=2000, seed=1, iterations=20, learning_rate=1e6)
     with pytest.raises(CalibrationDivergence) as err:

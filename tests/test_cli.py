@@ -228,6 +228,21 @@ def test_malformed_checkpoint_context_exits_2(sim_dir, fit_dir, tmp_path, capsys
     assert "error: checkpoint context" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "audit", "report"])
+def test_overflowing_checkpoint_exits_2(dmlp_dir, tmp_path, capsys, command):
+    doc = json.loads((dmlp_dir / "fit" / "checkpoint.json").read_text())
+    doc["scalars"]["comp1_sigma"] = 4000.0  # e^X overflows on the draws
+    bad = tmp_path / "overflow.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = [command, "--checkpoint", str(bad), "--out", str(out)]
+    if command == "evaluate":
+        argv += ["--chain", str(dmlp_dir / "sim" / "left-skew_chain.csv")]
+    assert main(argv) == 2
+    assert "non-finite growth factors" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_perturb_tick_zero_gives_identical_rows_and_zero_stds(sim_dir, tmp_path):
     rc = main(["perturb", "--chain", str(sim_dir / "left-skew_chain.csv"),
                "--kind", "rn-q", "--trials", "3", "--tick", "0",

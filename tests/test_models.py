@@ -14,10 +14,6 @@ from rndkit.models import (
     init_rndmlp,
     init_rnmlp,
     load_checkpoint,
-    rndmlp_dtau,
-    rndmlp_log_return,
-    rnmlp_dtau,
-    rnmlp_log_return,
     rnq_log_return,
     rnq_mu_from_constraint,
     sample_log_returns,
@@ -79,9 +75,9 @@ def test_rnq_quantile_map_is_monotone():
 def test_rnmlp_zero_net_reduces_to_driftless_lognormal():
     p = zero_net_rnmlp(sigma=0.3)
     z = np.linspace(-3, 3, 11)
-    x = rnmlp_log_return(p, z, tau=0.25, rate=0.04)
+    x = sample_log_returns(p, 0.25, z, 0.04)
     np.testing.assert_allclose(x, 0.3 * 0.5 * z, rtol=0, atol=1e-16)
-    d = rnmlp_dtau(p, z, tau=0.25, rate=0.04)
+    d = dtau_log_returns(p, 0.25, z, 0.04)
     np.testing.assert_allclose(d, 0.3 * z / (2.0 * 0.5), rtol=0, atol=1e-16)
 
 
@@ -89,7 +85,7 @@ def test_rnmlp_matches_straight_line_assembly():
     p = init_rnmlp(seed=5)
     z = np.array([-2.0, -0.3, 0.0, 1.1, 2.4])
     tau, rate = 0.7, 0.03
-    got = rnmlp_log_return(p, z, tau, rate)
+    got = sample_log_returns(p, tau, z, rate)
     gmu = p.net_mu.forward(np.array([tau]))[0]
     gtau = p.net_tau.forward(np.array([tau]))[0]
     want = np.array([
@@ -103,11 +99,11 @@ def test_rnmlp_matches_straight_line_assembly():
 def test_rnmlp_tau_zero_and_validation():
     p = init_rnmlp(seed=2)
     z = np.linspace(-2, 2, 7)
-    assert np.all(rnmlp_log_return(p, z, 0.0, 0.05) == 0.0)
+    assert np.all(sample_log_returns(p, 0.0, z, 0.05) == 0.0)
     with pytest.raises(ValueError):
-        rnmlp_log_return(p, z, -0.1, 0.05)
+        sample_log_returns(p, -0.1, z, 0.05)
     with pytest.raises(ValueError):
-        rnmlp_dtau(p, z, 0.0, 0.05)
+        dtau_log_returns(p, 0.0, z, 0.05)
 
 
 def test_rnmlp_dtau_matches_finite_differences():
@@ -115,14 +111,14 @@ def test_rnmlp_dtau_matches_finite_differences():
     z = np.array([-1.7, -0.2, 0.4, 2.2])
     tau, rate = 0.4, 0.05
     h = 1e-6 * tau
-    fd = (rnmlp_log_return(p, z, tau + h, rate) - rnmlp_log_return(p, z, tau - h, rate)) / (2 * h)
-    np.testing.assert_allclose(rnmlp_dtau(p, z, tau, rate), fd, rtol=1e-5)
+    fd = (sample_log_returns(p, tau + h, z, rate) - sample_log_returns(p, tau - h, z, rate)) / (2 * h)
+    np.testing.assert_allclose(dtau_log_returns(p, tau, z, rate), fd, rtol=1e-5)
 
 
 def test_rnmlp_dtau_at_zero_z_uses_only_drift_network():
     p = init_rnmlp(seed=4)
     tau, rate = 0.6, 0.02
-    got = float(rnmlp_dtau(p, np.array([0.0]), tau, rate)[0])
+    got = float(dtau_log_returns(p, tau, np.array([0.0]), rate)[0])
     vals, slopes, _ = p.net_mu.scalar_batch(np.array([tau]), want_slope=True)
     assert got == pytest.approx(rate * vals[0] + rate * tau * slopes[0], rel=1e-13)
 
@@ -131,19 +127,19 @@ def test_rndmlp_affine_combination():
     p = init_rndmlp(seed=3)
     z = np.linspace(-2, 2, 9)
     tau, rate = 0.3, 0.04
-    x1 = rnmlp_log_return(p.comp1, z, tau, rate)
-    x2 = rnmlp_log_return(p.comp2, z, tau, rate)
+    x1 = sample_log_returns(p.comp1, tau, z, rate)
+    x2 = sample_log_returns(p.comp2, tau, z, rate)
 
     only_first = RnDmlpParams(alpha=1.0, comp1=p.comp1, comp2=p.comp2)
-    np.testing.assert_array_equal(rndmlp_log_return(only_first, z, tau, rate), x1)
+    np.testing.assert_array_equal(sample_log_returns(only_first, tau, z, rate), x1)
 
     twin = RnDmlpParams(alpha=0.31, comp1=p.comp1, comp2=p.comp1)
-    np.testing.assert_allclose(rndmlp_log_return(twin, z, tau, rate), x1, rtol=1e-15)
+    np.testing.assert_allclose(sample_log_returns(twin, tau, z, rate), x1, rtol=1e-15)
 
     # alpha is unconstrained; outside [0, 1] is legal and finite.
     wide = RnDmlpParams(alpha=2.0, comp1=p.comp1, comp2=p.comp2)
-    np.testing.assert_allclose(rndmlp_log_return(wide, z, tau, rate), 2.0 * x1 - x2, rtol=1e-12)
-    assert np.all(np.isfinite(rndmlp_dtau(wide, z, tau, rate)))
+    np.testing.assert_allclose(sample_log_returns(wide, tau, z, rate), 2.0 * x1 - x2, rtol=1e-12)
+    assert np.all(np.isfinite(dtau_log_returns(wide, tau, z, rate)))
 
 
 def test_sample_log_returns_dispatch_and_edge_cases():
@@ -208,7 +204,7 @@ def test_mlp_variance_scale_bounded_near_zero_tau():
     z = draw_standard_normal(20_000, seed=3)
     ratios = []
     for tau in (1e-1, 1e-2, 1e-3, 1e-4):
-        x = rnmlp_log_return(p, z.values, tau, 0.04)
+        x = sample_log_returns(p, tau, z.values, 0.04)
         ratios.append(np.var(x) / tau)
     ratios = np.array(ratios)
     assert np.all(ratios < 10.0 * ratios[0] + 1.0)
