@@ -248,7 +248,9 @@ def vector_to_params(template, vec):
 # penalty values and the per-sample adjoint weights all become
 # cumulative-sum lookups, so the cost per iteration is O(N log N) plus
 # one weighted backward pass per network, independent of the number of
-# quotes and grid points.
+# quotes and grid points.  The Adam loop passes each maturity's order
+# from the previous iteration as the slice's hint, which brings the sort
+# close to O(N) while the order barely moves (rn-q's never does).
 
 
 class _TauTable(MaturitySlice):
@@ -256,8 +258,8 @@ class _TauTable(MaturitySlice):
 
     __slots__ = ("coef_pen", "coef_data", "wx", "wd")
 
-    def __init__(self, tau, rate, x, slope):
-        super().__init__(tau, rate, x, slope)
+    def __init__(self, tau, rate, x, slope, hint=None):
+        super().__init__(tau, rate, x, slope, hint)
         n = self.growth.size
         self.coef_pen = np.zeros(n + 1)
         self.coef_data = np.zeros(n + 1)
@@ -392,14 +394,14 @@ class _QuantileAdapter(_Adapter):
             raise ValueError("the quantile model is single-maturity; "
                              f"the chain has {n_taus} maturities")
 
-    def forward(self, model, taus, chain_rate, z):
+    def forward(self, model, taus, chain_rate, z, hints=None):
         """The one maturity's table, plus the shape factor for the gradient."""
         tau = float(taus[0])
         rate = chain_rate(tau)
         shape = (np.power(model.u, z) + np.power(model.v, -z)) / model.a_const + 1.0
         t = model.sigma * z * shape
         x = rate * tau - logmeanexp(t) + t
-        return {tau: _TauTable(tau, rate, x, None)}, shape
+        return {tau: _TauTable(tau, rate, x, None, (hints or {}).get(tau))}, shape
 
     def gradient(self, model, tables, shape, z):
         """Natural-space (sigma, u, v) gradient with the location eliminated.
@@ -465,7 +467,7 @@ class _NetworkAdapter(_Adapter):
             return RnDmlpParams(alpha=float(vec[0]), comp1=comps[0], comp2=comps[1])
         return comps[0]
 
-    def forward(self, model, taus, chain_rate, z):
+    def forward(self, model, taus, chain_rate, z, hints=None):
         """X, growth and d/dtau tables per maturity, plus backward caches."""
         tables = {}
         caches = []
@@ -491,7 +493,7 @@ class _NetworkAdapter(_Adapter):
                     rate * c["gmu"][i] + rate * tau * c["gmu_s"][i]
                     + comp.sigma * z * (band / (2.0 * root) + root * c["gtau_s"][i])
                 )
-            tables[tau] = _TauTable(tau, rate, x, slope)
+            tables[tau] = _TauTable(tau, rate, x, slope, (hints or {}).get(tau))
         return tables, caches
 
     def gradient(self, model, tables, caches, z):
@@ -561,8 +563,12 @@ def _adapter_of(model):
     return _ADAPTERS[model_kind(model)]
 
 
-def _objective_parts(adapter, model, chain, grid, config, samples):
-    """Loss, natural-parameter gradient and diagnostic pieces."""
+def _objective_parts(adapter, model, chain, grid, config, samples, hints=None):
+    """Loss, natural-parameter gradient and diagnostic pieces.
+
+    ``hints`` maps a maturity to a candidate sort order for its slice;
+    the pieces include each slice's ``order`` for the next evaluation.
+    """
     z = samples.values
     n = z.size
     groups = _quote_groups(chain)
@@ -572,7 +578,7 @@ def _objective_parts(adapter, model, chain, grid, config, samples):
         all_taus = sorted(set(market_taus) | {float(t) for t in grid.taus})
     else:
         all_taus = market_taus
-    tables, aux = adapter.forward(model, all_taus, chain.rate, z)
+    tables, aux = adapter.forward(model, all_taus, chain.rate, z, hints)
 
     # pass 1: price every quote from the cumulative sums
     quotes = [q for tau in market_taus for q in groups[tau]]
@@ -620,7 +626,8 @@ def _objective_parts(adapter, model, chain, grid, config, samples):
 
     grad = adapter.gradient(model, tables, aux, z)
     return loss, grad, {"data_loss": data_loss, "penalty": penalty,
-                        "n_excluded": n_excluded, "fitted": fitted}
+                        "n_excluded": n_excluded, "fitted": fitted,
+                        "orders": {tau: t.order for tau, t in tables.items()}}
 
 
 def objective_and_gradient(model, train_chain, grid, config, samples):
@@ -650,7 +657,10 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     config.iterations or once the loss improves by less than
     convergence_tol over 100 consecutive iterations.  The loop never
     updates after the last evaluation, so the returned parameters
-    reproduce the last trajectory entry exactly.
+    reproduce the last trajectory entry exactly.  Each evaluation, and the
+    final forward pass, starts every maturity's sort from the order the
+    previous evaluation found; only those order arrays, reordered in
+    place, are kept between iterations.
     """
     t0 = time.perf_counter()
     if not train_chain.quotes:
@@ -670,16 +680,18 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     penalties = []
     converged = False
     current = adapter.from_state(model, state)
+    orders = None
     for it in range(config.iterations):
         try:
             loss, nat_grad, parts = _objective_parts(adapter, current, train_chain, grid,
-                                                     config, samples)
+                                                     config, samples, orders)
         except FloatingPointError as exc:
             raise CalibrationDivergence(it, str(exc)) from exc
         if not np.isfinite(loss):
             raise CalibrationDivergence(it, f"loss became {loss}")
         trajectory.append(loss)
         penalties.append(parts["penalty"])
+        orders = parts["orders"]
         if it >= CONVERGENCE_WINDOW and \
                 trajectory[it - CONVERGENCE_WINDOW] - loss < config.convergence_tol:
             converged = True
@@ -703,7 +715,7 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     # An adapter that trains without the penalty forms no dX/dtau, so its
     # report is priced afresh.
     taus = sorted({q.tau for q in train_chain.quotes} | {float(t) for t in grid.taus})
-    tables, _ = adapter.forward(final, taus, train_chain.rate, samples.values)
+    tables, _ = adapter.forward(final, taus, train_chain.rate, samples.values, orders)
     prices = np.array([tables[q.tau].price(q.side, q.strike, train_chain.spot)[0]
                        for q in train_chain.quotes])
     observed = np.array([q.mid for q in train_chain.quotes])

@@ -320,10 +320,10 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _set_metrics(model, subchain, samples, threads, floor):
+def _set_metrics(subchain, price_of, floor):
     observed = np.array([q.mid for q in subchain.quotes])
     sides = [q.side for q in subchain.quotes]
-    fitted = price_chain(model, subchain, samples, threads=threads)
+    fitted = np.array([price_of[id(q)] for q in subchain.quotes])
     value = mse(observed, fitted, sides)
     rel, n_excl = relative_mse(observed, fitted, sides, floor=floor)
     return {"n_quotes": len(subchain.quotes), "mse": value,
@@ -342,13 +342,15 @@ def cmd_evaluate(args) -> int:
     split = split_train_test(chain)
     samples, seed = _checkpoint_samples(args, ctx)
     floor = ctx["config"].get("relative_mse_floor", 0.05)
-    bound = bind(model, samples)
+    # one slice per maturity prices every quote; the sets share its quote objects
+    prices = price_chain(model, chain, samples, threads=args.threads)
+    price_of = {id(q): p for q, p in zip(chain.quotes, prices)}
 
     metrics = {"checkpoint_kind": model_kind(model)}
     for name, sub in (("train", split.train), ("test", split.test),
                       ("extreme", split.extreme)):
         if sub.quotes:
-            metrics[name] = _set_metrics(bound, sub, samples, args.threads, floor)
+            metrics[name] = _set_metrics(sub, price_of, floor)
         else:
             print(f"warning: {name} set is empty", file=sys.stderr)
             metrics[name] = {"n_quotes": 0, "mse": None,

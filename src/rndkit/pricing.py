@@ -12,10 +12,14 @@ one ``MaturitySlice``: the growth factors e^X are sorted once (stable
 sort) and prefix-summed in that fixed order, so a price, a calendar
 value or the martingale defect costs one binary search, and results do
 not depend on the thread count.  Calibration, pricing, the penalties and
-the audit all read the same slice.  Each entry point binds the model to
-the draws once (``models.bind``), so G_Z(Z) is evaluated once per call
-however many maturities it prices, and not at all when the caller passes
-a model already bound to these draws.
+the audit all read the same slice.  The calibration loop hands each slice
+the previous iteration's order as a hint: the slice re-sorts the growth
+factors in that order, which is nearly sorted and so costs about O(N),
+and keeps the result only when it is strictly increasing, the one case in
+which it must equal the cold stable sort; otherwise it sorts cold.  Each
+entry point binds the model to the draws once (``models.bind``), so
+G_Z(Z) is evaluated once per call however many maturities it prices, and
+not at all when the caller passes a model already bound to these draws.
 """
 
 from __future__ import annotations
@@ -59,12 +63,22 @@ class MaturitySlice:
     position splitting the sorted growth array, which calibration's
     adjoint pass reuses.  A call sums growth > K/S, a put growth < K/S,
     a calendar call growth >= K/S and a calendar put growth <= K/S.
+
+    ``hint`` is an optional candidate order, such as the previous
+    iteration's ``order``.  It is used only when re-sorting the growth
+    factors in that order gives a strictly increasing sequence: with no
+    ties the stable order is unique, so every field is bit-identical to a
+    cold sort.  Ties, rounding inversions or no hint fall back to the
+    cold stable sort.  A hint that is used is reordered in place and
+    becomes ``order``: the caller hands the array over, so a loop keeps
+    one order buffer per maturity instead of allocating a new one that
+    outlives each iteration (which fragments the heap).
     """
 
     __slots__ = ("tau", "rate", "growth", "slope", "order", "gs", "cum_g",
                  "cum_a", "mean_growth")
 
-    def __init__(self, tau, rate, x, slope=None):
+    def __init__(self, tau, rate, x, slope=None, hint=None):
         with np.errstate(over="ignore"):
             growth = np.exp(x)
         if not np.all(np.isfinite(growth)):
@@ -74,8 +88,7 @@ class MaturitySlice:
         self.rate = rate
         self.growth = growth
         self.slope = slope
-        self.order = np.argsort(growth, kind="stable")
-        self.gs = growth[self.order]
+        self.order, self.gs = _stable_order(growth, hint)
         self.cum_g = np.concatenate([[0.0], np.cumsum(self.gs)])
         if slope is not None:
             a = (slope - rate) * growth
@@ -115,6 +128,23 @@ class MaturitySlice:
         pos = int(np.searchsorted(self.gs, moneyness, side="right"))
         value = -self.cum_a[pos] - self.rate * moneyness * pos
         return value / n, pos
+
+
+def _stable_order(growth, hint):
+    """Stable ascending order of ``growth`` and the sorted values.
+
+    A full-length hint whose re-sorted values are strictly increasing
+    indexes every draw once, so it is the unique stable order; it is
+    then permuted in place (``take`` buffers ``out`` in raise mode).
+    """
+    if hint is not None and hint.size == growth.size:
+        near = growth[hint]
+        perm = np.argsort(near, kind="stable")
+        gs = near[perm]
+        if np.all(gs[1:] > gs[:-1]):
+            return np.take(hint, perm, out=hint), gs
+    order = np.argsort(growth, kind="stable")
+    return order, growth[order]
 
 
 def _intrinsic(side, spot, strike) -> float:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rndkit import calibration
 from rndkit.arbitrage import audit_surface, build_synthetic_grid, total_penalty
 from rndkit.calibration import (
     CONVERGENCE_WINDOW,
@@ -54,6 +55,12 @@ def mixed_chain(call_chain):
             put = q.mid - chain.spot + q.strike * np.exp(-chain.rate(tau) * tau)
             quotes.append(OptionQuote("put", q.strike, q.days_to_maturity, put, put))
     return chain.with_quotes(quotes)
+
+
+@pytest.fixture(scope="module")
+def three_maturity_chain():
+    full = generate_simulated_chain("left-skew", days=[30, 91, 182])
+    return full.with_quotes([q for q in full.quotes if 700 <= q.strike <= 1300][::4])
 
 
 def grid_for(chain):
@@ -298,21 +305,66 @@ def test_objective_at_returned_params_equals_last_trajectory_entry(call_chain, k
 
 
 @pytest.mark.parametrize("kind", ["rn-q", "rn-mlp", "rn-dmlp"])
-def test_final_metrics_reproduce_last_evaluation(call_chain, kind):
+def test_final_metrics_reproduce_last_evaluation(call_chain, three_maturity_chain, kind):
     # the final metrics and the loop read the same maturity slices; the
     # network kinds fit a three-maturity chain so the penalty grid has
     # maturities between the quoted ones
-    if kind == "rn-q":
-        chain = call_chain
-    else:
-        full = generate_simulated_chain("left-skew", days=[30, 91, 182])
-        chain = full.with_quotes([q for q in full.quotes if 700 <= q.strike <= 1300][::4])
+    chain = call_chain if kind == "rn-q" else three_maturity_chain
     cfg = CalibrationConfig(n_samples=5000, seed=9, iterations=8)
     res = calibrate(kind, chain, cfg)
     assert res.final_train_mse + cfg.lam * res.penalty_trajectory[-1] == \
         res.loss_trajectory[-1]
     if kind != "rn-q":
         assert res.final_penalty.total == res.penalty_trajectory[-1]
+
+
+@pytest.mark.parametrize("kind", ["rn-q", "rn-mlp", "rn-dmlp"])
+def test_warm_started_sorts_reproduce_cold_sorts(call_chain, three_maturity_chain,
+                                                 monkeypatch, kind):
+    chain = call_chain if kind == "rn-q" else three_maturity_chain
+    cfg = CalibrationConfig(n_samples=4000, seed=9, iterations=12)
+    warm = calibrate(kind, chain, cfg)
+
+    class ColdTable(calibration._TauTable):
+        __slots__ = ()
+
+        def __init__(self, tau, rate, x, slope, hint=None):
+            super().__init__(tau, rate, x, slope)
+
+    monkeypatch.setattr(calibration, "_TauTable", ColdTable)
+    cold = calibrate(kind, chain, cfg)
+    assert warm.loss_trajectory.tobytes() == cold.loss_trajectory.tobytes()
+    assert warm.penalty_trajectory.tobytes() == cold.penalty_trajectory.tobytes()
+    assert checkpoint_document(warm.params) == checkpoint_document(cold.params)
+    doc_warm, doc_cold = warm.to_jsonable(), cold.to_jsonable()
+    del doc_warm["wall_time"], doc_cold["wall_time"]
+    assert doc_warm == doc_cold
+
+
+def test_rnq_fit_sorts_unsorted_growth_once(call_chain, monkeypatch):
+    # rn-q's X is increasing in Z, so after the first cold sort every
+    # maturity slice the loop builds re-sorts an already sorted sequence
+    real_argsort = np.argsort
+    unsorted = []
+
+    def spy(a, *args, **kwargs):
+        a = np.asarray(a)
+        unsorted.append(bool(np.any(a[1:] < a[:-1])))
+        return real_argsort(a, *args, **kwargs)
+
+    real_forward = calibration._QuantileAdapter.forward
+
+    def forward(self, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(np, "argsort", spy)
+            return real_forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(calibration._QuantileAdapter, "forward", forward)
+    cfg = CalibrationConfig(n_samples=10_000, seed=9, iterations=50)
+    res = calibrate("rn-q", call_chain, cfg)
+    assert res.iterations_run == 50
+    assert len(unsorted) == 51  # 50 evaluations and the final forward pass
+    assert sum(unsorted) == 1
 
 
 def test_divergence_raises_with_iteration_index(call_chain):

@@ -10,6 +10,7 @@ from rndkit.data_io import DataError, load_chain, save_chain, save_rates
 from rndkit.heston import generate_simulated_chain
 from rndkit.models import load_checkpoint
 from rndkit.nn import DenseNetwork
+from rndkit.pricing import MaturitySlice
 
 
 @pytest.fixture(scope="module")
@@ -348,3 +349,17 @@ def test_network_checkpoint_commands_pass_draws_once_per_component(
         full_passes.clear()
         assert main(argv) == 0
         assert len(full_passes) <= 2, name  # one G_Z pass per mixture component
+
+
+def test_evaluate_sorts_each_maturity_once(dmlp_dir, tmp_path, monkeypatch):
+    # the train, test and extreme sets are priced off one slice per maturity
+    taus = []
+    init = MaturitySlice.__init__
+
+    def spy(self, tau, *args, **kwargs):
+        taus.append(tau)
+        init(self, tau, *args, **kwargs)
+
+    monkeypatch.setattr(MaturitySlice, "__init__", spy)
+    assert main(_network_commands(dmlp_dir, tmp_path, 2)["evaluate"]) == 0
+    assert len(taus) == 2 and len(set(taus)) == 2

@@ -12,7 +12,7 @@ from rndkit.models import (
     zero_net_rnmlp,
 )
 from rndkit.numerics import logmeanexp
-from rndkit.pricing import PriceRequest, price, price_chain, price_with_stderr
+from rndkit.pricing import MaturitySlice, PriceRequest, price, price_chain, price_with_stderr
 from rndkit.sampling import draw_standard_normal
 
 from oracles import black_scholes_call, black_scholes_put
@@ -153,6 +153,49 @@ def test_price_chain_bound_model_is_bit_identical():
     for bound in (bind(model, z), bind(model, other)):
         np.testing.assert_array_equal(price_chain(bound, chain, z, threads=2), want)
         assert price_with_stderr(bound, req, z) == price_with_stderr(model, req, z)
+
+
+def assert_same_slice(got, want):
+    for name in ("order", "gs", "cum_g", "cum_a"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.mean_growth == want.mean_growth
+
+
+@pytest.mark.parametrize("case", ["cold-order", "reversed", "random", "perturbed", "truncated"])
+def test_slice_hint_reproduces_cold_sort(case):
+    rng = np.random.default_rng(11)
+    prev = 0.2 * rng.standard_normal(20_000)
+    x = prev + 1e-3 * rng.standard_normal(prev.size) if case == "perturbed" else prev
+    slope = 0.1 + 0.3 * x + 0.05 * rng.standard_normal(x.size)
+    want = MaturitySlice(0.25, 0.03, x, slope)
+    hint = {
+        "cold-order": want.order.copy(),
+        "reversed": want.order[::-1].copy(),
+        "random": rng.permutation(x.size),
+        "perturbed": MaturitySlice(0.25, 0.03, prev).order,
+        "truncated": want.order[:-1].copy(),  # not a permutation of the draws
+    }[case]
+    if case == "perturbed":
+        # the previous order is close to, but not, this one
+        assert not np.array_equal(hint, want.order)
+    assert_same_slice(MaturitySlice(0.25, 0.03, x, slope, hint), want)
+
+
+@pytest.mark.parametrize("case", ["reversed", "random"])
+def test_slice_hint_with_ties_falls_back_to_cold_sort(case):
+    rng = np.random.default_rng(12)
+    x = np.round(0.2 * rng.standard_normal(5_000), 2)  # many repeated values
+    slope = 0.1 + 0.3 * x + 0.05 * rng.standard_normal(x.size)
+    want = MaturitySlice(0.25, 0.03, x, slope)
+    hint = {
+        "reversed": want.order[::-1].copy(),
+        "random": rng.permutation(x.size),
+    }[case]
+    # taken unchecked, the hint would order the ties differently
+    unchecked = hint[np.argsort(x[hint], kind="stable")]
+    assert not np.array_equal(unchecked, want.order)
+    assert_same_slice(MaturitySlice(0.25, 0.03, x, slope, hint), want)
 
 
 def test_stderr_scales_with_sample_count():
