@@ -39,8 +39,6 @@ __all__ = [
     "penalty_calendar_put",
     "penalty_mu",
     "total_penalty",
-    "penalty_terms",
-    "penalty_report",
     "aggregate_penalties",
     "PenaltyReport",
     "price_surface",
@@ -92,7 +90,7 @@ def build_synthetic_grid(taus, strikes) -> SyntheticGrid:
 
 
 def _slope_slice(bound, tau, rate) -> MaturitySlice:
-    return MaturitySlice(tau, rate, bound.log_returns(tau, rate), bound.dtau(tau, rate))
+    return MaturitySlice(tau, rate, *bound.columns(tau, rate))
 
 
 def penalty_calendar_call(model, tau, strike, spot, rate, samples) -> float:
@@ -151,27 +149,17 @@ def total_penalty(model, grid: SyntheticGrid, spot, rate_fn, samples, threads=No
     bound = bind(model, samples)
 
     def run_tau(tau):
-        return penalty_terms(_slope_slice(bound, tau, rate_fn(tau)), grid.strikes, spot)
+        # signed calendar rows (call, then put, at each strike) and the
+        # (tau, squared martingale defect) pair
+        table = _slope_slice(bound, tau, rate_fn(tau))
+        rows = []
+        for k in grid.strikes:
+            m = k / spot
+            rows.append((tau, float(k), "call", float(table.calendar_call(m)[0])))
+            rows.append((tau, float(k), "put", float(table.calendar_put(m)[0])))
+        return rows, (tau, float(table.defect * table.defect))
 
-    return penalty_report(parallel_map(run_tau, [float(t) for t in grid.taus], threads))
-
-
-def penalty_terms(table: MaturitySlice, strikes, spot):
-    """One maturity's penalty terms, read off a slice that carries dX/dtau.
-
-    Returns the signed calendar rows (call, then put, at each strike) and
-    the (tau, squared martingale defect) pair.
-    """
-    rows = []
-    for k in strikes:
-        m = k / spot
-        rows.append((table.tau, float(k), "call", float(table.calendar_call(m)[0])))
-        rows.append((table.tau, float(k), "put", float(table.calendar_put(m)[0])))
-    return rows, (table.tau, float(table.defect * table.defect))
-
-
-def penalty_report(terms) -> PenaltyReport:
-    """Aggregate ``penalty_terms`` results listed in maturity order."""
+    terms = parallel_map(run_tau, [float(t) for t in grid.taus], threads)
     return aggregate_penalties([row for rows, _ in terms for row in rows],
                                [mu for _, mu in terms])
 

@@ -12,10 +12,12 @@ sets treated as locally constant (piecewise-smooth convention).
 
 What differs between model kinds lives in one adapter per kind: the
 initial model, the flat parameter vector, the coordinates Adam works in,
-chain validation, whether the penalty applies, the forward tables, the
-gradient and finalisation.  The objective and the Adam loop never test
-the kind.  ``_NetworkAdapter`` serves rn-mlp and rn-dmlp alike, rn-mlp
-being the one-component mixture.  ``_QuantileAdapter`` holds every rn-q
+chain validation, whether the penalty applies, the maturity tables, the
+gradient and finalisation.  The objective, the Adam loop and the final
+metrics never test the kind.  ``_NetworkAdapter`` serves rn-mlp and
+rn-dmlp alike, rn-mlp being the one-component mixture, and reads X and
+dX/dtau from ``models.BoundModel`` like every analysis consumer.
+``_QuantileAdapter`` holds every rn-q
 difference: the location is eliminated through the martingale
 constraint at every evaluation (so the gradient carries a softmax
 correction term) and recomputed on the final parameters, Adam works in
@@ -34,12 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arbitrage import (PenaltyReport, build_synthetic_grid, penalty_report, penalty_terms,
-                        total_penalty)
+from .arbitrage import PenaltyReport, build_synthetic_grid, total_penalty
 from .models import (
+    BoundModel,
     RnDmlpParams,
     RnMlpParams,
     RnQParams,
+    bind,
     checkpoint_document,
     init_rndmlp,
     init_rnmlp,
@@ -47,9 +50,9 @@ from .models import (
     model_kind,
     rnq_mu_from_constraint,
 )
-from .nn import DenseNetwork, softplus, softplus_prime
+from .nn import DenseNetwork, softplus, softplus_prime, stack_caches
 from .numerics import logmeanexp
-from .pricing import MaturitySlice
+from .pricing import MaturitySlice, price_chain
 from .sampling import draw_standard_normal
 
 
@@ -120,6 +123,8 @@ class CalibrationResult:
     converged: bool
     wall_time: float
     seed: int
+    # ``params`` bound to the fit's draws; not serialized
+    bound: BoundModel = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def to_jsonable(self) -> dict:
         return {
@@ -304,24 +309,18 @@ def _quote_groups(chain):
 
 def _loss_weights(observed, fitted, sides_call, loss_kind, floor):
     """Per-option dL/dfitted for the configured loss, plus the loss value."""
-    err = fitted - observed
-    n_call = max(int(np.sum(sides_call)), 1)
-    n_put = max(int(np.sum(~sides_call)), 1)
+    sides = np.where(sides_call, "call", "put")
+    absolute = loss_kind == "absolute-MSE"
+    keep = np.ones_like(sides_call) if absolute else observed >= floor
+    n_call = max(int(np.sum(sides_call & keep)), 1)
+    n_put = max(int(np.sum(~sides_call & keep)), 1)
     per_side = np.where(sides_call, n_call, n_put).astype(float)
-    if loss_kind == "absolute-MSE":
-        loss = mse(observed, fitted, np.where(sides_call, "call", "put"))
-        return loss, 2.0 * err / per_side, 0
-    value, n_excluded = relative_mse(observed, fitted,
-                                     np.where(sides_call, "call", "put"), floor)
-    keep = observed >= floor
+    if absolute:
+        return mse(observed, fitted, sides), 2.0 * (fitted - observed) / per_side
     grad = np.zeros_like(observed)
-    kept_call = max(int(np.sum(sides_call & keep)), 1)
-    kept_put = max(int(np.sum(~sides_call & keep)), 1)
-    per_side_kept = np.where(sides_call, kept_call, kept_put).astype(float)
-    ratio = np.zeros_like(observed)
-    ratio[keep] = fitted[keep] / observed[keep] - 1.0
-    grad[keep] = 2.0 * ratio[keep] / (observed[keep] * per_side_kept[keep])
-    return value, grad, n_excluded
+    ratio = fitted[keep] / observed[keep] - 1.0
+    grad[keep] = 2.0 * ratio / (observed[keep] * per_side[keep])
+    return relative_mse(observed, fitted, sides, floor)[0], grad
 
 
 # ----------------------------------------------------------------------
@@ -394,7 +393,7 @@ class _QuantileAdapter(_Adapter):
             raise ValueError("the quantile model is single-maturity; "
                              f"the chain has {n_taus} maturities")
 
-    def forward(self, model, taus, chain_rate, z, hints=None):
+    def build_tables(self, model, taus, chain_rate, z, hints=None):
         """The one maturity's table, plus the shape factor for the gradient."""
         tau = float(taus[0])
         rate = chain_rate(tau)
@@ -434,8 +433,9 @@ class _QuantileAdapter(_Adapter):
 class _NetworkAdapter(_Adapter):
     """rn-mlp and rn-dmlp: a mixture of one or two network components.
 
-    Network values go through the cached scalar-batch path so one
-    backward pass per network serves every maturity at once.
+    The tables come from a caching binding: net_z's cache over the draws
+    and one-row net_mu and net_tau caches per maturity, which are stacked
+    so one backward pass per network serves every maturity at once.
     """
 
     def __init__(self, init_model, has_alpha):
@@ -467,55 +467,32 @@ class _NetworkAdapter(_Adapter):
             return RnDmlpParams(alpha=float(vec[0]), comp1=comps[0], comp2=comps[1])
         return comps[0]
 
-    def forward(self, model, taus, chain_rate, z, hints=None):
-        """X, growth and d/dtau tables per maturity, plus backward caches."""
+    def build_tables(self, model, taus, chain_rate, z, hints=None):
+        """X, growth and d/dtau tables per maturity, plus the caching binding."""
+        bound = _TrainingBinding(model, z)
         tables = {}
-        caches = []
-        tau_arr = np.asarray(taus, dtype=float)
-        for coef, comp in mixture_components(model):
-            gz, cache_z = comp.net_z.scalar_batch(z)
-            gmu, gmu_s, cache_mu = comp.net_mu.scalar_batch(tau_arr, want_slope=True)
-            gtau, gtau_s, cache_tau = comp.net_tau.scalar_batch(tau_arr, want_slope=True)
-            caches.append({"coef": coef, "comp": comp, "gz": gz, "cache_z": cache_z,
-                           "gmu": gmu, "gmu_s": gmu_s, "cache_mu": cache_mu,
-                           "gtau": gtau, "gtau_s": gtau_s, "cache_tau": cache_tau})
-        for i, tau in enumerate(tau_arr):
+        for tau in taus:
             tau = float(tau)
             rate = chain_rate(tau)
-            root = np.sqrt(tau)
-            x = np.zeros_like(z)
-            slope = np.zeros_like(z)
-            for c in caches:
-                comp = c["comp"]
-                band = c["gz"] + c["gtau"][i] + 1.0
-                x += c["coef"] * (rate * tau * c["gmu"][i] + comp.sigma * root * z * band)
-                slope += c["coef"] * (
-                    rate * c["gmu"][i] + rate * tau * c["gmu_s"][i]
-                    + comp.sigma * z * (band / (2.0 * root) + root * c["gtau_s"][i])
-                )
-            tables[tau] = _TauTable(tau, rate, x, slope, (hints or {}).get(tau))
-        return tables, caches
+            tables[tau] = _TauTable(tau, rate, *bound.columns(tau, rate), (hints or {}).get(tau))
+        return tables, bound
 
-    def gradient(self, model, tables, caches, z):
-        taus = sorted(tables)
+    def gradient(self, model, tables, bound, z):
         for table in tables.values():
             table.adjoint_weights()
         parts = []
         comp_proj = []  # sum over (tau, n) of wx dX_comp + wd dslope_comp
-        for c in caches:
-            coef, comp = c["coef"], c["comp"]
+        for (coef, comp, gz, cache_z), rows in zip(bound._parts, bound._rows):
+            gmu, gmu_s, gtau, gtau_s, caches_mu, caches_tau = zip(*rows)
             wz = np.zeros_like(z)
-            zg = z * c["gz"]
-            wv_mu = np.zeros(len(taus))
-            ws_mu = np.zeros(len(taus))
-            wv_tau = np.zeros(len(taus))
-            ws_tau = np.zeros(len(taus))
+            zg = z * gz
+            wv_mu, ws_mu, wv_tau, ws_tau = np.zeros((4, len(tables)))
             d_sigma = 0.0
             proj = 0.0
-            for i, tau in enumerate(taus):
-                table = tables[tau]
+            # tables and rows both follow build_tables' maturity order
+            for i, table in enumerate(tables.values()):
                 wx, wd = table.wx, table.wd
-                rate, root = table.rate, np.sqrt(tau)
+                tau, rate, root = table.tau, table.rate, np.sqrt(table.tau)
                 wz += coef * comp.sigma * z * (root * wx + wd / (2.0 * root))
                 sx = float(np.sum(wx))
                 sd = float(np.sum(wd))
@@ -523,26 +500,35 @@ class _NetworkAdapter(_Adapter):
                 sdz = float(np.dot(wd, z))
                 sxzg = float(np.dot(wx, zg))
                 sdzg = float(np.dot(wd, zg))
-                base = c["gtau"][i] + 1.0
+                base = gtau[i] + 1.0
                 wv_mu[i] = coef * rate * (tau * sx + sd)
                 ws_mu[i] = coef * rate * tau * sd
                 wv_tau[i] = coef * comp.sigma * (root * sxz + sdz / (2.0 * root))
                 ws_tau[i] = coef * comp.sigma * root * sdz
                 # adjoints against the scale direction z (G_Z + G_tau + 1)
                 x_dir = root * (sxzg + base * sxz)
-                s_dir = (sdzg + base * sdz) / (2.0 * root) + root * c["gtau_s"][i] * sdz
+                s_dir = (sdzg + base * sdz) / (2.0 * root) + root * gtau_s[i] * sdz
                 d_sigma += coef * (x_dir + s_dir)
                 # adjoints against the full component map (for d/dalpha)
-                proj += rate * tau * c["gmu"][i] * sx \
-                    + rate * (c["gmu"][i] + tau * c["gmu_s"][i]) * sd \
+                proj += rate * tau * gmu[i] * sx \
+                    + rate * (gmu[i] + tau * gmu_s[i]) * sd \
                     + comp.sigma * (x_dir + s_dir)
             comp_proj.append(proj)
-            g_mu = comp.net_mu.weighted_value_slope_param_gradient(c["cache_mu"], wv_mu, ws_mu)
-            g_z = comp.net_z.weighted_param_gradient(c["cache_z"], wz)
-            g_tau = comp.net_tau.weighted_value_slope_param_gradient(c["cache_tau"], wv_tau, ws_tau)
+            g_mu = comp.net_mu.weighted_value_slope_param_gradient(
+                stack_caches(caches_mu), wv_mu, ws_mu)
+            g_z = comp.net_z.weighted_param_gradient(cache_z, wz)
+            g_tau = comp.net_tau.weighted_value_slope_param_gradient(
+                stack_caches(caches_tau), wv_tau, ws_tau)
             parts += [[d_sigma], g_mu.to_vector(), g_z.to_vector(), g_tau.to_vector()]
         head = [[comp_proj[0] - comp_proj[1]]] if self.has_alpha else []
         return np.concatenate(head + parts)
+
+
+class _TrainingBinding(BoundModel):
+    """The loop's binding: every network pass keeps its backward cache."""
+
+    __slots__ = ()
+    _keep_caches = True
 
 
 _ADAPTERS = {
@@ -564,10 +550,11 @@ def _adapter_of(model):
 
 
 def _objective_parts(adapter, model, chain, grid, config, samples, hints=None):
-    """Loss, natural-parameter gradient and diagnostic pieces.
+    """Loss, natural-parameter gradient, and the penalty and sort orders.
 
     ``hints`` maps a maturity to a candidate sort order for its slice;
-    the pieces include each slice's ``order`` for the next evaluation.
+    the returned ``orders`` hold each slice's order for the next
+    evaluation.
     """
     z = samples.values
     n = z.size
@@ -578,7 +565,7 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None):
         all_taus = sorted(set(market_taus) | {float(t) for t in grid.taus})
     else:
         all_taus = market_taus
-    tables, aux = adapter.forward(model, all_taus, chain.rate, z, hints)
+    tables, aux = adapter.build_tables(model, all_taus, chain.rate, z, hints)
 
     # pass 1: price every quote from the cumulative sums
     quotes = [q for tau in market_taus for q in groups[tau]]
@@ -590,7 +577,7 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None):
         fitted[j], positions[j] = tables[q.tau].price(q.side, q.strike, chain.spot)
 
     # pass 2: per-side averaging over the whole chain fixes the weights
-    data_loss, dl_dfit, n_excluded = _loss_weights(
+    data_loss, dl_dfit = _loss_weights(
         observed, fitted, sides_call, config.loss_kind, config.relative_mse_floor)
     for j, q in enumerate(quotes):
         table = tables[q.tau]
@@ -625,8 +612,7 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None):
         raise FloatingPointError("objective is not finite")
 
     grad = adapter.gradient(model, tables, aux, z)
-    return loss, grad, {"data_loss": data_loss, "penalty": penalty,
-                        "n_excluded": n_excluded, "fitted": fitted,
+    return loss, grad, {"penalty": penalty,
                         "orders": {tau: t.order for tau, t in tables.items()}}
 
 
@@ -657,10 +643,11 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     config.iterations or once the loss improves by less than
     convergence_tol over 100 consecutive iterations.  The loop never
     updates after the last evaluation, so the returned parameters
-    reproduce the last trajectory entry exactly.  Each evaluation, and the
-    final forward pass, starts every maturity's sort from the order the
-    previous evaluation found; only those order arrays, reordered in
-    place, are kept between iterations.
+    reproduce the last trajectory entry exactly.  Each evaluation starts
+    every maturity's sort from the order the previous evaluation found;
+    only those order arrays, reordered in place, are kept between
+    iterations.  The final metrics price the returned model bound to the
+    loop's draws, and that binding is returned as ``bound``.
     """
     t0 = time.perf_counter()
     if not train_chain.quotes:
@@ -709,26 +696,17 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
 
     final = adapter.finalize(current, train_chain, samples)
 
-    # Final metrics read off one more forward pass at the returned
-    # parameters, over the loop's maturities and through the same slices
-    # and penalty terms, so they reproduce the last evaluation bit for bit.
-    # An adapter that trains without the penalty forms no dX/dtau, so its
-    # report is priced afresh.
-    taus = sorted({q.tau for q in train_chain.quotes} | {float(t) for t in grid.taus})
-    tables, _ = adapter.forward(final, taus, train_chain.rate, samples.values, orders)
-    prices = np.array([tables[q.tau].price(q.side, q.strike, train_chain.spot)[0]
-                       for q in train_chain.quotes])
+    # a maturity's X and dX/dtau depend only on (model, draws, tau, rate),
+    # so the final metrics reproduce the last evaluation bit for bit
+    bound = bind(final, samples)
+    prices = price_chain(bound, train_chain, samples)
     observed = np.array([q.mid for q in train_chain.quotes])
     sides = [q.side for q in train_chain.quotes]
     final_mse = mse(observed, prices, sides)
     final_rel, n_excl = relative_mse(observed, prices, sides, config.relative_mse_floor)
-    if adapter.penalized:
-        report = penalty_report([penalty_terms(tables[float(t)], grid.strikes, train_chain.spot)
-                                 for t in grid.taus])
-    else:
-        report = total_penalty(final, grid, train_chain.spot, train_chain.rate, samples)
+    report = total_penalty(bound, grid, train_chain.spot, train_chain.rate, samples)
 
-    return CalibrationResult(
+    result = CalibrationResult(
         kind=kind,
         params=final,
         loss_trajectory=np.asarray(trajectory),
@@ -742,3 +720,5 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
         wall_time=time.perf_counter() - t0,
         seed=config.seed,
     )
+    result.bound = bound
+    return result

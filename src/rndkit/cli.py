@@ -303,10 +303,10 @@ def cmd_calibrate(args) -> int:
     result_path = out / "calibration_result.json"
     write_json(result_path, result.to_jsonable())
 
-    samples = draw_standard_normal(config.n_samples, config.seed)
+    # audit on the fit's own draws and binding: no second draw, no G_Z pass
     taus = [d / 365.0 for d in train_days]
-    audit = audit_surface(result.params, taus, train_strikes,
-                          train.spot, train.rate, samples, threads=args.threads)
+    audit = audit_surface(result.bound, taus, train_strikes,
+                          train.spot, train.rate, result.bound.z, threads=args.threads)
     report_path = out / "audit_report.json"
     write_json(report_path, {"penalty": result.final_penalty.to_jsonable(),
                              "audit": audit})

@@ -15,7 +15,8 @@ The additive structure keeps the maturity derivative of X analytic, which
 the no-arbitrage penalties rely on.  It also means G_Z(Z), the only
 network term evaluated on all N draws, does not depend on tau: ``bind``
 evaluates it once per (model, draws), and every maturity of every
-consumer reads X and dX/dtau from that binding.
+consumer, the calibration loop included, reads X and dX/dtau from that
+binding, one maturity at a time.
 """
 
 from __future__ import annotations
@@ -130,30 +131,6 @@ class RnMlpParams:
                 raise ValueError(f"{name} must map a scalar to a scalar")
 
 
-def _tau_scalars(p: RnMlpParams, tau: float):
-    """G_mu, G_mu', G_tau, G_tau' at one maturity."""
-    t = np.asarray([tau], dtype=float)
-    gmu, gmu_s, _ = p.net_mu.scalar_batch(t, want_slope=True)
-    gtau, gtau_s, _ = p.net_tau.scalar_batch(t, want_slope=True)
-    return float(gmu[0]), float(gmu_s[0]), float(gtau[0]), float(gtau_s[0])
-
-
-def _component_log_return(p: RnMlpParams, z, gz, tau, rate) -> np.ndarray:
-    gmu = float(p.net_mu.forward(np.array([tau]))[0])
-    gtau = float(p.net_tau.forward(np.array([tau]))[0])
-    return rate * tau * gmu + p.sigma * np.sqrt(tau) * z * (gz + gtau + 1.0)
-
-
-def _component_dtau(p: RnMlpParams, z, gz, tau, rate) -> np.ndarray:
-    gmu, gmu_s, gtau, gtau_s = _tau_scalars(p, tau)
-    root = np.sqrt(tau)
-    return (
-        rate * gmu
-        + rate * tau * gmu_s
-        + p.sigma * z * ((gz + gtau + 1.0) / (2.0 * root) + root * gtau_s)
-    )
-
-
 # ----------------------------------------------------------------------
 # mixture model
 
@@ -194,17 +171,21 @@ def mixture_components(model) -> tuple:
 
 
 class BoundModel:
-    """A model bound to one draw vector, with G_Z(Z) evaluated once.
+    """A model bound to one draw vector: the one evaluator of X and dX/dtau.
 
-    ``G_Z`` is the only network term that runs over all N draws, and it
-    does not depend on the maturity, so every ``net_z`` is evaluated when
-    the binding is made.  ``log_returns`` and ``dtau`` then cost two
-    scalar network calls per component plus elementwise arithmetic at any
-    maturity.  Nothing changes after construction, so pool threads may
-    share one instance.  Build it with ``bind``.
+    G_Z, the only network term run over all N draws, does not depend on
+    tau, so each ``net_z`` runs once, here.  A maturity then costs two
+    one-row passes (``net_mu``, ``net_tau``) per component, so its values
+    depend only on (model, draws, tau, rate).  Calibration, pricing,
+    penalties, the audit and the density all read X and dX/dtau here.
+    Build it with ``bind``; it never changes, so pool threads may share
+    one.  The calibration loop's own subclass sets ``_keep_caches``: every
+    pass keeps its backward cache and ``_rows`` collects, per component,
+    one (G_mu, G_mu', G_tau, G_tau', caches) row per maturity, in order.
     """
 
-    __slots__ = ("model", "kind", "z", "_parts")
+    __slots__ = ("model", "kind", "z", "_parts", "_rows")
+    _keep_caches = False
 
     def __init__(self, model, z):
         self.model = model
@@ -213,19 +194,11 @@ class BoundModel:
         # a caller mutating its own array cannot leave G_Z stale.
         self.z = np.array(z, dtype=float)
         self.z.setflags(write=False)
-        # (coefficient, component, G_Z(Z)) triples in mixture order
+        # (coefficient, component, G_Z(Z), net_z cache) in mixture order
         self._parts = tuple(
-            (coef, comp,
-             comp.net_z.forward_batch(self.z.reshape(-1, 1))[:, 0].reshape(self.z.shape))
-            for coef, comp in mixture_components(model)
-        )
-
-    def _mix(self, term):
-        """c_1 term(comp_1, G_Z_1) + c_2 term(comp_2, G_Z_2) + ...
-
-        The one-component coefficient 1.0 multiplies exactly.
-        """
-        return reduce(np.add, (coef * term(comp, gz) for coef, comp, gz in self._parts))
+            (coef, comp, *comp.net_z.scalar_batch(self.z, keep_cache=self._keep_caches))
+            for coef, comp in mixture_components(model))
+        self._rows = tuple([] for _ in self._parts)
 
     def log_returns(self, tau, rate) -> np.ndarray:
         """Log-return vector X(Z, tau) on the bound draws.
@@ -234,31 +207,51 @@ class BoundModel:
         distribution at no elapsed time), so prices collapse to intrinsic.
         The quantile model ignores tau and rate.
         """
-        z = self.z
         if tau < 0.0:
             raise ValueError("tau must be non-negative")
         if tau == 0.0:
-            return np.zeros_like(z)
+            return np.zeros_like(self.z)
         if self.kind == "rn-q":
-            return rnq_log_return(self.model, z)
-        return self._mix(lambda comp, gz: _component_log_return(comp, z, gz, tau, rate))
+            return rnq_log_return(self.model, self.z)
+        return self.columns(tau, rate)[0]
 
     def dtau(self, tau, rate) -> np.ndarray:
         """Analytic dX/dtau at fixed Z on the bound draws.
 
-        Per network component:
-        r G_mu + r tau G_mu' + sigma Z [ (G_Z + G_tau + 1) / (2 sqrt(tau))
-                                         + sqrt(tau) G_tau' ].
         For the quantile model the location tracks the martingale
         constraint mu(tau) = r tau - const, so the derivative is the
         constant rate.
         """
-        z = self.z
         if self.kind == "rn-q":
-            return np.full_like(z, float(rate))
+            return np.full_like(self.z, float(rate))
+        return self.columns(tau, rate)[1]
+
+    def columns(self, tau, rate):
+        """(X, dX/dtau) at one maturity; per network component
+
+        X = r tau G_mu + sigma sqrt(tau) Z (G_Z + G_tau + 1),
+        dX/dtau = r G_mu + r tau G_mu' + sigma Z [ (G_Z + G_tau + 1) / (2 sqrt(tau))
+                                                   + sqrt(tau) G_tau' ],
+        and a mixture sums c_1 (X_1, X_1') + c_2 (X_2, X_2') + ...
+        """
+        if self.kind == "rn-q":
+            return self.log_returns(tau, rate), self.dtau(tau, rate)
         if tau <= 0.0:
             raise ValueError("maturity derivative needs tau > 0")
-        return self._mix(lambda comp, gz: _component_dtau(comp, z, gz, tau, rate))
+        z, t, root, keep = self.z, np.array([tau]), np.sqrt(tau), self._keep_caches
+        terms = []
+        for (coef, comp, gz, _), rows in zip(self._parts, self._rows):
+            gmu, gmu_s, cache_mu = comp.net_mu.scalar_batch(t, want_slope=True, keep_cache=keep)
+            gtau, gtau_s, cache_tau = comp.net_tau.scalar_batch(t, want_slope=True, keep_cache=keep)
+            gmu, gmu_s, gtau, gtau_s = float(gmu[0]), float(gmu_s[0]), float(gtau[0]), float(gtau_s[0])
+            if keep:
+                rows.append((gmu, gmu_s, gtau, gtau_s, cache_mu, cache_tau))
+            band = gz.reshape(z.shape) + gtau + 1.0
+            terms.append((coef * (rate * tau * gmu + comp.sigma * root * z * band),
+                          coef * (rate * gmu + rate * tau * gmu_s
+                                  + comp.sigma * z * (band / (2.0 * root) + root * gtau_s))))
+        # the one-component coefficient 1.0 multiplies exactly
+        return tuple(reduce(np.add, column) for column in zip(*terms))
 
 
 def bind(model, samples) -> BoundModel:

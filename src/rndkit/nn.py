@@ -20,6 +20,7 @@ __all__ = [
     "init_network",
     "softplus",
     "softplus_prime",
+    "stack_caches",
 ]
 
 
@@ -36,18 +37,20 @@ def softplus_prime(x):
     return out if out.ndim else float(out)
 
 
-def _softplus_and_sigmoid(h):
+def _softplus_and_sigmoid(h, want_sig=True):
     # softplus via the max form, then sigmoid = 1 - e^{-softplus}; this
     # shares the single exp, avoids divides, and keeps full relative
-    # accuracy in both tails (expm1 is exact near zero).  In-place ops:
-    # these arrays are the hot path of calibration.
+    # accuracy in both tails (expm1 is exact near zero).  In place, h
+    # included: these arrays are the hot path of calibration.
     t = np.abs(h)
     np.negative(t, out=t)
     np.exp(t, out=t)
     np.log1p(t, out=t)
-    sp = np.maximum(h, 0.0)
+    sp = np.maximum(h, 0.0, out=h)
     sp += t
-    sig = np.negative(sp)
+    if not want_sig:
+        return sp, None
+    sig = np.negative(sp, out=t)
     np.expm1(sig, out=sig)
     np.negative(sig, out=sig)
     return sp, sig
@@ -78,6 +81,14 @@ class _BatchCache:
         self.sigs = sigs
         self.tangents = tangents
         self.tangent_pre = tangent_pre
+
+
+def stack_caches(caches) -> _BatchCache:
+    """The cache of one pass over the inputs of several ``scalar_batch``
+    passes of one network, in order, so one backward call serves them all."""
+    fields = [[getattr(c, name) for c in caches] for name in _BatchCache.__slots__]
+    return _BatchCache(*(None if f[0] is None else [np.concatenate(r) for r in zip(*f)]
+                         for f in fields))
 
 
 @dataclass
@@ -119,21 +130,6 @@ class DenseNetwork:
     def n_params(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
-    def forward(self, x) -> np.ndarray:
-        """Evaluate at a single input vector of shape (dims[0],)."""
-        a = np.asarray(x, dtype=float).reshape(1, self.layer_dims[0])
-        return self.forward_batch(a)[0]
-
-    def forward_batch(self, x) -> np.ndarray:
-        """Evaluate at a batch of inputs, shape (m, dims[0]) -> (m, dims[-1])."""
-        a = np.asarray(x, dtype=float)
-        last = self.n_layers - 1
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w.T + b
-            if l < last:
-                a = softplus(a)
-        return a
-
     # ------------------------------------------------------------------
     # scalar-input / scalar-output batch machinery
 
@@ -141,11 +137,13 @@ class DenseNetwork:
         if self.layer_dims[0] != 1 or self.layer_dims[-1] != 1:
             raise ValueError("scalar batch path needs a 1 -> ... -> 1 network")
 
-    def scalar_batch(self, x, want_slope: bool = False):
+    def scalar_batch(self, x, want_slope: bool = False, keep_cache: bool = True):
         """Evaluate a 1 -> ... -> 1 net at an array of scalar inputs.
 
         Returns (values, cache) or (values, slopes, cache); the cache feeds
-        the weighted backward passes below.
+        the weighted backward passes below.  ``keep_cache=False`` gives no
+        cache, keeps no activations and, without slopes, forms no sigmoids,
+        so a pass over many inputs holds a few layer-sized buffers at once.
         """
         self._check_scalar()
         x = np.asarray(x, dtype=float).reshape(-1, 1)
@@ -161,7 +159,7 @@ class DenseNetwork:
             if want_slope:
                 u = tangents[-1] @ w.T
             if l < last:
-                a, sig = _softplus_and_sigmoid(h)
+                a, sig = _softplus_and_sigmoid(h, want_sig=keep_cache or want_slope)
                 sigs.append(sig)
                 if want_slope:
                     tangent_pre.append(u)
@@ -171,9 +169,10 @@ class DenseNetwork:
                 if want_slope:
                     tangent_pre.append(u)
                     tangents.append(u)
-            acts.append(a)
-        cache = _BatchCache(acts, sigs, tangents, tangent_pre)
-        values = acts[-1][:, 0]
+            if keep_cache:
+                acts.append(a)
+        values = a[:, 0]
+        cache = _BatchCache(acts, sigs, tangents, tangent_pre) if keep_cache else None
         if want_slope:
             return values, tangents[-1][:, 0], cache
         return values, cache

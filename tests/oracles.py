@@ -2,8 +2,9 @@
 
 These stay deliberately separate from the package code paths they check:
 Black-Scholes via the error function, normal integrals via adaptive
-quadrature, and single-input network derivatives by plain layer-by-layer
-chain rule (the package only has the batched passes).
+quadrature, and network values and derivatives at a single input by
+plain layer-by-layer evaluation and chain rule (the package evaluates
+networks only through ``DenseNetwork.scalar_batch``).
 """
 
 import math
@@ -63,6 +64,12 @@ def _layers(net, x):
             h = np.logaddexp(0.0, h)
         acts.append(h)
     return acts, sigs
+
+
+def forward(net, x):
+    """Network output at one input vector, shape (dims[-1],)."""
+    acts, _ = _layers(net, x)
+    return acts[-1][0]
 
 
 def backward_params(net, x, upstream):

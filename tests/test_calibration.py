@@ -22,13 +22,14 @@ from rndkit.data_io import OptionQuote
 from rndkit.heston import generate_simulated_chain
 from rndkit.models import (
     RnQParams,
+    bind,
     checkpoint_document,
     init_rndmlp,
     init_rnmlp,
     model_from_checkpoint,
     rnq_mu_from_constraint,
 )
-from rndkit.pricing import price_chain
+from rndkit.pricing import MaturitySlice, price_chain
 from rndkit.sampling import draw_standard_normal
 
 SPOT = 1000.0
@@ -341,6 +342,26 @@ def test_warm_started_sorts_reproduce_cold_sorts(call_chain, three_maturity_chai
     assert doc_warm == doc_cold
 
 
+@pytest.mark.parametrize("kind", ["rn-mlp", "rn-dmlp"])
+def test_training_tables_match_bound_slices(kind):
+    # a maturity's training values depend only on (model, Z, tau, rate),
+    # whichever other maturities are evaluated with it
+    model = calibration._adapter(kind).init_model(4)
+    z = draw_standard_normal(3000, seed=5).values
+    taus = [0.08, 0.25, 0.5, 0.75, 1.0]
+
+    def rate(tau):
+        return 0.02 + 0.01 * tau
+
+    bound = bind(model, z)
+    for subset in (taus, taus[1:4], taus[2:3], taus[::-2]):
+        tables, _ = calibration._adapter(kind).build_tables(model, subset, rate, z)
+        for tau in subset:
+            want = MaturitySlice(tau, rate(tau), bound.log_returns(tau, rate(tau)))
+            assert tables[tau].growth.tobytes() == want.growth.tobytes()
+            assert tables[tau].slope.tobytes() == bound.dtau(tau, rate(tau)).tobytes()
+
+
 def test_rnq_fit_sorts_unsorted_growth_once(call_chain, monkeypatch):
     # rn-q's X is increasing in Z, so after the first cold sort every
     # maturity slice the loop builds re-sorts an already sorted sequence
@@ -352,18 +373,18 @@ def test_rnq_fit_sorts_unsorted_growth_once(call_chain, monkeypatch):
         unsorted.append(bool(np.any(a[1:] < a[:-1])))
         return real_argsort(a, *args, **kwargs)
 
-    real_forward = calibration._QuantileAdapter.forward
+    real_build = calibration._QuantileAdapter.build_tables
 
-    def forward(self, *args, **kwargs):
+    def build_tables(self, *args, **kwargs):
         with monkeypatch.context() as m:
             m.setattr(np, "argsort", spy)
-            return real_forward(self, *args, **kwargs)
+            return real_build(self, *args, **kwargs)
 
-    monkeypatch.setattr(calibration._QuantileAdapter, "forward", forward)
+    monkeypatch.setattr(calibration._QuantileAdapter, "build_tables", build_tables)
     cfg = CalibrationConfig(n_samples=10_000, seed=9, iterations=50)
     res = calibrate("rn-q", call_chain, cfg)
     assert res.iterations_run == 50
-    assert len(unsorted) == 51  # 50 evaluations and the final forward pass
+    assert len(unsorted) == 50  # one per evaluation; the final metrics price a binding
     assert sum(unsorted) == 1
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rndkit import calibration, cli
 from rndkit.cli import main, parse_tau_grid, read_config_file
 from rndkit.data_io import DataError, load_chain, save_chain, save_rates
 from rndkit.heston import generate_simulated_chain
@@ -180,6 +181,44 @@ def test_evaluate_train_mse_matches_calibration_result(sim_dir, fit_dir, tmp_pat
         assert metrics[name]["relative_mse"] is not None
 
 
+def test_evaluate_train_mse_matches_network_calibration_result(dmlp_dir, tmp_path):
+    assert main(_network_commands(dmlp_dir, tmp_path, 2)["evaluate"]) == 0
+    metrics = json.loads((tmp_path / "evaluate" / "metrics.json").read_text())
+    result = json.loads((dmlp_dir / "fit" / "calibration_result.json").read_text())
+    assert result["kind"] == "rn-dmlp"
+    assert metrics["train"]["mse"] == result["final_train_mse"]
+
+
+@pytest.mark.parametrize("kind", ["rn-q", "rn-dmlp"])
+def test_calibrate_draws_once_and_binds_once(sim_dir, tmp_path, monkeypatch, kind):
+    draws = []
+    full_passes = []
+    real_draw = calibration.draw_standard_normal
+    scalar_batch = DenseNetwork.scalar_batch
+
+    def draw_spy(*args, **kwargs):
+        draws.append(args)
+        return real_draw(*args, **kwargs)
+
+    def pass_spy(self, x, *args, **kwargs):
+        if np.size(x) == 2000:
+            full_passes.append(1)
+        return scalar_batch(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(calibration, "draw_standard_normal", draw_spy)
+    monkeypatch.setattr(cli, "draw_standard_normal", draw_spy)
+    monkeypatch.setattr(DenseNetwork, "scalar_batch", pass_spy)
+    iterations = 3
+    assert main(["calibrate", "--chain", str(sim_dir / "left-skew_chain.csv"),
+                 "--kind", kind, "--out", str(tmp_path), "--samples", "2000",
+                 "--iterations", str(iterations), "--seed", "3"]) == 0
+    assert len(draws) == 1
+    # one G_Z pass per component per evaluation, plus the final binding,
+    # which the audit reuses
+    n_components = {"rn-q": 0, "rn-dmlp": 2}[kind]
+    assert len(full_passes) == n_components * (iterations + 1)
+
+
 def test_evaluate_empty_extreme_set_gives_nulls_and_warning(
         fit_dir, tmp_path, capsys):
     chain = generate_simulated_chain("left-skew",
@@ -337,14 +376,14 @@ def test_network_checkpoint_artifacts_do_not_depend_on_threads(dmlp_dir, tmp_pat
 def test_network_checkpoint_commands_pass_draws_once_per_component(
         dmlp_dir, tmp_path, monkeypatch):
     full_passes = []
-    forward_batch = DenseNetwork.forward_batch
+    scalar_batch = DenseNetwork.scalar_batch
 
-    def spy(self, x):
-        if np.shape(x)[0] == DMLP_SAMPLES:
+    def spy(self, x, *args, **kwargs):
+        if np.size(x) == DMLP_SAMPLES:
             full_passes.append(1)
-        return forward_batch(self, x)
+        return scalar_batch(self, x, *args, **kwargs)
 
-    monkeypatch.setattr(DenseNetwork, "forward_batch", spy)
+    monkeypatch.setattr(DenseNetwork, "scalar_batch", spy)
     for name, argv in _network_commands(dmlp_dir, tmp_path, 2).items():
         full_passes.clear()
         assert main(argv) == 0

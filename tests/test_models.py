@@ -23,6 +23,8 @@ from rndkit.models import (
 from rndkit.numerics import logmeanexp
 from rndkit.sampling import draw_standard_normal
 
+from oracles import forward
+
 
 def test_rnq_log_return_frozen_values():
     flat = RnQParams(mu=0.0, sigma=1.0, u=1.0, v=1.0)
@@ -86,11 +88,11 @@ def test_rnmlp_matches_straight_line_assembly():
     z = np.array([-2.0, -0.3, 0.0, 1.1, 2.4])
     tau, rate = 0.7, 0.03
     got = sample_log_returns(p, tau, z, rate)
-    gmu = p.net_mu.forward(np.array([tau]))[0]
-    gtau = p.net_tau.forward(np.array([tau]))[0]
+    gmu = forward(p.net_mu, np.array([tau]))[0]
+    gtau = forward(p.net_tau, np.array([tau]))[0]
     want = np.array([
         rate * tau * gmu
-        + p.sigma * np.sqrt(tau) * zi * (p.net_z.forward(np.array([zi]))[0] + gtau + 1.0)
+        + p.sigma * np.sqrt(tau) * zi * (forward(p.net_z, np.array([zi]))[0] + gtau + 1.0)
         for zi in z
     ])
     np.testing.assert_allclose(got, want, rtol=1e-13)

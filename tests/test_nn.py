@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from rndkit.nn import DenseNetwork, init_network, softplus, softplus_prime
+from rndkit.nn import DenseNetwork, init_network, softplus, softplus_prime, stack_caches
 
-from oracles import backward_params, input_gradient, softplus_double_prime
+from oracles import backward_params, forward, input_gradient, softplus_double_prime
 
 
 def straight_line_forward(net, x):
@@ -54,32 +54,41 @@ def test_forward_zero_parameters():
         [np.zeros((3, 1)), np.zeros((1, 3))],
         [np.zeros(3), np.zeros(1)],
     )
-    assert net.forward(np.array([1.7]))[0] == 0.0
+    assert net.scalar_batch(np.array([1.7]))[0][0] == 0.0
 
 
 def test_forward_single_linear_layer():
     net = DenseNetwork([1, 1], [np.array([[2.5]])], [np.array([-1.0])])
-    assert net.forward(np.array([2.0]))[0] == pytest.approx(4.0, abs=1e-15)
+    assert net.scalar_batch(np.array([2.0]))[0][0] == pytest.approx(4.0, abs=1e-15)
 
 
 def test_forward_matches_straight_line_reimplementation():
+    # the package's scalar pass, and the layer-by-layer oracle the other
+    # tests use as a reference on a vector-valued net
     rng = np.random.Generator(np.random.Philox(11))
+    scalar = init_network([1, 3, 3, 1], seed=5)
+    xs = rng.normal(size=5)
+    got = scalar.scalar_batch(xs)[0]
+    want = np.array([straight_line_forward(scalar, x)[0] for x in xs])
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
     net = init_network([2, 3, 3, 2], seed=5)
     for _ in range(5):
         x = rng.normal(size=2)
-        got = net.forward(x)
-        want = straight_line_forward(net, x)
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(forward(net, x), straight_line_forward(net, x),
+                                   rtol=1e-13, atol=1e-14)
 
 
-def test_forward_batch_matches_forward():
+def test_scalar_batch_without_cache_gives_the_same_bits():
     net = init_network([1, 32, 32, 1], seed=3)
-    xs = np.linspace(-3, 3, 17).reshape(-1, 1)
-    batch = net.forward_batch(xs)
-    single = np.array([net.forward(x) for x in xs])
-    # BLAS picks different kernels for (m,1) and (1,1) inputs; agreement is
-    # to the last couple of ulps, not bitwise.
-    np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0)
+    xs = np.linspace(-3, 3, 17)
+    vals, slopes, cache = net.scalar_batch(xs, want_slope=True)
+    bare_vals, bare_slopes, bare_cache = net.scalar_batch(xs, want_slope=True,
+                                                          keep_cache=False)
+    assert bare_cache is None
+    assert vals.tobytes() == bare_vals.tobytes()
+    assert slopes.tobytes() == bare_slopes.tobytes()
+    values_only, none = net.scalar_batch(xs, keep_cache=False)
+    assert none is None and values_only.tobytes() == vals.tobytes()
 
 
 def test_backward_params_zero_upstream():
@@ -102,8 +111,8 @@ def _fd_param_gradient(net, x, upstream, h=1e-6):
     for i in range(vec.size):
         up = vec.copy(); up[i] += h
         dn = vec.copy(); dn[i] -= h
-        f_up = float(upstream @ DenseNetwork.from_vector(net.layer_dims, up).forward(x))
-        f_dn = float(upstream @ DenseNetwork.from_vector(net.layer_dims, dn).forward(x))
+        f_up = float(upstream @ forward(DenseNetwork.from_vector(net.layer_dims, up), x))
+        f_dn = float(upstream @ forward(DenseNetwork.from_vector(net.layer_dims, dn), x))
         fd[i] = (f_up - f_dn) / (2 * h)
     return fd
 
@@ -131,7 +140,7 @@ def test_input_gradient_cases():
     net = init_network([1, 32, 32, 1], seed=2)
     x = np.array([0.1])
     h = 1e-6
-    fd = (net.forward(x + h) - net.forward(x - h)) / (2 * h)
+    fd = (forward(net, x + h) - forward(net, x - h)) / (2 * h)
     np.testing.assert_allclose(input_gradient(net, x)[:, 0], fd, rtol=1e-6)
 
 
@@ -140,7 +149,7 @@ def test_scalar_batch_slope_matches_input_gradient():
     xs = np.linspace(-2, 2, 9)
     vals, slopes, _ = net.scalar_batch(xs, want_slope=True)
     for x, v, s in zip(xs, vals, slopes):
-        assert v == pytest.approx(float(net.forward(np.array([x]))[0]), abs=1e-14)
+        assert v == pytest.approx(float(forward(net, np.array([x]))[0]), abs=1e-14)
         assert s == pytest.approx(float(input_gradient(net, np.array([x]))[0, 0]), rel=1e-12)
 
 
@@ -155,6 +164,22 @@ def test_weighted_param_gradient_matches_sum_of_pointwise():
         for x, wi in zip(xs, w)
     )
     np.testing.assert_allclose(combined, pointwise, rtol=1e-12, atol=1e-15)
+
+
+def test_stacked_one_row_caches_serve_one_backward_call():
+    net = init_network([1, 8, 8, 1], seed=6)
+    xs = np.array([0.05, 0.4, 1.3])
+    wv = np.array([0.7, -0.2, 1.1])
+    ws = np.array([1.5, 0.9, -0.4])
+    _, _, batched = net.scalar_batch(xs, want_slope=True)
+    rows = [net.scalar_batch(np.array([x]), want_slope=True)[2] for x in xs]
+    stacked = stack_caches(rows)
+    want = net.weighted_value_slope_param_gradient(batched, wv, ws).to_vector()
+    got = net.weighted_value_slope_param_gradient(stacked, wv, ws).to_vector()
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(net.weighted_param_gradient(stacked, wv).to_vector(),
+                               net.weighted_param_gradient(batched, wv).to_vector(),
+                               rtol=1e-12, atol=1e-15)
 
 
 def test_value_slope_param_gradient_matches_fd():
