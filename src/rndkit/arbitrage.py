@@ -89,8 +89,8 @@ def build_synthetic_grid(taus, strikes) -> SyntheticGrid:
 # penalty terms
 
 
-def _slope_slice(bound, tau, rate) -> MaturitySlice:
-    return MaturitySlice(tau, rate, *bound.columns(tau, rate))
+def _slope_slice(bound, tau, rate, hint=None) -> MaturitySlice:
+    return MaturitySlice(tau, rate, *bound.columns(tau, rate), hint)
 
 
 def penalty_calendar_call(model, tau, strike, spot, rate, samples) -> float:
@@ -138,20 +138,22 @@ class PenaltyReport:
         }
 
 
-def total_penalty(model, grid: SyntheticGrid, spot, rate_fn, samples, threads=None) -> PenaltyReport:
+def total_penalty(model, grid: SyntheticGrid, spot, rate_fn, samples, threads=None,
+                  hints=None) -> PenaltyReport:
     """Hinged penalty over the whole grid plus martingale terms per maturity.
 
     rate_fn maps a maturity to its interpolated rate.  The model is bound
     to the draws once, so G_Z(Z) is evaluated once for the whole grid; log
     returns and their maturity derivative are formed once per maturity and
-    shared across strikes and sides.
+    shared across strikes and sides.  ``hints`` optionally maps a maturity
+    to a candidate sort order for its slice, as in ``pricing.price_chain``.
     """
     bound = bind(model, samples)
 
     def run_tau(tau):
         # signed calendar rows (call, then put, at each strike) and the
         # (tau, squared martingale defect) pair
-        table = _slope_slice(bound, tau, rate_fn(tau))
+        table = _slope_slice(bound, tau, rate_fn(tau), (hints or {}).get(tau))
         rows = []
         for k in grid.strikes:
             m = k / spot

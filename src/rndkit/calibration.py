@@ -50,7 +50,7 @@ from .models import (
     model_kind,
     rnq_mu_from_constraint,
 )
-from .nn import DenseNetwork, softplus, softplus_prime, stack_caches
+from .nn import DenseNetwork, Scratch, softplus, softplus_prime, stack_caches
 from .numerics import logmeanexp
 from .pricing import MaturitySlice, price_chain
 from .sampling import draw_standard_normal
@@ -393,7 +393,7 @@ class _QuantileAdapter(_Adapter):
             raise ValueError("the quantile model is single-maturity; "
                              f"the chain has {n_taus} maturities")
 
-    def build_tables(self, model, taus, chain_rate, z, hints=None):
+    def build_tables(self, model, taus, chain_rate, z, hints=None, scratch=None):
         """The one maturity's table, plus the shape factor for the gradient."""
         tau = float(taus[0])
         rate = chain_rate(tau)
@@ -433,9 +433,11 @@ class _QuantileAdapter(_Adapter):
 class _NetworkAdapter(_Adapter):
     """rn-mlp and rn-dmlp: a mixture of one or two network components.
 
-    The tables come from a caching binding: net_z's cache over the draws
-    and one-row net_mu and net_tau caches per maturity, which are stacked
-    so one backward pass per network serves every maturity at once.
+    The tables come from the loop's binding, which keeps G_Z and one-row
+    net_mu and net_tau caches per maturity; the tau-net caches are stacked
+    so one backward pass per network serves every maturity at once, and
+    net_z's backward recomputes its activations block by block in the
+    fit's scratch.
     """
 
     def __init__(self, init_model, has_alpha):
@@ -467,9 +469,9 @@ class _NetworkAdapter(_Adapter):
             return RnDmlpParams(alpha=float(vec[0]), comp1=comps[0], comp2=comps[1])
         return comps[0]
 
-    def build_tables(self, model, taus, chain_rate, z, hints=None):
-        """X, growth and d/dtau tables per maturity, plus the caching binding."""
-        bound = _TrainingBinding(model, z)
+    def build_tables(self, model, taus, chain_rate, z, hints=None, scratch=None):
+        """X, growth and d/dtau tables per maturity, plus the loop's binding."""
+        bound = _TrainingBinding(model, z, Scratch() if scratch is None else scratch)
         tables = {}
         for tau in taus:
             tau = float(tau)
@@ -482,7 +484,7 @@ class _NetworkAdapter(_Adapter):
             table.adjoint_weights()
         parts = []
         comp_proj = []  # sum over (tau, n) of wx dX_comp + wd dslope_comp
-        for (coef, comp, gz, cache_z), rows in zip(bound._parts, bound._rows):
+        for (coef, comp, gz), rows in zip(bound._parts, bound._rows):
             gmu, gmu_s, gtau, gtau_s, caches_mu, caches_tau = zip(*rows)
             wz = np.zeros_like(z)
             zg = z * gz
@@ -516,7 +518,7 @@ class _NetworkAdapter(_Adapter):
             comp_proj.append(proj)
             g_mu = comp.net_mu.weighted_value_slope_param_gradient(
                 stack_caches(caches_mu), wv_mu, ws_mu)
-            g_z = comp.net_z.weighted_param_gradient(cache_z, wz)
+            g_z = comp.net_z.blocked_param_gradient(z, wz, bound.scratch)
             g_tau = comp.net_tau.weighted_value_slope_param_gradient(
                 stack_caches(caches_tau), wv_tau, ws_tau)
             parts += [[d_sigma], g_mu.to_vector(), g_z.to_vector(), g_tau.to_vector()]
@@ -525,10 +527,15 @@ class _NetworkAdapter(_Adapter):
 
 
 class _TrainingBinding(BoundModel):
-    """The loop's binding: every network pass keeps its backward cache."""
+    """The loop's binding: the tau-net passes keep their backward caches,
+    and the fit's scratch stays for net_z's blocked backward pass."""
 
-    __slots__ = ()
+    __slots__ = ("scratch",)
     _keep_caches = True
+
+    def __init__(self, model, z, scratch):
+        super().__init__(model, z, scratch)
+        self.scratch = scratch
 
 
 _ADAPTERS = {
@@ -549,12 +556,14 @@ def _adapter_of(model):
     return _ADAPTERS[model_kind(model)]
 
 
-def _objective_parts(adapter, model, chain, grid, config, samples, hints=None):
+def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
+                     scratch=None):
     """Loss, natural-parameter gradient, and the penalty and sort orders.
 
     ``hints`` maps a maturity to a candidate sort order for its slice;
     the returned ``orders`` hold each slice's order for the next
-    evaluation.
+    evaluation.  ``scratch`` is the ``nn.Scratch`` for the network
+    passes, one per fit; without it the evaluation makes its own.
     """
     z = samples.values
     n = z.size
@@ -565,7 +574,7 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None):
         all_taus = sorted(set(market_taus) | {float(t) for t in grid.taus})
     else:
         all_taus = market_taus
-    tables, aux = adapter.build_tables(model, all_taus, chain.rate, z, hints)
+    tables, aux = adapter.build_tables(model, all_taus, chain.rate, z, hints, scratch)
 
     # pass 1: price every quote from the cumulative sums
     quotes = [q for tau in market_taus for q in groups[tau]]
@@ -645,9 +654,11 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     updates after the last evaluation, so the returned parameters
     reproduce the last trajectory entry exactly.  Each evaluation starts
     every maturity's sort from the order the previous evaluation found;
-    only those order arrays, reordered in place, are kept between
-    iterations.  The final metrics price the returned model bound to the
-    loop's draws, and that binding is returned as ``bound``.
+    only those order arrays, reordered in place, and one block-sized
+    ``nn.Scratch`` for the network passes are kept between iterations.
+    The final metrics price the returned model bound to the loop's draws,
+    starting each maturity's sort from the last evaluation's order, and
+    that binding is returned as ``bound``.
     """
     t0 = time.perf_counter()
     if not train_chain.quotes:
@@ -668,10 +679,11 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     converged = False
     current = adapter.from_state(model, state)
     orders = None
+    scratch = Scratch()
     for it in range(config.iterations):
         try:
             loss, nat_grad, parts = _objective_parts(adapter, current, train_chain, grid,
-                                                     config, samples, orders)
+                                                     config, samples, orders, scratch)
         except FloatingPointError as exc:
             raise CalibrationDivergence(it, str(exc)) from exc
         if not np.isfinite(loss):
@@ -697,14 +709,16 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     final = adapter.finalize(current, train_chain, samples)
 
     # a maturity's X and dX/dtau depend only on (model, draws, tau, rate),
-    # so the final metrics reproduce the last evaluation bit for bit
+    # so the final metrics reproduce the last evaluation bit for bit, and
+    # its orders are valid hints: each slice re-sorts in O(N)
     bound = bind(final, samples)
-    prices = price_chain(bound, train_chain, samples)
+    prices = price_chain(bound, train_chain, samples, hints=orders)
     observed = np.array([q.mid for q in train_chain.quotes])
     sides = [q.side for q in train_chain.quotes]
     final_mse = mse(observed, prices, sides)
     final_rel, n_excl = relative_mse(observed, prices, sides, config.relative_mse_floor)
-    report = total_penalty(bound, grid, train_chain.spot, train_chain.rate, samples)
+    report = total_penalty(bound, grid, train_chain.spot, train_chain.rate, samples,
+                           hints=orders)
 
     result = CalibrationResult(
         kind=kind,

@@ -14,9 +14,9 @@ X = ln(S_T / S_t):
 The additive structure keeps the maturity derivative of X analytic, which
 the no-arbitrage penalties rely on.  It also means G_Z(Z), the only
 network term evaluated on all N draws, does not depend on tau: ``bind``
-evaluates it once per (model, draws), and every maturity of every
-consumer, the calibration loop included, reads X and dX/dtau from that
-binding, one maturity at a time.
+evaluates it once per (model, draws), in fixed blocks that keep only
+G_Z, and every maturity of every consumer, the calibration loop
+included, reads X and dX/dtau from that binding, one maturity at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from .nn import DenseNetwork, init_network
+from .nn import DenseNetwork, Scratch, init_network
 from .numerics import logmeanexp
 from .sampling import NormalSampleSet
 
@@ -174,30 +174,34 @@ class BoundModel:
     """A model bound to one draw vector: the one evaluator of X and dX/dtau.
 
     G_Z, the only network term run over all N draws, does not depend on
-    tau, so each ``net_z`` runs once, here.  A maturity then costs two
-    one-row passes (``net_mu``, ``net_tau``) per component, so its values
-    depend only on (model, draws, tau, rate).  Calibration, pricing,
-    penalties, the audit and the density all read X and dX/dtau here.
-    Build it with ``bind``; it never changes, so pool threads may share
-    one.  The calibration loop's own subclass sets ``_keep_caches``: every
-    pass keeps its backward cache and ``_rows`` collects, per component,
-    one (G_mu, G_mu', G_tau, G_tau', caches) row per maturity, in order.
+    tau, so each ``net_z`` runs once, here, in blocks through a
+    ``nn.Scratch`` (``DenseNetwork.blocked_values``); only G_Z, N floats
+    per component, is kept.  A maturity then costs two one-row passes
+    (``net_mu``, ``net_tau``) per component, so its values depend only
+    on (model, draws, tau, rate).  Calibration, pricing, penalties, the
+    audit and the density all read X and dX/dtau here.  Build it with
+    ``bind``, which gives the binding a scratch of its own for the one
+    pass; it never changes afterwards, so pool threads may share one.
+    The calibration loop's own subclass passes the fit's scratch, which
+    its gradient reuses to recompute net_z block by block, and sets
+    ``_keep_caches``: ``_rows`` then collects, per component, one
+    (G_mu, G_mu', G_tau, G_tau', caches) row per maturity, in order.
     """
 
     __slots__ = ("model", "kind", "z", "_parts", "_rows")
     _keep_caches = False
 
-    def __init__(self, model, z):
+    def __init__(self, model, z, scratch=None):
         self.model = model
         self.kind = model_kind(model)
         # Private read-only copy: ``bind`` compares draws against it, so
         # a caller mutating its own array cannot leave G_Z stale.
         self.z = np.array(z, dtype=float)
         self.z.setflags(write=False)
-        # (coefficient, component, G_Z(Z), net_z cache) in mixture order
-        self._parts = tuple(
-            (coef, comp, *comp.net_z.scalar_batch(self.z, keep_cache=self._keep_caches))
-            for coef, comp in mixture_components(model))
+        scratch = Scratch() if scratch is None else scratch
+        # (coefficient, component, G_Z(Z)) in mixture order
+        self._parts = tuple((coef, comp, comp.net_z.blocked_values(self.z, scratch))
+                            for coef, comp in mixture_components(model))
         self._rows = tuple([] for _ in self._parts)
 
     def log_returns(self, tau, rate) -> np.ndarray:
@@ -240,7 +244,7 @@ class BoundModel:
             raise ValueError("maturity derivative needs tau > 0")
         z, t, root, keep = self.z, np.array([tau]), np.sqrt(tau), self._keep_caches
         terms = []
-        for (coef, comp, gz, _), rows in zip(self._parts, self._rows):
+        for (coef, comp, gz), rows in zip(self._parts, self._rows):
             gmu, gmu_s, cache_mu = comp.net_mu.scalar_batch(t, want_slope=True, keep_cache=keep)
             gtau, gtau_s, cache_tau = comp.net_tau.scalar_batch(t, want_slope=True, keep_cache=keep)
             gmu, gmu_s, gtau, gtau_s = float(gmu[0]), float(gmu_s[0]), float(gtau[0]), float(gtau_s[0])

@@ -172,11 +172,13 @@ def price_with_stderr(model, req: PriceRequest, samples):
     return value, np.sqrt(max(second - value * value, 0.0) / n)
 
 
-def price_chain(model, chain, samples, threads=None) -> np.ndarray:
+def price_chain(model, chain, samples, threads=None, hints=None) -> np.ndarray:
     """Price every quote in a chain from one maturity slice per maturity.
 
     The model is bound to the draws before the per-maturity fan-out.
-    Returns prices aligned with ``chain.quotes``.
+    ``hints`` optionally maps a maturity to a candidate order for its
+    slice (see ``MaturitySlice``), handed over as there.  Returns prices
+    aligned with ``chain.quotes``.
     """
     bound = bind(model, samples)
     quotes = chain.quotes
@@ -190,7 +192,7 @@ def price_chain(model, chain, samples, threads=None) -> np.ndarray:
         rate = chain.rate(tau)
         if tau == 0.0:
             return idx, [_intrinsic(quotes[i].side, chain.spot, quotes[i].strike) for i in idx]
-        table = MaturitySlice(tau, rate, bound.log_returns(tau, rate))
+        table = MaturitySlice(tau, rate, bound.log_returns(tau, rate), hint=(hints or {}).get(tau))
         return idx, [table.price(quotes[i].side, quotes[i].strike, chain.spot)[0] for i in idx]
 
     prices = np.empty(len(quotes))

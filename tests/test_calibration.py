@@ -1,5 +1,7 @@
 """Objective, gradient, and optimizer tests for model calibration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -340,6 +342,63 @@ def test_warm_started_sorts_reproduce_cold_sorts(call_chain, three_maturity_chai
     doc_warm, doc_cold = warm.to_jsonable(), cold.to_jsonable()
     del doc_warm["wall_time"], doc_cold["wall_time"]
     assert doc_warm == doc_cold
+
+
+@pytest.mark.parametrize("kind", ["rn-q", "rn-mlp", "rn-dmlp"])
+def test_final_metrics_start_from_the_loops_orders(call_chain, three_maturity_chain,
+                                                   monkeypatch, kind):
+    # the final pricing and penalty re-sort every maturity from the last
+    # evaluation's order, so no sort there sees unsorted growth, and the
+    # results equal cold sorts bit for bit
+    chain = call_chain if kind == "rn-q" else three_maturity_chain
+    cfg = CalibrationConfig(n_samples=4000, seed=9, iterations=6)
+    real_argsort = np.argsort
+    unsorted = []
+
+    def spy(a, *args, **kwargs):
+        a = np.asarray(a)
+        unsorted.append(bool(np.any(a[1:] < a[:-1])))
+        return real_argsort(a, *args, **kwargs)
+
+    def in_final_metrics(fn):
+        def run(*args, **kwargs):
+            with monkeypatch.context() as m:
+                m.setattr(np, "argsort", spy)
+                return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(calibration, "price_chain", in_final_metrics(price_chain))
+    monkeypatch.setattr(calibration, "total_penalty", in_final_metrics(total_penalty))
+    res = calibrate(kind, chain, cfg)
+    grid = grid_for(chain)
+    # one slice per quoted maturity for the prices, one per grid maturity
+    assert len(unsorted) == len({q.tau for q in chain.quotes}) + len(grid.taus)
+    if kind != "rn-q":
+        # rn-q's final location is recomputed, so its X may tie or round
+        # differently from the loop's, and its slices may sort cold
+        assert not any(unsorted)
+    samples = draw_standard_normal(cfg.n_samples, cfg.seed)
+    cold = price_chain(res.params, chain, samples)
+    observed = np.array([q.mid for q in chain.quotes])
+    assert mse(observed, cold, [q.side for q in chain.quotes]) == res.final_train_mse
+    report = total_penalty(res.params, grid, chain.spot, chain.rate, samples)
+    assert report.to_jsonable() == res.final_penalty.to_jsonable()
+
+
+def test_network_objective_holds_no_n_by_width_arrays(three_maturity_chain):
+    # net_z's activations live in one block-sized scratch: the evaluation's
+    # peak is the maturity slices' N-length arrays, not N x 32 per layer
+    cfg = CalibrationConfig(n_samples=100_000, seed=9)
+    samples = draw_standard_normal(cfg.n_samples, cfg.seed)
+    model = init_rndmlp(4)
+    grid = grid_for(three_maturity_chain)
+    tracemalloc.start()
+    try:
+        objective_and_gradient(model, three_maturity_chain, grid, cfg, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 @pytest.mark.parametrize("kind", ["rn-mlp", "rn-dmlp"])

@@ -189,34 +189,47 @@ def test_evaluate_train_mse_matches_network_calibration_result(dmlp_dir, tmp_pat
     assert metrics["train"]["mse"] == result["final_train_mse"]
 
 
+def _net_z_row_spy(monkeypatch, rows):
+    """Count the rows of every net_z pass into ``rows``, keyed by whether
+    the pass keeps its cache (a gradient's recompute) or not (a value pass).
+
+    net_z passes run over blocks of the draws and ask for no slopes; the
+    tau nets' one-row passes always do.
+    """
+    scalar_batch = DenseNetwork.scalar_batch
+
+    def spy(self, x, want_slope=False, keep_cache=True, **kwargs):
+        if not want_slope:
+            rows["recompute" if keep_cache else "value"] += np.size(x)
+        return scalar_batch(self, x, want_slope=want_slope, keep_cache=keep_cache, **kwargs)
+
+    monkeypatch.setattr(DenseNetwork, "scalar_batch", spy)
+
+
 @pytest.mark.parametrize("kind", ["rn-q", "rn-dmlp"])
 def test_calibrate_draws_once_and_binds_once(sim_dir, tmp_path, monkeypatch, kind):
     draws = []
-    full_passes = []
+    rows = {"value": 0, "recompute": 0}
     real_draw = calibration.draw_standard_normal
-    scalar_batch = DenseNetwork.scalar_batch
 
     def draw_spy(*args, **kwargs):
         draws.append(args)
         return real_draw(*args, **kwargs)
 
-    def pass_spy(self, x, *args, **kwargs):
-        if np.size(x) == 2000:
-            full_passes.append(1)
-        return scalar_batch(self, x, *args, **kwargs)
-
     monkeypatch.setattr(calibration, "draw_standard_normal", draw_spy)
     monkeypatch.setattr(cli, "draw_standard_normal", draw_spy)
-    monkeypatch.setattr(DenseNetwork, "scalar_batch", pass_spy)
-    iterations = 3
+    _net_z_row_spy(monkeypatch, rows)
+    iterations, n = 3, 2000
     assert main(["calibrate", "--chain", str(sim_dir / "left-skew_chain.csv"),
-                 "--kind", kind, "--out", str(tmp_path), "--samples", "2000",
+                 "--kind", kind, "--out", str(tmp_path), "--samples", str(n),
                  "--iterations", str(iterations), "--seed", "3"]) == 0
     assert len(draws) == 1
-    # one G_Z pass per component per evaluation, plus the final binding,
-    # which the audit reuses
+    # one G_Z value pass per component per evaluation, plus the final
+    # binding, which the audit reuses; each evaluation's gradient
+    # recomputes net_z's activations once per component
     n_components = {"rn-q": 0, "rn-dmlp": 2}[kind]
-    assert len(full_passes) == n_components * (iterations + 1)
+    assert rows["value"] == n_components * (iterations + 1) * n
+    assert rows["recompute"] == n_components * iterations * n
 
 
 def test_evaluate_empty_extreme_set_gives_nulls_and_warning(
@@ -375,19 +388,14 @@ def test_network_checkpoint_artifacts_do_not_depend_on_threads(dmlp_dir, tmp_pat
 
 def test_network_checkpoint_commands_pass_draws_once_per_component(
         dmlp_dir, tmp_path, monkeypatch):
-    full_passes = []
-    scalar_batch = DenseNetwork.scalar_batch
-
-    def spy(self, x, *args, **kwargs):
-        if np.size(x) == DMLP_SAMPLES:
-            full_passes.append(1)
-        return scalar_batch(self, x, *args, **kwargs)
-
-    monkeypatch.setattr(DenseNetwork, "scalar_batch", spy)
+    rows = {"value": 0, "recompute": 0}
+    _net_z_row_spy(monkeypatch, rows)
     for name, argv in _network_commands(dmlp_dir, tmp_path, 2).items():
-        full_passes.clear()
+        rows.update(value=0, recompute=0)
         assert main(argv) == 0
-        assert len(full_passes) <= 2, name  # one G_Z pass per mixture component
+        assert rows["recompute"] == 0, name
+        # one G_Z pass over the draws per mixture component
+        assert 0 < rows["value"] <= 2 * DMLP_SAMPLES, name
 
 
 def test_evaluate_sorts_each_maturity_once(dmlp_dir, tmp_path, monkeypatch):

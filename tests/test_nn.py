@@ -1,7 +1,21 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rndkit.nn import DenseNetwork, init_network, softplus, softplus_prime, stack_caches
+from rndkit.nn import (
+    BLOCK_ROWS,
+    DenseNetwork,
+    Scratch,
+    _block_bounds,
+    init_network,
+    softplus,
+    softplus_prime,
+    stack_caches,
+)
 
 from oracles import backward_params, forward, input_gradient, softplus_double_prime
 
@@ -89,6 +103,74 @@ def test_scalar_batch_without_cache_gives_the_same_bits():
     assert slopes.tobytes() == bare_slopes.tobytes()
     values_only, none = net.scalar_batch(xs, keep_cache=False)
     assert none is None and values_only.tobytes() == vals.tobytes()
+
+
+BLOCKED_SIZES = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17)
+
+# Run in a child with one BLAS thread: a multi-threaded BLAS splits one
+# large product's rows between its threads at offsets of its own choosing,
+# which moves the whole-array reference's last bits with the thread count.
+# perfbench pins its workloads to one BLAS thread the same way.
+_BLOCKED_VALUES_CHECK = """
+import numpy as np
+from rndkit.nn import Scratch, init_network
+sizes = {sizes!r}
+for dims in ([1, 32, 32, 1], [1, 4, 1], [1, 5, 7, 1]):
+    net = init_network(dims, seed=3)
+    scratch = Scratch()
+    rng = np.random.Generator(np.random.Philox(7))
+    for n in sizes:
+        x = 2.0 * rng.normal(size=n)
+        whole = net.scalar_batch(x, keep_cache=False)[0]
+        assert net.blocked_values(x, scratch).tobytes() == whole.tobytes(), (dims, n)
+print("ok")
+"""
+
+
+def test_blocks_cover_the_rows_at_aligned_starts():
+    half = BLOCK_ROWS // 2
+    for n in (*BLOCKED_SIZES, BLOCK_ROWS + half - 1, BLOCK_ROWS + half, 7 * BLOCK_ROWS - 1):
+        bounds = _block_bounds(n)
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        for lo, hi in bounds:
+            assert lo % half == 0
+            assert min(n, half) <= hi - lo <= BLOCK_ROWS, (n, lo, hi)
+
+
+def test_blocked_values_equal_one_whole_array_pass():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", _BLOCKED_VALUES_CHECK.format(sizes=BLOCKED_SIZES)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0 and run.stdout.strip() == "ok", run.stderr
+
+
+def test_blocked_param_gradient_matches_whole_array_without_n_row_arrays():
+    net = init_network([1, 32, 32, 1], seed=3)
+    rng = np.random.Generator(np.random.Philox(8))
+    scratch = Scratch()
+    for n in BLOCKED_SIZES:
+        x = rng.normal(size=n)
+        w = rng.normal(size=n)
+        want = net.weighted_param_gradient(net.scalar_batch(x)[1], w).to_vector()
+        got = net.blocked_param_gradient(x, w, scratch).to_vector()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # one scratch serves every pass: its buffers are made once, and no
+    # array of N rows by the hidden width is allocated
+    buffers = dict(scratch._buffers)
+    n = 20 * BLOCK_ROWS
+    x, w = rng.normal(size=n), rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        net.blocked_values(x, scratch)
+        net.blocked_param_gradient(x, w, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(scratch._buffers[key] is buf for key, buf in buffers.items())
+    assert len(scratch._buffers) == len(buffers)
+    assert peak < 2 * n * 8  # the outputs and one weight vector; N x 32 is 16x that
 
 
 def test_backward_params_zero_upstream():
