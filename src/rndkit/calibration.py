@@ -282,20 +282,31 @@ class _TauTable(MaturitySlice):
         target[pos] -= coeff
 
     def adjoint_weights(self):
-        """Per-sample weights (wx on dX, wd on d slope) in draw order."""
-        n = self.gs.size
+        """Per-sample weights (wx on dX, wd on d slope) in draw order.
+
+        This spends the slice: its growth, slope, sorted and prefix-sum
+        arrays and both accumulators are released as soon as they are
+        read, so the backward passes that follow hold only ``order``,
+        ``wx`` and ``wd`` per maturity among the slice's N-length arrays.
+        The products are formed in place, with the same operands.
+        """
+        order, gs, slope = self.order, self.gs, self.slope
+        n = gs.size
         pen = np.cumsum(self.coef_pen[:n])
         data = np.cumsum(self.coef_data[:n])
-        wd_sorted = pen * self.gs
-        if self.slope is None:
-            wx_sorted = data * self.gs
-        else:
-            a_sorted = (self.slope - self.rate)[self.order] * self.gs
-            wx_sorted = pen * a_sorted + data * self.gs
-        wx = np.empty(n)
+        self.growth = self.slope = self.gs = self.cum_g = self.cum_a = None
+        self.coef_pen = self.coef_data = None
         wd = np.empty(n)
-        wx[self.order] = wx_sorted
-        wd[self.order] = wd_sorted
+        wd[order] = pen * gs
+        data *= gs
+        if slope is not None:
+            a_sorted = (slope - self.rate)[order]
+            del slope
+            a_sorted *= gs
+            pen *= a_sorted
+            data += pen  # pen * a_sorted + data * gs
+        wx = np.empty(n)
+        wx[order] = data
         self.wx, self.wd = wx, wd
         return wx, wd
 
@@ -409,8 +420,8 @@ class _QuantileAdapter(_Adapter):
         softmax-weighted mean-field term: dX_n = dt_n - sum_m rho_m dt_m.
         """
         (table,) = tables.values()
-        wx, _ = table.adjoint_weights()
         rho = table.growth / (table.growth.size * table.mean_growth)
+        wx, _ = table.adjoint_weights()
         w_eff = wx - np.sum(wx) * rho
         dt_sigma = z * shape
         zz = model.sigma * z * z
@@ -557,13 +568,16 @@ def _adapter_of(model):
 
 
 def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
-                     scratch=None):
+                     scratch=None, needs_gradient=None):
     """Loss, natural-parameter gradient, and the penalty and sort orders.
 
     ``hints`` maps a maturity to a candidate sort order for its slice;
     the returned ``orders`` hold each slice's order for the next
     evaluation.  ``scratch`` is the ``nn.Scratch`` for the network
     passes, one per fit; without it the evaluation makes its own.
+    ``needs_gradient(loss)`` says whether the caller uses the gradient;
+    when it returns false the gradient is None, and its adjoint and
+    backward passes do not run.  Without it the gradient is formed.
     """
     z = samples.values
     n = z.size
@@ -620,7 +634,9 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
     if not np.isfinite(loss):
         raise FloatingPointError("objective is not finite")
 
-    grad = adapter.gradient(model, tables, aux, z)
+    grad = None
+    if needs_gradient is None or needs_gradient(loss):
+        grad = adapter.gradient(model, tables, aux, z)
     return loss, grad, {"penalty": penalty,
                         "orders": {tau: t.order for tau, t in tables.items()}}
 
@@ -652,10 +668,11 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     config.iterations or once the loss improves by less than
     convergence_tol over 100 consecutive iterations.  The loop never
     updates after the last evaluation, so the returned parameters
-    reproduce the last trajectory entry exactly.  Each evaluation starts
-    every maturity's sort from the order the previous evaluation found;
-    only those order arrays, reordered in place, and one block-sized
-    ``nn.Scratch`` for the network passes are kept between iterations.
+    reproduce the last trajectory entry exactly, and that evaluation
+    forms no gradient.  Each evaluation starts every maturity's sort
+    from the order the previous evaluation found; only those order
+    arrays, reordered in place, and one block-sized ``nn.Scratch`` for
+    the network passes are kept between iterations.
     The final metrics price the returned model bound to the loop's draws,
     starting each maturity's sort from the last evaluation's order, and
     that binding is returned as ``bound``.
@@ -680,22 +697,32 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     current = adapter.from_state(model, state)
     orders = None
     scratch = Scratch()
+
+    def has_converged(loss):
+        # the loss, not yet in the trajectory, improved by less than the
+        # tolerance over the window
+        it = len(trajectory)
+        return it >= CONVERGENCE_WINDOW and \
+            trajectory[it - CONVERGENCE_WINDOW] - loss < config.convergence_tol
+
+    def steps_after(loss):
+        # an Adam step follows every evaluation but the converged and the last one
+        return len(trajectory) < config.iterations - 1 and not has_converged(loss)
+
     for it in range(config.iterations):
         try:
             loss, nat_grad, parts = _objective_parts(adapter, current, train_chain, grid,
-                                                     config, samples, orders, scratch)
+                                                     config, samples, orders, scratch,
+                                                     steps_after)
         except FloatingPointError as exc:
             raise CalibrationDivergence(it, str(exc)) from exc
         if not np.isfinite(loss):
             raise CalibrationDivergence(it, f"loss became {loss}")
+        converged = has_converged(loss)
         trajectory.append(loss)
         penalties.append(parts["penalty"])
         orders = parts["orders"]
-        if it >= CONVERGENCE_WINDOW and \
-                trajectory[it - CONVERGENCE_WINDOW] - loss < config.convergence_tol:
-            converged = True
-            break
-        if it == config.iterations - 1:
+        if nat_grad is None:
             break
         grad = adapter.state_gradient(state, nat_grad)
         state = adam_step(adam, state, grad, config.learning_rate)

@@ -23,10 +23,10 @@ from the whole-array one only in the order of its row sums.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "BLOCK_ROWS",
@@ -47,9 +47,22 @@ def softplus(x):
     return out if out.ndim else float(out)
 
 
+def _expit(v):
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        return 0.0  # e^-v is inf
+
+
 def softplus_prime(x):
-    """d/dx softplus = logistic sigmoid."""
-    out = expit(np.asarray(x, dtype=float))
+    """d/dx softplus = logistic sigmoid, 1 / (1 + e^-x).
+
+    Element by element through the C library's ``exp``, which gives
+    ``scipy.special.expit``'s bits; numpy's vectorized ``np.exp`` does
+    not always.  Its callers pass a few Adam coordinates.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.fromiter(map(_expit, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
     return out if out.ndim else float(out)
 
 

@@ -401,6 +401,38 @@ def test_network_objective_holds_no_n_by_width_arrays(three_maturity_chain):
     assert peak < 100e6
 
 
+def test_network_gradient_spends_each_slice_before_the_backward_passes(
+        three_maturity_chain):
+    # adjoint_weights releases a slice's growth, slope, sorted and
+    # prefix-sum arrays, so the gradient adds at most a few N-length
+    # arrays to what the evaluation held when it started (about 18 when
+    # the slices stayed whole), and one objective peaks near its tables
+    n = 100_000
+    cfg = CalibrationConfig(n_samples=n, seed=9)
+    samples = draw_standard_normal(n, cfg.seed)
+    model = init_rndmlp(4)
+    chain = three_maturity_chain
+    grid = grid_for(chain)
+    adapter = calibration._adapter("rn-dmlp")
+    taus = sorted({q.tau for q in chain.quotes} | {float(t) for t in grid.taus})
+    tracemalloc.start()
+    try:
+        objective_and_gradient(model, chain, grid, cfg, samples)
+        objective_peak = tracemalloc.get_traced_memory()[1]
+        tables, bound = adapter.build_tables(model, taus, chain.rate, samples.values)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        adapter.gradient(model, tables, bound, samples.values)
+        gradient_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gradient_peak - held < 4 * 8 * n
+    assert objective_peak < 45e6
+    for table in tables.values():
+        assert table.growth is None and table.gs is None and table.cum_a is None
+        assert table.wx.size == table.wd.size == table.order.size == n
+
+
 @pytest.mark.parametrize("kind", ["rn-mlp", "rn-dmlp"])
 def test_training_tables_match_bound_slices(kind):
     # a maturity's training values depend only on (model, Z, tau, rate),

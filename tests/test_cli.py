@@ -1,6 +1,9 @@
 """End-to-end checks of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -206,30 +209,83 @@ def _net_z_row_spy(monkeypatch, rows):
     monkeypatch.setattr(DenseNetwork, "scalar_batch", spy)
 
 
-@pytest.mark.parametrize("kind", ["rn-q", "rn-dmlp"])
-def test_calibrate_draws_once_and_binds_once(sim_dir, tmp_path, monkeypatch, kind):
+@pytest.mark.parametrize("kind, iterations, tol", [
+    pytest.param("rn-q", 3, None, id="rn-q"),
+    pytest.param("rn-dmlp", 3, None, id="rn-dmlp"),
+    # the window test stops the fit at its first chance, iteration 100
+    pytest.param("rn-dmlp", 150, 1e12, id="rn-dmlp-converged"),
+])
+def test_calibrate_draws_once_and_binds_once(sim_dir, tmp_path, monkeypatch, kind,
+                                             iterations, tol):
     draws = []
+    steps = []
     rows = {"value": 0, "recompute": 0}
     real_draw = calibration.draw_standard_normal
+    real_step = calibration.adam_step
 
     def draw_spy(*args, **kwargs):
         draws.append(args)
         return real_draw(*args, **kwargs)
 
+    def step_spy(*args, **kwargs):
+        steps.append(1)
+        return real_step(*args, **kwargs)
+
     monkeypatch.setattr(calibration, "draw_standard_normal", draw_spy)
     monkeypatch.setattr(cli, "draw_standard_normal", draw_spy)
+    monkeypatch.setattr(calibration, "adam_step", step_spy)
     _net_z_row_spy(monkeypatch, rows)
-    iterations, n = 3, 2000
-    assert main(["calibrate", "--chain", str(sim_dir / "left-skew_chain.csv"),
-                 "--kind", kind, "--out", str(tmp_path), "--samples", str(n),
-                 "--iterations", str(iterations), "--seed", "3"]) == 0
+    n = 2000
+    argv = ["calibrate", "--chain", str(sim_dir / "left-skew_chain.csv"),
+            "--kind", kind, "--out", str(tmp_path), "--samples", str(n),
+            "--iterations", str(iterations), "--seed", "3"]
+    if tol is not None:
+        argv += ["--convergence-tol", str(tol)]
+    assert main(argv) == 0
+    result = json.loads((tmp_path / "calibration_result.json").read_text())
+    run = result["iterations_run"]
+    assert result["converged"] == (tol is not None)
+    assert run == (calibration.CONVERGENCE_WINDOW + 1 if tol is not None else iterations)
     assert len(draws) == 1
     # one G_Z value pass per component per evaluation, plus the final
-    # binding, which the audit reuses; each evaluation's gradient
-    # recomputes net_z's activations once per component
+    # binding, which the audit reuses; a gradient, which recomputes
+    # net_z's activations once per component, is formed only for an
+    # evaluation that an Adam step follows: not the last one
     n_components = {"rn-q": 0, "rn-dmlp": 2}[kind]
-    assert rows["value"] == n_components * (iterations + 1) * n
-    assert rows["recompute"] == n_components * iterations * n
+    assert len(steps) == run - 1
+    assert rows["value"] == n_components * (run + 1) * n
+    assert rows["recompute"] == n_components * (run - 1) * n
+
+
+def _run_child(code, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_importing_the_cli_leaves_scipy_unimported():
+    run = _run_child("import sys, rndkit.cli\n"
+                     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+_PIPELINE_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from rndkit.cli import main
+out = sys.argv[1]
+assert main(["simulate", "--scenario", "left-skew", "--out", out + "/sim"]) == 0
+assert main(["calibrate", "--chain", out + "/sim/left-skew_chain.csv", "--kind", "rn-q",
+             "--samples", "2000", "--iterations", "3", "--out", out + "/fit"]) == 0
+print("ok")
+"""
+
+
+def test_simulate_and_calibrate_run_without_scipy(tmp_path):
+    run = _run_child(_PIPELINE_WITHOUT_SCIPY, str(tmp_path))
+    assert run.returncode == 0 and run.stdout.splitlines()[-1] == "ok", run.stderr
+    assert (tmp_path / "fit" / "checkpoint.json").is_file()
 
 
 def test_evaluate_empty_extreme_set_gives_nulls_and_warning(

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from rndkit.nn import (
     BLOCK_ROWS,
@@ -58,6 +59,15 @@ def test_softplus_derivatives_match_fd():
     fd2 = (softplus_prime(x + h) - softplus_prime(x - h)) / (2 * h)
     np.testing.assert_allclose(softplus_prime(x), fd1, rtol=1e-8, atol=1e-10)
     np.testing.assert_allclose(softplus_double_prime(x), fd2, rtol=1e-7, atol=1e-10)
+
+
+def test_softplus_prime_equals_scipy_expit_bit_for_bit():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 80_001), np.linspace(-800.0, 800.0, 1601),
+                        [708.0, 709.8, 710.0, 1e300, np.inf, 0.0, 5e-324]])
+    x = np.concatenate([x, -x])
+    assert softplus_prime(x).tobytes() == expit(x).tobytes()
+    assert softplus_prime(x.reshape(2, -1)).shape == (2, x.size // 2)
+    assert softplus_prime(-745.0) == 0.0 and isinstance(softplus_prime(1.5), float)
 
 
 def test_forward_zero_parameters():

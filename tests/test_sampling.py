@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
+from rndkit import sampling
 from rndkit.sampling import draw_standard_normal
 
 
@@ -41,3 +43,28 @@ def test_antithetic_pairs():
 def test_rejects_empty_draw():
     with pytest.raises(ValueError):
         draw_standard_normal(0, seed=1)
+
+
+def _lattice_midpoints(seed, n):
+    return np.random.Generator(np.random.Philox(seed)).random(n) + 2.0 ** -54
+
+
+# sizes below, at and across the inverse CDF's chunk length, and one that
+# runs the moment guard
+@pytest.mark.parametrize("seed, n", [(0, 1), (1, 1000), (7, 65_537), (42, 300_001)])
+def test_draws_equal_scipy_ndtri_bit_for_bit(seed, n):
+    want = ndtri(_lattice_midpoints(seed, n))
+    assert draw_standard_normal(n, seed).values.tobytes() == want.tobytes()
+    base = ndtri(_lattice_midpoints(seed, (n + 1) // 2))
+    anti = draw_standard_normal(n, seed, antithetic=True).values
+    assert anti[0::2].tobytes() == base.tobytes()
+    assert anti[1::2].tobytes() == (-base[:n // 2]).tobytes()
+
+
+def test_ndtri_equals_scipy_at_branch_edges_and_in_the_tails():
+    e2, e32 = np.exp(-2.0), np.exp(-32.0)
+    edges = [e2, 1.0 - e2, e32, 2.0 ** -54, 1.0 - 2.0 ** -53, 1.0, 0.0, 0.5]
+    edges += [np.nextafter(v, d) for v in (e2, 1.0 - e2, e32) for d in (0.0, 1.0)]
+    tail = np.logspace(-300, np.log10(e2), 20_000)
+    p = np.concatenate([edges, tail, 1.0 - tail])
+    assert sampling._ndtri(p).tobytes() == ndtri(p).tobytes()
