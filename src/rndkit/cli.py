@@ -48,7 +48,7 @@ from .models import (
     model_kind,
     sample_log_returns,
 )
-from .pricing import MaturitySlice, price_chain
+from .pricing import growth_factors, price_chain
 from .sampling import draw_standard_normal
 
 _TENOR_DAYS = {"d": 1, "w": 7, "m": 30, "y": 365}
@@ -440,7 +440,7 @@ def cmd_report(args) -> int:
     bound = bind(model, samples)
 
     log_returns = bound.log_returns(tau, rate)
-    growth = MaturitySlice(tau, rate, log_returns).growth
+    growth = growth_factors(log_returns, tau)
     bandwidth = silverman_bandwidth(subsample(log_returns))
     grid = np.linspace(log_returns.min() - 4.0 * bandwidth,
                        log_returns.max() + 4.0 * bandwidth, 1001)

@@ -4,6 +4,10 @@ Three ingredients, deliberately independent of the generative models:
 a branch-stable characteristic function with a damped-Fourier pricer, a
 full-truncation Euler Monte Carlo oracle, and the implied density /
 cumulants used as the "true" answers when scoring calibrated models.
+The pricer forms its strikes x quadrature-nodes phase matrix
+STRIKE_BLOCK strikes at a time, so pricing a fine strike grid (as
+``simulate`` does for the true density) holds only block-sized
+temporaries, with the same row sums as the whole matrix.
 
 The dynamics are
 
@@ -36,6 +40,8 @@ __all__ = [
 ]
 
 MC_CHUNK = 131_072
+
+STRIKE_BLOCK = 32
 
 DAMPING_ALPHA = 1.5
 
@@ -193,8 +199,12 @@ def heston_call_prices(p, spot, strikes, tau, rate) -> np.ndarray:
     if np.any(pos):
         u, w, psi = _damped_cf_table(p, spot, tau, rate)
         k = np.log(strikes[pos])
-        phase = np.exp(-1j * np.outer(k, u))
-        integral = (phase * (w * psi)).real.sum(axis=1)
+        w_psi = w * psi
+        integral = np.empty(k.size)
+        for s in range(0, k.size, STRIKE_BLOCK):
+            phase = np.exp(-1j * np.outer(k[s:s + STRIKE_BLOCK], u))
+            phase *= w_psi
+            integral[s:s + STRIKE_BLOCK] = phase.real.sum(axis=1)
         out[pos] = np.exp(-DAMPING_ALPHA * k) / np.pi * integral
     return out
 

@@ -16,8 +16,10 @@ the audit all read the same slice.  The calibration loop hands each slice
 the previous iteration's order as a hint: the slice re-sorts the growth
 factors in that order, which is nearly sorted and so costs about O(N),
 and keeps the result only when it is strictly increasing, the one case in
-which it must equal the cold stable sort; otherwise it sorts cold.  Each
-entry point binds the model to the draws once (``models.bind``), so
+which it must equal the cold stable sort; otherwise it sorts cold, with
+numpy's default sort under the same test and the stable sort only on
+ties.  ``growth_factors`` is e^X alone, for callers that need no sums.
+Each entry point binds the model to the draws once (``models.bind``), so
 G_Z(Z) is evaluated once per call however many maturities it prices, and
 not at all when the caller passes a model already bound to these draws.
 """
@@ -31,7 +33,8 @@ import numpy as np
 from .models import bind, sample_log_returns
 from .numerics import kahan_sum, parallel_map
 
-__all__ = ["MaturitySlice", "PriceRequest", "price", "price_with_stderr", "price_chain"]
+__all__ = ["MaturitySlice", "PriceRequest", "growth_factors", "price", "price_with_stderr",
+           "price_chain"]
 
 SIDES = ("call", "put")
 
@@ -79,11 +82,7 @@ class MaturitySlice:
                  "cum_a", "mean_growth")
 
     def __init__(self, tau, rate, x, slope=None, hint=None):
-        with np.errstate(over="ignore"):
-            growth = np.exp(x)
-        if not np.all(np.isfinite(growth)):
-            raise FloatingPointError(
-                f"model produced non-finite growth factors at tau={float(tau):.6g}")
+        growth = growth_factors(x, tau)
         self.tau = tau
         self.rate = rate
         self.growth = growth
@@ -130,21 +129,41 @@ class MaturitySlice:
         return value / n, pos
 
 
+def growth_factors(x, tau):
+    """e^X at one maturity; raises FloatingPointError if any overflows."""
+    with np.errstate(over="ignore"):
+        growth = np.exp(x)
+    if not np.all(np.isfinite(growth)):
+        raise FloatingPointError(
+            f"model produced non-finite growth factors at tau={float(tau):.6g}")
+    return growth
+
+
 def _stable_order(growth, hint):
     """Stable ascending order of ``growth`` and the sorted values.
 
-    A full-length hint whose re-sorted values are strictly increasing
-    indexes every draw once, so it is the unique stable order; it is
-    then permuted in place (``take`` buffers ``out`` in raise mode).
+    An order whose sorted values are strictly increasing is the unique
+    stable order, whatever sort produced it.  So a full-length hint is
+    tried first and, when it passes, permuted in place (``take`` buffers
+    ``out`` in raise mode); otherwise numpy's default sort, which is
+    cheaper than the stable one, and the stable sort only on ties.
     """
     if hint is not None and hint.size == growth.size:
         near = growth[hint]
         perm = np.argsort(near, kind="stable")
         gs = near[perm]
-        if np.all(gs[1:] > gs[:-1]):
+        if _strictly_increasing(gs):
             return np.take(hint, perm, out=hint), gs
-    order = np.argsort(growth, kind="stable")
-    return order, growth[order]
+    order = np.argsort(growth)
+    gs = growth[order]
+    if not _strictly_increasing(gs):
+        order = np.argsort(growth, kind="stable")
+        gs = growth[order]
+    return order, gs
+
+
+def _strictly_increasing(values):
+    return bool(np.all(values[1:] > values[:-1]))
 
 
 def _intrinsic(side, spot, strike) -> float:

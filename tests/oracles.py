@@ -2,9 +2,11 @@
 
 These stay deliberately separate from the package code paths they check:
 Black-Scholes via the error function, normal integrals via adaptive
-quadrature, and network values and derivatives at a single input by
+quadrature, network values and derivatives at a single input by
 plain layer-by-layer evaluation and chain rule (the package evaluates
-networks only through ``DenseNetwork.scalar_batch``).
+networks only through ``DenseNetwork.scalar_batch``), and the Fourier
+pricer's and kernel density's sums as one dense 2-D array each (the
+package forms them in fixed row blocks).
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import expit
 
+from rndkit.heston import DAMPING_ALPHA, _damped_cf_table, _log_cf
 from rndkit.nn import ParamGradient
 
 
@@ -93,3 +96,39 @@ def input_gradient(net, x):
     for sig, w in zip(sigs, net.weights[1:]):
         jac = w @ (sig[0][:, None] * jac)
     return jac
+
+
+# ----------------------------------------------------------------------
+# dense 2-D sums
+
+
+def heston_call_prices_dense(p, spot, strikes, tau, rate):
+    """Call prices from the whole strikes x nodes phase matrix at once."""
+    strikes = np.asarray(strikes, dtype=float)
+    out = np.empty(strikes.shape)
+    zero = strikes == 0.0
+    if np.any(zero):
+        disc = np.exp(-rate * tau)
+        out[zero] = disc * np.exp(_log_cf(p, np.array(-1j), tau, spot, rate)).real
+    pos = ~zero
+    if np.any(pos):
+        u, w, psi = _damped_cf_table(p, spot, tau, rate)
+        k = np.log(strikes[pos])
+        phase = np.exp(-1j * np.outer(k, u))
+        integral = (phase * (w * psi)).real.sum(axis=1)
+        out[pos] = np.exp(-DAMPING_ALPHA * k) / np.pi * integral
+    return out
+
+
+def kernel_values_dense(x, grid, bandwidth, xblock):
+    """Gaussian kernel sums from whole grid x draw-block arrays.
+
+    The draws are summed in the same ``xblock`` chunks as the package,
+    so each grid point's total is accumulated in the same order.
+    """
+    norm = x.size * bandwidth * np.sqrt(2.0 * np.pi)
+    acc = np.zeros(grid.size)
+    for xs in range(0, x.size, xblock):
+        u = (grid[:, None] - x[None, xs:xs + xblock]) / bandwidth
+        acc += np.exp(-0.5 * u * u).sum(axis=1)
+    return acc / norm

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import rndkit.density as density
 from rndkit.density import (
     DensityEstimate,
     characteristics,
@@ -13,7 +16,7 @@ from rndkit.density import (
 from rndkit.models import RnQParams, bind, init_rndmlp, zero_net_rnmlp
 from rndkit.sampling import draw_standard_normal
 
-from oracles import norm_pdf
+from oracles import kernel_values_dense, norm_pdf
 
 
 def gaussian_rnq(mu=0.01, scale=0.15):
@@ -83,6 +86,30 @@ def test_kde_shift_moves_mode():
     shifted = kde_log_return(gaussian_rnq(mu=0.2), 0.25, z, grid)
     mode_gap = grid[np.argmax(shifted.values)] - grid[np.argmax(base.values)]
     assert abs(mode_gap - 0.2) <= cell + 1e-12
+
+
+def test_kernel_values_blocked_equal_dense_arrays():
+    # a partial last block along both the draws and the grid
+    x = 0.2 * np.random.default_rng(5).standard_normal(70_000)
+    grid = np.linspace(-1.0, 1.0, 19)
+    assert x.size > density.X_BLOCK and grid.size % density.GRID_BLOCK != 0
+    bandwidth = 0.013
+    got = density._kernel_values(x, grid, bandwidth)
+    want = kernel_values_dense(x, grid, bandwidth, density.X_BLOCK)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kde_full_sample_memory_is_bounded_by_the_blocks():
+    # one 64 x 6e4 float work array alone would take 31 MB
+    z = draw_standard_normal(60_000, 3)
+    grid = np.linspace(-1.0, 1.0, 1001)
+    tracemalloc.start()
+    try:
+        kde_log_return(gaussian_rnq(), 0.5, z, grid, subsample_size=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_kde_validation():

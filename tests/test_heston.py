@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from rndkit.heston import (
     heston_true_moments,
     mc_terminal_log_returns,
 )
-from oracles import black_scholes_call
+from oracles import black_scholes_call, heston_call_prices_dense
 
 SPOT = 1000.0
 RATE = 0.04
@@ -139,6 +141,31 @@ def test_call_prices_vectorized_match_singles():
     batch = heston_call_prices(p, SPOT, strikes, tau, RATE)
     singles = [heston_price(p, "call", SPOT, k, tau, RATE) for k in strikes]
     np.testing.assert_allclose(batch, singles, rtol=1e-13)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_call_prices_blocked_equal_dense_phase_matrix(scenario):
+    # 1501 is not a multiple of the strike block, and the zero strike
+    # takes the closed-form branch
+    p, days = SCENARIOS[scenario]
+    assert 1501 % heston.STRIKE_BLOCK != 0
+    strikes = np.concatenate([[0.0], np.geomspace(300.0, 3000.0, 1501)])
+    got = heston_call_prices(p, SPOT, strikes, days / 365.0, RATE)
+    want = heston_call_prices_dense(p, SPOT, strikes, days / 365.0, RATE)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_call_prices_memory_is_bounded_by_the_strike_block():
+    # the whole 1501 x 1600 complex phase matrix alone would take 38 MB
+    p, _ = SCENARIOS["left-skew"]
+    strikes = np.geomspace(300.0, 3000.0, 1501)
+    tracemalloc.start()
+    try:
+        heston_call_prices(p, SPOT, strikes, 30 / 365.0, RATE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_call_price_ordering_and_bounds():

@@ -12,7 +12,14 @@ from rndkit.models import (
     zero_net_rnmlp,
 )
 from rndkit.numerics import logmeanexp
-from rndkit.pricing import MaturitySlice, PriceRequest, price, price_chain, price_with_stderr
+from rndkit.pricing import (
+    MaturitySlice,
+    PriceRequest,
+    growth_factors,
+    price,
+    price_chain,
+    price_with_stderr,
+)
 from rndkit.sampling import draw_standard_normal
 
 from oracles import black_scholes_call, black_scholes_put
@@ -160,6 +167,29 @@ def assert_same_slice(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert got.mean_growth == want.mean_growth
+
+
+def test_growth_factors_reject_overflow_like_the_slice():
+    x = np.array([0.1, -0.2, 0.05])
+    assert growth_factors(x, 0.25).tobytes() == MaturitySlice(0.25, 0.03, x).growth.tobytes()
+    x[1] = 800.0
+    for build in (lambda: growth_factors(x, 0.25), lambda: MaturitySlice(0.25, 0.03, x)):
+        with pytest.raises(FloatingPointError, match="non-finite growth factors at tau=0.25"):
+            build()
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_cold_slice_order_is_the_stable_order(ties):
+    x = 0.2 * np.random.default_rng(13).standard_normal(20_000)
+    if ties:
+        x = np.round(x, 2)  # many repeated values
+    growth = np.exp(x)
+    stable = np.argsort(growth, kind="stable")
+    # numpy's default sort orders ties differently, so the slice must fall back
+    assert np.array_equal(np.argsort(growth), stable) != ties
+    got = MaturitySlice(0.25, 0.03, x)
+    assert got.order.tobytes() == stable.tobytes()
+    assert got.gs.tobytes() == growth[stable].tobytes()
 
 
 @pytest.mark.parametrize("case", ["cold-order", "reversed", "random", "perturbed", "truncated"])
