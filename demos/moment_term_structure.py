@@ -3,9 +3,13 @@
 With all three networks zeroed the mixture generator reduces to
 X = r tau + sigma sqrt(tau) Z, so the risk-neutral volatility must grow like
 sqrt(tau), skewness must vanish and kurtosis must sit at 3 for every
-maturity.  The kernel density at one maturity is compared with the exact
-normal curve.
+maturity.  The script exits non-zero when any maturity misses these
+targets: RNM2/sqrt(tau) spread at most 1e-12, |skewness| at most 1e-3 and
+|kurtosis - 3| at most 0.05 on these 2e5 draws.  The kernel density at
+one maturity is compared with the exact normal curve.
 """
+
+import sys
 
 import numpy as np
 
@@ -24,8 +28,15 @@ for tau, rnm2, rnm3, rnm4 in rows:
     print(f"{tau:.4f}  {rnm2:.5f}  {rnm2 / np.sqrt(tau):.5f}       "
           f"{rnm3:+.4f}   {rnm4:.4f}")
 ratios = rows[:, 1] / np.sqrt(rows[:, 0])
-print(f"RNM2/sqrt(tau) spread {ratios.max() / ratios.min() - 1.0:.2e} "
-      "(flat means exact sqrt-tau scaling)")
+spread = ratios.max() / ratios.min() - 1.0
+print(f"RNM2/sqrt(tau) spread {spread:.2e} (flat means exact sqrt-tau scaling)")
+misses = []
+if not spread <= 1e-12:
+    misses.append(f"RNM2/sqrt(tau) spread {spread:.2e} > 1e-12")
+if not np.all(np.abs(rows[:, 2]) <= 1e-3):
+    misses.append(f"|skewness| up to {np.max(np.abs(rows[:, 2])):.2e} > 1e-3")
+if not np.all(np.abs(rows[:, 3] - 3.0) <= 0.05):
+    misses.append(f"|kurtosis - 3| up to {np.max(np.abs(rows[:, 3] - 3.0)):.4f} > 0.05")
 
 tau = 0.25
 grid = np.linspace(-0.45, 0.55, 801)
@@ -35,3 +46,5 @@ sd = sigma * np.sqrt(tau)
 normal = np.exp(-0.5 * ((grid - mean) / sd) ** 2) / (sd * np.sqrt(2 * np.pi))
 gap = np.max(np.abs(est.values - normal)) / normal.max()
 print(f"\nKDE vs exact normal at tau={tau}: sup gap {100 * gap:.2f}% of peak")
+if misses:
+    sys.exit("moment targets missed: " + "; ".join(misses))

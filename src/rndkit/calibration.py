@@ -259,25 +259,35 @@ def vector_to_params(template, vec):
 
 
 class _TauTable(MaturitySlice):
-    """A maturity slice plus the adjoint accumulators of one evaluation."""
+    """A maturity slice plus the adjoint accumulators of one evaluation.
+
+    The penalty accumulator is made by the first penalty term, so a slice
+    that records none (rn-q, a fit with ``lam = 0``, a market maturity
+    off the penalty grid) skips the penalty half of the adjoint.
+    """
 
     __slots__ = ("coef_pen", "coef_data", "wx", "wd")
 
     def __init__(self, tau, rate, x, slope, hint=None):
         super().__init__(tau, rate, x, slope, hint)
-        n = self.growth.size
-        self.coef_pen = np.zeros(n + 1)
-        self.coef_data = np.zeros(n + 1)
+        self.coef_pen = None
+        self.coef_data = np.zeros(self.growth.size + 1)
+
+    def _coef(self, which):
+        if which == "data":
+            return self.coef_data
+        if self.coef_pen is None:
+            self.coef_pen = np.zeros(self.coef_data.size)
+        return self.coef_pen
 
     def add_suffix(self, which, pos, coeff):
         # weight applies to sorted indices >= pos
-        target = self.coef_pen if which == "pen" else self.coef_data
-        target[pos] += coeff
+        self._coef(which)[pos] += coeff
 
     def add_prefix(self, which, pos, coeff):
         # weight applies to sorted indices < pos; recorded as a negative
         # suffix starting at pos on top of a full-range term
-        target = self.coef_pen if which == "pen" else self.coef_data
+        target = self._coef(which)
         target[0] += coeff
         target[pos] -= coeff
 
@@ -288,23 +298,27 @@ class _TauTable(MaturitySlice):
         arrays and both accumulators are released as soon as they are
         read, so the backward passes that follow hold only ``order``,
         ``wx`` and ``wd`` per maturity among the slice's N-length arrays.
-        The products are formed in place, with the same operands.
+        The products are formed in place, with the same operands.  With
+        no penalty term ``wd`` is zeros and ``wx`` the data term alone.
         """
-        order, gs, slope = self.order, self.gs, self.slope
+        order, gs, slope, coef_pen = self.order, self.gs, self.slope, self.coef_pen
         n = gs.size
-        pen = np.cumsum(self.coef_pen[:n])
         data = np.cumsum(self.coef_data[:n])
         self.growth = self.slope = self.gs = self.cum_g = self.cum_a = None
         self.coef_pen = self.coef_data = None
-        wd = np.empty(n)
-        wd[order] = pen * gs
         data *= gs
-        if slope is not None:
-            a_sorted = (slope - self.rate)[order]
-            del slope
-            a_sorted *= gs
-            pen *= a_sorted
-            data += pen  # pen * a_sorted + data * gs
+        if coef_pen is None:
+            wd = np.zeros(n)
+        else:
+            pen = np.cumsum(coef_pen[:n])
+            wd = np.empty(n)
+            wd[order] = pen * gs
+            if slope is not None:
+                a_sorted = (slope - self.rate)[order]
+                del slope
+                a_sorted *= gs
+                pen *= a_sorted
+                data += pen  # pen * a_sorted + data * gs
         wx = np.empty(n)
         wx[order] = data
         self.wx, self.wd = wx, wd

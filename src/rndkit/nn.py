@@ -6,6 +6,15 @@ derivative, and the parameter gradient of that input derivative; the
 calibration objectives need all three.  Gradients are accumulated in a
 fixed (layer, row, column) order so flattened vectors are reproducible.
 
+A hidden layer takes one exp: with e = e^h the softplus is log1p(e) and
+its derivative, the sigmoid, is e / (1 + e), so a layer writes e and
+then the softplus over its pre-activation buffer and the sigmoid into
+one other buffer.  A block in which e^h would overflow (any h above
+ln of the largest double, about 709.78) takes the max form instead,
+max(h, 0) + log1p(e^-|h|).  A layer with one input (net_z's first) and
+the backward pass through one output (its last) form their outer
+products by a broadcast multiply, with the bits of the 1-wide matmul.
+
 A pass over many inputs (G_Z over all N draws) runs in fixed blocks of
 ``BLOCK_ROWS`` rows through ``blocked_values`` and
 ``blocked_param_gradient``.  Each block's layers are written into one
@@ -24,6 +33,7 @@ from the whole-array one only in the order of its row sums.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,12 +83,28 @@ def softplus_prime(x):
 BLOCK_ROWS = 4096
 
 
+# exp(h) is finite exactly when h <= ln(largest double) = 709.78...
+_EXP_MAX = math.log(sys.float_info.max)
+
+
 def _softplus_and_sigmoid(h, want_sig=True, t=None):
-    # softplus via the max form, then sigmoid = 1 - e^{-softplus}; this
-    # shares the single exp, avoids divides, and keeps full relative
-    # accuracy in both tails (expm1 is exact near zero).  In place, h
-    # included, with ``t`` (h-shaped, or None to allocate) the one other
-    # buffer: these arrays are the hot path of calibration.
+    # One exp per layer: e = e^h over h, the sigmoid e / (1 + e) into
+    # ``t`` (h-shaped, or None to allocate), then the softplus log1p(e)
+    # over e, so a layer uses h's buffer and one other.  Both keep full
+    # relative accuracy in the lower tail, where e is the answer to
+    # working precision.  A block with any h above _EXP_MAX (or a NaN)
+    # would overflow e and takes the max form, whose exp never overflows.
+    if not h.max(initial=-math.inf) <= _EXP_MAX:  # initial: no rows is fine
+        return _softplus_and_sigmoid_max_form(h, want_sig, t)
+    e = np.exp(h, out=h)
+    sig = None
+    if want_sig:
+        sig = np.add(e, 1.0, out=t)
+        np.divide(e, sig, out=sig)
+    return np.log1p(e, out=e), sig
+
+
+def _softplus_and_sigmoid_max_form(h, want_sig, t):
     t = np.abs(h, out=t)
     np.negative(t, out=t)
     np.exp(t, out=t)
@@ -91,6 +117,16 @@ def _softplus_and_sigmoid(h, want_sig=True, t=None):
     np.expm1(sig, out=sig)
     np.negative(sig, out=sig)
     return sp, sig
+
+
+def _product(a, b, out=None):
+    # a @ b.  With one inner column (net_z's 1-wide input, or the backward
+    # pass through its 1-wide output) the product is an outer product: a
+    # broadcast multiply gives the same bits at about half the cost of
+    # OpenBLAS's K=1 GEMM.
+    if a.shape[1] == 1:
+        return np.multiply(a, b, out=out)
+    return np.matmul(a, b, out=out)
 
 
 @dataclass
@@ -246,10 +282,10 @@ class DenseNetwork:
         tangent_pre = [] if want_slope else None
         a = x
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = np.matmul(a, w.T, out=take(("act", l), n, w.shape[0]))
+            h = _product(a, w.T, take(("act", l), n, w.shape[0]))
             h += b
             if want_slope:
-                u = tangents[-1] @ w.T
+                u = _product(tangents[-1], w.T)
             if l < last:
                 a, sig = _softplus_and_sigmoid(h, want_sig=keep_cache or want_slope,
                                                t=take(("sig", l), n, w.shape[0]))
@@ -283,10 +319,10 @@ class DenseNetwork:
         g_b = [None] * self.n_layers
         for l in range(self.n_layers - 1, -1, -1):
             g_w[l] = delta.T @ cache.acts[l]
-            g_b[l] = delta.sum(axis=0)
+            g_b[l] = np.ones(delta.shape[0]) @ delta  # one BLAS pass, 5x delta.sum(axis=0)
             if l > 0:
                 w = self.weights[l]
-                delta = np.matmul(delta, w, out=take(("delta", l), delta.shape[0], w.shape[1]))
+                delta = _product(delta, w, take(("delta", l), delta.shape[0], w.shape[1]))
                 delta *= cache.sigs[l - 1]
         return ParamGradient(g_w, g_b)
 

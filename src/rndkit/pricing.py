@@ -13,9 +13,10 @@ sort) and prefix-summed in that fixed order, so a price, a calendar
 value or the martingale defect costs one binary search, and results do
 not depend on the thread count.  Calibration, pricing, the penalties and
 the audit all read the same slice.  The calibration loop hands each slice
-the previous iteration's order as a hint: the slice re-sorts the growth
-factors in that order, which is nearly sorted and so costs about O(N),
-and keeps the result only when it is strictly increasing, the one case in
+the previous iteration's order as a hint: the slice takes the growth
+factors in that order as they are when they are already strictly
+increasing, or else re-sorts them (nearly sorted, so about O(N)), and
+keeps the result only when it is strictly increasing, the one case in
 which it must equal the cold stable sort; otherwise it sorts cold, with
 numpy's default sort under the same test and the stable sort only on
 ties.  ``growth_factors`` is e^X alone, for callers that need no sums.
@@ -68,14 +69,15 @@ class MaturitySlice:
     a calendar call growth >= K/S and a calendar put growth <= K/S.
 
     ``hint`` is an optional candidate order, such as the previous
-    iteration's ``order``.  It is used only when re-sorting the growth
-    factors in that order gives a strictly increasing sequence: with no
-    ties the stable order is unique, so every field is bit-identical to a
-    cold sort.  Ties, rounding inversions or no hint fall back to the
-    cold stable sort.  A hint that is used is reordered in place and
-    becomes ``order``: the caller hands the array over, so a loop keeps
-    one order buffer per maturity instead of allocating a new one that
-    outlives each iteration (which fragments the heap).
+    iteration's ``order``.  It is used only when the growth factors in
+    that order, re-sorted if they are not already, give a strictly
+    increasing sequence: with no ties the stable order is unique, so
+    every field is bit-identical to a cold sort.  Ties, rounding
+    inversions or no hint fall back to the cold stable sort.  A hint that
+    is used becomes ``order``, reordered in place if it had to be
+    re-sorted: the caller hands the array over, so a loop keeps one order
+    buffer per maturity instead of allocating a new one that outlives
+    each iteration (which fragments the heap).
     """
 
     __slots__ = ("tau", "rate", "growth", "slope", "order", "gs", "cum_g",
@@ -144,12 +146,17 @@ def _stable_order(growth, hint):
 
     An order whose sorted values are strictly increasing is the unique
     stable order, whatever sort produced it.  So a full-length hint is
-    tried first and, when it passes, permuted in place (``take`` buffers
-    ``out`` in raise mode); otherwise numpy's default sort, which is
-    cheaper than the stable one, and the stable sort only on ties.
+    tried first: kept as it is when the growth is already strictly
+    increasing in that order (in a fit, nearly every slice after the
+    first), else re-sorted and, when that passes, permuted in place
+    (``take`` buffers ``out`` in raise mode); otherwise numpy's default
+    sort, which is cheaper than the stable one, and the stable sort only
+    on ties.
     """
     if hint is not None and hint.size == growth.size:
         near = growth[hint]
+        if _strictly_increasing(near):
+            return hint, near
         perm = np.argsort(near, kind="stable")
         gs = near[perm]
         if _strictly_increasing(gs):

@@ -4,9 +4,10 @@ These stay deliberately separate from the package code paths they check:
 Black-Scholes via the error function, normal integrals via adaptive
 quadrature, network values and derivatives at a single input by
 plain layer-by-layer evaluation and chain rule (the package evaluates
-networks only through ``DenseNetwork.scalar_batch``), and the Fourier
-pricer's and kernel density's sums as one dense 2-D array each (the
-package forms them in fixed row blocks).
+networks only through ``DenseNetwork.scalar_batch``), the hidden
+activation by the overflow-safe max form (the package forms it from one
+e^h per layer), and the Fourier pricer's and kernel density's sums as
+one dense 2-D array each (the package forms them in fixed row blocks).
 """
 
 import math
@@ -49,6 +50,15 @@ def normal_expectation(fn, lower=-np.inf, upper=np.inf, **kwargs):
 
 # ----------------------------------------------------------------------
 # dense softplus networks at a single input
+
+
+def softplus_and_sigmoid_max_form(h):
+    """Softplus and sigmoid by the max form, max(h, 0) + log1p(e^-|h|) and
+    1 - e^-softplus: the network kernel's operations for a block where
+    e^h would overflow, and a reference for its one-exp form elsewhere."""
+    h = np.asarray(h, dtype=float)
+    sp = np.maximum(h, 0.0) + np.log1p(np.exp(-np.abs(h)))
+    return sp, -np.expm1(-sp)
 
 
 def softplus_double_prime(x):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rndkit import calibration
+from rndkit import calibration, pricing
 from rndkit.arbitrage import audit_surface, build_synthetic_grid, total_penalty
 from rndkit.calibration import (
     CONVERGENCE_WINDOW,
@@ -31,6 +31,7 @@ from rndkit.models import (
     model_from_checkpoint,
     rnq_mu_from_constraint,
 )
+from rndkit.nn import BLOCK_ROWS
 from rndkit.pricing import MaturitySlice, price_chain
 from rndkit.sampling import draw_standard_normal
 
@@ -347,23 +348,30 @@ def test_warm_started_sorts_reproduce_cold_sorts(call_chain, three_maturity_chai
 @pytest.mark.parametrize("kind", ["rn-q", "rn-mlp", "rn-dmlp"])
 def test_final_metrics_start_from_the_loops_orders(call_chain, three_maturity_chain,
                                                    monkeypatch, kind):
-    # the final pricing and penalty re-sort every maturity from the last
+    # the final pricing and penalty order every maturity from the last
     # evaluation's order, so no sort there sees unsorted growth, and the
     # results equal cold sorts bit for bit
     chain = call_chain if kind == "rn-q" else three_maturity_chain
     cfg = CalibrationConfig(n_samples=4000, seed=9, iterations=6)
     real_argsort = np.argsort
+    real_order = pricing._stable_order
     unsorted = []
+    hinted = []
 
     def spy(a, *args, **kwargs):
         a = np.asarray(a)
         unsorted.append(bool(np.any(a[1:] < a[:-1])))
         return real_argsort(a, *args, **kwargs)
 
+    def order_spy(growth, hint):
+        hinted.append(hint is not None)
+        return real_order(growth, hint)
+
     def in_final_metrics(fn):
         def run(*args, **kwargs):
             with monkeypatch.context() as m:
                 m.setattr(np, "argsort", spy)
+                m.setattr(pricing, "_stable_order", order_spy)
                 return fn(*args, **kwargs)
         return run
 
@@ -371,8 +379,10 @@ def test_final_metrics_start_from_the_loops_orders(call_chain, three_maturity_ch
     monkeypatch.setattr(calibration, "total_penalty", in_final_metrics(total_penalty))
     res = calibrate(kind, chain, cfg)
     grid = grid_for(chain)
-    # one slice per quoted maturity for the prices, one per grid maturity
-    assert len(unsorted) == len({q.tau for q in chain.quotes}) + len(grid.taus)
+    # one slice per quoted maturity for the prices, one per grid maturity,
+    # each handed the loop's order (a hint already in order sorts nothing)
+    assert len(hinted) == len({q.tau for q in chain.quotes}) + len(grid.taus)
+    assert all(hinted)
     if kind != "rn-q":
         # rn-q's final location is recomputed, so its X may tie or round
         # differently from the loop's, and its slices may sort cold
@@ -433,6 +443,48 @@ def test_network_gradient_spends_each_slice_before_the_backward_passes(
         assert table.wx.size == table.wd.size == table.order.size == n
 
 
+def test_fit_scratch_holds_two_buffers_per_hidden_layer(three_maturity_chain, monkeypatch):
+    # one e^h per hidden layer still needs only the layer's own buffer
+    # and one other; the backward pass adds one per layer after the first
+    made = []
+
+    class SpyScratch(calibration.Scratch):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(calibration, "Scratch", SpyScratch)
+    calibrate("rn-dmlp", three_maturity_chain,
+              CalibrationConfig(n_samples=5000, seed=9, iterations=3))
+    (scratch,) = made
+    shapes = {key: buf.shape for key, buf in scratch._buffers.items()}
+    wide = (BLOCK_ROWS, 32)
+    assert shapes == {("act", 0): wide, ("sig", 0): wide, ("act", 1): wide, ("sig", 1): wide,
+                      ("act", 2): (BLOCK_ROWS, 1), ("delta", 2): wide, ("delta", 1): wide}
+    assert sum(buf.nbytes for buf in scratch._buffers.values()) == (6 * 32 + 1) * BLOCK_ROWS * 8
+
+
+def test_unpenalized_slice_skips_the_penalty_half_of_the_adjoint():
+    # a slice that records no penalty term forms no penalty weights: wd is
+    # zeros and wx has the bits of a zero penalty accumulator's
+    rng = np.random.Generator(np.random.Philox(3))
+    x, slope = 0.2 * rng.normal(size=5000), rng.normal(size=5000)
+
+    def weights(zero_penalty):
+        table = calibration._TauTable(0.25, 0.03, x, slope)
+        table.add_suffix("data", 1200, 0.7)
+        table.add_prefix("data", 3100, -0.4)
+        if zero_penalty:
+            table.add_suffix("pen", 2000, 0.0)
+        return table.coef_pen, table.adjoint_weights()
+
+    pen, (wx, wd) = weights(False)
+    assert pen is None and wd.shape == (5000,) and not wd.any()
+    pen, (wx_zero, wd_zero) = weights(True)
+    assert pen is not None and not pen.any()
+    assert wx.tobytes() == wx_zero.tobytes() and wd.tobytes() == wd_zero.tobytes()
+
+
 @pytest.mark.parametrize("kind", ["rn-mlp", "rn-dmlp"])
 def test_training_tables_match_bound_slices(kind):
     # a maturity's training values depend only on (model, Z, tau, rate),
@@ -455,7 +507,8 @@ def test_training_tables_match_bound_slices(kind):
 
 def test_rnq_fit_sorts_unsorted_growth_once(call_chain, monkeypatch):
     # rn-q's X is increasing in Z, so after the first cold sort every
-    # maturity slice the loop builds re-sorts an already sorted sequence
+    # maturity slice the loop builds finds its hint already in order and
+    # sorts nothing
     real_argsort = np.argsort
     unsorted = []
 
@@ -475,7 +528,7 @@ def test_rnq_fit_sorts_unsorted_growth_once(call_chain, monkeypatch):
     cfg = CalibrationConfig(n_samples=10_000, seed=9, iterations=50)
     res = calibrate("rn-q", call_chain, cfg)
     assert res.iterations_run == 50
-    assert len(unsorted) == 50  # one per evaluation; the final metrics price a binding
+    assert len(unsorted) == 1  # the first cold sort; every later hint is already in order
     assert sum(unsorted) == 1
 
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,14 +12,23 @@ from rndkit.nn import (
     BLOCK_ROWS,
     DenseNetwork,
     Scratch,
+    _EXP_MAX,
     _block_bounds,
+    _product,
+    _softplus_and_sigmoid,
     init_network,
     softplus,
     softplus_prime,
     stack_caches,
 )
 
-from oracles import backward_params, forward, input_gradient, softplus_double_prime
+from oracles import (
+    backward_params,
+    forward,
+    input_gradient,
+    softplus_and_sigmoid_max_form,
+    softplus_double_prime,
+)
 
 
 def straight_line_forward(net, x):
@@ -68,6 +78,60 @@ def test_softplus_prime_equals_scipy_expit_bit_for_bit():
     assert softplus_prime(x).tobytes() == expit(x).tobytes()
     assert softplus_prime(x.reshape(2, -1)).shape == (2, x.size // 2)
     assert softplus_prime(-745.0) == 0.0 and isinstance(softplus_prime(1.5), float)
+
+
+def _activation(h, want_sig=True):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _softplus_and_sigmoid(np.array(h, dtype=float), want_sig)
+
+
+def test_one_exp_activation_matches_the_max_form_within_4_ulp():
+    # a dense grid over [-800, 800] with +-0, the exp underflow near -745
+    # and both sides of the overflow limit ln(DBL_MAX) = 709.78...
+    special = [0.0, -0.0, -745.13, -745.14, -708.4, -709.0, 709.78, 709.79,
+               _EXP_MAX, np.nextafter(_EXP_MAX, 0.0), np.nextafter(_EXP_MAX, 800.0)]
+    grid = np.concatenate([np.linspace(-800.0, 800.0, 400_001), special,
+                           np.linspace(-40.0, 40.0, 80_001)])
+    # the part exp can take runs as one block through the one-exp form,
+    # the rest as a block that falls back to the max form
+    low = grid[grid <= _EXP_MAX]
+    high = grid[grid > _EXP_MAX]
+    for part in (low, high):
+        sp, sig = _activation(part)
+        ref_sp, ref_sig = softplus_and_sigmoid_max_form(part)
+        for got, ref in ((sp, ref_sp), (sig, ref_sig)):
+            keep = ref >= 1e-300
+            np.testing.assert_allclose(got[keep], ref[keep], rtol=4 * np.finfo(float).eps,
+                                       atol=0.0)
+            assert np.all(got[~keep] <= 1e-300) and np.all(got >= 0.0)
+        assert np.array_equal(_activation(part, want_sig=False)[0], sp)
+    assert high.size and high.min() > _EXP_MAX and np.exp(low.max()) < np.inf
+
+
+def test_a_block_that_would_overflow_exp_gives_the_max_form_bits():
+    rng = np.random.Generator(np.random.Philox(5))
+    for big in (np.nextafter(_EXP_MAX, 800.0), 709.79, 800.0, 1e300, np.inf):
+        h = rng.normal(scale=30.0, size=(64, 8))
+        h[17, 3] = big
+        sp, sig = _activation(h)
+        ref_sp, ref_sig = softplus_and_sigmoid_max_form(h)
+        assert sp.tobytes() == ref_sp.tobytes() and sig.tobytes() == ref_sig.tobytes()
+        assert _activation(h, want_sig=False)[0].tobytes() == ref_sp.tobytes()
+
+
+def test_one_wide_products_equal_matmul_bit_for_bit():
+    # net_z's 1-wide first layer and the backward pass through its 1-wide
+    # output, at full-block, tail and few-row sizes
+    rng = np.random.Generator(np.random.Philox(6))
+    w = rng.normal(size=(32, 1))
+    for n in (BLOCK_ROWS, BLOCK_ROWS // 2, BLOCK_ROWS // 2 + 37, BLOCK_ROWS + 1, 5, 1):
+        a = 3.0 * rng.normal(size=(n, 1))
+        for b in (w.T, rng.normal(size=(1, 32))):
+            want = np.matmul(a, b)
+            assert _product(a, b).tobytes() == want.tobytes()
+            out = np.empty((BLOCK_ROWS + 1, 32))[:n]
+            assert _product(a, b, out=out) is out and out.tobytes() == want.tobytes()
 
 
 def test_forward_zero_parameters():
