@@ -22,7 +22,7 @@ model = zero_net_rnmlp(sigma=sigma)
 samples = draw_standard_normal(200_000, 11)
 
 tau_grid = np.array([7, 30, 91, 182, 273, 365]) / 365.0
-rows = term_structure(model, tau_grid, samples, rate)
+rows = term_structure(model, tau_grid, samples, lambda tau: rate)
 print("tau      RNM2     RNM2/sqrt(tau)  RNM3      RNM4")
 for tau, rnm2, rnm3, rnm4 in rows:
     print(f"{tau:.4f}  {rnm2:.5f}  {rnm2 / np.sqrt(tau):.5f}       "

@@ -28,16 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import bind, sample_log_returns
+from .models import bind
 from .numerics import parallel_map
 from .pricing import MaturitySlice
 
 __all__ = [
     "SyntheticGrid",
     "build_synthetic_grid",
-    "penalty_calendar_call",
-    "penalty_calendar_put",
-    "penalty_mu",
     "total_penalty",
     "aggregate_penalties",
     "PenaltyReport",
@@ -91,29 +88,6 @@ def build_synthetic_grid(taus, strikes) -> SyntheticGrid:
 
 def _slope_slice(bound, tau, rate, hint=None) -> MaturitySlice:
     return MaturitySlice(tau, rate, *bound.columns(tau, rate), hint)
-
-
-def penalty_calendar_call(model, tau, strike, spot, rate, samples) -> float:
-    """Signed calendar value for a call; negative means a violation."""
-    if tau <= 0.0:
-        raise ValueError("calendar penalty needs tau > 0")
-    return float(_slope_slice(bind(model, samples), tau, rate).calendar_call(strike / spot)[0])
-
-
-def penalty_calendar_put(model, tau, strike, spot, rate, samples) -> float:
-    if tau <= 0.0:
-        raise ValueError("calendar penalty needs tau > 0")
-    return float(_slope_slice(bind(model, samples), tau, rate).calendar_put(strike / spot)[0])
-
-
-def penalty_mu(model, tau, rate, samples) -> float:
-    """Squared martingale defect at one maturity."""
-    if tau < 0.0:
-        raise ValueError("tau must be non-negative")
-    if tau == 0.0:
-        return 0.0
-    defect = MaturitySlice(tau, rate, sample_log_returns(model, tau, samples, rate)).defect
-    return float(defect * defect)
 
 
 @dataclass
@@ -214,8 +188,6 @@ class PriceSurface:
     defects: np.ndarray  # martingale defect per tau
     jtau_calls: np.ndarray  # (n_tau, n_strike) signed calendar values
     jtau_puts: np.ndarray
-    call_far: np.ndarray  # call priced beyond the largest simulated growth
-    put_near: np.ndarray  # put priced below the smallest simulated growth
     tau0_calls: np.ndarray  # tau = 0 prices per strike
     tau0_puts: np.ndarray
 
@@ -237,9 +209,6 @@ def price_surface(model, taus, strikes, spot, rate_fn, samples, threads=None) ->
             "jtau_puts": [table.calendar_put(k / spot)[0] for k in strikes],
             "rates": rate,
             "defects": table.defect,
-            # strikes just beyond the largest and below the smallest growth
-            "call_far": table.price("call", spot * table.gs[-1] * (1.0 + 1e-9), spot)[0],
-            "put_near": table.price("put", spot * table.gs[0] * (1.0 - 1e-9), spot)[0],
         }
 
     rows = parallel_map(run_tau, [float(t) for t in taus], threads)
@@ -294,18 +263,7 @@ def audit_price_surface(surface: PriceSurface) -> dict:
                 worst = min(worst, float(second[j]))
     record("convex_in_strike", viol, worst)
 
-    # 3. strike limits: far call and near put are worthless.
-    viol, worst = [], 0.0
-    for i, tau in enumerate(s.taus):
-        if s.call_far[i] > tol:
-            viol.append({"tau": float(tau), "side": "call", "value": float(s.call_far[i])})
-            worst = max(worst, float(s.call_far[i]))
-        if s.put_near[i] > tol:
-            viol.append({"tau": float(tau), "side": "put", "value": float(s.put_near[i])})
-            worst = max(worst, float(s.put_near[i]))
-    record("strike_limits", viol, worst)
-
-    # 4. tau = 0 collapses to intrinsic.
+    # 3. tau = 0 collapses to intrinsic.
     viol, worst = [], 0.0
     intr_c = np.maximum(s.spot - s.strikes, 0.0)
     intr_p = np.maximum(s.strikes - s.spot, 0.0)
@@ -315,7 +273,7 @@ def audit_price_surface(surface: PriceSurface) -> dict:
         worst = max(worst, float(gap))
     record("intrinsic_at_tau0", viol, worst)
 
-    # 5. calendar: prices should not fall as maturity grows, with slack
+    # 4. calendar: prices should not fall as maturity grows, with slack
     # integrated from any measured negative calendar values.
     viol, worst = [], 0.0
     for i in range(s.taus.size - 1):
@@ -335,7 +293,7 @@ def audit_price_surface(surface: PriceSurface) -> dict:
                 worst = min(worst, float(dp))
     record("calendar_in_tau", viol, worst)
 
-    # 6. parity and static bounds within the measured martingale slack.
+    # 5. parity and static bounds within the measured martingale slack.
     viol, worst = [], 0.0
     for i, tau in enumerate(s.taus):
         slack = s.spot * abs(np.expm1(s.defects[i])) + 1e-10 * s.spot

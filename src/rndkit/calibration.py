@@ -64,9 +64,6 @@ __all__ = [
     "adam_step",
     "mse",
     "relative_mse",
-    "params_to_vector",
-    "vector_to_params",
-    "objective_and_gradient",
     "calibrate",
 ]
 
@@ -223,25 +220,6 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, learning_r
     mhat = state.m / (1.0 - state.beta1 ** state.t)
     vhat = state.v / (1.0 - state.beta2 ** state.t)
     return params - learning_rate * mhat / (np.sqrt(vhat) + state.eps)
-
-
-# ----------------------------------------------------------------------
-# parameter flattening
-
-
-def params_to_vector(model) -> np.ndarray:
-    """Flat vector of the trainable parameters in a fixed documented order.
-
-    rn-q: (sigma, u, v); rn-mlp: sigma | net_mu | net_z | net_tau;
-    rn-dmlp: alpha | comp1 block | comp2 block.  The rn-q location mu is
-    not trained (eliminated by the martingale constraint).
-    """
-    return _adapter_of(model).to_vector(model)
-
-
-def vector_to_params(template, vec):
-    """Rebuild a model like ``template`` from a flat trainable vector."""
-    return _adapter_of(template).from_vector(template, vec)
 
 
 # ----------------------------------------------------------------------
@@ -653,20 +631,6 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
         grad = adapter.gradient(model, tables, aux, z)
     return loss, grad, {"penalty": penalty,
                         "orders": {tau: t.order for tau, t in tables.items()}}
-
-
-def objective_and_gradient(model, train_chain, grid, config, samples):
-    """Penalized loss and its exact gradient in the natural parameters.
-
-    The gradient layout matches ``params_to_vector``.  Payoff hinges use
-    the subgradient 1{.>0}; penalty indicator sets are held fixed.
-    """
-    if not train_chain.quotes:
-        raise ValueError("empty chain")
-    adapter = _adapter_of(model)
-    adapter.check_chain(train_chain)
-    loss, grad, _ = _objective_parts(adapter, model, train_chain, grid, config, samples)
-    return loss, grad
 
 
 # ----------------------------------------------------------------------

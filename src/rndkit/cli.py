@@ -38,7 +38,7 @@ from .data_io import (
     split_train_test,
 )
 from .density import RndCharacteristics, characteristics, kde_log_return, \
-    price_density, risk_neutral_moments, silverman_bandwidth, subsample
+    price_density, silverman_bandwidth, subsample, term_structure
 from .heston import SCENARIOS, generate_simulated_chain, heston_rnd, heston_true_moments
 from .models import (
     bind,
@@ -456,12 +456,8 @@ def cmd_report(args) -> int:
     char_path = out / "characteristics.json"
     write_json(char_path, dataclasses.asdict(ch))
 
-    term_rows = []
-    for days in parse_tau_grid(args.tau_grid):
-        t = days / 365.0
-        rnm2, rnm3, rnm4 = risk_neutral_moments(bound, t, samples,
-                                                interpolate_rate(curve, t))
-        term_rows.append((t, rnm2, rnm3, rnm4))
+    term_rows = term_structure(bound, [d / 365.0 for d in parse_tau_grid(args.tau_grid)],
+                               samples, _rate_fn(curve))
     term_path = out / "term_structure.csv"
     write_csv(term_path, ["tau", "rnm2", "rnm3", "rnm4"], term_rows)
 

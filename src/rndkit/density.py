@@ -221,8 +221,11 @@ def risk_neutral_moments(model, tau, samples, rate=0.0):
     return std, skewness, kurtosis
 
 
-def term_structure(model, tau_grid, samples, rate=0.0) -> np.ndarray:
-    """Rows of (tau, RNM2, RNM3, RNM4) over an ascending maturity grid."""
+def term_structure(model, tau_grid, samples, rate_fn) -> np.ndarray:
+    """Rows of (tau, RNM2, RNM3, RNM4) over an ascending maturity grid.
+
+    rate_fn maps a maturity to its interpolated rate.
+    """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or tau_grid.size == 0:
         raise ValueError("tau grid must be a non-empty 1-d array")
@@ -230,7 +233,6 @@ def term_structure(model, tau_grid, samples, rate=0.0) -> np.ndarray:
         raise ValueError("tau grid must be positive and ascending")
     bound = bind(model, samples)
     rows = np.empty((tau_grid.size, 4))
-    for i, tau in enumerate(tau_grid):
-        rnm2, rnm3, rnm4 = risk_neutral_moments(bound, float(tau), samples, rate)
-        rows[i] = (tau, rnm2, rnm3, rnm4)
+    for i, tau in enumerate(tau_grid.tolist()):
+        rows[i] = (tau, *risk_neutral_moments(bound, tau, samples, rate_fn(tau)))
     return rows

@@ -1,9 +1,9 @@
 """Heston ground truth for the simulation study.
 
-Three ingredients, deliberately independent of the generative models:
-a branch-stable characteristic function with a damped-Fourier pricer, a
-full-truncation Euler Monte Carlo oracle, and the implied density /
-cumulants used as the "true" answers when scoring calibrated models.
+Two ingredients, deliberately independent of the generative models: a
+branch-stable characteristic function with a damped-Fourier pricer, and
+the implied density / cumulants used as the "true" answers when scoring
+calibrated models.
 The pricer forms its strikes x quadrature-nodes phase matrix
 STRIKE_BLOCK strikes at a time, so pricing a fine strike grid (as
 ``simulate`` does for the true density) holds only block-sized
@@ -23,23 +23,17 @@ import numpy as np
 
 from .data_io import OptionChain, OptionQuote
 from .density import DensityEstimate
-from .numerics import kahan_sum, parallel_map
 
 __all__ = [
     "HestonParams",
     "SCENARIOS",
     "heston_cf",
-    "heston_price",
     "heston_call_prices",
-    "heston_mc_price",
-    "mc_terminal_log_returns",
     "density_from_calls",
     "heston_rnd",
     "heston_true_moments",
     "generate_simulated_chain",
 ]
-
-MC_CHUNK = 131_072
 
 STRIKE_BLOCK = 32
 
@@ -207,85 +201,6 @@ def heston_call_prices(p, spot, strikes, tau, rate) -> np.ndarray:
             integral[s:s + STRIKE_BLOCK] = phase.real.sum(axis=1)
         out[pos] = np.exp(-DAMPING_ALPHA * k) / np.pi * integral
     return out
-
-
-def heston_price(p, side, spot, strike, tau, rate) -> float:
-    """Semi-analytic European price; puts via parity."""
-    if side not in ("call", "put"):
-        raise ValueError("side must be 'call' or 'put'")
-    if tau == 0.0:
-        intrinsic = spot - strike if side == "call" else strike - spot
-        return max(float(intrinsic), 0.0)
-    call = float(heston_call_prices(p, spot, np.array([strike]), tau, rate)[0])
-    if side == "call":
-        return call
-    return call - spot + strike * float(np.exp(-rate * tau))
-
-
-# ----------------------------------------------------------------------
-# Euler Monte Carlo oracle
-
-
-def _chunk_bounds(paths: int):
-    starts = range(0, paths, MC_CHUNK)
-    return [(i, min(MC_CHUNK, paths - s)) for i, s in enumerate(starts)]
-
-
-def mc_terminal_log_returns(p, tau, rate, paths, steps, seed, threads=None) -> np.ndarray:
-    """ln(S_T/S_0) samples from full-truncation Euler, fixed chunk streams.
-
-    Chunks of 131072 paths each get their own counter-based stream keyed by
-    (seed, chunk), so the result is independent of thread count and any
-    prefix of chunks is reproducible.
-    """
-    if paths < 1 or steps < 1:
-        raise ValueError("paths and steps must be >= 1")
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    dt = tau / steps
-    drift = rate * dt
-    sq_rho = np.sqrt(1.0 - p.rho * p.rho)
-
-    def run_chunk(spec):
-        chunk_index, n = spec
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64)))
-        x = np.zeros(n)
-        v = np.full(n, p.nu0)
-        for _ in range(steps):
-            z = rng.standard_normal((2, n))
-            vplus = np.maximum(v, 0.0)
-            shock = np.sqrt(vplus * dt)
-            x += drift - 0.5 * vplus * dt + shock * z[0]
-            v += p.kappa * (p.vartheta - vplus) * dt + p.xi * shock * (p.rho * z[0] + sq_rho * z[1])
-        return x
-
-    parts = parallel_map(run_chunk, _chunk_bounds(paths), threads)
-    return np.concatenate(parts)
-
-
-def heston_mc_price(p, side, spot, strike, tau, rate, paths, steps, seed, threads=None):
-    """(price, stderr) for one option, or arrays when strike is array-like."""
-    if side not in ("call", "put"):
-        raise ValueError("side must be 'call' or 'put'")
-    strikes = np.asarray(strike, dtype=float)
-    growth = np.exp(mc_terminal_log_returns(p, tau, rate, paths, steps, seed, threads))
-    disc_spot = np.exp(-rate * tau) * spot
-    n = growth.size
-
-    def one(k):
-        m = k / spot
-        payoff = np.maximum(growth - m, 0.0) if side == "call" else np.maximum(m - growth, 0.0)
-        mean = kahan_sum(payoff) / n
-        second = kahan_sum(payoff * payoff) / n
-        var = max(second - mean * mean, 0.0)
-        return disc_spot * mean, disc_spot * np.sqrt(var / n)
-
-    if strikes.ndim == 0:
-        return one(float(strikes))
-    pairs = [one(float(k)) for k in strikes]
-    return np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
 
 
 # ----------------------------------------------------------------------

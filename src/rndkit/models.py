@@ -38,7 +38,6 @@ __all__ = [
     "rnq_log_return",
     "rnq_mu_from_constraint",
     "sample_log_returns",
-    "dtau_log_returns",
     "BoundModel",
     "bind",
     "init_rnmlp",
@@ -50,8 +49,6 @@ __all__ = [
     "checkpoint_document",
     "checkpoint_json",
     "model_from_checkpoint",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 DEFAULT_HIDDEN = (32, 32)
@@ -219,27 +216,18 @@ class BoundModel:
             return rnq_log_return(self.model, self.z)
         return self.columns(tau, rate)[0]
 
-    def dtau(self, tau, rate) -> np.ndarray:
-        """Analytic dX/dtau at fixed Z on the bound draws.
-
-        For the quantile model the location tracks the martingale
-        constraint mu(tau) = r tau - const, so the derivative is the
-        constant rate.
-        """
-        if self.kind == "rn-q":
-            return np.full_like(self.z, float(rate))
-        return self.columns(tau, rate)[1]
-
     def columns(self, tau, rate):
         """(X, dX/dtau) at one maturity; per network component
 
         X = r tau G_mu + sigma sqrt(tau) Z (G_Z + G_tau + 1),
         dX/dtau = r G_mu + r tau G_mu' + sigma Z [ (G_Z + G_tau + 1) / (2 sqrt(tau))
                                                    + sqrt(tau) G_tau' ],
-        and a mixture sums c_1 (X_1, X_1') + c_2 (X_2, X_2') + ...
+        and a mixture sums c_1 (X_1, X_1') + c_2 (X_2, X_2') + ...  For the
+        quantile model the location tracks the martingale constraint
+        mu(tau) = r tau - const, so dX/dtau is the constant rate.
         """
         if self.kind == "rn-q":
-            return self.log_returns(tau, rate), self.dtau(tau, rate)
+            return self.log_returns(tau, rate), np.full_like(self.z, float(rate))
         if tau <= 0.0:
             raise ValueError("maturity derivative needs tau > 0")
         z, t, root, keep = self.z, np.array([tau]), np.sqrt(tau), self._keep_caches
@@ -277,11 +265,6 @@ def bind(model, samples) -> BoundModel:
 def sample_log_returns(model, tau, samples, rate) -> np.ndarray:
     """Log-return vector on the shared draws at one maturity."""
     return bind(model, samples).log_returns(tau, rate)
-
-
-def dtau_log_returns(model, tau, samples, rate) -> np.ndarray:
-    """dX/dtau on the shared draws at one maturity."""
-    return bind(model, samples).dtau(tau, rate)
 
 
 # ----------------------------------------------------------------------
@@ -439,21 +422,3 @@ def model_from_checkpoint(doc: dict):
                             comp1=comps[0], comp2=comps[1])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint: {exc}") from exc
-
-
-def save_checkpoint(model) -> bytes:
-    """Serialize a model to checkpoint JSON bytes."""
-    return checkpoint_json(checkpoint_document(model)).encode("utf-8")
-
-
-def load_checkpoint(data) -> object:
-    """Inverse of save_checkpoint; accepts bytes or str."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed checkpoint: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("malformed checkpoint: top level is not an object")
-    return model_from_checkpoint(doc)

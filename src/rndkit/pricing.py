@@ -32,10 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import bind, sample_log_returns
-from .numerics import kahan_sum, parallel_map
+from .numerics import parallel_map
 
-__all__ = ["MaturitySlice", "PriceRequest", "growth_factors", "price", "price_with_stderr",
-           "price_chain"]
+__all__ = ["MaturitySlice", "PriceRequest", "growth_factors", "price", "price_chain"]
 
 SIDES = ("call", "put")
 
@@ -179,23 +178,11 @@ def _intrinsic(side, spot, strike) -> float:
 
 
 def price(model, req: PriceRequest, samples) -> float:
-    return price_with_stderr(model, req, samples)[0]
-
-
-def price_with_stderr(model, req: PriceRequest, samples):
-    """Monte Carlo price and its standard error for one request."""
+    """Monte Carlo price of one request."""
     if req.tau == 0.0:
-        return _intrinsic(req.side, req.spot, req.strike), 0.0
+        return _intrinsic(req.side, req.spot, req.strike)
     x = sample_log_returns(model, req.tau, samples, req.rate)
-    table = MaturitySlice(req.tau, req.rate, x)
-    value, pos = table.price(req.side, req.strike, req.spot)
-    # second moment of the discounted payoff, summed over the paying draws
-    m = req.strike / req.spot
-    payoff = table.gs[pos:] - m if req.side == "call" else m - table.gs[:pos]
-    n = table.gs.size
-    scale = np.exp(-req.rate * req.tau) * req.spot
-    second = scale * scale * (kahan_sum(payoff * payoff) / n)
-    return value, np.sqrt(max(second - value * value, 0.0) / n)
+    return MaturitySlice(req.tau, req.rate, x).price(req.side, req.strike, req.spot)[0]
 
 
 def price_chain(model, chain, samples, threads=None, hints=None) -> np.ndarray:

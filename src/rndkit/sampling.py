@@ -66,7 +66,6 @@ class NormalSampleSet:
     values: np.ndarray
     seed: int
     n: int
-    antithetic: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -74,27 +73,16 @@ class NormalSampleSet:
             raise ValueError("values shape does not match n")
 
 
-def draw_standard_normal(n: int, seed: int, antithetic: bool = False) -> NormalSampleSet:
-    """Draw n standard normals for the given seed.
-
-    With ``antithetic`` the stream is the interleaving (z1, -z1, z2, -z2, ...)
-    of half as many base draws, still prefix-preserving in n.
-    """
+def draw_standard_normal(n: int, seed: int) -> NormalSampleSet:
+    """Draw n standard normals for the given seed."""
     n = int(n)
     if n <= 0:
         raise ValueError("need at least one sample")
     rng = np.random.Generator(np.random.Philox(seed))
-    if antithetic:
-        base = _ndtri(rng.random((n + 1) // 2) + _HALF_ULP)
-        values = np.empty(2 * base.size)
-        values[0::2] = base
-        values[1::2] = -base
-        values = values[:n]
-    else:
-        values = _ndtri(rng.random(n) + _HALF_ULP)
+    values = _ndtri(rng.random(n) + _HALF_ULP)
     if n >= 100_000:
         _moment_guard(values, n)
-    return NormalSampleSet(values=values, seed=int(seed), n=n, antithetic=antithetic)
+    return NormalSampleSet(values=values, seed=int(seed), n=n)
 
 
 def _polevl(x, coef, leading_one=False):

@@ -6,8 +6,10 @@ quadrature, network values and derivatives at a single input by
 plain layer-by-layer evaluation and chain rule (the package evaluates
 networks only through ``DenseNetwork.scalar_batch``), the hidden
 activation by the overflow-safe max form (the package forms it from one
-e^h per layer), and the Fourier pricer's and kernel density's sums as
-one dense 2-D array each (the package forms them in fixed row blocks).
+e^h per layer), the Fourier pricer's and kernel density's sums as
+one dense 2-D array each (the package forms them in fixed row blocks),
+and Heston prices and log returns by full-truncation Euler Monte Carlo
+(the package prices Heston only through its characteristic function).
 """
 
 import math
@@ -18,6 +20,7 @@ from scipy.special import expit
 
 from rndkit.heston import DAMPING_ALPHA, _damped_cf_table, _log_cf
 from rndkit.nn import ParamGradient
+from rndkit.numerics import kahan_sum, parallel_map
 
 
 def norm_cdf(x):
@@ -142,3 +145,71 @@ def kernel_values_dense(x, grid, bandwidth, xblock):
         u = (grid[:, None] - x[None, xs:xs + xblock]) / bandwidth
         acc += np.exp(-0.5 * u * u).sum(axis=1)
     return acc / norm
+
+
+# ----------------------------------------------------------------------
+# Heston by full-truncation Euler Monte Carlo
+
+MC_CHUNK = 131_072
+
+
+def _chunk_bounds(paths: int):
+    starts = range(0, paths, MC_CHUNK)
+    return [(i, min(MC_CHUNK, paths - s)) for i, s in enumerate(starts)]
+
+
+def mc_terminal_log_returns(p, tau, rate, paths, steps, seed, threads=None) -> np.ndarray:
+    """ln(S_T/S_0) samples from full-truncation Euler, fixed chunk streams.
+
+    Chunks of 131072 paths each get their own counter-based stream keyed by
+    (seed, chunk), so the result is independent of thread count and any
+    prefix of chunks is reproducible.
+    """
+    if paths < 1 or steps < 1:
+        raise ValueError("paths and steps must be >= 1")
+    if tau <= 0.0:
+        raise ValueError("tau must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    dt = tau / steps
+    drift = rate * dt
+    sq_rho = np.sqrt(1.0 - p.rho * p.rho)
+
+    def run_chunk(spec):
+        chunk_index, n = spec
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64)))
+        x = np.zeros(n)
+        v = np.full(n, p.nu0)
+        for _ in range(steps):
+            z = rng.standard_normal((2, n))
+            vplus = np.maximum(v, 0.0)
+            shock = np.sqrt(vplus * dt)
+            x += drift - 0.5 * vplus * dt + shock * z[0]
+            v += p.kappa * (p.vartheta - vplus) * dt + p.xi * shock * (p.rho * z[0] + sq_rho * z[1])
+        return x
+
+    parts = parallel_map(run_chunk, _chunk_bounds(paths), threads)
+    return np.concatenate(parts)
+
+
+def heston_mc_price(p, side, spot, strike, tau, rate, paths, steps, seed, threads=None):
+    """(price, stderr) for one option, or arrays when strike is array-like."""
+    if side not in ("call", "put"):
+        raise ValueError("side must be 'call' or 'put'")
+    strikes = np.asarray(strike, dtype=float)
+    growth = np.exp(mc_terminal_log_returns(p, tau, rate, paths, steps, seed, threads))
+    disc_spot = np.exp(-rate * tau) * spot
+    n = growth.size
+
+    def one(k):
+        m = k / spot
+        payoff = np.maximum(growth - m, 0.0) if side == "call" else np.maximum(m - growth, 0.0)
+        mean = kahan_sum(payoff) / n
+        second = kahan_sum(payoff * payoff) / n
+        var = max(second - mean * mean, 0.0)
+        return disc_spot * mean, disc_spot * np.sqrt(var / n)
+
+    if strikes.ndim == 0:
+        return one(float(strikes))
+    pairs = [one(float(k)) for k in strikes]
+    return np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])

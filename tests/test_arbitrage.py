@@ -3,13 +3,11 @@ import pytest
 
 from rndkit.arbitrage import (
     PenaltyReport,
+    SyntheticGrid,
     aggregate_penalties,
     audit_price_surface,
     audit_surface,
     build_synthetic_grid,
-    penalty_calendar_call,
-    penalty_calendar_put,
-    penalty_mu,
     price_surface,
     total_penalty,
 )
@@ -22,7 +20,7 @@ from rndkit.models import (
     zero_net_rnmlp,
 )
 from rndkit.data_io import OptionChain, OptionQuote
-from rndkit.pricing import PriceRequest, price, price_chain
+from rndkit.pricing import MaturitySlice, PriceRequest, price, price_chain
 from rndkit.sampling import draw_standard_normal
 
 from oracles import normal_expectation
@@ -31,6 +29,15 @@ from oracles import normal_expectation
 def make_rnq(z, rate, tau, sigma=0.2, u=1.1, v=1.1):
     mu = rnq_mu_from_constraint(sigma, u, v, 4.0, z, rate, tau)
     return RnQParams(mu=mu, sigma=sigma, u=u, v=v)
+
+
+def point_penalty(model, tau, rate, z, strike=100.0, spot=100.0):
+    """(calendar call, calendar put, squared martingale defect) at one
+    (tau, strike) point, read off a one-point penalty grid."""
+    grid = SyntheticGrid(np.array([float(tau)]), np.array([float(strike)]))
+    report = total_penalty(model, grid, spot, lambda t: rate, z)
+    (*_, call), (*_, put) = report.calendar_values
+    return call, put, report.mu_values[0][1]
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +94,7 @@ def mc_error(z, terms_fn):
 
 def test_calendar_call_strike_zero_closed_form():
     model, z = zero_net_tables()
-    got = penalty_calendar_call(model, TAU, 0.0, 100.0, RATE, z)
+    got = point_penalty(model, TAU, RATE, z, strike=0.0)[0]
     want = (SIGMA**2 / 2.0 - RATE) * np.exp(A * A / 2.0)
     se = mc_error(z, lambda zz: (SIGMA * zz / (2 * np.sqrt(TAU)) - RATE) * np.exp(A * zz))
     assert abs(got - want) < 4.0 * se
@@ -97,7 +104,7 @@ def test_calendar_call_strike_zero_closed_form():
 @pytest.mark.parametrize("moneyness", [0.9, 1.05])
 def test_calendar_call_matches_quadrature(moneyness):
     model, z = zero_net_tables()
-    got = penalty_calendar_call(model, TAU, moneyness * 100.0, 100.0, RATE, z)
+    got = point_penalty(model, TAU, RATE, z, strike=moneyness * 100.0)[0]
     z0 = np.log(moneyness) / A
 
     def integrand(zz):
@@ -111,7 +118,7 @@ def test_calendar_call_matches_quadrature(moneyness):
 @pytest.mark.parametrize("moneyness", [0.9, 1.1])
 def test_calendar_put_matches_quadrature(moneyness):
     model, z = zero_net_tables()
-    got = penalty_calendar_put(model, TAU, moneyness * 100.0, 100.0, RATE, z)
+    got = point_penalty(model, TAU, RATE, z, strike=moneyness * 100.0)[1]
     z0 = np.log(moneyness) / A
 
     def integrand(zz):
@@ -127,16 +134,16 @@ def test_calendar_put_matches_quadrature(moneyness):
 
 def test_calendar_empty_indicator_is_exact_zero():
     model, z = zero_net_tables(n=10_000)
-    assert penalty_calendar_call(model, TAU, 100.0 * np.exp(10.0), 100.0, RATE, z) == 0.0
-    assert penalty_calendar_put(model, TAU, 0.0, 100.0, RATE, z) == 0.0
+    assert point_penalty(model, TAU, RATE, z, strike=100.0 * np.exp(10.0))[0] == 0.0
+    assert point_penalty(model, TAU, RATE, z, strike=0.0)[1] == 0.0
 
 
 def test_calendar_rejects_nonpositive_tau():
     model, z = zero_net_tables(n=100)
     with pytest.raises(ValueError):
-        penalty_calendar_call(model, 0.0, 100.0, 100.0, RATE, z)
+        point_penalty(model, 0.0, RATE, z)
     with pytest.raises(ValueError):
-        penalty_calendar_put(model, -0.1, 100.0, 100.0, RATE, z)
+        point_penalty(model, -0.1, RATE, z)
 
 
 # ----------------------------------------------------------------------
@@ -149,10 +156,7 @@ def test_penalty_equals_price_derivative(strike, side):
     model = init_rnmlp(seed=5)
     z = draw_standard_normal(20_000, seed=17)
     spot, tau, rate = 100.0, 0.25, 0.03
-    if side == "call":
-        j = penalty_calendar_call(model, tau, strike, spot, rate, z)
-    else:
-        j = penalty_calendar_put(model, tau, strike, spot, rate, z)
+    j = point_penalty(model, tau, rate, z, strike=strike, spot=spot)[0 if side == "call" else 1]
     analytic = spot * np.exp(-rate * tau) * j
 
     h = 1e-5
@@ -166,7 +170,7 @@ def test_penalty_derivative_identity_dmlp():
     model = init_rndmlp(seed=8)
     z = draw_standard_normal(20_000, seed=18)
     spot, tau, rate, strike = 100.0, 0.5, 0.02, 95.0
-    j = penalty_calendar_call(model, tau, strike, spot, rate, z)
+    j = point_penalty(model, tau, rate, z, strike=strike, spot=spot)[0]
     h = 1e-5
     fd = (
         price(model, PriceRequest("call", spot, strike, tau + h, rate), z)
@@ -182,13 +186,13 @@ def test_penalty_derivative_identity_dmlp():
 def test_penalty_mu_rnq_elimination_is_exact():
     z = draw_standard_normal(50_000, seed=3)
     model = make_rnq(z, rate=0.04, tau=0.25)
-    assert penalty_mu(model, 0.25, 0.04, z) < 1e-20
+    assert point_penalty(model, 0.25, 0.04, z)[2] < 1e-20
 
 
 def test_penalty_mu_zero_net_value():
     model, z = zero_net_tables()
     rate, tau = 0.04, 0.25
-    got = penalty_mu(model, tau, rate, z)
+    got = point_penalty(model, tau, rate, z)[2]
     # defect is ln mean e^{a Z} - r tau ~= a^2/2 - r tau = -0.005
     growth = np.exp(A * np.asarray(z.values))
     se = np.std(growth) / (np.mean(growth) * np.sqrt(growth.size))
@@ -200,10 +204,12 @@ def test_penalty_mu_zero_net_value():
 
 
 def test_penalty_mu_edges():
+    # X is zero at tau = 0, so the defect is exactly zero there
     model, z = zero_net_tables(n=100)
-    assert penalty_mu(model, 0.0, 0.04, z) == 0.0
+    bound = bind(model, z)
+    assert MaturitySlice(0.0, 0.04, bound.log_returns(0.0, 0.04)).defect == 0.0
     with pytest.raises(ValueError):
-        penalty_mu(model, -1.0, 0.04, z)
+        point_penalty(model, -1.0, 0.04, z)
 
 
 # ----------------------------------------------------------------------
@@ -287,14 +293,10 @@ def test_penalty_and_surface_bound_model_is_bit_identical():
         assert got.mu_values == want.mu_values
         surface = price_surface(bound, [0.2, 0.4], [90.0, 100.0, 110.0], 100.0, rate_fn, z,
                                 threads=2)
-        for name in ("calls", "puts", "defects", "jtau_calls", "jtau_puts",
-                     "call_far", "put_near"):
+        for name in ("calls", "puts", "defects", "jtau_calls", "jtau_puts"):
             np.testing.assert_array_equal(getattr(surface, name), getattr(want_surface, name))
-        assert penalty_calendar_call(bound, 0.3, 95.0, 100.0, 0.03, z) == \
-            penalty_calendar_call(model, 0.3, 95.0, 100.0, 0.03, z)
-        assert penalty_calendar_put(bound, 0.3, 95.0, 100.0, 0.03, z) == \
-            penalty_calendar_put(model, 0.3, 95.0, 100.0, 0.03, z)
-        assert penalty_mu(bound, 0.3, 0.03, z) == penalty_mu(model, 0.3, 0.03, z)
+        assert point_penalty(bound, 0.3, 0.03, z, strike=95.0) == \
+            point_penalty(model, 0.3, 0.03, z, strike=95.0)
 
 
 def test_surface_agrees_with_chain_prices_and_penalty_terms():
@@ -313,9 +315,10 @@ def test_surface_agrees_with_chain_prices_and_penalty_terms():
         for j, k in enumerate(strikes):
             assert surface.calls[i, j] == next(prices)
             assert surface.puts[i, j] == next(prices)
-            assert surface.jtau_calls[i, j] == penalty_calendar_call(bound, tau, k, spot, rate, z)
-            assert surface.jtau_puts[i, j] == penalty_calendar_put(bound, tau, k, spot, rate, z)
-        assert surface.defects[i] ** 2 == penalty_mu(bound, tau, rate, z)
+            call, put, mu = point_penalty(bound, tau, rate, z, strike=k, spot=spot)
+            assert surface.jtau_calls[i, j] == call
+            assert surface.jtau_puts[i, j] == put
+            assert surface.defects[i] ** 2 == mu
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,7 @@ from rndkit.calibration import (
     adam_step,
     calibrate,
     mse,
-    objective_and_gradient,
-    params_to_vector,
     relative_mse,
-    vector_to_params,
 )
 from rndkit.data_io import OptionQuote
 from rndkit.heston import generate_simulated_chain
@@ -70,6 +67,23 @@ def three_maturity_chain():
 def grid_for(chain):
     return build_synthetic_grid([q.tau for q in chain.quotes],
                                 [q.strike for q in chain.quotes])
+
+
+def params_to_vector(model):
+    """The adapter's flat trainable vector: rn-q (sigma, u, v); rn-mlp
+    sigma | net_mu | net_z | net_tau; rn-dmlp alpha | comp1 | comp2."""
+    return calibration._adapter_of(model).to_vector(model)
+
+
+def vector_to_params(template, vec):
+    return calibration._adapter_of(template).from_vector(template, vec)
+
+
+def objective_and_gradient(model, chain, grid, cfg, samples):
+    """One evaluation's loss and natural-parameter gradient."""
+    adapter = calibration._adapter_of(model)
+    loss, grad, _ = calibration._objective_parts(adapter, model, chain, grid, cfg, samples)
+    return loss, grad
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +516,7 @@ def test_training_tables_match_bound_slices(kind):
         for tau in subset:
             want = MaturitySlice(tau, rate(tau), bound.log_returns(tau, rate(tau)))
             assert tables[tau].growth.tobytes() == want.growth.tobytes()
-            assert tables[tau].slope.tobytes() == bound.dtau(tau, rate(tau)).tobytes()
+            assert tables[tau].slope.tobytes() == bound.columns(tau, rate(tau))[1].tobytes()
 
 
 def test_rnq_fit_sorts_unsorted_growth_once(call_chain, monkeypatch):

@@ -12,7 +12,7 @@ from rndkit import calibration, cli
 from rndkit.cli import main, parse_tau_grid, read_config_file
 from rndkit.data_io import DataError, load_chain, save_chain, save_rates
 from rndkit.heston import generate_simulated_chain
-from rndkit.models import load_checkpoint
+from rndkit.models import model_from_checkpoint
 from rndkit.nn import DenseNetwork
 from rndkit.pricing import MaturitySlice
 
@@ -87,10 +87,9 @@ def test_simulate_unknown_scenario_is_usage_error(tmp_path):
 
 
 def test_calibrate_writes_checkpoint_result_and_audit(fit_dir):
-    raw = (fit_dir / "checkpoint.json").read_bytes()
-    model = load_checkpoint(raw)
+    ck = json.loads((fit_dir / "checkpoint.json").read_bytes())
+    model = model_from_checkpoint(ck)
     assert model.sigma > 0.0
-    ck = json.loads(raw)
     assert ck["format_version"] == 1
     assert ck["model_type"] == "rn-q"
     assert ck["context"]["train_days"] == [91]
@@ -313,6 +312,17 @@ def test_evaluate_bad_checkpoint_exits_2(sim_dir, tmp_path):
     assert rc == 2
 
 
+def test_evaluate_truncated_checkpoint_exits_2(sim_dir, fit_dir, tmp_path, capsys):
+    raw = (fit_dir / "checkpoint.json").read_bytes()
+    bad = tmp_path / "truncated.json"
+    bad.write_bytes(raw[: len(raw) // 2])
+    rc = main(["evaluate", "--checkpoint", str(bad),
+               "--chain", str(sim_dir / "left-skew_chain.csv"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "cannot read checkpoint" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, edit", [
     ("evaluate", lambda ctx: ctx["config"].pop("n_samples")),
     ("evaluate", lambda ctx: ctx.update(config="oops")),
@@ -425,7 +435,7 @@ def test_audit_reports_checks_and_penalty(fit_dir, tmp_path):
     doc = json.loads((tmp_path / "audit.json").read_text())
     assert isinstance(doc["audit"]["passed"], bool)
     assert set(doc["audit"]["checks"]) == {
-        "monotone_in_strike", "convex_in_strike", "strike_limits",
+        "monotone_in_strike", "convex_in_strike",
         "intrinsic_at_tau0", "calendar_in_tau", "parity_and_bounds"}
     assert doc["penalty"]["total"] >= 0.0
 

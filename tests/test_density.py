@@ -186,7 +186,10 @@ def test_characteristics_standard_normal():
 
 
 def test_characteristics_symmetric_sample_exact():
-    z = draw_standard_normal(100_000, seed=17, antithetic=True)
+    # the interleaved sample (z1, -z1, z2, -z2, ...)
+    base = draw_standard_normal(50_000, seed=17).values
+    z = np.empty(100_000)
+    z[0::2], z[1::2] = base, -base
     c = characteristics(z)
     assert c.mean == 0.0
     assert c.skew_pm == 0.0
@@ -273,14 +276,14 @@ def test_term_structure_shape_and_behavior():
     model = zero_net_rnmlp(sigma=0.2)
     z = draw_standard_normal(200_000, seed=23)
     taus = np.array([7.0, 30.0, 91.0, 182.0, 365.0]) / 365.0
-    table = term_structure(model, taus, z)
+    table = term_structure(model, taus, z, lambda tau: 0.0)
     assert table.shape == (5, 4)
     np.testing.assert_array_equal(table[:, 0], taus)
     assert np.all(np.diff(table[:, 1]) > 0)  # RNM2 grows in tau
     assert np.all(np.abs(table[:, 2]) < 0.02)
     np.testing.assert_allclose(table[:, 3], 3.0, atol=0.05)
 
-    single = term_structure(model, [0.25], z)
+    single = term_structure(model, [0.25], z, lambda tau: 0.0)
     assert single.shape == (1, 4)
 
 
@@ -289,6 +292,7 @@ def test_density_bound_model_is_bit_identical():
     z = draw_standard_normal(20_000, seed=25)
     other = draw_standard_normal(20_000, seed=26)
     grid = np.linspace(-1.0, 1.0, 101)
+    rate_fn = lambda tau: 0.02 + 0.01 * tau
     want = kde_log_return(model, 0.5, z, grid, 0.03)
     for bound in (bind(model, z), bind(model, other)):
         got = kde_log_return(bound, 0.5, z, grid, 0.03)
@@ -296,18 +300,21 @@ def test_density_bound_model_is_bit_identical():
         assert got.bandwidth == want.bandwidth
         assert risk_neutral_moments(bound, 0.5, z, 0.03) == \
             risk_neutral_moments(model, 0.5, z, 0.03)
-        np.testing.assert_array_equal(term_structure(bound, [0.1, 0.5], z, 0.03),
-                                      term_structure(model, [0.1, 0.5], z, 0.03))
+        np.testing.assert_array_equal(term_structure(bound, [0.1, 0.5], z, rate_fn),
+                                      term_structure(model, [0.1, 0.5], z, rate_fn))
+    # each maturity's moments are read at that maturity's rate
+    for tau, *moments in term_structure(model, [0.1, 0.5], z, rate_fn):
+        assert tuple(moments) == risk_neutral_moments(model, tau, z, rate_fn(tau))
 
 
 def test_term_structure_validation():
     model = zero_net_rnmlp()
     z = draw_standard_normal(1_000, seed=24)
     with pytest.raises(ValueError):
-        term_structure(model, [], z)
+        term_structure(model, [], z, lambda tau: 0.0)
     with pytest.raises(ValueError):
-        term_structure(model, [0.5, 0.25], z)
+        term_structure(model, [0.5, 0.25], z, lambda tau: 0.0)
     with pytest.raises(ValueError):
-        term_structure(model, [-0.1, 0.25], z)
+        term_structure(model, [-0.1, 0.25], z, lambda tau: 0.0)
     with pytest.raises(ValueError):
         risk_neutral_moments(model, 0.0, z)

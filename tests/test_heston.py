@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 import rndkit.heston as heston
 from rndkit.data_io import MIN_QUOTE, load_chain, save_chain, save_rates
 from rndkit.heston import (
@@ -12,13 +13,15 @@ from rndkit.heston import (
     generate_simulated_chain,
     heston_call_prices,
     heston_cf,
-    heston_mc_price,
-    heston_price,
     heston_rnd,
     heston_true_moments,
+)
+from oracles import (
+    black_scholes_call,
+    heston_call_prices_dense,
+    heston_mc_price,
     mc_terminal_log_returns,
 )
-from oracles import black_scholes_call, heston_call_prices_dense
 
 SPOT = 1000.0
 RATE = 0.04
@@ -103,10 +106,11 @@ def test_cf_rejects_bad_inputs():
 def test_price_matches_black_scholes_at_tiny_xi():
     tau, rate = 0.5, 0.03
     sigma = np.sqrt(NEAR_BS.nu0)
-    for strike in [60.0, 80.0, 100.0, 125.0, 160.0]:
-        got = heston_price(NEAR_BS, "call", 100.0, strike, tau, rate)
+    strikes = [60.0, 80.0, 100.0, 125.0, 160.0]
+    got = heston_call_prices(NEAR_BS, 100.0, np.array(strikes), tau, rate)
+    for strike, call in zip(strikes, got):
         want = black_scholes_call(100.0, strike, tau, rate, sigma)
-        assert got == pytest.approx(want, abs=1e-6)
+        assert call == pytest.approx(want, abs=1e-6)
 
 
 def test_zero_strike_call_is_spot():
@@ -115,23 +119,11 @@ def test_zero_strike_call_is_spot():
     assert got[0] == pytest.approx(SPOT, rel=1e-12)
 
 
-def test_put_call_parity():
-    for p, days in SCENARIOS.values():
-        tau = days / 365.0
-        for strike in [700.0, 1000.0, 1300.0]:
-            c = heston_price(p, "call", SPOT, strike, tau, RATE)
-            q = heston_price(p, "put", SPOT, strike, tau, RATE)
-            assert c - q == pytest.approx(SPOT - strike * np.exp(-RATE * tau), abs=1e-9 * SPOT)
-
-
-def test_price_at_expiry_is_intrinsic():
+def test_call_prices_reject_nonpositive_tau():
     p, _ = SCENARIOS["left-skew"]
-    assert heston_price(p, "call", SPOT, 900.0, 0.0, RATE) == 100.0
-    assert heston_price(p, "put", SPOT, 900.0, 0.0, RATE) == 0.0
-    with pytest.raises(ValueError, match="tau"):
-        heston_price(p, "call", SPOT, 900.0, -0.1, RATE)
-    with pytest.raises(ValueError, match="side"):
-        heston_price(p, "straddle", SPOT, 900.0, 0.25, RATE)
+    for tau in (0.0, -0.1):
+        with pytest.raises(ValueError, match="tau"):
+            heston_call_prices(p, SPOT, np.array([900.0]), tau, RATE)
 
 
 def test_call_prices_vectorized_match_singles():
@@ -139,7 +131,7 @@ def test_call_prices_vectorized_match_singles():
     tau = days / 365.0
     strikes = np.array([500.0, 900.0, 1000.0, 1400.0])
     batch = heston_call_prices(p, SPOT, strikes, tau, RATE)
-    singles = [heston_price(p, "call", SPOT, k, tau, RATE) for k in strikes]
+    singles = [heston_call_prices(p, SPOT, np.array([k]), tau, RATE)[0] for k in strikes]
     np.testing.assert_allclose(batch, singles, rtol=1e-13)
 
 
@@ -210,7 +202,7 @@ def test_mc_thread_count_does_not_change_samples():
 
 def test_mc_chunking_gives_prefix_stability(monkeypatch):
     # growing the path count must not disturb earlier chunks
-    monkeypatch.setattr(heston, "MC_CHUNK", 1_000)
+    monkeypatch.setattr(oracles, "MC_CHUNK", 1_000)
     p, _ = SCENARIOS["left-skew"]
     short = mc_terminal_log_returns(p, 0.25, RATE, paths=1_000, steps=5, seed=2)
     longer = mc_terminal_log_returns(p, 0.25, RATE, paths=2_500, steps=5, seed=2)
@@ -241,7 +233,8 @@ def test_mc_price_put_and_scalar_forms():
     p, _ = SCENARIOS["likely-normal"]
     price, se = heston_mc_price(p, "put", SPOT, 1100.0, 0.25, RATE,
                                 paths=100_000, steps=60, seed=13)
-    want = heston_price(p, "put", SPOT, 1100.0, 0.25, RATE)
+    call = heston_call_prices(p, SPOT, np.array([1100.0]), 0.25, RATE)[0]
+    want = call - SPOT + 1100.0 * np.exp(-RATE * 0.25)  # parity
     assert isinstance(price, float)
     assert abs(price - want) < 4.0 * se + 3e-3 * want
 
@@ -376,7 +369,7 @@ def test_chain_prices_come_from_cf_pricer():
     chain = generate_simulated_chain("right-skew")
     p, days = SCENARIOS["right-skew"]
     atm = next(q for q in chain.quotes if q.strike == 1000.0)
-    want = heston_price(p, "call", SPOT, 1000.0, days / 365.0, RATE)
+    want = heston_call_prices(p, SPOT, np.array([1000.0]), days / 365.0, RATE)[0]
     assert atm.mid == pytest.approx(want, rel=1e-12)
 
 

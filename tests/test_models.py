@@ -10,20 +10,24 @@ from rndkit.models import (
     RnQParams,
     bind,
     checkpoint_document,
-    dtau_log_returns,
+    checkpoint_json,
     init_rndmlp,
     init_rnmlp,
-    load_checkpoint,
+    model_from_checkpoint,
     rnq_log_return,
     rnq_mu_from_constraint,
     sample_log_returns,
-    save_checkpoint,
     zero_net_rnmlp,
 )
 from rndkit.numerics import logmeanexp
 from rndkit.sampling import draw_standard_normal
 
 from oracles import forward
+
+
+def round_trip(model):
+    """Write a checkpoint as the CLI does and read it back."""
+    return model_from_checkpoint(json.loads(checkpoint_json(checkpoint_document(model))))
 
 
 def test_rnq_log_return_frozen_values():
@@ -79,7 +83,7 @@ def test_rnmlp_zero_net_reduces_to_driftless_lognormal():
     z = np.linspace(-3, 3, 11)
     x = sample_log_returns(p, 0.25, z, 0.04)
     np.testing.assert_allclose(x, 0.3 * 0.5 * z, rtol=0, atol=1e-16)
-    d = dtau_log_returns(p, 0.25, z, 0.04)
+    d = bind(p, z).columns(0.25, 0.04)[1]
     np.testing.assert_allclose(d, 0.3 * z / (2.0 * 0.5), rtol=0, atol=1e-16)
 
 
@@ -105,7 +109,7 @@ def test_rnmlp_tau_zero_and_validation():
     with pytest.raises(ValueError):
         sample_log_returns(p, -0.1, z, 0.05)
     with pytest.raises(ValueError):
-        dtau_log_returns(p, 0.0, z, 0.05)
+        bind(p, z).columns(0.0, 0.05)[1]
 
 
 def test_rnmlp_dtau_matches_finite_differences():
@@ -114,13 +118,13 @@ def test_rnmlp_dtau_matches_finite_differences():
     tau, rate = 0.4, 0.05
     h = 1e-6 * tau
     fd = (sample_log_returns(p, tau + h, z, rate) - sample_log_returns(p, tau - h, z, rate)) / (2 * h)
-    np.testing.assert_allclose(dtau_log_returns(p, tau, z, rate), fd, rtol=1e-5)
+    np.testing.assert_allclose(bind(p, z).columns(tau, rate)[1], fd, rtol=1e-5)
 
 
 def test_rnmlp_dtau_at_zero_z_uses_only_drift_network():
     p = init_rnmlp(seed=4)
     tau, rate = 0.6, 0.02
-    got = float(dtau_log_returns(p, tau, np.array([0.0]), rate)[0])
+    got = float(bind(p, np.array([0.0])).columns(tau, rate)[1][0])
     vals, slopes, _ = p.net_mu.scalar_batch(np.array([tau]), want_slope=True)
     assert got == pytest.approx(rate * vals[0] + rate * tau * slopes[0], rel=1e-13)
 
@@ -141,7 +145,7 @@ def test_rndmlp_affine_combination():
     # alpha is unconstrained; outside [0, 1] is legal and finite.
     wide = RnDmlpParams(alpha=2.0, comp1=p.comp1, comp2=p.comp2)
     np.testing.assert_allclose(sample_log_returns(wide, tau, z, rate), 2.0 * x1 - x2, rtol=1e-12)
-    assert np.all(np.isfinite(dtau_log_returns(wide, tau, z, rate)))
+    assert np.all(np.isfinite(bind(wide, z).columns(tau, rate)[1]))
 
 
 def test_sample_log_returns_dispatch_and_edge_cases():
@@ -167,7 +171,7 @@ def test_sample_log_returns_commutes_with_permutation():
 
 def test_dtau_log_returns_rnq_is_flat_rate():
     z = draw_standard_normal(32, seed=2)
-    d = dtau_log_returns(RnQParams(0.1, 0.2, 1.3, 1.1), 0.5, z, 0.07)
+    d = bind(RnQParams(0.1, 0.2, 1.3, 1.1), z).columns(0.5, 0.07)[1]
     np.testing.assert_array_equal(d, np.full(32, 0.07))
 
 
@@ -181,15 +185,15 @@ def test_bound_model_is_bit_identical_and_rebinds_on_other_draws():
         for tau in (0.0, 0.25, 1.0):
             np.testing.assert_array_equal(sample_log_returns(bound, tau, za, 0.03),
                                           sample_log_returns(model, tau, za, 0.03))
-        np.testing.assert_array_equal(dtau_log_returns(bound, 0.5, za, 0.03),
-                                      dtau_log_returns(model, 0.5, za, 0.03))
+        np.testing.assert_array_equal(bind(bound, za).columns(0.5, 0.03)[1],
+                                      bind(model, za).columns(0.5, 0.03)[1])
         # bound to draws A, asked about draws B: the unbound result on B
         rebound = bind(bound, zb)
         assert rebound is not bound and rebound.model is model
         np.testing.assert_array_equal(sample_log_returns(bound, 0.5, zb, 0.03),
                                       sample_log_returns(model, 0.5, zb, 0.03))
-        np.testing.assert_array_equal(dtau_log_returns(bound, 0.5, zb, 0.03),
-                                      dtau_log_returns(model, 0.5, zb, 0.03))
+        np.testing.assert_array_equal(bind(bound, zb).columns(0.5, 0.03)[1],
+                                      bind(model, zb).columns(0.5, 0.03)[1])
 
     # editing the caller's array after binding cannot leave G_Z stale
     model = init_rnmlp(seed=12)
@@ -232,8 +236,7 @@ def test_checkpoint_roundtrip_is_bit_exact_for_all_kinds():
         init_rndmlp(seed=22),
     ]
     for model in models:
-        blob = save_checkpoint(model)
-        back = load_checkpoint(blob)
+        back = round_trip(model)
         assert type(back) is type(model)
         if isinstance(model, RnQParams):
             for name in ("mu", "sigma", "u", "v", "a_const"):
@@ -250,12 +253,12 @@ def test_checkpoint_roundtrip_is_bit_exact_for_all_kinds():
                     for b0, b1 in zip(getattr(orig, net).biases,
                                       getattr(copy, net).biases):
                         np.testing.assert_array_equal(b1, b0)
-    mixture = load_checkpoint(save_checkpoint(models[2]))
+    mixture = round_trip(models[2])
     assert mixture.alpha == models[2].alpha
 
 
 def test_checkpoint_floats_carry_17_significant_digits():
-    text = save_checkpoint(RnQParams(0.0, 0.2, 1.1, 1.3)).decode()
+    text = checkpoint_json(checkpoint_document(RnQParams(0.0, 0.2, 1.1, 1.3)))
     assert "0.20000000000000001" in text
     # integer-valued floats keep a decimal marker so json preserves the type
     assert '"a_const": 4.0' in text
@@ -264,28 +267,22 @@ def test_checkpoint_floats_carry_17_significant_digits():
     assert doc["scalars"]["sigma"] == 0.2
 
 
-def test_checkpoint_truncated_document_is_a_parse_error():
-    blob = save_checkpoint(RnQParams(0.0, 0.2, 1.1, 1.3))
-    with pytest.raises(ValueError, match="malformed"):
-        load_checkpoint(blob[: len(blob) // 2])
-
-
 def test_checkpoint_unknown_model_type_is_rejected():
     doc = checkpoint_document(RnQParams(0.0, 0.2, 1.1, 1.3))
     doc["model_type"] = "rn-cubist"
     with pytest.raises(ValueError, match="unsupported model"):
-        load_checkpoint(json.dumps(doc).encode())
+        model_from_checkpoint(doc)
 
 
 def test_checkpoint_version_mismatch_is_rejected():
     doc = checkpoint_document(RnQParams(0.0, 0.2, 1.1, 1.3))
     doc["format_version"] = CHECKPOINT_VERSION + 1
     with pytest.raises(ValueError, match="format_version"):
-        load_checkpoint(json.dumps(doc).encode())
+        model_from_checkpoint(doc)
 
 
 def test_checkpoint_ignores_extra_fields():
     doc = checkpoint_document(init_rnmlp(seed=5))
     doc["context"] = {"spot": 1000.0, "note": "run metadata"}
-    model = load_checkpoint(json.dumps(doc).encode())
+    model = model_from_checkpoint(doc)
     assert isinstance(model, RnMlpParams)

@@ -18,7 +18,6 @@ from rndkit.pricing import (
     growth_factors,
     price,
     price_chain,
-    price_with_stderr,
 )
 from rndkit.sampling import draw_standard_normal
 
@@ -29,6 +28,14 @@ S = 100.0
 
 def make_chain(quotes, spot=S, rate=0.03):
     return OptionChain("2026-01-05", spot, quotes, [(365.0, rate)])
+
+
+def payoff_stderr(model, req, z):
+    """Standard error of the discounted payoff's sample mean on the draws."""
+    growth = np.exp(sample_log_returns(model, req.tau, z, req.rate))
+    m = req.strike / req.spot
+    payoff = np.maximum(growth - m, 0.0) if req.side == "call" else np.maximum(m - growth, 0.0)
+    return np.exp(-req.rate * req.tau) * req.spot * np.std(payoff) / np.sqrt(payoff.size)
 
 
 def test_tau_zero_is_exact_intrinsic():
@@ -62,9 +69,10 @@ def test_lognormal_special_case_matches_black_scholes(strike):
     model = RnQParams(mu=mu, sigma=sigma, u=1.0, v=1.0)
     vol = 1.5 * sigma / np.sqrt(tau)
     for side, oracle in (("call", black_scholes_call), ("put", black_scholes_put)):
-        got, stderr = price_with_stderr(model, PriceRequest(side, S, strike, tau, rate), z)
+        req = PriceRequest(side, S, strike, tau, rate)
+        got = price(model, req, z)
         want = oracle(S, strike, tau, rate, vol)
-        assert abs(got - want) < 3.0 * stderr + 1e-10
+        assert abs(got - want) < 3.0 * payoff_stderr(model, req, z) + 1e-10
 
 
 def test_put_call_parity_with_eliminated_mu():
@@ -159,7 +167,7 @@ def test_price_chain_bound_model_is_bit_identical():
     req = PriceRequest("put", S, 95.0, 0.4, 0.03)
     for bound in (bind(model, z), bind(model, other)):
         np.testing.assert_array_equal(price_chain(bound, chain, z, threads=2), want)
-        assert price_with_stderr(bound, req, z) == price_with_stderr(model, req, z)
+        assert price(bound, req, z) == price(model, req, z)
 
 
 def assert_same_slice(got, want):
@@ -226,14 +234,6 @@ def test_slice_hint_with_ties_falls_back_to_cold_sort(case):
     unchecked = hint[np.argsort(x[hint], kind="stable")]
     assert not np.array_equal(unchecked, want.order)
     assert_same_slice(MaturitySlice(0.25, 0.03, x, slope, hint), want)
-
-
-def test_stderr_scales_with_sample_count():
-    model = zero_net_rnmlp(sigma=0.25)
-    req = PriceRequest("call", S, 100.0, 0.5, 0.03)
-    _, se_small = price_with_stderr(model, req, draw_standard_normal(25_000, seed=4))
-    _, se_big = price_with_stderr(model, req, draw_standard_normal(100_000, seed=4))
-    assert se_big == pytest.approx(se_small / 2.0, rel=0.2)
 
 
 def test_request_validation():
