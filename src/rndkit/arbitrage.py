@@ -190,6 +190,7 @@ class PriceSurface:
     jtau_puts: np.ndarray
     tau0_calls: np.ndarray  # tau = 0 prices per strike
     tau0_puts: np.ndarray
+    orders: dict  # maturity -> its slice's sort order, a ``total_penalty`` hint
 
 
 def price_surface(model, taus, strikes, spot, rate_fn, samples, threads=None) -> PriceSurface:
@@ -202,7 +203,7 @@ def price_surface(model, taus, strikes, spot, rate_fn, samples, threads=None) ->
     def run_tau(tau):
         rate = rate_fn(tau)
         table = _slope_slice(bound, tau, rate)
-        return {
+        return table.order, {
             "calls": [table.price("call", k, spot)[0] for k in strikes],
             "puts": [table.price("put", k, spot)[0] for k in strikes],
             "jtau_calls": [table.calendar_call(k / spot)[0] for k in strikes],
@@ -211,11 +212,13 @@ def price_surface(model, taus, strikes, spot, rate_fn, samples, threads=None) ->
             "defects": table.defect,
         }
 
-    rows = parallel_map(run_tau, [float(t) for t in taus], threads)
+    keys = [float(t) for t in taus]
+    orders, rows = zip(*parallel_map(run_tau, keys, threads))
     return PriceSurface(
         spot=float(spot), taus=taus, strikes=strikes,
         **{name: np.array([row[name] for row in rows]) for name in rows[0]},
         tau0_calls=np.maximum(spot - strikes, 0.0), tau0_puts=np.maximum(strikes - spot, 0.0),
+        orders=dict(zip(keys, orders)),
     )
 
 

@@ -440,7 +440,8 @@ class _NetworkAdapter(_Adapter):
     net_mu and net_tau caches per maturity; the tau-net caches are stacked
     so one backward pass per network serves every maturity at once, and
     net_z's backward recomputes its activations block by block in the
-    fit's scratch.
+    fit's scratch, in float32: the gradient only sets the direction of
+    Adam's normalized step, and the loss comes from the float64 tables.
     """
 
     def __init__(self, init_model, has_alpha):
@@ -521,7 +522,7 @@ class _NetworkAdapter(_Adapter):
             comp_proj.append(proj)
             g_mu = comp.net_mu.weighted_value_slope_param_gradient(
                 stack_caches(caches_mu), wv_mu, ws_mu)
-            g_z = comp.net_z.blocked_param_gradient(z, wz, bound.scratch)
+            g_z = comp.net_z.astype(np.float32).blocked_param_gradient(z, wz, bound.scratch)
             g_tau = comp.net_tau.weighted_value_slope_param_gradient(
                 stack_caches(caches_tau), wv_tau, ws_tau)
             parts += [[d_sigma], g_mu.to_vector(), g_z.to_vector(), g_tau.to_vector()]

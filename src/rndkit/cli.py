@@ -21,7 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .arbitrage import audit_surface, build_synthetic_grid, total_penalty
+from .arbitrage import (
+    audit_price_surface,
+    audit_surface,
+    build_synthetic_grid,
+    price_surface,
+    total_penalty,
+)
 from .calibration import (
     CalibrationConfig,
     CalibrationDivergence,
@@ -495,11 +501,14 @@ def cmd_audit(args) -> int:
     samples, seed = _checkpoint_samples(args, ctx)
     bound = bind(model, samples)
 
-    audit = audit_surface(bound, taus, strikes, spot, rate_fn, samples,
-                          threads=args.threads)
+    surface = price_surface(bound, taus, strikes, spot, rate_fn, samples,
+                            threads=args.threads)
+    audit = audit_price_surface(surface)
+    # the penalty grid holds the audited maturities: their slices start
+    # from the audit's orders, so each maturity sorts cold once
     grid = build_synthetic_grid(taus, strikes)
     penalty = total_penalty(bound, grid, spot, rate_fn, samples,
-                            threads=args.threads)
+                            threads=args.threads, hints=surface.orders)
     audit_path = out / "audit.json"
     write_json(audit_path, {"audit": audit, "penalty": penalty.to_jsonable()})
     _write_manifest(out, "audit", args,

@@ -8,8 +8,8 @@ X = ln(S_T / S_t):
   E[e^X] = e^(r tau) rather than trained;
 * network model: X = r tau G_mu(tau) + sigma sqrt(tau) Z (G_Z(Z) + G_tau(tau) + 1)
   with three small softplus networks, X(., 0) = 0 exactly;
-* mixture model: an affine combination alpha X_1 + (1 - alpha) X_2 of two
-  network components sharing the same draws.
+* mixture model: a convex combination alpha X_1 + (1 - alpha) X_2, with
+  alpha in [0, 1], of two network components sharing the same draws.
 
 The additive structure keeps the maturity derivative of X analytic, which
 the no-arbitrage penalties rely on.  It also means G_Z(Z), the only
@@ -134,9 +134,15 @@ class RnMlpParams:
 
 @dataclass
 class RnDmlpParams:
+    """Convex mixture alpha X_1 + (1 - alpha) X_2 of two network components."""
+
     alpha: float
     comp1: RnMlpParams
     comp2: RnMlpParams
+
+    def __post_init__(self):
+        if not 0.0 <= self.alpha <= 1.0:  # a NaN fails too
+            raise ValueError(f"alpha must be within [0, 1], got {self.alpha!r}")
 
 
 # ----------------------------------------------------------------------

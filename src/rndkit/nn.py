@@ -28,10 +28,21 @@ on the block while it is in cache (gradient checkpointing, Chen et al.
 one BLAS thread a blocked value equals the whole-array value bit for
 bit, and a blocked gradient, summed block by block in order, differs
 from the whole-array one only in the order of its row sums.
+
+The kernels work in the dtype of the network's weights and cast their
+inputs to it.  Calibration runs net_z's gradient pass on a float32 copy
+(``astype``), as in mixed-precision training (Micikevicius et al. 2018):
+each block's draws and adjoint weights are cast once, its layers are
+float32 views into the scratch's float64 buffers, and the block
+gradients are added in float64, in block order.  The gradient only sets
+the direction of Adam's normalized step; every value pass, and so every
+loss, price, penalty and sort, stays float64 and keeps its bits.  The
+one-exp test uses ln of the dtype's largest value, 88.72 for float32.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 from dataclasses import dataclass
@@ -83,8 +94,11 @@ def softplus_prime(x):
 BLOCK_ROWS = 4096
 
 
-# exp(h) is finite exactly when h <= ln(largest double) = 709.78...
+# exp(h) is finite exactly when h <= ln(largest value of h's dtype):
+# 709.78... for float64, 88.72... for float32
 _EXP_MAX = math.log(sys.float_info.max)
+_EXP_MAX_OF = {np.dtype(np.float64): _EXP_MAX,
+               np.dtype(np.float32): math.log(float(np.finfo(np.float32).max))}
 
 
 def _softplus_and_sigmoid(h, want_sig=True, t=None):
@@ -92,9 +106,10 @@ def _softplus_and_sigmoid(h, want_sig=True, t=None):
     # ``t`` (h-shaped, or None to allocate), then the softplus log1p(e)
     # over e, so a layer uses h's buffer and one other.  Both keep full
     # relative accuracy in the lower tail, where e is the answer to
-    # working precision.  A block with any h above _EXP_MAX (or a NaN)
-    # would overflow e and takes the max form, whose exp never overflows.
-    if not h.max(initial=-math.inf) <= _EXP_MAX:  # initial: no rows is fine
+    # working precision.  A block with any h above its dtype's _EXP_MAX
+    # (or a NaN) would overflow e and takes the max form, whose exp never
+    # overflows.  The test runs in float64, where a float32 h is exact.
+    if not float(h.max(initial=-math.inf)) <= _EXP_MAX_OF[h.dtype]:  # initial: no rows is fine
         return _softplus_and_sigmoid_max_form(h, want_sig, t)
     e = np.exp(h, out=h)
     sig = None
@@ -159,12 +174,13 @@ class _BatchCache:
 class Scratch:
     """Block-sized layer buffers that every blocked pass reuses.
 
-    ``take(key, rows, width)`` returns the first ``rows`` rows of the
-    (``BLOCK_ROWS``, width) buffer stored under ``key``, made on first use
-    (or when a network of another width asks for the key), so a fit that
-    carries one scratch allocates its buffers once, not per block or per
-    pass.  A pass's cache and values are views into these buffers and
-    last until the next pass through the same scratch.  Not shared
+    ``take(key, rows, width, dtype)`` returns a (rows, width) view of the
+    leading elements of the float64 (``BLOCK_ROWS``, width) buffer stored
+    under ``key``, made on first use (or when a network of another width
+    asks for the key), so a fit that carries one scratch allocates its
+    buffers once, not per block, pass or dtype.  A pass's cache and
+    values are views into these buffers and last until the next pass
+    through the same scratch.  Not shared
     between threads: each binding or fit makes or carries its own.  The
     blocks themselves come from ``_block_bounds``.
     """
@@ -174,11 +190,11 @@ class Scratch:
     def __init__(self):
         self._buffers = {}
 
-    def take(self, key, rows, width):
+    def take(self, key, rows, width, dtype=np.float64):
         buf = self._buffers.get(key)
         if buf is None or buf.shape[1] != width:
             buf = self._buffers[key] = np.empty((BLOCK_ROWS, width))
-        return buf[:rows]
+        return buf.reshape(-1).view(dtype)[:rows * width].reshape(rows, width)
 
 
 def _block_bounds(n):
@@ -199,7 +215,7 @@ def _block_bounds(n):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _fresh(key, rows, width):
+def _fresh(key, rows, width, dtype=None):
     # no scratch: ``out=None`` makes numpy allocate, as a plain expression would
     return None
 
@@ -240,6 +256,14 @@ class DenseNetwork:
         self.weights = ws
         self.biases = bs
 
+    def astype(self, dtype) -> "DenseNetwork":
+        """A copy with its weights and biases cast to ``dtype``, in which
+        the kernels then run."""
+        net = copy.copy(self)
+        net.weights = [w.astype(dtype) for w in self.weights]
+        net.biases = [b.astype(dtype) for b in self.biases]
+        return net
+
     # ------------------------------------------------------------------
     # basic evaluation
 
@@ -268,10 +292,11 @@ class DenseNetwork:
         so a pass over many inputs holds a few layer-sized buffers at once.
         With ``scratch`` the layer arrays, the values and the cache are
         views into its buffers (one block's worth of rows at most), valid
-        until the next pass through it; the arithmetic is the same.
+        until the next pass through it; the arithmetic is the same.  The
+        pass runs in the weights' dtype, to which ``x`` is cast.
         """
         self._check_scalar()
-        x = np.asarray(x, dtype=float).reshape(-1, 1)
+        x = np.asarray(x, dtype=self.weights[0].dtype).reshape(-1, 1)
         if scratch is not None and (want_slope or x.shape[0] > BLOCK_ROWS):
             raise ValueError("a scratch pass takes at most one block and no slopes")
         take = _fresh if scratch is None else scratch.take
@@ -282,13 +307,13 @@ class DenseNetwork:
         tangent_pre = [] if want_slope else None
         a = x
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = _product(a, w.T, take(("act", l), n, w.shape[0]))
+            h = _product(a, w.T, take(("act", l), n, w.shape[0], x.dtype))
             h += b
             if want_slope:
                 u = _product(tangents[-1], w.T)
             if l < last:
                 a, sig = _softplus_and_sigmoid(h, want_sig=keep_cache or want_slope,
-                                               t=take(("sig", l), n, w.shape[0]))
+                                               t=take(("sig", l), n, w.shape[0], x.dtype))
                 sigs.append(sig)
                 if want_slope:
                     tangent_pre.append(u)
@@ -314,15 +339,16 @@ class DenseNetwork:
         buffers instead of fresh arrays.
         """
         take = _fresh if scratch is None else scratch.take
-        delta = np.asarray(w_value, dtype=float).reshape(-1, 1)
+        dtype = self.weights[0].dtype
+        delta = np.asarray(w_value, dtype=dtype).reshape(-1, 1)
         g_w = [None] * self.n_layers
         g_b = [None] * self.n_layers
         for l in range(self.n_layers - 1, -1, -1):
             g_w[l] = delta.T @ cache.acts[l]
-            g_b[l] = np.ones(delta.shape[0]) @ delta  # one BLAS pass, 5x delta.sum(axis=0)
+            g_b[l] = np.ones(delta.shape[0], dtype) @ delta  # one BLAS pass, 5x delta.sum(axis=0)
             if l > 0:
                 w = self.weights[l]
-                delta = _product(delta, w, take(("delta", l), delta.shape[0], w.shape[1]))
+                delta = _product(delta, w, take(("delta", l), delta.shape[0], w.shape[1], dtype))
                 delta *= cache.sigs[l - 1]
         return ParamGradient(g_w, g_b)
 
@@ -340,16 +366,18 @@ class DenseNetwork:
     def blocked_param_gradient(self, x, w_value, scratch: Scratch) -> ParamGradient:
         """``weighted_param_gradient`` over every input, recomputing each
         block's activations into the scratch and adding the per-block
-        gradients in block order."""
+        gradients in block order, in float64.
+
+        Each block runs in the weights' dtype: a float32 copy
+        (``astype``) casts one block of ``x`` and ``w_value`` at a time.
+        """
         x = np.asarray(x, dtype=float).ravel()
         w_value = np.asarray(w_value, dtype=float).ravel()
-        total = None
+        total = ParamGradient([np.zeros(w.shape) for w in self.weights],
+                              [np.zeros(b.shape) for b in self.biases])
         for lo, hi in _block_bounds(x.size):
             _, cache = self.scalar_batch(x[lo:hi], scratch=scratch)
             grad = self.weighted_param_gradient(cache, w_value[lo:hi], scratch=scratch)
-            if total is None:
-                total = grad
-                continue
             for acc, part in zip(total.weights + total.biases, grad.weights + grad.biases):
                 acc += part
         return total

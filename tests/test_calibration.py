@@ -554,6 +554,15 @@ def test_divergence_raises_with_iteration_index(call_chain):
     assert "iteration" in str(err.value)
 
 
+def test_a_step_that_leaves_the_mixture_interval_diverges(call_chain):
+    # Adam's first step moves every coordinate by the learning rate, so
+    # alpha = 0.5 lands at -0.1 or 1.1 while sigma = 1 stays positive
+    cfg = CalibrationConfig(n_samples=2000, seed=1, iterations=5, learning_rate=0.6)
+    with pytest.raises(CalibrationDivergence, match="alpha") as err:
+        calibrate("rn-dmlp", call_chain, cfg, init_model=init_rndmlp(3, sigma=1.0))
+    assert err.value.iteration == 1
+
+
 def test_convergence_window_stops_early(call_chain):
     cfg = CalibrationConfig(n_samples=2000, seed=2, iterations=500,
                             convergence_tol=1e12)

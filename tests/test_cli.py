@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from rndkit import calibration, cli
+from rndkit import calibration, cli, pricing
 from rndkit.cli import main, parse_tau_grid, read_config_file
 from rndkit.data_io import DataError, load_chain, save_chain, save_rates
 from rndkit.heston import generate_simulated_chain
@@ -362,6 +362,24 @@ def test_overflowing_checkpoint_exits_2(dmlp_dir, tmp_path, capsys, command):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("alpha", [1.8, -0.2])
+@pytest.mark.parametrize("command", ["evaluate", "audit", "report"])
+def test_checkpoint_with_alpha_outside_the_unit_interval_exits_2(dmlp_dir, tmp_path, capsys,
+                                                                 command, alpha):
+    # weights alpha and 1 - alpha of a convex mixture; 1.8 would give -0.8
+    doc = json.loads((dmlp_dir / "fit" / "checkpoint.json").read_text())
+    doc["scalars"]["alpha"] = alpha
+    bad = tmp_path / "alpha.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = [command, "--checkpoint", str(bad), "--out", str(out)]
+    if command == "evaluate":
+        argv += ["--chain", str(dmlp_dir / "sim" / "left-skew_chain.csv")]
+    assert main(argv) == 2
+    assert "alpha must be within [0, 1]" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_perturb_tick_zero_gives_identical_rows_and_zero_stds(sim_dir, tmp_path):
     rc = main(["perturb", "--chain", str(sim_dir / "left-skew_chain.csv"),
                "--kind", "rn-q", "--trials", "3", "--tick", "0",
@@ -476,3 +494,23 @@ def test_evaluate_sorts_each_maturity_once(dmlp_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(MaturitySlice, "__init__", spy)
     assert main(_network_commands(dmlp_dir, tmp_path, 2)["evaluate"]) == 0
     assert len(taus) == 2 and len(set(taus)) == 2
+
+
+def test_audit_sorts_each_maturity_cold_once(dmlp_dir, tmp_path, monkeypatch):
+    # the audit prices the 2 training maturities and the penalty grid adds
+    # their midpoint; the grid's slices at the training maturities start
+    # from the audit's orders, which are already in order
+    sorts = []
+    stable_order = pricing._stable_order
+
+    def spy(growth, hint):
+        order, gs = stable_order(growth, hint)
+        sorts.append((growth.tobytes(), hint is None, order is hint))
+        return order, gs
+
+    monkeypatch.setattr(pricing, "_stable_order", spy)
+    assert main(_network_commands(dmlp_dir, tmp_path, 2)["audit"]) == 0
+    cold = [growth for growth, is_cold, _ in sorts if is_cold]
+    assert len(sorts) == 5
+    assert len(cold) == len(set(cold)) == len({growth for growth, _, _ in sorts}) == 3
+    assert all(kept for _, is_cold, kept in sorts if not is_cold)

@@ -142,10 +142,13 @@ def test_rndmlp_affine_combination():
     twin = RnDmlpParams(alpha=0.31, comp1=p.comp1, comp2=p.comp1)
     np.testing.assert_allclose(sample_log_returns(twin, tau, z, rate), x1, rtol=1e-15)
 
-    # alpha is unconstrained; outside [0, 1] is legal and finite.
-    wide = RnDmlpParams(alpha=2.0, comp1=p.comp1, comp2=p.comp2)
-    np.testing.assert_allclose(sample_log_returns(wide, tau, z, rate), 2.0 * x1 - x2, rtol=1e-12)
-    assert np.all(np.isfinite(bind(wide, z).columns(tau, rate)[1]))
+    only_second = RnDmlpParams(alpha=0.0, comp1=p.comp1, comp2=p.comp2)
+    np.testing.assert_array_equal(sample_log_returns(only_second, tau, z, rate), x2)
+
+    # the mixture is convex: alpha outside [0, 1], or NaN, is rejected
+    for alpha in (2.0, 1.0 + 1e-12, -1e-12, -0.2, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            RnDmlpParams(alpha=alpha, comp1=p.comp1, comp2=p.comp2)
 
 
 def test_sample_log_returns_dispatch_and_edge_cases():

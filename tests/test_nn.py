@@ -13,6 +13,7 @@ from rndkit.nn import (
     DenseNetwork,
     Scratch,
     _EXP_MAX,
+    _EXP_MAX_OF,
     _block_bounds,
     _product,
     _softplus_and_sigmoid,
@@ -118,6 +119,29 @@ def test_a_block_that_would_overflow_exp_gives_the_max_form_bits():
         ref_sp, ref_sig = softplus_and_sigmoid_max_form(h)
         assert sp.tobytes() == ref_sp.tobytes() and sig.tobytes() == ref_sig.tobytes()
         assert _activation(h, want_sig=False)[0].tobytes() == ref_sp.tobytes()
+
+
+def test_a_float32_block_past_its_exp_limit_takes_the_max_form():
+    # ln(FLT_MAX) = 88.72...: float32 rounds it up, so that value and
+    # anything above it overflow e^h, and the block must take the max form
+    limit = _EXP_MAX_OF[np.dtype(np.float32)]
+    top = np.float32(limit)
+    below = np.nextafter(top, np.float32(0.0))
+    assert float(below) <= limit < float(top) and limit < 88.73
+    rng = np.random.Generator(np.random.Philox(5))
+    eps, tiny = np.finfo(np.float32).eps, np.finfo(np.float32).tiny
+    for big in (below, top, np.float32(100.0), np.float32(700.0)):
+        h = rng.normal(scale=30.0, size=(64, 8)).astype(np.float32)
+        h[17, 3] = big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sp, sig = _softplus_and_sigmoid(h.copy())
+        ref_sp, ref_sig = softplus_and_sigmoid_max_form(h)
+        for got, ref in ((sp, ref_sp), (sig, ref_sig)):
+            assert got.dtype == np.float32 and np.all(np.isfinite(got))
+            keep = ref >= tiny  # float32 subnormals carry few digits
+            np.testing.assert_allclose(got[keep], ref[keep], rtol=4 * eps, atol=0.0)
+            assert np.all(got[~keep] <= tiny) and np.all(got >= 0.0)
 
 
 def test_one_wide_products_equal_matmul_bit_for_bit():
@@ -245,6 +269,48 @@ def test_blocked_param_gradient_matches_whole_array_without_n_row_arrays():
     assert all(scratch._buffers[key] is buf for key, buf in buffers.items())
     assert len(scratch._buffers) == len(buffers)
     assert peak < 2 * n * 8  # the outputs and one weight vector; N x 32 is 16x that
+
+
+def test_float32_blocked_gradient_matches_float64():
+    # the training gradient's net_z pass: float32 blocks added in float64
+    net = init_network([1, 32, 32, 1], seed=3)
+    low = net.astype(np.float32)
+    assert all(a.dtype == np.float32 for a in low.weights + low.biases)
+    assert all(a.dtype == np.float64 for a in net.weights + net.biases)
+    rng = np.random.Generator(np.random.Philox(8))
+    scratch = Scratch()
+    for n in BLOCKED_SIZES:
+        x = rng.normal(size=n)
+        w = rng.normal(size=n)
+        want = net.blocked_param_gradient(x, w, scratch).to_vector()
+        got = low.blocked_param_gradient(x, w, scratch)
+        assert all(a.dtype == np.float64 for a in got.weights + got.biases)
+        got = got.to_vector()
+        assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want), n
+    assert not np.array_equal(got, want)
+
+
+def test_float32_gradient_pass_allocates_no_n_by_width_array():
+    # its blocks are float32 views of the scratch's float64 buffers, under
+    # the same keys: no buffer is added and nothing N x width is allocated
+    net = init_network([1, 32, 32, 1], seed=3).astype(np.float32)
+    rng = np.random.Generator(np.random.Philox(9))
+    scratch = Scratch()
+    net.blocked_param_gradient(rng.normal(size=10), rng.normal(size=10), scratch)
+    buffers = dict(scratch._buffers)
+    assert all(buf.dtype == np.float64 and buf.shape[0] == BLOCK_ROWS
+               for buf in buffers.values())
+    n = 20 * BLOCK_ROWS
+    x, w = rng.normal(size=n), rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        net.blocked_param_gradient(x, w, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scratch._buffers.keys() == buffers.keys()
+    assert all(scratch._buffers[key] is buf for key, buf in buffers.items())
+    assert peak < 4 * n  # less than one float32 N-vector; N x 32 is 32x that
 
 
 def test_backward_params_zero_upstream():
