@@ -1,6 +1,6 @@
 """Audit the static no-arbitrage checks on model price surfaces.
 
-Monotonicity, convexity and the tau=0 boundary hold for any generator by
+Monotonicity and convexity in strike hold for any generator by
 construction; the calendar condition in maturity is the one property that
 calibration has to earn through the penalty.  The audit prints both a
 freshly initialized network and a briefly penalty-trained one.

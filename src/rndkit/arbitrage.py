@@ -18,7 +18,8 @@ Every term, and every price the audit checks, is a lookup on the sorted
 prefix sums of one ``pricing.MaturitySlice`` per maturity, the same
 slice calibration reads, so the sums run in one fixed order whatever
 the thread count, and the final metrics of a fit reproduce its last
-objective evaluation bit for bit.
+objective evaluation bit for bit.  ``price_surface`` is the one pass
+over the maturities; the penalty and the audit both read its surface.
 """
 
 from __future__ import annotations
@@ -86,10 +87,6 @@ def build_synthetic_grid(taus, strikes) -> SyntheticGrid:
 # penalty terms
 
 
-def _slope_slice(bound, tau, rate, hint=None) -> MaturitySlice:
-    return MaturitySlice(tau, rate, *bound.columns(tau, rate), hint)
-
-
 @dataclass
 class PenaltyReport:
     total: float
@@ -112,32 +109,12 @@ class PenaltyReport:
         }
 
 
-def total_penalty(model, grid: SyntheticGrid, spot, rate_fn, samples, threads=None,
-                  hints=None) -> PenaltyReport:
-    """Hinged penalty over the whole grid plus martingale terms per maturity.
-
-    rate_fn maps a maturity to its interpolated rate.  The model is bound
-    to the draws once, so G_Z(Z) is evaluated once for the whole grid; log
-    returns and their maturity derivative are formed once per maturity and
-    shared across strikes and sides.  ``hints`` optionally maps a maturity
-    to a candidate sort order for its slice, as in ``pricing.price_chain``.
-    """
-    bound = bind(model, samples)
-
-    def run_tau(tau):
-        # signed calendar rows (call, then put, at each strike) and the
-        # (tau, squared martingale defect) pair
-        table = _slope_slice(bound, tau, rate_fn(tau), (hints or {}).get(tau))
-        rows = []
-        for k in grid.strikes:
-            m = k / spot
-            rows.append((tau, float(k), "call", float(table.calendar_call(m)[0])))
-            rows.append((tau, float(k), "put", float(table.calendar_put(m)[0])))
-        return rows, (tau, float(table.defect * table.defect))
-
-    terms = parallel_map(run_tau, [float(t) for t in grid.taus], threads)
-    return aggregate_penalties([row for rows, _ in terms for row in rows],
-                               [mu for _, mu in terms])
+def total_penalty(model, grid: SyntheticGrid, spot, rate_fn, samples,
+                  threads=None) -> PenaltyReport:
+    """Hinged penalty over the whole grid plus martingale terms per maturity;
+    rate_fn maps a maturity to its interpolated rate."""
+    return price_surface(model, grid.taus, grid.strikes, spot, rate_fn, samples,
+                         threads).penalty()
 
 
 def aggregate_penalties(calendar_values, mu_values) -> PenaltyReport:
@@ -177,7 +154,7 @@ def aggregate_penalties(calendar_values, mu_values) -> PenaltyReport:
 
 @dataclass
 class PriceSurface:
-    """Everything the audit checks need, computed in one pass."""
+    """Prices, calendar values and defects on a maturity x strike grid."""
 
     spot: float
     taus: np.ndarray
@@ -188,22 +165,50 @@ class PriceSurface:
     defects: np.ndarray  # martingale defect per tau
     jtau_calls: np.ndarray  # (n_tau, n_strike) signed calendar values
     jtau_puts: np.ndarray
-    tau0_calls: np.ndarray  # tau = 0 prices per strike
-    tau0_puts: np.ndarray
-    orders: dict  # maturity -> its slice's sort order, a ``total_penalty`` hint
+
+    def penalty(self) -> PenaltyReport:
+        """The penalty on this grid: per maturity, a call and a put calendar
+        row at each strike, then the squared martingale defect."""
+        calendar = [(float(tau), float(k), side, float(values[i, j]))
+                    for i, tau in enumerate(self.taus)
+                    for j, k in enumerate(self.strikes)
+                    for side, values in (("call", self.jtau_calls), ("put", self.jtau_puts))]
+        mu = [(float(tau), float(d * d)) for tau, d in zip(self.taus, self.defects)]
+        return aggregate_penalties(calendar, mu)
+
+    def at(self, taus, strikes) -> "PriceSurface":
+        """The sub-surface at points of this grid; ValueError for any off it."""
+        i = _grid_index(self.taus, taus, "maturity")
+        j = _grid_index(self.strikes, strikes, "strike")
+        cell = np.ix_(i, j)
+        return PriceSurface(self.spot, self.taus[i], self.strikes[j], self.calls[cell],
+                            self.puts[cell], self.rates[i], self.defects[i],
+                            self.jtau_calls[cell], self.jtau_puts[cell])
 
 
-def price_surface(model, taus, strikes, spot, rate_fn, samples, threads=None) -> PriceSurface:
-    taus = np.sort(np.unique(np.asarray(taus, dtype=float)))
-    strikes = np.sort(np.unique(np.asarray(strikes, dtype=float)))
+def _grid_index(grid, values, name):
+    values = np.unique(np.asarray(values, dtype=float))
+    pos = np.minimum(np.searchsorted(grid, values), grid.size - 1)
+    off = values[grid[pos] != values]
+    if off.size:
+        raise ValueError(f"{name} {float(off[0])!r} is not on the surface's grid")
+    return pos
+
+
+def price_surface(model, taus, strikes, spot, rate_fn, samples, threads=None,
+                  hints=None) -> PriceSurface:
+    """One slice per maturity, on the model bound once; ``hints`` maps a
+    maturity to a candidate sort order, as in ``pricing.price_chain``."""
+    taus = np.unique(np.asarray(taus, dtype=float))
+    strikes = np.unique(np.asarray(strikes, dtype=float))
     if np.any(taus <= 0.0):
-        raise ValueError("audit maturities must be positive (tau = 0 is checked separately)")
+        raise ValueError("surface maturities must be positive")
     bound = bind(model, samples)
 
     def run_tau(tau):
         rate = rate_fn(tau)
-        table = _slope_slice(bound, tau, rate)
-        return table.order, {
+        table = MaturitySlice(tau, rate, *bound.columns(tau, rate), (hints or {}).get(tau))
+        return {
             "calls": [table.price("call", k, spot)[0] for k in strikes],
             "puts": [table.price("put", k, spot)[0] for k in strikes],
             "jtau_calls": [table.calendar_call(k / spot)[0] for k in strikes],
@@ -212,13 +217,10 @@ def price_surface(model, taus, strikes, spot, rate_fn, samples, threads=None) ->
             "defects": table.defect,
         }
 
-    keys = [float(t) for t in taus]
-    orders, rows = zip(*parallel_map(run_tau, keys, threads))
+    rows = parallel_map(run_tau, [float(t) for t in taus], threads)
     return PriceSurface(
         spot=float(spot), taus=taus, strikes=strikes,
         **{name: np.array([row[name] for row in rows]) for name in rows[0]},
-        tau0_calls=np.maximum(spot - strikes, 0.0), tau0_puts=np.maximum(strikes - spot, 0.0),
-        orders=dict(zip(keys, orders)),
     )
 
 
@@ -266,17 +268,7 @@ def audit_price_surface(surface: PriceSurface) -> dict:
                 worst = min(worst, float(second[j]))
     record("convex_in_strike", viol, worst)
 
-    # 3. tau = 0 collapses to intrinsic.
-    viol, worst = [], 0.0
-    intr_c = np.maximum(s.spot - s.strikes, 0.0)
-    intr_p = np.maximum(s.strikes - s.spot, 0.0)
-    for j in np.nonzero((s.tau0_calls != intr_c) | (s.tau0_puts != intr_p))[0]:
-        gap = max(abs(s.tau0_calls[j] - intr_c[j]), abs(s.tau0_puts[j] - intr_p[j]))
-        viol.append({"strike": float(s.strikes[j]), "value": float(gap)})
-        worst = max(worst, float(gap))
-    record("intrinsic_at_tau0", viol, worst)
-
-    # 4. calendar: prices should not fall as maturity grows, with slack
+    # 3. calendar: prices should not fall as maturity grows, with slack
     # integrated from any measured negative calendar values.
     viol, worst = [], 0.0
     for i in range(s.taus.size - 1):
@@ -296,7 +288,7 @@ def audit_price_surface(surface: PriceSurface) -> dict:
                 worst = min(worst, float(dp))
     record("calendar_in_tau", viol, worst)
 
-    # 5. parity and static bounds within the measured martingale slack.
+    # 4. parity and static bounds within the measured martingale slack.
     viol, worst = [], 0.0
     for i, tau in enumerate(s.taus):
         slack = s.spot * abs(np.expm1(s.defects[i])) + 1e-10 * s.spot

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arbitrage import PenaltyReport, build_synthetic_grid, total_penalty
+from .arbitrage import PenaltyReport, PriceSurface, build_synthetic_grid, price_surface
 from .models import (
     BoundModel,
     RnDmlpParams,
@@ -84,6 +84,11 @@ class CalibrationConfig:
     relative_mse_floor: float = 0.05
 
     def __post_init__(self):
+        for name in ("learning_rate", "lam", "relative_mse_floor"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if np.isnan(self.convergence_tol):  # -inf switches the stopping rule off
+            raise ValueError("convergence_tol must not be NaN")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if self.lam < 0.0:
@@ -120,8 +125,8 @@ class CalibrationResult:
     converged: bool
     wall_time: float
     seed: int
-    # ``params`` bound to the fit's draws; not serialized
-    bound: BoundModel = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    # the penalty grid's surface on the fit's draws; not serialized
+    surface: PriceSurface = dataclasses.field(default=None, repr=False, compare=False)
 
     def to_jsonable(self) -> dict:
         return {
@@ -652,9 +657,10 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     from the order the previous evaluation found; only those order
     arrays, reordered in place, and one block-sized ``nn.Scratch`` for
     the network passes are kept between iterations.
-    The final metrics price the returned model bound to the loop's draws,
-    starting each maturity's sort from the last evaluation's order, and
-    that binding is returned as ``bound``.
+    The final metrics price the returned model on the loop's draws,
+    starting each maturity's sort from the last evaluation's order; the
+    penalty grid's price surface, which gives the final penalty, is
+    returned as ``surface``.
     """
     t0 = time.perf_counter()
     if not train_chain.quotes:
@@ -723,10 +729,10 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     sides = [q.side for q in train_chain.quotes]
     final_mse = mse(observed, prices, sides)
     final_rel, n_excl = relative_mse(observed, prices, sides, config.relative_mse_floor)
-    report = total_penalty(bound, grid, train_chain.spot, train_chain.rate, samples,
-                           hints=orders)
+    surface = price_surface(bound, grid.taus, grid.strikes, train_chain.spot,
+                            train_chain.rate, samples, hints=orders)
 
-    result = CalibrationResult(
+    return CalibrationResult(
         kind=kind,
         params=final,
         loss_trajectory=np.asarray(trajectory),
@@ -734,11 +740,10 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
         final_train_mse=float(final_mse),
         final_relative_mse=float(final_rel),
         n_excluded_relative=int(n_excl),
-        final_penalty=report,
+        final_penalty=surface.penalty(),
         iterations_run=len(trajectory),
         converged=converged,
         wall_time=time.perf_counter() - t0,
         seed=config.seed,
+        surface=surface,
     )
-    result.bound = bound
-    return result

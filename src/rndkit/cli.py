@@ -21,13 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arbitrage import (
-    audit_price_surface,
-    audit_surface,
-    build_synthetic_grid,
-    price_surface,
-    total_penalty,
-)
+from .arbitrage import audit_price_surface, build_synthetic_grid, price_surface
 from .calibration import (
     CalibrationConfig,
     CalibrationDivergence,
@@ -155,7 +149,7 @@ def _convert(key, value):
         if caster is int:
             return int(float(value))
         return caster(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bad value for {key}: {value!r}") from exc
 
 
@@ -230,8 +224,8 @@ def _load_checkpoint(path):
 
 def _checkpoint_samples(args, ctx):
     n = args.samples if args.samples is not None else ctx["config"]["n_samples"]
-    seed = args.seed if args.seed is not None else ctx["config"]["seed"]
-    return draw_standard_normal(int(float(n)), int(seed)), int(seed)
+    seed = _convert("seed", args.seed if args.seed is not None else ctx["config"]["seed"])
+    return draw_standard_normal(_convert("n_samples", n), seed), seed
 
 
 def _rate_fn(curve):
@@ -309,10 +303,9 @@ def cmd_calibrate(args) -> int:
     result_path = out / "calibration_result.json"
     write_json(result_path, result.to_jsonable())
 
-    # audit on the fit's own draws and binding: no second draw, no G_Z pass
-    taus = [d / 365.0 for d in train_days]
-    audit = audit_surface(result.bound, taus, train_strikes,
-                          train.spot, train.rate, result.bound.z, threads=args.threads)
+    # the fit's penalty grid holds the training maturities and strikes
+    audit = audit_price_surface(result.surface.at([d / 365.0 for d in train_days],
+                                                  train_strikes))
     report_path = out / "audit_report.json"
     write_json(report_path, {"penalty": result.final_penalty.to_jsonable(),
                              "audit": audit})
@@ -499,16 +492,14 @@ def cmd_audit(args) -> int:
         taus = [d / 365.0 for d in ctx["train_days"]]
         strikes = [float(k) for k in ctx["train_strikes"]]
     samples, seed = _checkpoint_samples(args, ctx)
-    bound = bind(model, samples)
 
-    surface = price_surface(bound, taus, strikes, spot, rate_fn, samples,
-                            threads=args.threads)
-    audit = audit_price_surface(surface)
-    # the penalty grid holds the audited maturities: their slices start
-    # from the audit's orders, so each maturity sorts cold once
+    # the penalty grid holds every audited maturity and strike, so one
+    # surface on it serves both
     grid = build_synthetic_grid(taus, strikes)
-    penalty = total_penalty(bound, grid, spot, rate_fn, samples,
-                            threads=args.threads, hints=surface.orders)
+    surface = price_surface(model, grid.taus, grid.strikes, spot, rate_fn, samples,
+                            threads=args.threads)
+    audit = audit_price_surface(surface.at(taus, strikes))
+    penalty = surface.penalty()
     audit_path = out / "audit.json"
     write_json(audit_path, {"audit": audit, "penalty": penalty.to_jsonable()})
     _write_manifest(out, "audit", args,

@@ -203,8 +203,6 @@ def price_chain(model, chain, samples, threads=None, hints=None) -> np.ndarray:
     def run_group(tau):
         idx = by_tau[tau]
         rate = chain.rate(tau)
-        if tau == 0.0:
-            return idx, [_intrinsic(quotes[i].side, chain.spot, quotes[i].strike) for i in idx]
         table = MaturitySlice(tau, rate, bound.log_returns(tau, rate), hint=(hints or {}).get(tau))
         return idx, [table.price(quotes[i].side, quotes[i].strike, chain.spot)[0] for i in idx]
 

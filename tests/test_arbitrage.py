@@ -321,6 +321,29 @@ def test_surface_agrees_with_chain_prices_and_penalty_terms():
             assert surface.defects[i] ** 2 == mu
 
 
+def test_surface_at_grid_points_equals_a_surface_priced_there():
+    model = init_rndmlp(seed=31)
+    z = draw_standard_normal(6_000, seed=32)
+    rate_fn = lambda tau: 0.02 + 0.01 * tau
+    taus, strikes = [30 / 365.0, 91 / 365.0, 182 / 365.0], [85.0, 95.0, 100.0, 115.0]
+    grid = build_synthetic_grid(taus, strikes)
+    surface = price_surface(model, grid.taus, grid.strikes, 100.0, rate_fn, z)
+    for sub_taus, sub_strikes in ((taus, strikes), (taus[1:], [100.0]), (grid.taus, grid.strikes)):
+        got = surface.at(sub_taus, sub_strikes)
+        want = price_surface(model, sub_taus, sub_strikes, 100.0, rate_fn, z)
+        assert got.spot == want.spot
+        for name in ("taus", "strikes", "calls", "puts", "rates", "defects",
+                     "jtau_calls", "jtau_puts"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        assert audit_price_surface(got) == audit_price_surface(want)
+    with pytest.raises(ValueError, match="maturity"):
+        surface.at([taus[0], 0.5], strikes)
+    with pytest.raises(ValueError, match="strike"):
+        surface.at(taus, [85.0, 101.0])
+    with pytest.raises(ValueError, match="strike"):
+        surface.at(taus, [1000.0])
+
+
 # ----------------------------------------------------------------------
 # surface audit
 
@@ -348,11 +371,6 @@ def test_audit_flags_tampered_prices():
     assert not report["passed"]
     assert not report["checks"]["monotone_in_strike"]["passed"]
     assert report["checks"]["monotone_in_strike"]["n_violations"] >= 1
-
-    broken = price_surface(model, [0.2, 0.3], strikes, 100.0, lambda t: rate, z)
-    broken.tau0_calls[0] += 0.5
-    report = audit_price_surface(broken)
-    assert not report["checks"]["intrinsic_at_tau0"]["passed"]
 
     broken = price_surface(model, [0.2, 0.3], strikes, 100.0, lambda t: rate, z)
     broken.calls[1] = broken.calls[0] - 1.0  # longer maturity priced strictly below

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rndkit import calibration, pricing
-from rndkit.arbitrage import audit_surface, build_synthetic_grid, total_penalty
+from rndkit.arbitrage import audit_surface, build_synthetic_grid, price_surface, total_penalty
 from rndkit.calibration import (
     CONVERGENCE_WINDOW,
     AdamState,
@@ -289,6 +289,14 @@ def test_config_validation():
         CalibrationConfig(loss_kind="huber")
     with pytest.raises(ValueError):
         CalibrationConfig(seed=-1)
+    for name, value in [("learning_rate", np.nan), ("learning_rate", np.inf),
+                        ("lam", np.nan), ("lam", np.inf),
+                        ("relative_mse_floor", np.nan), ("relative_mse_floor", np.inf),
+                        ("relative_mse_floor", -np.inf), ("convergence_tol", np.nan)]:
+        with pytest.raises(ValueError, match=name):
+            CalibrationConfig(**{name: value})
+    # -inf switches the stopping rule off
+    assert CalibrationConfig(convergence_tol=-np.inf).convergence_tol == -np.inf
 
 
 def test_zero_iterations_returns_initialization(call_chain):
@@ -390,7 +398,7 @@ def test_final_metrics_start_from_the_loops_orders(call_chain, three_maturity_ch
         return run
 
     monkeypatch.setattr(calibration, "price_chain", in_final_metrics(price_chain))
-    monkeypatch.setattr(calibration, "total_penalty", in_final_metrics(total_penalty))
+    monkeypatch.setattr(calibration, "price_surface", in_final_metrics(price_surface))
     res = calibrate(kind, chain, cfg)
     grid = grid_for(chain)
     # one slice per quoted maturity for the prices, one per grid maturity,

@@ -163,6 +163,56 @@ def test_config_file_provides_defaults_and_flags_win(sim_dir, tmp_path):
     assert ck["context"]["config"]["n_samples"] == 2000
 
 
+@pytest.mark.parametrize("flags", [
+    ["--lam", "nan"], ["--lam", "inf"], ["--learning-rate", "nan"],
+    ["--learning-rate", "inf"], ["--convergence-tol", "nan"],
+    ["--loss-kind", "relative-MSE", "--relative-mse-floor", "nan"],
+    ["--relative-mse-floor", "inf"],
+], ids=lambda flags: " ".join(flags))
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_finite_settings_exit_2(sim_dir, tmp_path, capsys, flags, source):
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{flag[2:].replace('-', '_')} = {value}\n"
+                               for flag, value in zip(flags[::2], flags[1::2])))
+        flags = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main(["calibrate", "--chain", str(sim_dir / "left-skew_chain.csv"),
+                 "--kind", "rn-q", "--samples", "2000", "--iterations", "5",
+                 "--out", str(out)] + flags) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["calibrate", "perturb", "evaluate", "report", "audit"])
+def test_infinite_samples_exit_2(sim_dir, fit_dir, tmp_path, capsys, command):
+    chain = str(sim_dir / "left-skew_chain.csv")
+    ck = str(fit_dir / "checkpoint.json")
+    out = tmp_path / "out"
+    argv = {
+        "calibrate": ["calibrate", "--chain", chain, "--kind", "rn-q"],
+        "perturb": ["perturb", "--chain", chain, "--kind", "rn-q", "--trials", "2"],
+        "evaluate": ["evaluate", "--checkpoint", ck, "--chain", chain],
+        "report": ["report", "--checkpoint", ck],
+        "audit": ["audit", "--checkpoint", ck],
+    }[command]
+    assert main(argv + ["--samples", "inf", "--out", str(out)]) == 2
+    assert "bad value for n_samples" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", ["n_samples", "seed"])
+def test_checkpoint_with_infinite_samples_or_seed_exits_2(fit_dir, tmp_path, capsys, key):
+    doc = json.loads((fit_dir / "checkpoint.json").read_text())
+    doc["context"]["config"][key] = float("inf")
+    bad = tmp_path / "inf.json"
+    bad.write_text(json.dumps(doc))  # written as Infinity, which json.load reads back
+    out = tmp_path / "out"
+    assert main(["audit", "--checkpoint", str(bad), "--out", str(out)]) == 2
+    assert f"bad value for {key}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_read_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("learning_rate = 0.01\nwarp_speed = 9\n")
@@ -453,8 +503,7 @@ def test_audit_reports_checks_and_penalty(fit_dir, tmp_path):
     doc = json.loads((tmp_path / "audit.json").read_text())
     assert isinstance(doc["audit"]["passed"], bool)
     assert set(doc["audit"]["checks"]) == {
-        "monotone_in_strike", "convex_in_strike",
-        "intrinsic_at_tau0", "calendar_in_tau", "parity_and_bounds"}
+        "monotone_in_strike", "convex_in_strike", "calendar_in_tau", "parity_and_bounds"}
     assert doc["penalty"]["total"] >= 0.0
 
 
@@ -497,20 +546,52 @@ def test_evaluate_sorts_each_maturity_once(dmlp_dir, tmp_path, monkeypatch):
 
 
 def test_audit_sorts_each_maturity_cold_once(dmlp_dir, tmp_path, monkeypatch):
-    # the audit prices the 2 training maturities and the penalty grid adds
-    # their midpoint; the grid's slices at the training maturities start
-    # from the audit's orders, which are already in order
+    # the audit and the penalty read one surface on the penalty grid: the
+    # 2 training maturities and their midpoint, each sorted cold once
     sorts = []
     stable_order = pricing._stable_order
 
     def spy(growth, hint):
-        order, gs = stable_order(growth, hint)
-        sorts.append((growth.tobytes(), hint is None, order is hint))
-        return order, gs
+        sorts.append((growth.tobytes(), hint is None))
+        return stable_order(growth, hint)
 
     monkeypatch.setattr(pricing, "_stable_order", spy)
     assert main(_network_commands(dmlp_dir, tmp_path, 2)["audit"]) == 0
-    cold = [growth for growth, is_cold, _ in sorts if is_cold]
-    assert len(sorts) == 5
-    assert len(cold) == len(set(cold)) == len({growth for growth, _, _ in sorts}) == 3
-    assert all(kept for _, is_cold, kept in sorts if not is_cold)
+    assert len(sorts) == len({growth for growth, _ in sorts}) == 3
+    assert all(is_cold for _, is_cold in sorts)
+
+
+@pytest.mark.parametrize("fit", ["fit_dir", "dmlp_dir"])
+def test_calibrate_audit_report_equals_the_audit_command(fit, request, tmp_path):
+    # the fit audits its final surface; ``audit`` prices the checkpoint afresh
+    fit_out = request.getfixturevalue(fit)
+    fit_out = fit_out / "fit" if fit == "dmlp_dir" else fit_out
+    assert main(["audit", "--checkpoint", str(fit_out / "checkpoint.json"),
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "audit.json").read_bytes() == \
+        (fit_out / "audit_report.json").read_bytes()
+
+
+def test_calibrate_builds_no_slice_after_the_fit(dmlp_dir, tmp_path, monkeypatch):
+    # the audit report reads the surface of the fit's final penalty
+    slices = []
+    init = MaturitySlice.__init__
+    fit = calibration.calibrate
+
+    def spy(self, *args, **kwargs):
+        slices.append(self)
+        init(self, *args, **kwargs)
+
+    def fit_spy(*args, **kwargs):
+        result = fit(*args, **kwargs)
+        slices.clear()
+        return result
+
+    monkeypatch.setattr(MaturitySlice, "__init__", spy)
+    monkeypatch.setattr(cli, "calibrate", fit_spy)
+    assert main(["calibrate", "--chain", str(dmlp_dir / "sim" / "left-skew_chain.csv"),
+                 "--kind", "rn-dmlp", "--samples", "2000", "--iterations", "2",
+                 "--out", str(tmp_path)]) == 0
+    assert slices == []
+    report = json.loads((tmp_path / "audit_report.json").read_text())
+    assert len(report["audit"]["martingale_defects"]) == 2
