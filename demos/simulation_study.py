@@ -4,7 +4,7 @@ A Heston market with a pronounced left skew prices a strip of calls; the
 mixture generator is calibrated to those prices and its kernel density is
 compared against the exact density implied by the characteristic function.
 Sample counts and iterations are kept small so the demo runs in about a
-minute; the test suite runs the full-size version.
+minute.  No test runs this study; CI runs the demo as it stands.
 """
 
 import numpy as np

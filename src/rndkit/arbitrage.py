@@ -16,10 +16,10 @@ J = sum (-Jt_C)^+ + sum (-Jt_P)^+ + sum J_mu.
 
 Every term, and every price the audit checks, is a lookup on the sorted
 prefix sums of one ``pricing.MaturitySlice`` per maturity, the same
-slice calibration reads, so the sums run in one fixed order whatever
-the thread count, and the final metrics of a fit reproduce its last
-objective evaluation bit for bit.  ``price_surface`` is the one pass
-over the maturities; the penalty and the audit both read its surface.
+slice calibration reads, so the sums run in one fixed order and the
+final metrics of a fit reproduce its last objective evaluation bit for
+bit.  ``price_surface`` is the one pass over the maturities; the
+penalty and the audit both read its surface.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import bind
-from .numerics import parallel_map
 from .pricing import MaturitySlice
 
 __all__ = [
@@ -109,12 +108,10 @@ class PenaltyReport:
         }
 
 
-def total_penalty(model, grid: SyntheticGrid, spot, rate_fn, samples,
-                  threads=None) -> PenaltyReport:
+def total_penalty(model, grid: SyntheticGrid, spot, rate_fn, samples) -> PenaltyReport:
     """Hinged penalty over the whole grid plus martingale terms per maturity;
     rate_fn maps a maturity to its interpolated rate."""
-    return price_surface(model, grid.taus, grid.strikes, spot, rate_fn, samples,
-                         threads).penalty()
+    return price_surface(model, grid.taus, grid.strikes, spot, rate_fn, samples).penalty()
 
 
 def aggregate_penalties(calendar_values, mu_values) -> PenaltyReport:
@@ -195,8 +192,7 @@ def _grid_index(grid, values, name):
     return pos
 
 
-def price_surface(model, taus, strikes, spot, rate_fn, samples, threads=None,
-                  hints=None) -> PriceSurface:
+def price_surface(model, taus, strikes, spot, rate_fn, samples, hints=None) -> PriceSurface:
     """One slice per maturity, on the model bound once; ``hints`` maps a
     maturity to a candidate sort order, as in ``pricing.price_chain``."""
     taus = np.unique(np.asarray(taus, dtype=float))
@@ -204,20 +200,18 @@ def price_surface(model, taus, strikes, spot, rate_fn, samples, threads=None,
     if np.any(taus <= 0.0):
         raise ValueError("surface maturities must be positive")
     bound = bind(model, samples)
-
-    def run_tau(tau):
+    rows = []
+    for tau in map(float, taus):
         rate = rate_fn(tau)
         table = MaturitySlice(tau, rate, *bound.columns(tau, rate), (hints or {}).get(tau))
-        return {
+        rows.append({
             "calls": [table.price("call", k, spot)[0] for k in strikes],
             "puts": [table.price("put", k, spot)[0] for k in strikes],
             "jtau_calls": [table.calendar_call(k / spot)[0] for k in strikes],
             "jtau_puts": [table.calendar_put(k / spot)[0] for k in strikes],
             "rates": rate,
             "defects": table.defect,
-        }
-
-    rows = parallel_map(run_tau, [float(t) for t in taus], threads)
+        })
     return PriceSurface(
         spot=float(spot), taus=taus, strikes=strikes,
         **{name: np.array([row[name] for row in rows]) for name in rows[0]},
@@ -314,7 +308,6 @@ def audit_price_surface(surface: PriceSurface) -> dict:
     }
 
 
-def audit_surface(model, taus, strikes, spot, rate_fn, samples, threads=None) -> dict:
+def audit_surface(model, taus, strikes, spot, rate_fn, samples) -> dict:
     """Price the call/put surface for a model and run all static checks."""
-    surface = price_surface(model, taus, strikes, spot, rate_fn, samples, threads)
-    return audit_price_surface(surface)
+    return audit_price_surface(price_surface(model, taus, strikes, spot, rate_fn, samples))

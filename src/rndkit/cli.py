@@ -6,14 +6,14 @@ the effective configuration, the seed and the wall time.  Wall time is the
 only field that differs between two runs with identical inputs and seed.
 
 Exit codes: 0 success, 2 data or usage error (including a checkpoint whose
-growth factors overflow), 3 calibration divergence.
+growth factors overflow or draws too large for memory), 3 calibration divergence.
 """
 
 import argparse
 import dataclasses
 import hashlib
 import json
-import os
+import math
 import re
 import sys
 import time
@@ -147,7 +147,10 @@ def _convert(key, value):
     caster = _CONFIG_FIELDS[key]
     try:
         if caster is int:
-            return int(float(value))
+            number = value if isinstance(value, int) else float(value)
+            if number != int(number):
+                raise ValueError("not an integer")
+            return int(number)
         return caster(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bad value for {key}: {value!r}") from exc
@@ -183,8 +186,9 @@ def parse_tau_grid(text) -> list:
     return sorted(days)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_number(value, finite=True) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (not finite or math.isfinite(value)))
 
 
 def _load_checkpoint(path):
@@ -206,19 +210,19 @@ def _load_checkpoint(path):
             raise DataError(f"checkpoint context is missing field {key!r}")
     config = ctx["config"]
     if not (isinstance(config, dict)
-            and all(_is_number(config.get(key)) for key in ("n_samples", "seed"))):
+            and all(_is_number(config.get(key), finite=False) for key in ("n_samples", "seed"))):
         raise DataError("checkpoint context config needs numeric n_samples and seed")
     if not _is_number(ctx["spot"]):
-        raise DataError("checkpoint context spot must be a number")
+        raise DataError("checkpoint context spot must be a finite number")
     for key in ("train_days", "train_strikes"):
         if not (isinstance(ctx[key], list) and all(map(_is_number, ctx[key]))):
-            raise DataError(f"checkpoint context {key} must be a list of numbers")
+            raise DataError(f"checkpoint context {key} must be a list of finite numbers")
     curve = ctx["rate_curve"]
     if not (isinstance(curve, list)
             and all(isinstance(pair, list) and len(pair) == 2
                     and all(map(_is_number, pair)) for pair in curve)):
         raise DataError("checkpoint context rate_curve must be a list of "
-                        "[tenor, rate] pairs")
+                        "[tenor, rate] pairs of finite numbers")
     return ctx, model
 
 
@@ -342,7 +346,7 @@ def cmd_evaluate(args) -> int:
     samples, seed = _checkpoint_samples(args, ctx)
     floor = ctx["config"].get("relative_mse_floor", 0.05)
     # one slice per maturity prices every quote; the sets share its quote objects
-    prices = price_chain(model, chain, samples, threads=args.threads)
+    prices = price_chain(model, chain, samples)
     price_of = {id(q): p for q, p in zip(chain.quotes, prices)}
 
     metrics = {"checkpoint_kind": model_kind(model)}
@@ -496,8 +500,7 @@ def cmd_audit(args) -> int:
     # the penalty grid holds every audited maturity and strike, so one
     # surface on it serves both
     grid = build_synthetic_grid(taus, strikes)
-    surface = price_surface(model, grid.taus, grid.strikes, spot, rate_fn, samples,
-                            threads=args.threads)
+    surface = price_surface(model, grid.taus, grid.strikes, spot, rate_fn, samples)
     audit = audit_price_surface(surface.at(taus, strikes))
     penalty = surface.penalty()
     audit_path = out / "audit.json"
@@ -523,8 +526,8 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--samples", type=float, default=None,
                         help="Monte Carlo sample count")
-    parser.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="worker threads (1 = reference path)")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="accepted and ignored: every command runs on one thread")
     parser.add_argument("--spot", type=float, default=None)
 
 
@@ -605,6 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag in ("spot", "rate", "tick"):  # None where the command has no such flag
+        if not math.isfinite(getattr(args, flag, None) or 0.0):
+            parser.error(f"--{flag} must be finite")
     if args.command == "perturb":
         if args.trials < 2:
             parser.error("--trials must be at least 2")
@@ -618,8 +624,9 @@ def main(argv=None) -> int:
     except CalibrationDivergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FloatingPointError) as exc:
-        # FloatingPointError: a model whose growth factors e^X overflow
+    except (ValueError, FloatingPointError, MemoryError) as exc:
+        # FloatingPointError: a model whose growth factors e^X overflow;
+        # MemoryError: a sample count too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

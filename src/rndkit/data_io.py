@@ -115,9 +115,12 @@ def interpolate_rate(curve, tau: float) -> float:
 
 def _parse_float(row_num, name, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise DataError(f"row {row_num}: column {name!r} is not numeric: {raw!r}") from None
+    if not np.isfinite(value):
+        raise DataError(f"row {row_num}: column {name!r} is not finite: {raw!r}")
+    return value
 
 
 def load_chain(path, rates_path=None, spot=None) -> OptionChain:

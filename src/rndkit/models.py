@@ -184,7 +184,7 @@ class BoundModel:
     on (model, draws, tau, rate).  Calibration, pricing, penalties, the
     audit and the density all read X and dX/dtau here.  Build it with
     ``bind``, which gives the binding a scratch of its own for the one
-    pass; it never changes afterwards, so pool threads may share one.
+    pass; it never changes afterwards.
     The calibration loop's own subclass passes the fit's scratch, which
     its gradient reuses to recompute net_z block by block, and sets
     ``_keep_caches``: ``_rows`` then collects, per component, one

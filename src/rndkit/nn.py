@@ -180,9 +180,8 @@ class Scratch:
     asks for the key), so a fit that carries one scratch allocates its
     buffers once, not per block, pass or dtype.  A pass's cache and
     values are views into these buffers and last until the next pass
-    through the same scratch.  Not shared
-    between threads: each binding or fit makes or carries its own.  The
-    blocks themselves come from ``_block_bounds``.
+    through the same scratch, so each binding or fit makes or carries its
+    own.  The blocks themselves come from ``_block_bounds``.
     """
 
     __slots__ = ("_buffers",)

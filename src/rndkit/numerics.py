@@ -1,17 +1,14 @@
 """Deterministic reduction helpers shared across the toolkit.
 
-All reductions here run in a fixed order that does not depend on thread
-count, so repeated runs (and runs with different ``threads`` settings)
-produce bit-identical results.
+All reductions here run in a fixed order, so repeated runs produce
+bit-identical results.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-__all__ = ["kahan_sum", "logmeanexp", "parallel_map"]
+__all__ = ["kahan_sum", "logmeanexp"]
 
 _CHUNK = 4096
 
@@ -20,8 +17,8 @@ def kahan_sum(values, chunk: int = _CHUNK) -> float:
     """Compensated sum of a 1-d array.
 
     Values are summed pairwise inside fixed-size chunks and the chunk
-    totals are combined with Kahan compensation in chunk order.  The
-    result is independent of threading and identical across runs.
+    totals are combined with Kahan compensation in chunk order, so the
+    result is identical across runs.
     """
     x = np.asarray(values, dtype=float).ravel()
     total = 0.0
@@ -45,15 +42,3 @@ def logmeanexp(values) -> float:
         return m
     return m + np.log(kahan_sum(np.exp(x - m)) / x.size)
 
-
-def parallel_map(fn, items, threads=None):
-    """Order-preserving map, optionally over a thread pool.
-
-    Work items must be independent; results are collected in input order
-    so the combine step downstream stays deterministic.
-    """
-    items = list(items)
-    if threads is None or threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

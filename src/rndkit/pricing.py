@@ -10,9 +10,8 @@ The draws are fixed per run, so prices are deterministic functions of the
 model parameters.  Every sum over the draws at one maturity is read off
 one ``MaturitySlice``: the growth factors e^X are sorted once (stable
 sort) and prefix-summed in that fixed order, so a price, a calendar
-value or the martingale defect costs one binary search, and results do
-not depend on the thread count.  Calibration, pricing, the penalties and
-the audit all read the same slice.  The calibration loop hands each slice
+value or the martingale defect costs one binary search.  Calibration,
+pricing, the penalties and the audit all read the same slice.  The calibration loop hands each slice
 the previous iteration's order as a hint: the slice takes the growth
 factors in that order as they are when they are already strictly
 increasing, or else re-sorts them (nearly sorted, so about O(N)), and
@@ -32,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import bind, sample_log_returns
-from .numerics import parallel_map
 
 __all__ = ["MaturitySlice", "PriceRequest", "growth_factors", "price", "price_chain"]
 
@@ -185,10 +183,10 @@ def price(model, req: PriceRequest, samples) -> float:
     return MaturitySlice(req.tau, req.rate, x).price(req.side, req.strike, req.spot)[0]
 
 
-def price_chain(model, chain, samples, threads=None, hints=None) -> np.ndarray:
+def price_chain(model, chain, samples, hints=None) -> np.ndarray:
     """Price every quote in a chain from one maturity slice per maturity.
 
-    The model is bound to the draws before the per-maturity fan-out.
+    The model is bound to the draws once, before the maturity loop.
     ``hints`` optionally maps a maturity to a candidate order for its
     slice (see ``MaturitySlice``), handed over as there.  Returns prices
     aligned with ``chain.quotes``.
@@ -198,15 +196,10 @@ def price_chain(model, chain, samples, threads=None, hints=None) -> np.ndarray:
     by_tau = {}
     for i, q in enumerate(quotes):
         by_tau.setdefault(q.tau, []).append(i)
-    taus = sorted(by_tau)
-
-    def run_group(tau):
+    prices = np.empty(len(quotes))
+    for tau in sorted(by_tau):
         idx = by_tau[tau]
         rate = chain.rate(tau)
         table = MaturitySlice(tau, rate, bound.log_returns(tau, rate), hint=(hints or {}).get(tau))
-        return idx, [table.price(quotes[i].side, quotes[i].strike, chain.spot)[0] for i in idx]
-
-    prices = np.empty(len(quotes))
-    for idx, vals in parallel_map(run_group, taus, threads):
-        prices[idx] = vals
+        prices[idx] = [table.price(quotes[i].side, quotes[i].strike, chain.spot)[0] for i in idx]
     return prices

@@ -20,7 +20,7 @@ from scipy.special import expit
 
 from rndkit.heston import DAMPING_ALPHA, _damped_cf_table, _log_cf
 from rndkit.nn import ParamGradient
-from rndkit.numerics import kahan_sum, parallel_map
+from rndkit.numerics import kahan_sum
 
 
 def norm_cdf(x):
@@ -158,12 +158,11 @@ def _chunk_bounds(paths: int):
     return [(i, min(MC_CHUNK, paths - s)) for i, s in enumerate(starts)]
 
 
-def mc_terminal_log_returns(p, tau, rate, paths, steps, seed, threads=None) -> np.ndarray:
+def mc_terminal_log_returns(p, tau, rate, paths, steps, seed) -> np.ndarray:
     """ln(S_T/S_0) samples from full-truncation Euler, fixed chunk streams.
 
     Chunks of 131072 paths each get their own counter-based stream keyed by
-    (seed, chunk), so the result is independent of thread count and any
-    prefix of chunks is reproducible.
+    (seed, chunk), so any prefix of chunks is reproducible.
     """
     if paths < 1 or steps < 1:
         raise ValueError("paths and steps must be >= 1")
@@ -188,16 +187,15 @@ def mc_terminal_log_returns(p, tau, rate, paths, steps, seed, threads=None) -> n
             v += p.kappa * (p.vartheta - vplus) * dt + p.xi * shock * (p.rho * z[0] + sq_rho * z[1])
         return x
 
-    parts = parallel_map(run_chunk, _chunk_bounds(paths), threads)
-    return np.concatenate(parts)
+    return np.concatenate([run_chunk(spec) for spec in _chunk_bounds(paths)])
 
 
-def heston_mc_price(p, side, spot, strike, tau, rate, paths, steps, seed, threads=None):
+def heston_mc_price(p, side, spot, strike, tau, rate, paths, steps, seed):
     """(price, stderr) for one option, or arrays when strike is array-like."""
     if side not in ("call", "put"):
         raise ValueError("side must be 'call' or 'put'")
     strikes = np.asarray(strike, dtype=float)
-    growth = np.exp(mc_terminal_log_returns(p, tau, rate, paths, steps, seed, threads))
+    growth = np.exp(mc_terminal_log_returns(p, tau, rate, paths, steps, seed))
     disc_spot = np.exp(-rate * tau) * spot
     n = growth.size
 

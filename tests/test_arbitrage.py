@@ -268,16 +268,6 @@ def test_total_penalty_counts_match_recount():
     assert len(report.mu_values) == grid.taus.size
 
 
-def test_total_penalty_thread_count_is_invisible():
-    model = init_rnmlp(seed=21)
-    z = draw_standard_normal(10_000, seed=22)
-    grid = build_synthetic_grid([0.2, 0.3, 0.4], [90.0, 110.0])
-    one = total_penalty(model, grid, 100.0, lambda tau: 0.03, z, threads=1)
-    many = total_penalty(model, grid, 100.0, lambda tau: 0.03, z, threads=4)
-    assert one.total == many.total
-    assert one.calendar_values == many.calendar_values
-
-
 def test_penalty_and_surface_bound_model_is_bit_identical():
     model = init_rndmlp(seed=21)
     z = draw_standard_normal(8_000, seed=22)
@@ -287,12 +277,11 @@ def test_penalty_and_surface_bound_model_is_bit_identical():
     want = total_penalty(model, grid, 100.0, rate_fn, z)
     want_surface = price_surface(model, [0.2, 0.4], [90.0, 100.0, 110.0], 100.0, rate_fn, z)
     for bound in (bind(model, z), bind(model, other)):
-        got = total_penalty(bound, grid, 100.0, rate_fn, z, threads=2)
+        got = total_penalty(bound, grid, 100.0, rate_fn, z)
         assert got.total == want.total
         assert got.calendar_values == want.calendar_values
         assert got.mu_values == want.mu_values
-        surface = price_surface(bound, [0.2, 0.4], [90.0, 100.0, 110.0], 100.0, rate_fn, z,
-                                threads=2)
+        surface = price_surface(bound, [0.2, 0.4], [90.0, 100.0, 110.0], 100.0, rate_fn, z)
         for name in ("calls", "puts", "defects", "jtau_calls", "jtau_puts"):
             np.testing.assert_array_equal(getattr(surface, name), getattr(want_surface, name))
         assert point_penalty(bound, 0.3, 0.03, z, strike=95.0) == \

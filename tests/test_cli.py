@@ -213,6 +213,50 @@ def test_checkpoint_with_infinite_samples_or_seed_exits_2(fit_dir, tmp_path, cap
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["calibrate", "perturb", "evaluate", "report", "audit"])
+def test_fractional_samples_exit_2(sim_dir, fit_dir, tmp_path, capsys, command):
+    chain = str(sim_dir / "left-skew_chain.csv")
+    ck = str(fit_dir / "checkpoint.json")
+    out = tmp_path / "out"
+    argv = {
+        "calibrate": ["calibrate", "--chain", chain, "--kind", "rn-q", "--iterations", "1"],
+        "perturb": ["perturb", "--chain", chain, "--kind", "rn-q", "--trials", "2",
+                    "--iterations", "1"],
+        "evaluate": ["evaluate", "--checkpoint", ck, "--chain", chain],
+        "report": ["report", "--checkpoint", ck],
+        "audit": ["audit", "--checkpoint", ck],
+    }[command]
+    assert main(argv + ["--samples", "2000.7", "--out", str(out)]) == 2
+    assert "bad value for n_samples" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("line, key", [("iterations = 3.9", "iterations"),
+                                       ("seed = 1.5", "seed"),
+                                       ("n_samples = 2000.5", "n_samples")])
+def test_fractional_integer_settings_in_a_config_file_exit_2(sim_dir, tmp_path, capsys,
+                                                             line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert main(["calibrate", "--chain", str(sim_dir / "left-skew_chain.csv"),
+                 "--kind", "rn-q", "--samples", "2000", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert f"bad value for {key}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_allocation_failure_exits_2(fit_dir, tmp_path, capsys, monkeypatch):
+    def refuse(n, seed):
+        raise MemoryError(f"Unable to allocate {8 * n} bytes")
+
+    monkeypatch.setattr(cli, "draw_standard_normal", refuse)
+    assert main(["audit", "--checkpoint", str(fit_dir / "checkpoint.json"),
+                 "--samples", "1e12", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Unable to allocate" in err
+
+
 def test_read_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("learning_rate = 0.01\nwarp_speed = 9\n")
@@ -381,9 +425,17 @@ def test_evaluate_truncated_checkpoint_exits_2(sim_dir, fit_dir, tmp_path, capsy
     ("report", lambda ctx: ctx.update(rate_curve=5)),
     ("evaluate", lambda ctx: ctx.update(spot="1000")),
     ("report", lambda ctx: ctx.update(train_days=91)),
+    # non-finite numbers, written as NaN and Infinity, which json.load reads back
+    ("audit", lambda ctx: ctx.update(spot=float("nan"))),
+    ("report", lambda ctx: ctx.update(spot=float("inf"))),
+    ("audit", lambda ctx: ctx["rate_curve"][0].__setitem__(1, float("nan"))),
+    ("report", lambda ctx: ctx["rate_curve"][0].__setitem__(0, float("nan"))),
+    ("audit", lambda ctx: ctx["train_days"].append(float("nan"))),
+    ("audit", lambda ctx: ctx["train_strikes"].append(float("inf"))),
 ], ids=["config-without-n_samples", "config-not-an-object", "no-train_strikes",
         "audit-rate_curve-not-a-list", "report-rate_curve-not-a-list",
-        "spot-not-a-number", "train_days-not-a-list"])
+        "spot-not-a-number", "train_days-not-a-list", "nan-spot", "inf-spot",
+        "nan-rate", "nan-tenor", "nan-train_days", "inf-train_strikes"])
 def test_malformed_checkpoint_context_exits_2(sim_dir, fit_dir, tmp_path, capsys,
                                               command, edit):
     doc = json.loads((fit_dir / "checkpoint.json").read_text())
@@ -395,6 +447,53 @@ def test_malformed_checkpoint_context_exits_2(sim_dir, fit_dir, tmp_path, capsys
         argv += ["--chain", str(sim_dir / "left-skew_chain.csv")]
     assert main(argv) == 2
     assert "error: checkpoint context" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["calibrate", "evaluate"])
+def test_non_finite_quote_in_the_chain_exits_2(sim_dir, fit_dir, tmp_path, capsys, command):
+    lines = (sim_dir / "left-skew_chain.csv").read_text().splitlines(True)
+    row = next(i for i, line in enumerate(lines) if ",call,1000.0," in line)
+    cells = lines[row].split(",")
+    cells[4] = "nan"  # the at-the-money call's bid, a training quote
+    lines[row] = ",".join(cells)
+    chain = tmp_path / "chain.csv"
+    chain.write_text("".join(lines))
+    (tmp_path / "chain.rates.csv").write_bytes(
+        (sim_dir / "left-skew_chain.rates.csv").read_bytes())
+    argv = {"calibrate": ["calibrate", "--kind", "rn-q", "--samples", "2000"],
+            "evaluate": ["evaluate", "--checkpoint", str(fit_dir / "checkpoint.json")]}[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--chain", str(chain), "--out", str(out)]) == 2
+    assert "column 'bid' is not finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+_MINIMAL_ARGV = {
+    "simulate": ["--scenario", "left-skew"],
+    "calibrate": ["--chain", "c.csv", "--kind", "rn-q"],
+    "evaluate": ["--checkpoint", "ck.json", "--chain", "c.csv"],
+    "perturb": ["--chain", "c.csv", "--kind", "rn-q", "--trials", "2"],
+    "report": ["--checkpoint", "ck.json"],
+    "audit": ["--checkpoint", "ck.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MINIMAL_ARGV))
+def test_every_command_accepts_threads(command):
+    args = cli.build_parser().parse_args([command, *_MINIMAL_ARGV[command], "--threads", "3"])
+    assert args.threads == 3 and args.func is getattr(cli, f"cmd_{command}")
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    *((command, "--spot", "nan") for command in sorted(_MINIMAL_ARGV)),
+    ("simulate", "--rate", "nan"), ("perturb", "--tick", "inf"),
+])
+def test_non_finite_market_flags_are_usage_errors(tmp_path, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *_MINIMAL_ARGV[command], flag, value, "--out", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert f"{flag} must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["evaluate", "audit", "report"])

@@ -83,6 +83,31 @@ def test_load_chain_error_cases(tmp_path):
         load_chain(tmp_path / "missing.csv")
 
 
+NON_FINITE_EDITS = [
+    (False, "call,100,30,2.05", "call,nan,30,2.05", "strike"),
+    (False, "call,100,30,2.05", "call,100,inf,2.05", "days"),
+    (False, "30,2.05,2.15", "30,nan,2.15", "bid"),
+    (False, "30,2.05,2.15", "30,2.05,inf", "ask"),
+    (False, "#spot=100.0", "#spot=nan", "spot"),
+    (True, "90,0.04", "nan,0.04", "tenor_days"),
+    (True, "90,0.04", "90,nan", "rate"),
+]
+
+
+@pytest.mark.parametrize("sidecar, old, new, field", NON_FINITE_EDITS,
+                         ids=[edit[-1] for edit in NON_FINITE_EDITS])
+def test_load_chain_rejects_non_finite_numbers(tmp_path, sidecar, old, new, field):
+    chain_csv, rates_csv = CHAIN_CSV, RATES_CSV
+    if sidecar:
+        rates_csv = rates_csv.replace(old, new)
+    else:
+        chain_csv = chain_csv.replace(old, new)
+    (tmp_path / "chain.csv").write_text(chain_csv)
+    (tmp_path / "chain.rates.csv").write_text(rates_csv)
+    with pytest.raises(DataError, match=f"column '{field}' is not finite"):
+        load_chain(tmp_path / "chain.csv")
+
+
 def test_quote_validation():
     with pytest.raises(DataError):
         OptionQuote("call", -5.0, 30, 1.0, 1.1)

@@ -192,14 +192,6 @@ def test_mc_is_deterministic_and_seed_sensitive():
     assert not np.array_equal(a, c)
 
 
-def test_mc_thread_count_does_not_change_samples():
-    p, _ = SCENARIOS["likely-normal"]
-    kwargs = dict(tau=0.25, rate=RATE, paths=300_000, steps=10, seed=9)
-    serial = mc_terminal_log_returns(p, **kwargs, threads=1)
-    pooled = mc_terminal_log_returns(p, **kwargs, threads=4)
-    np.testing.assert_array_equal(serial, pooled)
-
-
 def test_mc_chunking_gives_prefix_stability(monkeypatch):
     # growing the path count must not disturb earlier chunks
     monkeypatch.setattr(oracles, "MC_CHUNK", 1_000)

@@ -137,21 +137,6 @@ def test_price_chain_matches_single_prices():
     assert got.shape == (5,)
 
 
-def test_price_chain_threaded_is_bit_identical():
-    model = init_rnmlp(seed=2)
-    z = draw_standard_normal(5_000, seed=9)
-    quotes = [
-        OptionQuote("call", k, days, 1.0, 1.2)
-        for days in (30, 91, 182)
-        for k in (80.0, 100.0, 120.0)
-    ]
-    chain = make_chain(quotes)
-    np.testing.assert_array_equal(
-        price_chain(model, chain, z, threads=1),
-        price_chain(model, chain, z, threads=8),
-    )
-
-
 def test_price_chain_bound_model_is_bit_identical():
     model = init_rndmlp(seed=2)
     z = draw_standard_normal(5_000, seed=9)
@@ -166,7 +151,7 @@ def test_price_chain_bound_model_is_bit_identical():
     want = price_chain(model, chain, z)
     req = PriceRequest("put", S, 95.0, 0.4, 0.03)
     for bound in (bind(model, z), bind(model, other)):
-        np.testing.assert_array_equal(price_chain(bound, chain, z, threads=2), want)
+        np.testing.assert_array_equal(price_chain(bound, chain, z), want)
         assert price(bound, req, z) == price(model, req, z)
 
 
