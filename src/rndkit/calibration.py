@@ -17,14 +17,15 @@ gradient and finalisation.  The objective, the Adam loop and the final
 metrics never test the kind.  ``_NetworkAdapter`` serves rn-mlp and
 rn-dmlp alike, rn-mlp being the one-component mixture, and reads X and
 dX/dtau from ``models.BoundModel`` like every analysis consumer.
-``_QuantileAdapter`` holds every rn-q
-difference: the location is eliminated through the martingale
-constraint at every evaluation (so the gradient carries a softmax
-correction term) and recomputed on the final parameters, Adam works in
-softplus coordinates, the chain must be single-maturity, and the
-arbitrage penalty is omitted.  With the location pinned, the martingale
-term is identically zero and, at a positive rate, the remaining calendar
-terms are constants of the data rather than useful training signal; the
+``_QuantileAdapter`` holds every rn-q difference: the location is
+eliminated through the martingale constraint at every evaluation (so the
+gradient carries a softmax correction term) and recomputed on the final
+parameters, an evaluation takes two power passes (u^Z and v^-Z, from
+``models.rnq_terms``) that its gradient reuses, Adam works in softplus
+coordinates, the chain must be single-maturity, and the arbitrage
+penalty is omitted.  With the location pinned, the martingale term is
+identically zero and, at a positive rate, the remaining calendar terms
+are constants of the data rather than useful training signal; the
 fit reduces to the data MSE alone.
 """
 
@@ -49,6 +50,7 @@ from .models import (
     mixture_components,
     model_kind,
     rnq_mu_from_constraint,
+    rnq_terms,
 )
 from .nn import DenseNetwork, Scratch, softplus, softplus_prime, stack_caches
 from .numerics import logmeanexp
@@ -336,8 +338,6 @@ def _loss_weights(observed, fitted, sides_call, loss_kind, floor):
 
 
 def _softplus_inverse(y: float) -> float:
-    if y <= 0.0:
-        raise ValueError("softplus inverse needs a positive value")
     return float(np.log(np.expm1(y)))
 
 
@@ -385,6 +385,11 @@ class _QuantileAdapter(_Adapter):
                          v=float(vec[2]), a_const=template.a_const)
 
     def to_state(self, model):
+        # the softplus coordinates reach sigma > 0 and u, v > 1 only
+        for name, floor in (("sigma", 0.0), ("u", 1.0), ("v", 1.0)):
+            if not getattr(model, name) > floor:
+                raise ValueError(f"the rn-q fit starts from sigma > 0 and u, v > 1; "
+                                 f"the initial {name} is {getattr(model, name)!r}")
         return np.array([_softplus_inverse(model.sigma), _softplus_inverse(model.u - 1.0),
                          _softplus_inverse(model.v - 1.0)])
 
@@ -402,32 +407,40 @@ class _QuantileAdapter(_Adapter):
                              f"the chain has {n_taus} maturities")
 
     def build_tables(self, model, taus, chain_rate, z, hints=None, scratch=None):
-        """The one maturity's table, plus the shape factor for the gradient."""
+        """The one maturity's table, plus u^Z, v^-Z and the shape for the gradient.
+
+        X = (r tau - logmeanexp(t)) + t is formed over t in place.
+        """
         tau = float(taus[0])
         rate = chain_rate(tau)
-        shape = (np.power(model.u, z) + np.power(model.v, -z)) / model.a_const + 1.0
-        t = model.sigma * z * shape
-        x = rate * tau - logmeanexp(t) + t
-        return {tau: _TauTable(tau, rate, x, None, (hints or {}).get(tau))}, shape
+        uz, vz, shape, x = rnq_terms(model, z)
+        x += rate * tau - logmeanexp(x)
+        return {tau: _TauTable(tau, rate, x, None, (hints or {}).get(tau))}, (uz, vz, shape)
 
-    def gradient(self, model, tables, shape, z):
+    def gradient(self, model, tables, terms, z):
         """Natural-space (sigma, u, v) gradient with the location eliminated.
 
         mu = r tau - logmeanexp(t) couples every sample, contributing a
         softmax-weighted mean-field term: dX_n = dt_n - sum_m rho_m dt_m.
+        With w = w_eff Z, dt/dsigma = Z shape gives w . shape, and
+        dt/du = sigma Z^2 u^Z / (u a), dt/dv = -sigma Z^2 v^-Z / (v a) give
+        (w Z) . u^Z and (w Z) . v^-Z, so no power is taken here.
         """
         (table,) = tables.values()
-        rho = table.growth / (table.growth.size * table.mean_growth)
-        wx, _ = table.adjoint_weights()
-        w_eff = wx - np.sum(wx) * rho
-        dt_sigma = z * shape
-        zz = model.sigma * z * z
-        dt_u = zz * np.power(model.u, z - 1.0) / model.a_const
-        dt_v = -zz * np.power(model.v, -z - 1.0) / model.a_const
+        uz, vz, shape = terms
+        growth, scale = table.growth, table.growth.size * table.mean_growth
+        wx, _ = table.adjoint_weights()  # releases the table's growth, reused as rho
+        rho = np.divide(growth, scale, out=growth)
+        rho *= np.sum(wx)
+        w = np.subtract(wx, rho, out=rho)  # w_eff
+        w *= z
+        d_sigma = float(np.dot(w, shape))
+        w *= z
+        sigma, a = model.sigma, model.a_const
         return np.array([
-            float(np.dot(w_eff, dt_sigma)),
-            float(np.dot(w_eff, dt_u)),
-            float(np.dot(w_eff, dt_v)),
+            d_sigma,
+            sigma * float(np.dot(w, uz)) / (model.u * a),
+            -sigma * float(np.dot(w, vz)) / (model.v * a),
         ])
 
     def finalize(self, model, chain, samples):

@@ -35,6 +35,7 @@ __all__ = [
     "RnQParams",
     "RnMlpParams",
     "RnDmlpParams",
+    "rnq_terms",
     "rnq_log_return",
     "rnq_mu_from_constraint",
     "sample_log_returns",
@@ -83,14 +84,30 @@ class RnQParams:
             raise ValueError("a_const must be positive")
 
 
-def _rnq_shape(p: RnQParams, z: np.ndarray) -> np.ndarray:
-    return (np.power(p.u, z) + np.power(p.v, -z)) / p.a_const + 1.0
+def rnq_terms(p: RnQParams, z: np.ndarray):
+    """u^Z, v^-Z, the shape (u^Z + v^-Z)/a + 1 and t = sigma Z shape.
+
+    The one evaluator of rn-q's shape, so X = mu + t: two power passes,
+    v^-Z taken over a negated copy of Z in place, and the shape and t
+    each formed in one buffer.  The calibration gradient reads u^Z and
+    v^-Z back instead of raising u and v to Z again.
+    """
+    uz = np.power(p.u, z)
+    vz = np.negative(z, out=np.empty_like(z))  # an array even for a 0-d Z
+    np.power(p.v, vz, out=vz)
+    shape = uz + vz
+    shape /= p.a_const
+    shape += 1.0
+    t = np.multiply(p.sigma, z)
+    t *= shape
+    return uz, vz, shape, t
 
 
 def rnq_log_return(p: RnQParams, z) -> np.ndarray:
     """X = mu + sigma * Z * (u^Z/a + v^-Z/a + 1), elementwise in Z."""
-    z = np.asarray(z, dtype=float)
-    return p.mu + p.sigma * z * _rnq_shape(p, z)
+    t = rnq_terms(p, np.asarray(z, dtype=float))[3]
+    t += p.mu
+    return t
 
 
 def rnq_mu_from_constraint(sigma, u, v, a_const, samples, rate, tau) -> float:
@@ -99,9 +116,7 @@ def rnq_mu_from_constraint(sigma, u, v, a_const, samples, rate, tau) -> float:
     mu = r tau - ln( (1/N) sum_n exp(sigma Z_n (u^Z_n/a + v^-Z_n/a + 1)) ),
     evaluated with a log-sum-exp shift so large sigma stays finite.
     """
-    z = _values(samples)
-    shape = RnQParams(0.0, sigma, u, v, a_const)
-    t = sigma * z * _rnq_shape(shape, z)
+    t = rnq_terms(RnQParams(0.0, sigma, u, v, a_const), _values(samples))[3]
     mu = rate * tau - logmeanexp(t)
     if not np.isfinite(mu):
         raise FloatingPointError("martingale constraint produced a non-finite location")

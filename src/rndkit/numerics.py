@@ -40,5 +40,7 @@ def logmeanexp(values) -> float:
     m = float(np.max(x))
     if not np.isfinite(m):
         return m
-    return m + np.log(kahan_sum(np.exp(x - m)) / x.size)
+    e = np.subtract(x, m)
+    np.exp(e, out=e)
+    return m + np.log(kahan_sum(e) / x.size)
 

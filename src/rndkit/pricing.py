@@ -87,10 +87,11 @@ class MaturitySlice:
         self.growth = growth
         self.slope = slope
         self.order, self.gs = _stable_order(growth, hint)
-        self.cum_g = np.concatenate([[0.0], np.cumsum(self.gs)])
+        self.cum_g = _prefix_sums(self.gs)
         if slope is not None:
-            a = (slope - rate) * growth
-            self.cum_a = np.concatenate([[0.0], np.cumsum(a[self.order])])
+            a = np.subtract(slope, rate)
+            a *= growth
+            self.cum_a = _prefix_sums(a[self.order])
         self.mean_growth = self.cum_g[-1] / growth.size
 
     @property
@@ -164,6 +165,14 @@ def _stable_order(growth, hint):
         order = np.argsort(growth, kind="stable")
         gs = growth[order]
     return order, gs
+
+
+def _prefix_sums(values):
+    """[0, v_0, v_0 + v_1, ...] in one (N+1)-long array, summed in order."""
+    out = np.empty(values.size + 1)
+    out[0] = 0.0
+    np.cumsum(values, out=out[1:])
+    return out
 
 
 def _strictly_increasing(values):

@@ -219,6 +219,42 @@ def test_gradient_matches_fd_rnq(mixed_chain, loss_kind):
     assert fd_worst_error(model, mixed_chain, cfg) < 1e-4
 
 
+def test_rnq_evaluation_takes_two_power_passes(call_chain, monkeypatch):
+    # u^Z and v^-Z are formed once; the gradient reads them back
+    cfg = CalibrationConfig(n_samples=4000, seed=3)
+    samples = draw_standard_normal(cfg.n_samples, cfg.seed)
+    model = RnQParams(mu=0.0, sigma=0.25, u=1.05, v=1.2)
+    real_power = np.power
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real_power(*args, **kwargs)
+
+    monkeypatch.setattr(np, "power", spy)
+    _, grad = objective_and_gradient(model, call_chain, grid_for(call_chain), cfg, samples)
+    assert grad is not None
+    assert calls == [model.u, model.v]
+
+
+def test_rnq_objective_peak_memory(call_chain):
+    # one evaluation with its gradient holds at most 9.5 N-length float
+    # arrays at once: the terms u^Z, v^-Z, shape and X, each formed in one
+    # buffer, the maturity slice and the adjoint weights
+    n = 40_000
+    cfg = CalibrationConfig(n_samples=n, seed=3)
+    samples = draw_standard_normal(n, cfg.seed)
+    model = RnQParams(mu=0.0, sigma=0.25, u=1.05, v=1.2)
+    grid = grid_for(call_chain)
+    tracemalloc.start()
+    try:
+        objective_and_gradient(model, call_chain, grid, cfg, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.5 * 8 * n
+
+
 @pytest.mark.parametrize("loss_kind", ["absolute-MSE", "relative-MSE"])
 def test_gradient_matches_fd_rnmlp(mixed_chain, loss_kind):
     cfg = CalibrationConfig(n_samples=4000, seed=3, loss_kind=loss_kind)
@@ -263,6 +299,17 @@ def test_perfect_fit_has_negligible_loss_and_gradient(call_chain):
 
 # ----------------------------------------------------------------------
 # the optimization loop
+
+
+@pytest.mark.parametrize("field", ["sigma", "u", "v"])
+def test_rnq_fit_rejects_a_start_on_its_domain_edge(call_chain, field):
+    # sigma = 0 and u, v = 1 are valid models, but the softplus coordinates
+    # Adam works in reach only sigma > 0 and u, v > 1
+    start = dict(mu=0.0, sigma=0.2, u=1.1, v=1.1)
+    start[field] = 0.0 if field == "sigma" else 1.0
+    cfg = CalibrationConfig(n_samples=100, iterations=2)
+    with pytest.raises(ValueError, match=f"sigma > 0 and u, v > 1; the initial {field} is"):
+        calibrate("rn-q", call_chain, cfg, init_model=RnQParams(**start))
 
 
 def test_calibrate_rejects_bad_inputs(call_chain):

@@ -19,7 +19,7 @@ from rndkit.models import (
     sample_log_returns,
     zero_net_rnmlp,
 )
-from rndkit.numerics import logmeanexp
+from rndkit.numerics import kahan_sum, logmeanexp
 from rndkit.sampling import draw_standard_normal
 
 from oracles import forward
@@ -56,6 +56,12 @@ def test_rnq_mu_constraint_degenerate_and_identity():
     x = rnq_log_return(model, z.values)
     # Plugging mu back in satisfies the martingale constraint on the draws.
     assert abs(logmeanexp(x) - 0.04 * 0.5) < 1e-12
+
+
+def test_logmeanexp_keeps_the_shifted_kahan_form():
+    x = 0.3 * draw_standard_normal(10_000, seed=4).values
+    m = float(np.max(x))
+    assert logmeanexp(x) == m + np.log(kahan_sum(np.exp(x - m)) / x.size)
 
 
 def test_rnq_mu_constraint_lognormal_limit():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rndkit import pricing
 from rndkit.data_io import OptionChain, OptionQuote
 from rndkit.models import (
     RnQParams,
@@ -160,6 +161,13 @@ def assert_same_slice(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert got.mean_growth == want.mean_growth
+
+
+@pytest.mark.parametrize("n", [1, 2, 4097, 40_000])
+def test_prefix_sums_match_the_concatenated_cumsum(n):
+    values = np.exp(np.random.Generator(np.random.Philox(n)).normal(size=n))
+    want = np.concatenate([[0.0], np.cumsum(values)])
+    assert pricing._prefix_sums(values).tobytes() == want.tobytes()
 
 
 def test_growth_factors_reject_overflow_like_the_slice():
