@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import bind
+from .numerics import sorted_unique
 from .pricing import MaturitySlice
 
 __all__ = [
@@ -73,8 +74,8 @@ def build_synthetic_grid(taus, strikes) -> SyntheticGrid:
     n maturities and m strikes give (2n-1)(2m-1) pairs, each present for
     both the call and the put side.
     """
-    taus = np.unique(np.asarray(taus, dtype=float))
-    strikes = np.unique(np.asarray(strikes, dtype=float))
+    taus = sorted_unique(taus)
+    strikes = sorted_unique(strikes)
     if taus.size == 0 or strikes.size == 0:
         raise ValueError("grid needs at least one maturity and one strike")
     if np.any(taus <= 0.0) or np.any(strikes <= 0.0):
@@ -184,7 +185,7 @@ class PriceSurface:
 
 
 def _grid_index(grid, values, name):
-    values = np.unique(np.asarray(values, dtype=float))
+    values = sorted_unique(values)
     pos = np.minimum(np.searchsorted(grid, values), grid.size - 1)
     off = values[grid[pos] != values]
     if off.size:
@@ -195,8 +196,8 @@ def _grid_index(grid, values, name):
 def price_surface(model, taus, strikes, spot, rate_fn, samples, hints=None) -> PriceSurface:
     """One slice per maturity, on the model bound once; ``hints`` maps a
     maturity to a candidate sort order, as in ``pricing.price_chain``."""
-    taus = np.unique(np.asarray(taus, dtype=float))
-    strikes = np.unique(np.asarray(strikes, dtype=float))
+    taus = sorted_unique(taus)
+    strikes = sorted_unique(strikes)
     if np.any(taus <= 0.0):
         raise ValueError("surface maturities must be positive")
     bound = bind(model, samples)

@@ -284,7 +284,7 @@ class _TauTable(MaturitySlice):
         read, so the backward passes that follow hold only ``order``,
         ``wx`` and ``wd`` per maturity among the slice's N-length arrays.
         The products are formed in place, with the same operands.  With
-        no penalty term ``wd`` is zeros and ``wx`` the data term alone.
+        no penalty term ``wd`` is None and ``wx`` the data term alone.
         """
         order, gs, slope, coef_pen = self.order, self.gs, self.slope, self.coef_pen
         n = gs.size
@@ -292,9 +292,8 @@ class _TauTable(MaturitySlice):
         self.growth = self.slope = self.gs = self.cum_g = self.cum_a = None
         self.coef_pen = self.coef_data = None
         data *= gs
-        if coef_pen is None:
-            wd = np.zeros(n)
-        else:
+        wd = None
+        if coef_pen is not None:
             pen = np.cumsum(coef_pen[:n])
             wd = np.empty(n)
             wd[order] = pen * gs
@@ -517,13 +516,15 @@ class _NetworkAdapter(_Adapter):
             for i, table in enumerate(tables.values()):
                 wx, wd = table.wx, table.wd
                 tau, rate, root = table.tau, table.rate, np.sqrt(table.tau)
-                wz += coef * comp.sigma * z * (root * wx + wd / (2.0 * root))
                 sx = float(np.sum(wx))
-                sd = float(np.sum(wd))
                 sxz = float(np.dot(wx, z))
-                sdz = float(np.dot(wd, z))
                 sxzg = float(np.dot(wx, zg))
-                sdzg = float(np.dot(wd, zg))
+                w_z = root * wx
+                sd = sdz = sdzg = 0.0
+                if wd is not None:  # the maturity has a penalty term
+                    w_z += wd / (2.0 * root)
+                    sd, sdz, sdzg = float(np.sum(wd)), float(np.dot(wd, z)), float(np.dot(wd, zg))
+                wz += coef * comp.sigma * z * w_z
                 base = gtau[i] + 1.0
                 wv_mu[i] = coef * rate * (tau * sx + sd)
                 ws_mu[i] = coef * rate * tau * sd

@@ -64,14 +64,8 @@ _FLAG_ATTRS = {"n_samples": "samples"}
 # deterministic serialization helpers
 
 def _coerce(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()  # numpy scalars become Python scalars
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
@@ -254,7 +248,8 @@ def cmd_simulate(args) -> int:
     params, _ = SCENARIOS[args.scenario]
     outputs = [chain_path, rates_path]
     moment_rows = []
-    for i, tau in enumerate(chain.maturities()):
+    maturities = chain.maturities()
+    for tau in maturities:
         rate = chain.rate(tau)
         var, skew, kurt = heston_true_moments(params, chain.spot, tau, rate)
         moment_rows.append((tau, np.sqrt(var), skew, kurt))
@@ -262,7 +257,7 @@ def cmd_simulate(args) -> int:
         log_grid = np.linspace(np.log(chain.spot) + rate * tau - width,
                                np.log(chain.spot) + rate * tau + width, 1501)
         rnd = heston_rnd(params, chain.spot, tau, rate, np.exp(log_grid))
-        suffix = f"_{int(round(tau * 365.0))}d" if len(chain.maturities()) > 1 else ""
+        suffix = f"_{int(round(tau * 365.0))}d" if maturities.size > 1 else ""
         rnd_path = out / f"{args.scenario}_true_rnd{suffix}.csv"
         write_csv(rnd_path, ["grid", "value"], zip(rnd.grid, rnd.values))
         outputs.append(rnd_path)

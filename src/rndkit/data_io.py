@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .numerics import sorted_unique
+
 __all__ = [
     "DataError",
     "OptionQuote",
@@ -86,10 +88,10 @@ class OptionChain:
         return interpolate_rate(self.rate_curve, tau)
 
     def maturities(self) -> np.ndarray:
-        return np.unique([q.tau for q in self.quotes])
+        return sorted_unique([q.tau for q in self.quotes])
 
     def strikes(self) -> np.ndarray:
-        return np.unique([q.strike for q in self.quotes])
+        return sorted_unique([q.strike for q in self.quotes])
 
     def with_quotes(self, quotes) -> "OptionChain":
         return OptionChain(self.observation_date, self.spot, list(quotes), list(self.rate_curve))
@@ -106,11 +108,8 @@ def interpolate_rate(curve, tau: float) -> float:
     """Linear interpolation in tenor days with flat extrapolation."""
     if not curve:
         raise DataError("empty rate curve")
-    pairs = sorted((float(t), float(r)) for t, r in curve)
-    tenors = np.array([p[0] for p in pairs])
-    rates = np.array([p[1] for p in pairs])
-    days = tau * DAYS_PER_YEAR
-    return float(np.interp(days, tenors, rates))
+    tenors, rates = np.array(sorted((float(t), float(r)) for t, r in curve)).T
+    return float(np.interp(tau * DAYS_PER_YEAR, tenors, rates))
 
 
 def _parse_float(row_num, name, raw):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kahan_sum", "logmeanexp"]
+__all__ = ["kahan_sum", "logmeanexp", "sorted_unique"]
 
 _CHUNK = 4096
 
@@ -44,3 +44,8 @@ def logmeanexp(values) -> float:
     np.exp(e, out=e)
     return m + np.log(kahan_sum(e) / x.size)
 
+
+def sorted_unique(values) -> np.ndarray:
+    """``np.unique`` of finite floats, without the masked-array check that imports numpy.ma."""
+    x = np.sort(np.asarray(values, dtype=float).ravel())
+    return x[np.concatenate(([True], x[1:] != x[:-1]))] if x.size else x

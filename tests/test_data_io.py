@@ -11,6 +11,7 @@ from rndkit.data_io import (
     save_rates,
     split_train_test,
 )
+from rndkit.numerics import sorted_unique
 
 CHAIN_CSV = """\
 #spot=100.0
@@ -175,3 +176,11 @@ def test_save_load_round_trip(tmp_path):
         assert (orig.side, orig.strike, orig.days_to_maturity, orig.bid, orig.ask) == (
             back.side, back.strike, back.days_to_maturity, back.bid, back.ask,
         )
+
+
+def test_sorted_unique_matches_np_unique_on_finite_input():
+    rng = np.random.default_rng(4)
+    values = rng.choice([-1.5, -0.0, 0.0, 0.25, 7.0, 1e300], size=200).tolist()
+    for case in (values, [3.0], [], [2.0, 2.0], 0.5):
+        got, want = sorted_unique(case), np.unique(np.asarray(case, dtype=float))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -136,19 +136,32 @@ def test_call_prices_vectorized_match_singles():
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_call_prices_blocked_equal_dense_phase_matrix(scenario):
-    # 1501 is not a multiple of the strike block, and the zero strike
-    # takes the closed-form branch
+def test_call_prices_factored_phase_match_dense_phase_matrix(scenario):
+    # the factored phase sums each panel's nodes in a matrix product, so
+    # it agrees with the whole strikes x nodes matrix to rounding (6.8e-13
+    # at most measured); the zero strike takes the closed-form branch
     p, days = SCENARIOS[scenario]
-    assert 1501 % heston.STRIKE_BLOCK != 0
     strikes = np.concatenate([[0.0], np.geomspace(300.0, 3000.0, 1501)])
     got = heston_call_prices(p, SPOT, strikes, days / 365.0, RATE)
     want = heston_call_prices_dense(p, SPOT, strikes, days / 365.0, RATE)
-    assert got.tobytes() == want.tobytes()
+    assert got[0] == want[0]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=5e-12)
 
 
-def test_call_prices_memory_is_bounded_by_the_strike_block():
-    # the whole 1501 x 1600 complex phase matrix alone would take 38 MB
+@pytest.mark.parametrize("days", [30, 91, 730])
+def test_quadrature_nodes_are_panel_starts_plus_fixed_offsets(days):
+    # heston_call_prices factors e^{-iku} over exactly this layout
+    p, _ = SCENARIOS["left-skew"]
+    u, _, _ = heston._damped_cf_table(p, SPOT, days / 365.0, RATE)
+    panels = u.size // heston._OFFSETS.size
+    assert panels > 1 and u.size == panels * heston._OFFSETS.size
+    starts = np.arange(panels) * heston._PANEL_WIDTH
+    assert u.reshape(panels, -1).tobytes() == (starts[:, None] + heston._OFFSETS).tobytes()
+
+
+def test_call_prices_memory_is_bounded_by_the_factored_phase():
+    # the whole 1501 x 1600 complex phase matrix alone would take 38 MB;
+    # the 1501 x 64 offset and 1501 x panels start factors peak near 3.2 MB
     p, _ = SCENARIOS["left-skew"]
     strikes = np.geomspace(300.0, 3000.0, 1501)
     tracemalloc.start()
