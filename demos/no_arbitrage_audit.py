@@ -8,7 +8,7 @@ freshly initialized network and a briefly penalty-trained one.
 
 import numpy as np
 
-from rndkit.arbitrage import audit_surface, build_synthetic_grid, total_penalty
+from rndkit.arbitrage import audit_price_surface, build_synthetic_grid, price_surface
 from rndkit.calibration import CalibrationConfig, calibrate
 from rndkit.heston import generate_simulated_chain
 from rndkit.models import init_rnmlp
@@ -22,9 +22,11 @@ rate_fn = lambda tau: 0.04
 
 
 def show(tag, model):
-    audit = audit_surface(model, taus, strikes, spot, rate_fn, samples)
+    # the penalty grid holds the audited points, so one surface serves both
     grid = build_synthetic_grid(taus, strikes)
-    penalty = total_penalty(model, grid, spot, rate_fn, samples)
+    surface = price_surface(model, grid.taus, grid.strikes, spot, rate_fn, samples)
+    audit = audit_price_surface(surface.at(taus, strikes))
+    penalty = surface.penalty()
     print(f"\n{tag}: audit {'PASS' if audit['passed'] else 'FAIL'}, "
           f"penalty total {penalty.total:.5f}, "
           f"{penalty.n_violations} active hinges")

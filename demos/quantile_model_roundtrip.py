@@ -10,10 +10,10 @@ import sys
 
 import numpy as np
 
+from rndkit.arbitrage import price_surface
 from rndkit.calibration import CalibrationConfig, calibrate
 from rndkit.data_io import OptionChain, OptionQuote
 from rndkit.models import RnQParams, rnq_mu_from_constraint
-from rndkit.pricing import PriceRequest, price, price_chain
 from rndkit.sampling import draw_standard_normal
 
 spot, rate, days = 1000.0, 0.04, 91
@@ -23,12 +23,10 @@ samples = draw_standard_normal(n, 42)
 
 mu = rnq_mu_from_constraint(0.25, 1.05, 1.2, 4.0, samples, rate, tau)
 truth = RnQParams(mu=mu, sigma=0.25, u=1.05, v=1.2)
+rate_fn = lambda t: rate
 strikes = np.arange(700.0, 1301.0, 25.0)
-quotes = []
-for k in strikes:
-    mid = price(truth, PriceRequest(side="call", spot=spot, strike=k, tau=tau, rate=rate),
-                samples)
-    quotes.append(OptionQuote("call", float(k), days, mid, mid))
+mids = price_surface(truth, [tau], strikes, spot, rate_fn, samples).calls[0]
+quotes = [OptionQuote("call", float(k), days, mid, mid) for k, mid in zip(strikes, mids)]
 chain = OptionChain("2026-06-30", spot, quotes, [(days, rate)])
 print(f"priced {len(quotes)} calls from sigma=0.25, u=1.05, v=1.2")
 
@@ -41,9 +39,9 @@ print(f"train MSE {result.final_train_mse:.3e} "
 
 # parity: with mu eliminated, C - P = S - K e^{-r tau} on the same draw
 worst = 0.0
-for k in (700.0, 1000.0, 1300.0):
-    c = price(p, PriceRequest(side="call", spot=spot, strike=k, tau=tau, rate=rate), samples)
-    q = price(p, PriceRequest(side="put", spot=spot, strike=k, tau=tau, rate=rate), samples)
+parity_strikes = (700.0, 1000.0, 1300.0)
+fitted = price_surface(p, [tau], parity_strikes, spot, rate_fn, samples)
+for k, c, q in zip(parity_strikes, fitted.calls[0], fitted.puts[0]):
     gap = abs(c - q - (spot - k * np.exp(-rate * tau)))
     worst = max(worst, gap)
     print(f"K={k:6.0f}  C-P={c - q:12.6f}  S-Ke^(-rt)="

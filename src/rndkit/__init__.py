@@ -19,7 +19,7 @@ from .models import (
     init_rndmlp,
     zero_net_rnmlp,
 )
-from .pricing import PriceRequest, price, price_chain
-from .arbitrage import build_synthetic_grid, total_penalty, audit_surface
+from .pricing import price_chain
+from .arbitrage import build_synthetic_grid, price_surface, audit_price_surface
 
 __version__ = "0.1.0"

@@ -14,17 +14,18 @@ defect J_mu(tau) = (ln (1/N) sum_n e^X_n - r tau)^2.
 Aggregation hinges the calendar terms, so only violations contribute:
 J = sum (-Jt_C)^+ + sum (-Jt_P)^+ + sum J_mu.
 
-Every term, and every price the audit checks, is a lookup on the sorted
+Every term, and every price the audit checks, is read off the sorted
 prefix sums of one ``pricing.MaturitySlice`` per maturity, the same
-slice calibration reads, so the sums run in one fixed order and the
-final metrics of a fit reproduce its last objective evaluation bit for
-bit.  ``price_surface`` is the one pass over the maturities; the
-penalty and the audit both read its surface.
+slice calibration reads, by the slice's array lookups.
+``aggregate_penalties`` is the one penalty total: the surface's penalty
+and calibration's objective both call it on per-maturity calendar rows
+and defects, so the final metrics of a fit reproduce its last objective
+evaluation bit for bit.  ``price_surface`` is the one pass over the
+maturities; the penalty and the audit both read its surface.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +37,10 @@ from .pricing import MaturitySlice
 __all__ = [
     "SyntheticGrid",
     "build_synthetic_grid",
-    "total_penalty",
     "aggregate_penalties",
     "PenaltyReport",
     "price_surface",
     "audit_price_surface",
-    "audit_surface",
 ]
 
 
@@ -109,41 +108,19 @@ class PenaltyReport:
         }
 
 
-def total_penalty(model, grid: SyntheticGrid, spot, rate_fn, samples) -> PenaltyReport:
-    """Hinged penalty over the whole grid plus martingale terms per maturity;
-    rate_fn maps a maturity to its interpolated rate."""
-    return price_surface(model, grid.taus, grid.strikes, spot, rate_fn, samples).penalty()
+def aggregate_penalties(jtau_calls, jtau_puts, defects) -> float:
+    """The penalty total J from per-maturity calendar rows and defects.
 
-
-def aggregate_penalties(calendar_values, mu_values) -> PenaltyReport:
-    """Hinge the signed calendar values and add the martingale terms.
-
-    The total adds maturity by maturity, in order of first appearance:
-    that maturity's hinged calendar values in row order, then its
-    martingale term.  Calibration's objective adds in the same order, so
-    both give the same bits for the same values.
+    ``jtau_calls`` and ``jtau_puts`` hold one row of signed calendar values
+    per maturity, one value per strike.  The terms add left to right: per
+    maturity, the hinged call and put values strike by strike, then the
+    squared defect.  A cumulative sum keeps that order (``np.sum`` pairs
+    the terms, which would move the bits); a value that is not negative
+    adds an exact zero.
     """
-    terms = {}
-    n_violations = 0
-    worst = 0.0
-    for tau, _, _, value in calendar_values:
-        hinges = terms.setdefault(tau, [])
-        if value < 0.0:
-            hinges.append(-value)
-            n_violations += 1
-            worst = min(worst, value)
-    for tau, mu in mu_values:
-        terms.setdefault(tau, []).append(mu)
-    total = 0.0
-    for term in itertools.chain.from_iterable(terms.values()):
-        total += term
-    return PenaltyReport(
-        total=float(total),
-        n_violations=n_violations,
-        worst=float(worst),
-        calendar_values=list(calendar_values),
-        mu_values=list(mu_values),
-    )
+    calendar = np.stack([jtau_calls, jtau_puts], axis=-1).reshape(len(defects), -1)
+    terms = np.column_stack([np.where(calendar < 0.0, -calendar, 0.0), defects * defects])
+    return float(np.cumsum(terms)[-1])
 
 
 # ----------------------------------------------------------------------
@@ -167,12 +144,18 @@ class PriceSurface:
     def penalty(self) -> PenaltyReport:
         """The penalty on this grid: per maturity, a call and a put calendar
         row at each strike, then the squared martingale defect."""
-        calendar = [(float(tau), float(k), side, float(values[i, j]))
-                    for i, tau in enumerate(self.taus)
-                    for j, k in enumerate(self.strikes)
-                    for side, values in (("call", self.jtau_calls), ("put", self.jtau_puts))]
-        mu = [(float(tau), float(d * d)) for tau, d in zip(self.taus, self.defects)]
-        return aggregate_penalties(calendar, mu)
+        calendar = np.stack([self.jtau_calls, self.jtau_puts], axis=-1)
+        violated = calendar[calendar < 0.0]
+        return PenaltyReport(
+            total=aggregate_penalties(self.jtau_calls, self.jtau_puts, self.defects),
+            n_violations=int(violated.size),
+            worst=float(violated.min(initial=0.0)),
+            calendar_values=[(float(tau), float(k), side, float(calendar[i, j, s]))
+                             for i, tau in enumerate(self.taus)
+                             for j, k in enumerate(self.strikes)
+                             for s, side in enumerate(("call", "put"))],
+            mu_values=[(float(tau), float(d * d)) for tau, d in zip(self.taus, self.defects)],
+        )
 
     def at(self, taus, strikes) -> "PriceSurface":
         """The sub-surface at points of this grid; ValueError for any off it."""
@@ -198,25 +181,21 @@ def price_surface(model, taus, strikes, spot, rate_fn, samples, hints=None) -> P
     maturity to a candidate sort order, as in ``pricing.price_chain``."""
     taus = sorted_unique(taus)
     strikes = sorted_unique(strikes)
+    if taus.size == 0:
+        raise ValueError("a surface needs at least one maturity")
     if np.any(taus <= 0.0):
         raise ValueError("surface maturities must be positive")
     bound = bind(model, samples)
+    moneyness = strikes / spot
     rows = []
     for tau in map(float, taus):
         rate = rate_fn(tau)
         table = MaturitySlice(tau, rate, *bound.columns(tau, rate), (hints or {}).get(tau))
-        rows.append({
-            "calls": [table.price("call", k, spot)[0] for k in strikes],
-            "puts": [table.price("put", k, spot)[0] for k in strikes],
-            "jtau_calls": [table.calendar_call(k / spot)[0] for k in strikes],
-            "jtau_puts": [table.calendar_put(k / spot)[0] for k in strikes],
-            "rates": rate,
-            "defects": table.defect,
-        })
-    return PriceSurface(
-        spot=float(spot), taus=taus, strikes=strikes,
-        **{name: np.array([row[name] for row in rows]) for name in rows[0]},
-    )
+        jtau_calls, _, jtau_puts, _ = table.calendars(moneyness)
+        rows.append((table.prices("call", moneyness, spot)[0],
+                     table.prices("put", moneyness, spot)[0],
+                     rate, table.defect, jtau_calls, jtau_puts))
+    return PriceSurface(float(spot), taus, strikes, *map(np.array, zip(*rows)))
 
 
 def audit_price_surface(surface: PriceSurface) -> dict:
@@ -307,8 +286,3 @@ def audit_price_surface(surface: PriceSurface) -> dict:
         "martingale_defects": [{"tau": float(t), "defect": float(d)} for t, d in zip(s.taus, s.defects)],
         "checks": checks,
     }
-
-
-def audit_surface(model, taus, strikes, spot, rate_fn, samples) -> dict:
-    """Price the call/put surface for a model and run all static checks."""
-    return audit_price_surface(price_surface(model, taus, strikes, spot, rate_fn, samples))

@@ -37,7 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arbitrage import PenaltyReport, PriceSurface, build_synthetic_grid, price_surface
+from .arbitrage import (
+    PenaltyReport,
+    PriceSurface,
+    aggregate_penalties,
+    build_synthetic_grid,
+    price_surface,
+)
 from .models import (
     BoundModel,
     RnDmlpParams,
@@ -54,7 +60,7 @@ from .models import (
 )
 from .nn import DenseNetwork, Scratch, softplus, softplus_prime, stack_caches
 from .numerics import logmeanexp
-from .pricing import MaturitySlice, price_chain
+from .pricing import MaturitySlice, price_chain, quote_groups, quote_prices
 from .sampling import draw_standard_normal
 
 
@@ -234,11 +240,13 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, learning_r
 #
 # Everything below works on one shared draw of N normals.  Per maturity
 # the growth factors are sorted once into a ``pricing.MaturitySlice``,
-# the class every pricing and penalty consumer reads; option prices,
-# penalty values and the per-sample adjoint weights all become
-# cumulative-sum lookups, so the cost per iteration is O(N log N) plus
-# one weighted backward pass per network, independent of the number of
-# quotes and grid points.  The Adam loop passes each maturity's order
+# the class every pricing and penalty consumer reads; option prices and
+# penalty values are its array lookups, the penalty total is the
+# surface's own (``arbitrage.aggregate_penalties``), and the per-sample
+# adjoint weights are cumulative sums of coefficients added at the
+# lookups' positions, so the cost per iteration is O(N log N) plus one
+# weighted backward pass per network, nearly independent of the number
+# of quotes and grid points.  The Adam loop passes each maturity's order
 # from the previous iteration as the slice's hint, which brings the sort
 # close to O(N) while the order barely moves (rn-q's never does).
 
@@ -258,23 +266,17 @@ class _TauTable(MaturitySlice):
         self.coef_pen = None
         self.coef_data = np.zeros(self.growth.size + 1)
 
-    def _coef(self, which):
-        if which == "data":
-            return self.coef_data
-        if self.coef_pen is None:
+    def add(self, which, positions, coeffs):
+        """Weight sorted indices >= each position by its coefficient.
+
+        ``np.add.at`` is unbuffered, so repeated positions add in order,
+        as a loop over the terms would.  No terms make no accumulator.
+        """
+        if not len(positions):
+            return
+        if which == "pen" and self.coef_pen is None:
             self.coef_pen = np.zeros(self.coef_data.size)
-        return self.coef_pen
-
-    def add_suffix(self, which, pos, coeff):
-        # weight applies to sorted indices >= pos
-        self._coef(which)[pos] += coeff
-
-    def add_prefix(self, which, pos, coeff):
-        # weight applies to sorted indices < pos; recorded as a negative
-        # suffix starting at pos on top of a full-range term
-        target = self._coef(which)
-        target[0] += coeff
-        target[pos] -= coeff
+        np.add.at(self.coef_data if which == "data" else self.coef_pen, positions, coeffs)
 
     def adjoint_weights(self):
         """Per-sample weights (wx on dX, wd on d slope) in draw order.
@@ -309,11 +311,14 @@ class _TauTable(MaturitySlice):
         return wx, wd
 
 
-def _quote_groups(chain):
-    groups = {}
-    for q in chain.quotes:
-        groups.setdefault(q.tau, []).append(q)
-    return dict(sorted(groups.items()))
+def _side_terms(positions, coeffs, calls):
+    """The suffix terms, in order, of weights on sorted indices >= position
+    (calls) or < position (puts): a put is a full-range term followed by a
+    negative suffix at its position."""
+    starts = np.stack([np.where(calls, positions, 0), positions], axis=-1)
+    values = np.stack([coeffs, -coeffs], axis=-1)
+    keep = np.stack([np.ones_like(calls), ~calls], axis=-1)
+    return starts[keep], values[keep]
 
 
 def _loss_weights(observed, fitted, sides_call, loss_kind, floor):
@@ -593,54 +598,45 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
     """
     z = samples.values
     n = z.size
-    groups = _quote_groups(chain)
-    market_taus = sorted(groups)
+    groups = quote_groups(chain)
+    taus = {tau for tau, *_ in groups}
     use_penalty = adapter.penalized and config.lam > 0.0 and grid is not None
     if use_penalty:
-        all_taus = sorted(set(market_taus) | {float(t) for t in grid.taus})
-    else:
-        all_taus = market_taus
-    tables, aux = adapter.build_tables(model, all_taus, chain.rate, z, hints, scratch)
+        taus |= {float(t) for t in grid.taus}
+    tables, aux = adapter.build_tables(model, sorted(taus), chain.rate, z, hints, scratch)
 
-    # pass 1: price every quote from the cumulative sums
-    quotes = [q for tau in market_taus for q in groups[tau]]
-    observed = np.array([q.mid for q in quotes])
-    sides_call = np.array([q.side == "call" for q in quotes])
-    fitted = np.empty(observed.size)
-    positions = np.empty(observed.size, dtype=int)
-    for j, q in enumerate(quotes):
-        fitted[j], positions[j] = tables[q.tau].price(q.side, q.strike, chain.spot)
+    # pass 1: price every quote, maturity by maturity and then in chain order
+    quote_taus, _, calls, moneyness, mids = zip(*groups)
+    priced = [quote_prices(tables[tau], c, m, chain.spot)
+              for tau, c, m in zip(quote_taus, calls, moneyness)]
+    fitted = np.concatenate([prices for prices, _ in priced])
 
     # pass 2: per-side averaging over the whole chain fixes the weights
-    data_loss, dl_dfit = _loss_weights(
-        observed, fitted, sides_call, config.loss_kind, config.relative_mse_floor)
-    for j, q in enumerate(quotes):
-        table = tables[q.tau]
-        c = dl_dfit[j] * np.exp(-table.rate * q.tau) * chain.spot / n
-        if q.side == "call":
-            table.add_suffix("data", positions[j], c)
-        else:
-            table.add_prefix("data", positions[j], -c)
+    data_loss, dl_dfit = _loss_weights(np.concatenate(mids), fitted, np.concatenate(calls),
+                                       config.loss_kind, config.relative_mse_floor)
+    dl_dfit = np.split(dl_dfit, np.cumsum([c.size for c in calls])[:-1])
+    for tau, c, (_, positions), dl in zip(quote_taus, calls, priced, dl_dfit):
+        table = tables[tau]
+        coeff = dl * np.exp(-table.rate * tau) * chain.spot / n
+        table.add("data", *_side_terms(positions, np.where(c, coeff, -coeff), c))
 
     penalty = 0.0
     if use_penalty:
+        grid_m = grid.strikes / chain.spot
+        grid_tables = [tables[float(tau)] for tau in grid.taus]
+        jc, pos_c, jp, pos_p = map(np.array, zip(*(t.calendars(grid_m) for t in grid_tables)))
+        defects = np.array([t.defect for t in grid_tables])
+        penalty = aggregate_penalties(jc, jp, defects)
+        # per maturity, each violated hinge weights its calendar term by
+        # -lam / N, strike by strike and a call before a put
+        active = np.stack([jc, jp], axis=-1).reshape(len(grid_tables), -1) < 0.0
+        positions = np.stack([pos_c, pos_p], axis=-1).reshape(active.shape)
+        is_call = np.tile([True, False], grid_m.size)
         lam_n = config.lam / n
-        for tau in grid.taus:
-            table = tables[float(tau)]
-            for k in grid.strikes:
-                m = float(k) / chain.spot
-                jc, pos_c = table.calendar_call(m)
-                if jc < 0.0:
-                    penalty += -jc
-                    table.add_suffix("pen", pos_c, -lam_n)
-                jp, pos_p = table.calendar_put(m)
-                if jp < 0.0:
-                    penalty += -jp
-                    table.add_prefix("pen", pos_p, lam_n)
-            defect = table.defect
-            penalty += defect * defect
-            table.add_suffix("data", 0,
-                             config.lam * 2.0 * defect / (n * table.mean_growth))
+        for table, on, pos, defect in zip(grid_tables, active, positions, defects):
+            coeffs = np.where(is_call[on], -lam_n, lam_n)
+            table.add("pen", *_side_terms(pos[on], coeffs, is_call[on]))
+            table.add("data", [0], [config.lam * 2.0 * defect / (n * table.mean_growth)])
 
     loss = data_loss + config.lam * penalty
     if not np.isfinite(loss):

@@ -9,59 +9,38 @@ model's log returns:
 The draws are fixed per run, so prices are deterministic functions of the
 model parameters.  Every sum over the draws at one maturity is read off
 one ``MaturitySlice``: the growth factors e^X are sorted once (stable
-sort) and prefix-summed in that fixed order, so a price, a calendar
-value or the martingale defect costs one binary search.  Calibration,
-pricing, the penalties and the audit all read the same slice.  The calibration loop hands each slice
-the previous iteration's order as a hint: the slice takes the growth
-factors in that order as they are when they are already strictly
-increasing, or else re-sorts them (nearly sorted, so about O(N)), and
-keeps the result only when it is strictly increasing, the one case in
-which it must equal the cold stable sort; otherwise it sorts cold, with
-numpy's default sort under the same test and the stable sort only on
-ties.  ``growth_factors`` is e^X alone, for callers that need no sums.
-Each entry point binds the model to the draws once (``models.bind``), so
-G_Z(Z) is evaluated once per call however many maturities it prices, and
-not at all when the caller passes a model already bound to these draws.
+sort) and prefix-summed in that fixed order, and its two lookups answer
+a whole array of moneyness values at once: one side's prices, or the
+calendar values.  Calibration, pricing, the penalties and the audit all
+read the same slice.  The calibration loop hands each slice the
+previous iteration's order as a hint: the slice takes the growth factors
+in that order as they are when they are already strictly increasing, or
+else re-sorts them (nearly sorted, so about O(N)), and keeps the result
+only when it is strictly increasing, the one case in which it must equal
+the cold stable sort; otherwise it sorts cold, with numpy's default sort
+under the same test and the stable sort only on ties.  ``growth_factors``
+is e^X alone, for callers that need no sums.  Each entry point binds the
+model to the draws once (``models.bind``), so G_Z(Z) is evaluated once
+per call however many maturities it prices, and not at all when the
+caller passes a model already bound to these draws.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .models import bind, sample_log_returns
+from .models import bind
 
-__all__ = ["MaturitySlice", "PriceRequest", "growth_factors", "price", "price_chain"]
-
-SIDES = ("call", "put")
-
-
-@dataclass
-class PriceRequest:
-    side: str
-    spot: float
-    strike: float
-    tau: float
-    rate: float
-
-    def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}")
-        if self.spot <= 0.0:
-            raise ValueError("spot must be positive")
-        if self.strike < 0.0:
-            raise ValueError("strike must be non-negative")
-        if self.tau < 0.0:
-            raise ValueError("tau must be non-negative")
+__all__ = ["MaturitySlice", "growth_factors", "price_chain", "quote_groups", "quote_prices"]
 
 
 class MaturitySlice:
     """The growth factors e^X at one maturity, sorted once, with prefix sums.
 
-    ``slope`` is dX/dtau on the same draws; without it the calendar
-    lookups are unavailable.  Each lookup returns its value and the
-    position splitting the sorted growth array, which calibration's
+    ``slope`` is dX/dtau on the same draws; without it ``calendars`` is
+    unavailable.  The two lookups, ``prices`` and ``calendars``, take an
+    array of moneyness values K/S and return the values and the
+    positions splitting the sorted growth array, which calibration's
     adjoint pass reuses.  A call sums growth > K/S, a put growth < K/S,
     a calendar call growth >= K/S and a calendar put growth <= K/S.
 
@@ -99,34 +78,29 @@ class MaturitySlice:
         """Martingale defect ln((1/N) sum_n e^X_n) - r tau."""
         return np.log(self.mean_growth) - self.rate * self.tau
 
-    def call_price_sum(self, moneyness):
-        """sum of (growth - k)^+ and the strict-ITM split position."""
+    def prices(self, side, moneyness, spot):
+        """Discounted Monte Carlo prices of one side at K/S, with positions."""
         n = self.gs.size
-        pos = int(np.searchsorted(self.gs, moneyness, side="right"))
-        return (self.cum_g[-1] - self.cum_g[pos]) - moneyness * (n - pos), pos
+        if side == "call":
+            pos = np.searchsorted(self.gs, moneyness, side="right")
+            total = (self.cum_g[-1] - self.cum_g[pos]) - moneyness * (n - pos)
+        else:
+            pos = np.searchsorted(self.gs, moneyness, side="left")
+            total = moneyness * pos - self.cum_g[pos]
+        return np.exp(-self.rate * self.tau) * spot * (total / n), pos
 
-    def put_price_sum(self, moneyness):
-        pos = int(np.searchsorted(self.gs, moneyness, side="left"))
-        return moneyness * pos - self.cum_g[pos], pos
+    def calendars(self, moneyness):
+        """Calendar values at K/S: (calls, call positions, puts, put positions).
 
-    def price(self, side, strike, spot):
-        """Discounted Monte Carlo price of one option, with its position."""
-        m = strike / spot
-        total, pos = self.call_price_sum(m) if side == "call" else self.put_price_sum(m)
-        return np.exp(-self.rate * self.tau) * spot * (total / self.gs.size), pos
-
-    def calendar_call(self, moneyness):
-        """(1/N) sum_{growth >= k} [(slope - r) growth + r k], with position."""
+        A call is (1/N) sum_{growth >= k} [(slope - r) growth + r k], a put
+        (1/N) sum_{growth <= k} [(r - slope) growth - r k].
+        """
         n = self.gs.size
-        pos = int(np.searchsorted(self.gs, moneyness, side="left"))
-        value = (self.cum_a[-1] - self.cum_a[pos]) + self.rate * moneyness * (n - pos)
-        return value / n, pos
-
-    def calendar_put(self, moneyness):
-        n = self.gs.size
-        pos = int(np.searchsorted(self.gs, moneyness, side="right"))
-        value = -self.cum_a[pos] - self.rate * moneyness * pos
-        return value / n, pos
+        pos_c = np.searchsorted(self.gs, moneyness, side="left")
+        pos_p = np.searchsorted(self.gs, moneyness, side="right")
+        calls = ((self.cum_a[-1] - self.cum_a[pos_c]) + self.rate * moneyness * (n - pos_c)) / n
+        puts = (-self.cum_a[pos_p] - self.rate * moneyness * pos_p) / n
+        return calls, pos_c, puts, pos_p
 
 
 def growth_factors(x, tau):
@@ -179,17 +153,31 @@ def _strictly_increasing(values):
     return bool(np.all(values[1:] > values[:-1]))
 
 
-def _intrinsic(side, spot, strike) -> float:
-    """Exact price at tau = 0, where the distribution is degenerate."""
-    return max(spot - strike, 0.0) if side == "call" else max(strike - spot, 0.0)
+def quote_groups(chain) -> list:
+    """The chain's quotes by maturity, in maturity order and then chain order.
+
+    One (tau, index, calls, moneyness, mids) per maturity: the quotes'
+    positions in ``chain.quotes``, a mask of the calls, K/S and the mids.
+    """
+    quotes = chain.quotes
+    calls = np.array([q.side == "call" for q in quotes], dtype=bool)
+    moneyness = np.array([q.strike for q in quotes], dtype=float) / chain.spot
+    mids = np.array([q.mid for q in quotes], dtype=float)
+    taus, which = np.unique(np.array([q.tau for q in quotes], dtype=float), return_inverse=True)
+    groups = []
+    for i, tau in enumerate(taus):
+        index = np.flatnonzero(which == i)
+        groups.append((float(tau), index, calls[index], moneyness[index], mids[index]))
+    return groups
 
 
-def price(model, req: PriceRequest, samples) -> float:
-    """Monte Carlo price of one request."""
-    if req.tau == 0.0:
-        return _intrinsic(req.side, req.spot, req.strike)
-    x = sample_log_returns(model, req.tau, samples, req.rate)
-    return MaturitySlice(req.tau, req.rate, x).price(req.side, req.strike, req.spot)[0]
+def quote_prices(table, calls, moneyness, spot):
+    """One maturity's quote prices and positions, calls and puts mixed."""
+    prices = np.empty(moneyness.size)
+    positions = np.empty(moneyness.size, dtype=np.intp)
+    for side, mask in (("call", calls), ("put", ~calls)):
+        prices[mask], positions[mask] = table.prices(side, moneyness[mask], spot)
+    return prices, positions
 
 
 def price_chain(model, chain, samples, hints=None) -> np.ndarray:
@@ -201,14 +189,9 @@ def price_chain(model, chain, samples, hints=None) -> np.ndarray:
     aligned with ``chain.quotes``.
     """
     bound = bind(model, samples)
-    quotes = chain.quotes
-    by_tau = {}
-    for i, q in enumerate(quotes):
-        by_tau.setdefault(q.tau, []).append(i)
-    prices = np.empty(len(quotes))
-    for tau in sorted(by_tau):
-        idx = by_tau[tau]
+    prices = np.empty(len(chain.quotes))
+    for tau, index, calls, moneyness, _ in quote_groups(chain):
         rate = chain.rate(tau)
         table = MaturitySlice(tau, rate, bound.log_returns(tau, rate), hint=(hints or {}).get(tau))
-        prices[idx] = [table.price(quotes[i].side, quotes[i].strike, chain.spot)[0] for i in idx]
+        prices[index] = quote_prices(table, calls, moneyness, chain.spot)[0]
     return prices

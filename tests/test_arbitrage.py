@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from rndkit.arbitrage import (
-    PenaltyReport,
-    SyntheticGrid,
+    PriceSurface,
     aggregate_penalties,
     audit_price_surface,
-    audit_surface,
     build_synthetic_grid,
     price_surface,
-    total_penalty,
 )
 from rndkit.models import (
     RnQParams,
@@ -20,7 +17,7 @@ from rndkit.models import (
     zero_net_rnmlp,
 )
 from rndkit.data_io import OptionChain, OptionQuote
-from rndkit.pricing import MaturitySlice, PriceRequest, price, price_chain
+from rndkit.pricing import MaturitySlice, price_chain
 from rndkit.sampling import draw_standard_normal
 
 from oracles import normal_expectation
@@ -34,8 +31,7 @@ def make_rnq(z, rate, tau, sigma=0.2, u=1.1, v=1.1):
 def point_penalty(model, tau, rate, z, strike=100.0, spot=100.0):
     """(calendar call, calendar put, squared martingale defect) at one
     (tau, strike) point, read off a one-point penalty grid."""
-    grid = SyntheticGrid(np.array([float(tau)]), np.array([float(strike)]))
-    report = total_penalty(model, grid, spot, lambda t: rate, z)
+    report = price_surface(model, [tau], [strike], spot, lambda t: rate, z).penalty()
     (*_, call), (*_, put) = report.calendar_values
     return call, put, report.mu_values[0][1]
 
@@ -146,6 +142,12 @@ def test_calendar_rejects_nonpositive_tau():
         point_penalty(model, -0.1, RATE, z)
 
 
+def test_surface_rejects_no_maturities():
+    model, z = zero_net_tables(n=100)
+    with pytest.raises(ValueError, match="at least one maturity"):
+        price_surface(model, [], [90.0, 100.0], 100.0, lambda t: RATE, z)
+
+
 # ----------------------------------------------------------------------
 # the penalty is the discounted price's maturity derivative
 
@@ -160,9 +162,9 @@ def test_penalty_equals_price_derivative(strike, side):
     analytic = spot * np.exp(-rate * tau) * j
 
     h = 1e-5
-    up = price(model, PriceRequest(side, spot, strike, tau + h, rate), z)
-    dn = price(model, PriceRequest(side, spot, strike, tau - h, rate), z)
-    fd = (up - dn) / (2 * h)
+    up, dn = (getattr(price_surface(model, [t], [strike], spot, lambda _: rate, z), side + "s")
+              for t in (tau + h, tau - h))
+    fd = float((up - dn)[0, 0]) / (2 * h)
     assert analytic == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
@@ -172,10 +174,9 @@ def test_penalty_derivative_identity_dmlp():
     spot, tau, rate, strike = 100.0, 0.5, 0.02, 95.0
     j = point_penalty(model, tau, rate, z, strike=strike, spot=spot)[0]
     h = 1e-5
-    fd = (
-        price(model, PriceRequest("call", spot, strike, tau + h, rate), z)
-        - price(model, PriceRequest("call", spot, strike, tau - h, rate), z)
-    ) / (2 * h)
+    up, dn = (price_surface(model, [t], [strike], spot, lambda _: rate, z).calls[0, 0]
+              for t in (tau + h, tau - h))
+    fd = (up - dn) / (2 * h)
     assert spot * np.exp(-rate * tau) * j == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
@@ -216,38 +217,55 @@ def test_penalty_mu_edges():
 # aggregation
 
 
+def hand_surface(jtau_calls, jtau_puts, defects, taus=(0.25, 0.5), strikes=(90.0, 100.0)):
+    """A surface carrying only the given calendar values and defects."""
+    shape = np.shape(jtau_calls)
+    return PriceSurface(100.0, np.array(taus), np.array(strikes), np.zeros(shape),
+                        np.zeros(shape), np.zeros(len(taus)), np.array(defects, dtype=float),
+                        np.array(jtau_calls, dtype=float), np.array(jtau_puts, dtype=float))
+
+
 def test_aggregate_hinges_only_violations():
-    calendar = [
-        (0.25, 100.0, "call", -0.3),
-        (0.25, 100.0, "put", 0.2),
-        (0.5, 90.0, "call", -0.1),
-        (0.5, 110.0, "put", 0.0),
-    ]
-    mu = [(0.25, 0.02), (0.5, 0.0)]
-    report = aggregate_penalties(calendar, mu)
-    assert report.total == pytest.approx(0.3 + 0.1 + 0.02)
+    surface = hand_surface([[-0.3, 0.5], [-0.1, 0.0]], [[0.2, 0.0], [0.0, 0.0]], [0.1, 0.0])
+    report = surface.penalty()
+    assert report.total == aggregate_penalties(surface.jtau_calls, surface.jtau_puts,
+                                               surface.defects)
+    assert report.total == pytest.approx(0.3 + 0.1 + 0.01)
     assert report.n_violations == 2
     assert report.worst == -0.3
+    assert report.calendar_values[:2] == [(0.25, 90.0, "call", -0.3), (0.25, 90.0, "put", 0.2)]
+    assert report.mu_values == [(0.25, 0.1 * 0.1), (0.5, 0.0)]
     payload = report.to_jsonable()
     assert len(payload["calendar_violations"]) == 2
     assert payload["total"] == report.total
 
 
-def test_aggregate_order_invariant():
-    calendar = [(0.1 * i, 90.0 + i, "call", v) for i, v in enumerate([-0.2, 0.5, -0.05, 0.0, -0.7])]
-    mu = [(0.1, 0.001), (0.2, 0.003)]
-    fwd = aggregate_penalties(calendar, mu)
-    rev = aggregate_penalties(calendar[::-1], mu[::-1])
-    assert fwd.total == rev.total
-    assert fwd.n_violations == rev.n_violations
-    assert fwd.worst == rev.worst
+def test_aggregate_adds_left_to_right():
+    # per maturity: the hinged call and put values strike by strike, then
+    # the squared defect, each added to the running total in that order
+    rng = np.random.Generator(np.random.Philox(7))
+    calls, puts = rng.normal(size=(2, 6, 40)) * 10.0 ** rng.integers(-8, 3, size=(2, 6, 40))
+    defects = rng.normal(size=6)
+    total = 0.0
+    for i in range(6):
+        for j in range(40):
+            for value in (calls[i, j], puts[i, j]):
+                if value < 0.0:
+                    total += -value
+        total += defects[i] * defects[i]
+    got = aggregate_penalties(calls, puts, defects)
+    assert got == total
+    assert got != float(np.sum(np.where(calls < 0.0, -calls, 0.0)) + np.sum(np.where(
+        puts < 0.0, -puts, 0.0)) + np.sum(defects * defects))  # these values tell the orders apart
+    taus, strikes = np.arange(1, 7) / 10.0, np.arange(40) + 80.0
+    assert hand_surface(calls, puts, defects, taus, strikes).penalty().total == total
 
 
 def test_total_penalty_rnq_zero_rate_all_clear():
     z = draw_standard_normal(50_000, seed=4)
     model = make_rnq(z, rate=0.0, tau=0.25)
-    grid = build_synthetic_grid([0.25], [90.0, 100.0, 110.0])
-    report = total_penalty(model, grid, 100.0, lambda tau: 0.0, z)
+    report = price_surface(model, [0.25], [90.0, 100.0, 110.0], 100.0, lambda tau: 0.0,
+                           z).penalty()
     # slope == r == 0 makes every calendar term exactly zero
     assert report.n_violations == 0
     assert all(v == 0.0 for *_, v in report.calendar_values)
@@ -258,7 +276,8 @@ def test_total_penalty_counts_match_recount():
     model = init_rnmlp(seed=21)
     z = draw_standard_normal(20_000, seed=22)
     grid = build_synthetic_grid([0.2, 0.4], [85.0, 100.0, 115.0])
-    report = total_penalty(model, grid, 100.0, lambda tau: 0.03, z)
+    report = price_surface(model, grid.taus, grid.strikes, 100.0, lambda tau: 0.03,
+                           z).penalty()
     recount = sum(1 for *_, v in report.calendar_values if v < 0.0)
     assert report.n_violations == recount
     hinge = sum(-v for *_, v in report.calendar_values if v < 0.0)
@@ -274,10 +293,10 @@ def test_penalty_and_surface_bound_model_is_bit_identical():
     other = draw_standard_normal(8_000, seed=23)
     grid = build_synthetic_grid([0.2, 0.4], [90.0, 110.0])
     rate_fn = lambda tau: 0.03
-    want = total_penalty(model, grid, 100.0, rate_fn, z)
+    want = price_surface(model, grid.taus, grid.strikes, 100.0, rate_fn, z).penalty()
     want_surface = price_surface(model, [0.2, 0.4], [90.0, 100.0, 110.0], 100.0, rate_fn, z)
     for bound in (bind(model, z), bind(model, other)):
-        got = total_penalty(bound, grid, 100.0, rate_fn, z)
+        got = price_surface(bound, grid.taus, grid.strikes, 100.0, rate_fn, z).penalty()
         assert got.total == want.total
         assert got.calendar_values == want.calendar_values
         assert got.mu_values == want.mu_values
@@ -341,7 +360,8 @@ def test_audit_rnq_passes():
     z = draw_standard_normal(50_000, seed=6)
     rate = 0.04
     model = make_rnq(z, rate=rate, tau=0.25)
-    report = audit_surface(model, [0.25], [80.0, 90.0, 100.0, 110.0, 120.0], 100.0, lambda t: rate, z)
+    report = audit_price_surface(price_surface(model, [0.25], [80.0, 90.0, 100.0, 110.0, 120.0],
+                                               100.0, lambda t: rate, z))
     assert report["passed"]
     for name, check in report["checks"].items():
         assert check["passed"], name
@@ -377,5 +397,6 @@ def test_audit_report_is_json_ready():
 
     z = draw_standard_normal(10_000, seed=7)
     model = init_rnmlp(seed=9)
-    report = audit_surface(model, [0.1, 0.25], [90.0, 100.0, 110.0], 100.0, lambda t: 0.03, z)
+    report = audit_price_surface(price_surface(model, [0.1, 0.25], [90.0, 100.0, 110.0], 100.0,
+                                               lambda t: 0.03, z))
     json.dumps(report)  # no numpy scalars allowed

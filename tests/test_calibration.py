@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rndkit import calibration, pricing
-from rndkit.arbitrage import audit_surface, build_synthetic_grid, price_surface, total_penalty
+from rndkit.arbitrage import audit_price_surface, build_synthetic_grid, price_surface
 from rndkit.calibration import (
     CONVERGENCE_WINDOW,
     AdamState,
@@ -460,7 +460,8 @@ def test_final_metrics_start_from_the_loops_orders(call_chain, three_maturity_ch
     cold = price_chain(res.params, chain, samples)
     observed = np.array([q.mid for q in chain.quotes])
     assert mse(observed, cold, [q.side for q in chain.quotes]) == res.final_train_mse
-    report = total_penalty(res.params, grid, chain.spot, chain.rate, samples)
+    report = price_surface(res.params, grid.taus, grid.strikes, chain.spot, chain.rate,
+                           samples).penalty()
     assert report.to_jsonable() == res.final_penalty.to_jsonable()
 
 
@@ -542,10 +543,10 @@ def test_unpenalized_slice_skips_the_penalty_half_of_the_adjoint():
 
     def weights(zero_penalty):
         table = calibration._TauTable(0.25, 0.03, x, slope)
-        table.add_suffix("data", 1200, 0.7)
-        table.add_prefix("data", 3100, -0.4)
+        table.add("data", [1200, 0, 3100], [0.7, -0.4, 0.4])
+        table.add("pen", [], [])
         if zero_penalty:
-            table.add_suffix("pen", 2000, 0.0)
+            table.add("pen", [2000], [0.0])
         return table.coef_pen, table.adjoint_weights()
 
     pen, (wx, wd) = weights(False)
@@ -553,6 +554,45 @@ def test_unpenalized_slice_skips_the_penalty_half_of_the_adjoint():
     pen, (wx_zero, wd_zero) = weights(True)
     assert pen is not None and not pen.any() and wd_zero.shape == (5000,) and not wd_zero.any()
     assert wx.tobytes() == wx_zero.tobytes()
+
+
+def test_add_accumulates_repeated_positions_like_the_scalar_loop():
+    # np.add.at is unbuffered: each repeated position, 0 among them, adds
+    # its terms in order, so the accumulator has the scalar loop's bits
+    rng = np.random.Generator(np.random.Philox(4))
+    x, slope = 0.2 * rng.normal(size=3000), rng.normal(size=3000)
+    positions = rng.choice([0, 0, 5, 1200, 2999, 3000], size=400)
+    coeffs = rng.normal(size=400) * 10.0 ** rng.integers(-9, 4, size=400)
+    table = calibration._TauTable(0.25, 0.03, x, slope)
+    table.add("pen", positions, coeffs)
+
+    def loop(order):
+        acc = np.zeros(3001)
+        for pos, coeff in zip(positions[order], coeffs[order]):
+            acc[pos] += coeff
+        return acc.tobytes()
+
+    assert table.coef_pen.tobytes() == loop(slice(None))
+    assert loop(slice(None, None, -1)) != loop(slice(None))  # these terms tell orders apart
+
+
+def test_objective_penalty_is_the_surface_penalty(three_maturity_chain):
+    # the objective's penalty is the one aggregate the surface's penalty
+    # uses, on the same slices: equal bits at every start, with and
+    # without violated hinges
+    chain = three_maturity_chain
+    cfg = CalibrationConfig(n_samples=4000, seed=9)
+    samples = draw_standard_normal(cfg.n_samples, cfg.seed)
+    grid = grid_for(chain)
+    hinged_taus = []
+    for model in [init_rnmlp(seed) for seed in (1, 2, 3)] + [init_rndmlp(seed) for seed in (1, 2)]:
+        adapter = calibration._adapter_of(model)
+        _, _, parts = calibration._objective_parts(adapter, model, chain, grid, cfg, samples)
+        report = price_surface(model, grid.taus, grid.strikes, chain.spot, chain.rate,
+                               samples).penalty()
+        assert parts["penalty"] == report.total
+        hinged_taus.append(len({tau for tau, _, _, v in report.calendar_values if v < 0.0}))
+    assert min(hinged_taus) == 0 and max(hinged_taus) >= 3
 
 
 @pytest.mark.parametrize("kind", ["rn-mlp", "rn-dmlp"])
@@ -644,14 +684,16 @@ def test_penalty_decreases_from_initialization(call_chain):
     init = init_rndmlp(cfg.seed)
     samples = draw_standard_normal(cfg.n_samples, cfg.seed)
     grid = grid_for(call_chain)
-    report_init = total_penalty(init, grid, call_chain.spot, call_chain.rate, samples)
+    report_init = price_surface(init, grid.taus, grid.strikes, call_chain.spot,
+                                call_chain.rate, samples).penalty()
     assert res.final_penalty.total < report_init.total
     assert res.loss_trajectory[-1] < 0.2 * res.loss_trajectory[0]
     taus = sorted({q.tau for q in call_chain.quotes})
     strikes = sorted({q.strike for q in call_chain.quotes})
-    audit_init = audit_surface(init, taus, strikes, call_chain.spot, call_chain.rate, samples)
-    audit_fit = audit_surface(res.params, taus, strikes, call_chain.spot,
-                              call_chain.rate, samples)
+    audit_init, audit_fit = (
+        audit_price_surface(price_surface(model, taus, strikes, call_chain.spot,
+                                          call_chain.rate, samples))
+        for model in (init, res.params))
     before = audit_init["checks"]["calendar_in_tau"]["n_violations"]
     after = audit_fit["checks"]["calendar_in_tau"]["n_violations"]
     assert after <= before
