@@ -11,12 +11,14 @@ Monte Carlo payoffs, with the payoff hinge and the penalty indicator
 sets treated as locally constant (piecewise-smooth convention).
 
 What differs between model kinds lives in one adapter per kind: the
-initial model, the flat parameter vector, the coordinates Adam works in,
-chain validation, whether the penalty applies, the maturity tables, the
-gradient and finalisation.  The objective, the Adam loop and the final
-metrics never test the kind.  ``_NetworkAdapter`` serves rn-mlp and
-rn-dmlp alike, rn-mlp being the one-component mixture, and reads X and
-dX/dtau from ``models.BoundModel`` like every analysis consumer.
+initial model, the coordinates Adam works in, chain validation, whether
+the penalty applies, the maturity tables, the gradient and finalisation.
+The flat parameter vector is not the adapter's: ``models.parameter_vector``
+walks the field list the checkpoint writes, ``models.parameter_fields``.
+The objective, the Adam loop and the final metrics never test the kind.
+``_NetworkAdapter`` serves rn-mlp and rn-dmlp alike, rn-mlp being the
+one-component mixture, and reads X and dX/dtau from ``models.BoundModel``
+like every analysis consumer.
 ``_QuantileAdapter`` holds every rn-q difference: the location is
 eliminated through the martingale constraint at every evaluation (so the
 gradient carries a softmax correction term) and recomputed on the final
@@ -46,19 +48,18 @@ from .arbitrage import (
 )
 from .models import (
     BoundModel,
-    RnDmlpParams,
-    RnMlpParams,
     RnQParams,
     bind,
     checkpoint_document,
     init_rndmlp,
     init_rnmlp,
-    mixture_components,
     model_kind,
+    parameter_vector,
     rnq_mu_from_constraint,
     rnq_terms,
+    with_parameter_vector,
 )
-from .nn import DenseNetwork, Scratch, softplus, softplus_prime, stack_caches
+from .nn import Scratch, softplus, softplus_prime, stack_caches
 from .numerics import logmeanexp
 from .pricing import MaturitySlice, price_chain, quote_groups, quote_prices
 from .sampling import draw_standard_normal
@@ -157,29 +158,40 @@ class CalibrationResult:
 # loss functions
 
 
-def _split_sides(sides):
-    sides = list(sides)
-    calls = np.array([s == "call" for s in sides], dtype=bool)
-    if not all(s in ("call", "put") for s in sides):
-        raise ValueError("sides must be 'call' or 'put'")
-    return calls
-
-
-def mse(observed, fitted, sides) -> float:
-    """Squared errors averaged per side, call and put averages summed."""
+def _checked(observed, fitted, sides):
+    """Observed and fitted prices as arrays, and the call mask of ``sides``."""
     observed = np.asarray(observed, dtype=float)
     fitted = np.asarray(fitted, dtype=float)
     if observed.size == 0 or observed.shape != fitted.shape:
         raise ValueError("observed and fitted must be equal-length and nonempty")
-    calls = _split_sides(sides)
+    sides = list(sides)
+    if not all(s in ("call", "put") for s in sides):
+        raise ValueError("sides must be 'call' or 'put'")
+    calls = np.array([s == "call" for s in sides], dtype=bool)
     if calls.size != observed.size:
         raise ValueError("sides length mismatch")
-    err = (fitted - observed) ** 2
+    return observed, fitted, calls
+
+
+def _side_mean(observed, fitted, calls, keep=None):
+    """Squared errors (relative ones on ``keep`` when given) averaged per side:
+    the calls' mean plus the puts', a side with no kept quote adding nothing."""
+    if keep is None:
+        err, keep = (fitted - observed) ** 2, True
+    else:
+        err = np.zeros_like(observed)
+        err[keep] = (fitted[keep] / observed[keep] - 1.0) ** 2
     total = 0.0
-    for mask in (calls, ~calls):
+    for mask in (calls & keep, ~calls & keep):
         if np.any(mask):
             total += float(np.mean(err[mask]))
     return total
+
+
+def mse(observed, fitted, sides) -> float:
+    """Squared errors averaged per side, call and put averages summed."""
+    observed, fitted, calls = _checked(observed, fitted, sides)
+    return _side_mean(observed, fitted, calls)
 
 
 def relative_mse(observed, fitted, sides, floor: float = 0.05):
@@ -188,24 +200,16 @@ def relative_mse(observed, fitted, sides, floor: float = 0.05):
     Observed prices below ``floor`` are excluded to keep the ratio loss
     away from near-zero denominators.
     """
-    observed = np.asarray(observed, dtype=float)
-    fitted = np.asarray(fitted, dtype=float)
-    if observed.size == 0 or observed.shape != fitted.shape:
-        raise ValueError("observed and fitted must be equal-length and nonempty")
-    calls = _split_sides(sides)
+    observed, fitted, calls = _checked(observed, fitted, sides)
     keep = observed >= floor
-    n_excluded = int(np.sum(~keep))
-    err = np.zeros_like(observed)
-    err[keep] = (fitted[keep] / observed[keep] - 1.0) ** 2
-    total = 0.0
-    for mask in (calls & keep, ~calls & keep):
-        if np.any(mask):
-            total += float(np.mean(err[mask]))
-    return total, n_excluded
+    return _side_mean(observed, fitted, calls, keep), int(np.sum(~keep))
 
 
 # ----------------------------------------------------------------------
 # Adam
+
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # decay rates and denominator guard
 
 
 @dataclass
@@ -213,9 +217,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def zeros(cls, n: int) -> "AdamState":
@@ -228,11 +229,11 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, learning_r
     if grad.shape != state.m.shape or grad.shape != np.shape(params):
         raise ValueError("gradient shape does not match optimizer state")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    mhat = state.m / (1.0 - state.beta1 ** state.t)
-    vhat = state.v / (1.0 - state.beta2 ** state.t)
-    return params - learning_rate * mhat / (np.sqrt(vhat) + state.eps)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    mhat = state.m / (1.0 - BETA1 ** state.t)
+    vhat = state.v / (1.0 - BETA2 ** state.t)
+    return params - learning_rate * mhat / (np.sqrt(vhat) + EPS)
 
 
 # ----------------------------------------------------------------------
@@ -321,28 +322,23 @@ def _side_terms(positions, coeffs, calls):
     return starts[keep], values[keep]
 
 
-def _loss_weights(observed, fitted, sides_call, loss_kind, floor):
+def _loss_weights(observed, fitted, calls, loss_kind, floor):
     """Per-option dL/dfitted for the configured loss, plus the loss value."""
-    sides = np.where(sides_call, "call", "put")
     absolute = loss_kind == "absolute-MSE"
-    keep = np.ones_like(sides_call) if absolute else observed >= floor
-    n_call = max(int(np.sum(sides_call & keep)), 1)
-    n_put = max(int(np.sum(~sides_call & keep)), 1)
-    per_side = np.where(sides_call, n_call, n_put).astype(float)
+    keep = np.ones_like(calls) if absolute else observed >= floor
+    n_call = max(int(np.sum(calls & keep)), 1)
+    n_put = max(int(np.sum(~calls & keep)), 1)
+    per_side = np.where(calls, n_call, n_put).astype(float)
     if absolute:
-        return mse(observed, fitted, sides), 2.0 * (fitted - observed) / per_side
+        return _side_mean(observed, fitted, calls), 2.0 * (fitted - observed) / per_side
     grad = np.zeros_like(observed)
     ratio = fitted[keep] / observed[keep] - 1.0
     grad[keep] = 2.0 * ratio / (observed[keep] * per_side[keep])
-    return relative_mse(observed, fitted, sides, floor)[0], grad
+    return _side_mean(observed, fitted, calls, keep), grad
 
 
 # ----------------------------------------------------------------------
 # per-kind adapters
-
-
-def _softplus_inverse(y: float) -> float:
-    return float(np.log(np.expm1(y)))
 
 
 class _Adapter:
@@ -354,10 +350,10 @@ class _Adapter:
         pass
 
     def to_state(self, model):
-        return self.to_vector(model)
+        return parameter_vector(model)
 
     def from_state(self, template, state):
-        return self.from_vector(template, state)
+        return with_parameter_vector(template, state)
 
     def state_gradient(self, state, nat_grad):
         return nat_grad
@@ -378,28 +374,16 @@ class _QuantileAdapter(_Adapter):
     def init_model(self, seed):
         return RnQParams(mu=0.0, sigma=0.2, u=1.1, v=1.1)
 
-    def to_vector(self, model):
-        return np.array([model.sigma, model.u, model.v])
-
-    def from_vector(self, template, vec):
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (3,):
-            raise ValueError("rn-q expects a length-3 vector")
-        return RnQParams(mu=template.mu, sigma=float(vec[0]), u=float(vec[1]),
-                         v=float(vec[2]), a_const=template.a_const)
-
     def to_state(self, model):
         # the softplus coordinates reach sigma > 0 and u, v > 1 only
         for name, floor in (("sigma", 0.0), ("u", 1.0), ("v", 1.0)):
             if not getattr(model, name) > floor:
                 raise ValueError(f"the rn-q fit starts from sigma > 0 and u, v > 1; "
                                  f"the initial {name} is {getattr(model, name)!r}")
-        return np.array([_softplus_inverse(model.sigma), _softplus_inverse(model.u - 1.0),
-                         _softplus_inverse(model.v - 1.0)])
+        return np.log(np.expm1([model.sigma, model.u - 1.0, model.v - 1.0]))  # softplus^-1
 
     def from_state(self, template, state):
-        nat = np.array([softplus(state[0]), 1.0 + softplus(state[1]), 1.0 + softplus(state[2])])
-        return self.from_vector(template, nat)
+        return with_parameter_vector(template, softplus(state) + [0.0, 1.0, 1.0])
 
     def state_gradient(self, state, nat_grad):
         return nat_grad * softplus_prime(np.asarray(state))
@@ -466,34 +450,8 @@ class _NetworkAdapter(_Adapter):
     Adam's normalized step, and the loss comes from the float64 tables.
     """
 
-    def __init__(self, init_model, has_alpha):
+    def __init__(self, init_model):
         self.init_model = init_model
-        self.has_alpha = has_alpha  # rn-dmlp: alpha leads the vector
-
-    def to_vector(self, model):
-        parts = [[model.alpha]] if self.has_alpha else []
-        for _, comp in mixture_components(model):
-            parts += [[comp.sigma], comp.net_mu.to_vector(), comp.net_z.to_vector(),
-                      comp.net_tau.to_vector()]
-        return np.concatenate(parts)
-
-    def from_vector(self, template, vec):
-        vec = np.asarray(vec, dtype=float)
-        if vec.size != self.to_vector(template).size:
-            raise ValueError("vector length does not match network geometry")
-        pos = int(self.has_alpha)
-        comps = []
-        for _, comp in mixture_components(template):
-            sigma = float(vec[pos])
-            pos += 1
-            nets = []
-            for net in (comp.net_mu, comp.net_z, comp.net_tau):
-                nets.append(DenseNetwork.from_vector(net.layer_dims, vec[pos:pos + net.n_params]))
-                pos += net.n_params
-            comps.append(RnMlpParams(sigma, *nets))
-        if self.has_alpha:
-            return RnDmlpParams(alpha=float(vec[0]), comp1=comps[0], comp2=comps[1])
-        return comps[0]
 
     def build_tables(self, model, taus, chain_rate, z, hints=None, scratch=None):
         """X, growth and d/dtau tables per maturity, plus the loop's binding."""
@@ -550,7 +508,8 @@ class _NetworkAdapter(_Adapter):
             g_tau = comp.net_tau.weighted_value_slope_param_gradient(
                 stack_caches(caches_tau), wv_tau, ws_tau)
             parts += [[d_sigma], g_mu.to_vector(), g_z.to_vector(), g_tau.to_vector()]
-        head = [[comp_proj[0] - comp_proj[1]]] if self.has_alpha else []
+        # a mixture's alpha leads the vector
+        head = [[comp_proj[0] - comp_proj[1]]] if len(comp_proj) > 1 else []
         return np.concatenate(head + parts)
 
 
@@ -568,8 +527,8 @@ class _TrainingBinding(BoundModel):
 
 _ADAPTERS = {
     "rn-q": _QuantileAdapter(),
-    "rn-mlp": _NetworkAdapter(init_rnmlp, has_alpha=False),
-    "rn-dmlp": _NetworkAdapter(init_rndmlp, has_alpha=True),
+    "rn-mlp": _NetworkAdapter(init_rnmlp),
+    "rn-dmlp": _NetworkAdapter(init_rndmlp),
 }
 
 

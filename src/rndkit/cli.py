@@ -611,6 +611,8 @@ def main(argv=None) -> int:
             parser.error("--trials must be at least 2")
         if args.tick < 0.0:
             parser.error("--tick must be non-negative")
+    if getattr(args, "tau_days", None) is not None and args.tau_days < 1:  # perturb, report
+        parser.error("--tau-days must be at least 1")
     try:
         return args.func(args)
     except DataError as exc:

@@ -21,8 +21,8 @@ included, reads X and dX/dtau from that binding, one maturity at a time.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -46,6 +46,9 @@ __all__ = [
     "zero_net_rnmlp",
     "model_kind",
     "mixture_components",
+    "parameter_fields",
+    "parameter_vector",
+    "with_parameter_vector",
     "CHECKPOINT_VERSION",
     "checkpoint_document",
     "checkpoint_json",
@@ -65,7 +68,7 @@ def _values(samples):
 # quantile model
 
 
-@dataclass
+@dataclasses.dataclass
 class RnQParams:
     """Location mu, scale sigma and the two tail-shape bases u, v >= 1."""
 
@@ -127,7 +130,7 @@ def rnq_mu_from_constraint(sigma, u, v, a_const, samples, rate, tau) -> float:
 # network model
 
 
-@dataclass
+@dataclasses.dataclass
 class RnMlpParams:
     sigma: float
     net_mu: DenseNetwork
@@ -147,7 +150,7 @@ class RnMlpParams:
 # mixture model
 
 
-@dataclass
+@dataclasses.dataclass
 class RnDmlpParams:
     """Convex mixture alpha X_1 + (1 - alpha) X_2 of two network components."""
 
@@ -164,13 +167,13 @@ class RnDmlpParams:
 # dispatch helpers
 
 
+_MODEL_CLASSES = {"rn-q": RnQParams, "rn-mlp": RnMlpParams, "rn-dmlp": RnDmlpParams}
+
+
 def model_kind(model) -> str:
-    if isinstance(model, RnQParams):
-        return "rn-q"
-    if isinstance(model, RnMlpParams):
-        return "rn-mlp"
-    if isinstance(model, RnDmlpParams):
-        return "rn-dmlp"
+    for kind, cls in _MODEL_CLASSES.items():
+        if isinstance(model, cls):
+            return kind
     raise TypeError(f"not a model: {type(model)!r}")
 
 
@@ -292,34 +295,21 @@ def sample_log_returns(model, tau, samples, rate) -> np.ndarray:
 # constructors
 
 
+def _init_component(seq, sigma, hidden) -> RnMlpParams:
+    """Component whose three Glorot-initialized networks draw from ``seq``'s three spawns."""
+    dims = [1, *hidden, 1]
+    return RnMlpParams(sigma, *(init_network(dims, child) for child in seq.spawn(3)))
+
+
 def init_rnmlp(seed: int, sigma: float = 0.2, hidden=DEFAULT_HIDDEN) -> RnMlpParams:
     """Fresh network model with Glorot-initialized 1->hidden->1 networks."""
-    dims = [1, *hidden, 1]
-    children = np.random.SeedSequence(seed).spawn(3)
-    return RnMlpParams(
-        sigma=sigma,
-        net_mu=init_network(dims, children[0]),
-        net_z=init_network(dims, children[1]),
-        net_tau=init_network(dims, children[2]),
-    )
+    return _init_component(np.random.SeedSequence(seed), sigma, hidden)
 
 
 def init_rndmlp(seed: int, sigma: float = 0.2, alpha: float = 0.5, hidden=DEFAULT_HIDDEN) -> RnDmlpParams:
     """Fresh mixture model; the two components get independent draws."""
-    c1, c2 = np.random.SeedSequence(seed).spawn(2)
-    dims = [1, *hidden, 1]
-    comps = []
-    for child in (c1, c2):
-        n1, n2, n3 = child.spawn(3)
-        comps.append(
-            RnMlpParams(
-                sigma=sigma,
-                net_mu=init_network(dims, n1),
-                net_z=init_network(dims, n2),
-                net_tau=init_network(dims, n3),
-            )
-        )
-    return RnDmlpParams(alpha=alpha, comp1=comps[0], comp2=comps[1])
+    return RnDmlpParams(alpha, *(_init_component(child, sigma, hidden)
+                                 for child in np.random.SeedSequence(seed).spawn(2)))
 
 
 def zero_net_rnmlp(sigma: float = 0.2, hidden=DEFAULT_HIDDEN) -> RnMlpParams:
@@ -336,6 +326,63 @@ def zero_net_rnmlp(sigma: float = 0.2, hidden=DEFAULT_HIDDEN) -> RnMlpParams:
 
 
 # ----------------------------------------------------------------------
+# parameter layout
+
+_UNTRAINED = ("mu", "a_const")  # rn-q's pinned location and fixed constant
+_COMPONENTS = ("comp1", "comp2")  # a mixture's component fields
+
+
+def parameter_fields(model) -> list:
+    """Ordered (name, value) pairs of a model's parameters, each value a
+    float or a ``DenseNetwork``: the one layout the checkpoint (names as
+    keys) and the optimizer's flat vector (in order) share.
+
+    The dataclass fields in declaration order, a mixture's components
+    expanded in place under the prefixes comp1_ and comp2_: rn-q gives
+    mu, sigma, u, v, a_const; rn-mlp sigma, net_mu, net_z, net_tau;
+    rn-dmlp alpha, comp1_sigma ... comp1_net_tau, comp2_sigma ... .
+    """
+    fields = []
+    for f in dataclasses.fields(model):
+        value = getattr(model, f.name)
+        fields += ([(f"{f.name}_{name}", v) for name, v in parameter_fields(value)]
+                   if f.name in _COMPONENTS else [(f.name, value)])
+    return fields
+
+
+def _model_of(kind: str, value, prefix=""):
+    """The model of ``kind`` whose field ``name`` is ``value(name)``."""
+    cls = _MODEL_CLASSES[kind]
+    return cls(*(_model_of("rn-mlp", value, f"{prefix}{f.name}_") if f.name in _COMPONENTS
+                 else value(prefix + f.name) for f in dataclasses.fields(cls)))
+
+
+def parameter_vector(model) -> np.ndarray:
+    """The optimizer's flat vector: the trained fields in layout order,
+    each network flattened by ``DenseNetwork.to_vector``."""
+    return np.concatenate([value.to_vector() if isinstance(value, DenseNetwork) else [value]
+                           for name, value in parameter_fields(model) if name not in _UNTRAINED])
+
+
+def with_parameter_vector(template, vec):
+    """``template`` with its trained fields read from a ``parameter_vector``;
+    network geometry and rn-q's mu and a_const come from the template."""
+    vec = np.asarray(vec, dtype=float)
+    fields = parameter_fields(template)
+    sizes = [v.n_params if isinstance(v, DenseNetwork) else int(n not in _UNTRAINED) for n, v in fields]
+    if sum(sizes) != vec.size:
+        raise ValueError(f"parameter vector length {vec.size} does not match the model's {sum(sizes)}")
+    values, pos = {}, 0
+    for (name, value), size in zip(fields, sizes):
+        if isinstance(value, DenseNetwork):
+            value = DenseNetwork.from_vector(value.layer_dims, vec[pos:pos + size])
+        elif size:
+            value = float(vec[pos])
+        values[name], pos = value, pos + size
+    return _model_of(model_kind(template), values.__getitem__)
+
+
+# ----------------------------------------------------------------------
 # checkpoints
 #
 # Stdlib json always writes floats via repr, so a small emitter renders
@@ -343,8 +390,6 @@ def zero_net_rnmlp(sigma: float = 0.2, hidden=DEFAULT_HIDDEN) -> RnMlpParams:
 # significant digits (enough for an exact float64 round trip).
 
 CHECKPOINT_VERSION = 1
-
-_NET_NAMES = ("net_mu", "net_z", "net_tau")
 
 
 def _float17(x) -> str:
@@ -391,24 +436,10 @@ def checkpoint_json(doc: dict) -> str:
 
 def checkpoint_document(model) -> dict:
     """Checkpoint fields: format_version, model_type, scalars, networks."""
-    kind = model_kind(model)
-    if kind == "rn-q":
-        scalars = {"mu": model.mu, "sigma": model.sigma, "u": model.u,
-                   "v": model.v, "a_const": model.a_const}
-        networks = {}
-    elif kind == "rn-mlp":
-        scalars = {"sigma": model.sigma}
-        networks = {name: getattr(model, name).to_jsonable() for name in _NET_NAMES}
-    else:
-        scalars = {"alpha": model.alpha,
-                   "comp1_sigma": model.comp1.sigma,
-                   "comp2_sigma": model.comp2.sigma}
-        networks = {}
-        for tag, comp in (("comp1", model.comp1), ("comp2", model.comp2)):
-            for name in _NET_NAMES:
-                networks[f"{tag}_{name}"] = getattr(comp, name).to_jsonable()
-    return {"format_version": CHECKPOINT_VERSION, "model_type": kind,
-            "scalars": scalars, "networks": networks}
+    fields = parameter_fields(model)
+    return {"format_version": CHECKPOINT_VERSION, "model_type": model_kind(model),
+            "scalars": {name: v for name, v in fields if not isinstance(v, DenseNetwork)},
+            "networks": {name: v.to_jsonable() for name, v in fields if isinstance(v, DenseNetwork)}}
 
 
 def model_from_checkpoint(doc: dict):
@@ -423,23 +454,15 @@ def model_from_checkpoint(doc: dict):
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint format_version {version} is not readable "
                          f"by this build (expects {CHECKPOINT_VERSION})")
-    if kind not in ("rn-q", "rn-mlp", "rn-dmlp"):
+    if not isinstance(kind, str) or kind not in _MODEL_CLASSES:
         raise ValueError(f"unsupported model type {kind!r}")
+
+    def value(name):
+        if name.endswith(("net_mu", "net_z", "net_tau")):
+            return DenseNetwork.from_jsonable(networks[name])
+        return float(scalars[name])
+
     try:
-        if kind == "rn-q":
-            return RnQParams(mu=float(scalars["mu"]), sigma=float(scalars["sigma"]),
-                             u=float(scalars["u"]), v=float(scalars["v"]),
-                             a_const=float(scalars["a_const"]))
-        if kind == "rn-mlp":
-            nets = {name: DenseNetwork.from_jsonable(networks[name])
-                    for name in _NET_NAMES}
-            return RnMlpParams(sigma=float(scalars["sigma"]), **nets)
-        comps = []
-        for tag in ("comp1", "comp2"):
-            nets = {name: DenseNetwork.from_jsonable(networks[f"{tag}_{name}"])
-                    for name in _NET_NAMES}
-            comps.append(RnMlpParams(sigma=float(scalars[f"{tag}_sigma"]), **nets))
-        return RnDmlpParams(alpha=float(scalars["alpha"]),
-                            comp1=comps[0], comp2=comps[1])
+        return _model_of(kind, value)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint: {exc}") from exc

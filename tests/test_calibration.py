@@ -26,7 +26,9 @@ from rndkit.models import (
     init_rndmlp,
     init_rnmlp,
     model_from_checkpoint,
+    parameter_vector,
     rnq_mu_from_constraint,
+    with_parameter_vector,
 )
 from rndkit.nn import BLOCK_ROWS
 from rndkit.pricing import MaturitySlice, price_chain
@@ -70,13 +72,13 @@ def grid_for(chain):
 
 
 def params_to_vector(model):
-    """The adapter's flat trainable vector: rn-q (sigma, u, v); rn-mlp
+    """The flat trainable vector: rn-q (sigma, u, v); rn-mlp
     sigma | net_mu | net_z | net_tau; rn-dmlp alpha | comp1 | comp2."""
-    return calibration._adapter_of(model).to_vector(model)
+    return parameter_vector(model)
 
 
 def vector_to_params(template, vec):
-    return calibration._adapter_of(template).from_vector(template, vec)
+    return with_parameter_vector(template, vec)
 
 
 def objective_and_gradient(model, chain, grid, cfg, samples):
@@ -113,6 +115,13 @@ def test_relative_mse_floor_excludes_and_counts():
                                      ["call", "call", "put"])
     assert n_excluded == 1
     assert value == pytest.approx(0.01 + 0.01)
+
+
+def test_relative_mse_rejects_sides_of_another_length():
+    # one side for three quotes used to broadcast as if all were calls
+    for sides in (["call"], ["call", "put"]):
+        with pytest.raises(ValueError, match="sides length mismatch"):
+            relative_mse([1.0, 2.0, 3.0], [1.1, 2.0, 3.0], sides)
 
 
 def test_relative_mse_keeps_prices_at_the_floor():

@@ -586,6 +586,25 @@ def test_perturb_rejects_single_trial(sim_dir, tmp_path):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("tau_days", ["0", "-30"])
+@pytest.mark.parametrize("command", ["perturb", "report"])
+def test_nonpositive_tau_days_is_a_usage_error_before_any_work(sim_dir, fit_dir, tmp_path,
+                                                               capsys, command, tau_days):
+    # checked with the other flags, before a chain or checkpoint is read,
+    # so perturb runs no trial
+    inputs = {"perturb": ["--chain", str(sim_dir / "left-skew_chain.csv"), "--kind", "rn-q",
+                          "--trials", "2", "--iterations", "30"],
+              "report": ["--checkpoint", str(fit_dir / "checkpoint.json")]}
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *inputs[command], "--samples", "2000", "--tau-days", tau_days,
+              "--out", str(tmp_path)])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "--tau-days must be at least 1" in captured.err
+    assert "trial 0" not in captured.out + captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_artifacts_and_idempotency(fit_dir, tmp_path):
     args = ["report", "--checkpoint", str(fit_dir / "checkpoint.json"),
             "--samples", "4000"]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from rndkit.models import (
     init_rndmlp,
     init_rnmlp,
     model_from_checkpoint,
+    parameter_fields,
+    parameter_vector,
     rnq_log_return,
     rnq_mu_from_constraint,
     sample_log_returns,
@@ -288,6 +291,39 @@ def test_checkpoint_version_mismatch_is_rejected():
     doc["format_version"] = CHECKPOINT_VERSION + 1
     with pytest.raises(ValueError, match="format_version"):
         model_from_checkpoint(doc)
+
+
+def test_pinned_dmlp_checkpoint_rewrites_byte_for_byte():
+    # the benchmark's pinned rn-dmlp checkpoint, read and written again
+    # through the parameter layout, context carried over
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
+        "rn-dmlp-left-skew.checkpoint.json"
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    again = checkpoint_document(model_from_checkpoint(doc))
+    again["context"] = doc["context"]
+    assert checkpoint_json(again) == text
+
+
+_COMPONENT = ["sigma", "net_mu", "net_z", "net_tau"]
+
+
+@pytest.mark.parametrize("model, names", [
+    (RnQParams(0.01, 0.2, 1.1, 1.3), ["mu", "sigma", "u", "v", "a_const"]),
+    (init_rnmlp(2, hidden=(3,)), _COMPONENT),
+    (init_rndmlp(2, hidden=(3,)), ["alpha", *("comp1_" + n for n in _COMPONENT),
+                                   *("comp2_" + n for n in _COMPONENT)]),
+], ids=["rn-q", "rn-mlp", "rn-dmlp"])
+def test_parameter_fields_are_the_checkpoint_keys_in_vector_order(model, names):
+    # one layout: its names are the checkpoint's keys, and the flat vector
+    # is its trained fields (all but rn-q's mu and a_const) in its order
+    fields = parameter_fields(model)
+    assert [name for name, _ in fields] == names
+    doc = checkpoint_document(model)
+    assert sorted(names) == sorted([*doc["scalars"], *doc["networks"]])
+    trained = [value for name, value in fields if name not in ("mu", "a_const")]
+    flat = np.concatenate([[v] if isinstance(v, float) else v.to_vector() for v in trained])
+    assert parameter_vector(model).tobytes() == flat.tobytes()
 
 
 def test_checkpoint_ignores_extra_fields():
