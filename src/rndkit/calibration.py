@@ -22,8 +22,9 @@ like every analysis consumer.
 ``_QuantileAdapter`` holds every rn-q difference: the location is
 eliminated through the martingale constraint at every evaluation (so the
 gradient carries a softmax correction term) and recomputed on the final
-parameters, an evaluation takes two power passes (u^Z and v^-Z, from
-``models.rnq_terms``) that its gradient reuses, Adam works in softplus
+parameters, an evaluation takes two exp passes (u^Z and v^-Z, from
+``models.rnq_terms``) that its gradient reuses, every N-length array of
+an evaluation lives in the fit's ``nn.Scratch``, Adam works in softplus
 coordinates, the chain must be single-maturity, and the arbitrage
 penalty is omitted.  With the location pinned, the martingale term is
 identically zero and, at a positive rate, the remaining calendar terms
@@ -257,15 +258,22 @@ class _TauTable(MaturitySlice):
 
     The penalty accumulator is made by the first penalty term, so a slice
     that records none (rn-q, a fit with ``lam = 0``, a market maturity
-    off the penalty grid) skips the penalty half of the adjoint.
+    off the penalty grid) skips the penalty half of the adjoint.  With
+    ``work`` (see ``MaturitySlice``) the data accumulator is the
+    scratch's zeroed ``"coef"`` buffer.
     """
 
     __slots__ = ("coef_pen", "coef_data", "wx", "wd")
 
-    def __init__(self, tau, rate, x, slope, hint=None):
-        super().__init__(tau, rate, x, slope, hint)
+    def __init__(self, tau, rate, x, slope, hint=None, work=None):
+        super().__init__(tau, rate, x, slope, hint, work)
         self.coef_pen = None
-        self.coef_data = np.zeros(self.growth.size + 1)
+        n = self.growth.size + 1
+        if work is None:
+            self.coef_data = np.zeros(n)
+        else:
+            self.coef_data = work.vector("coef", n)
+            self.coef_data.fill(0.0)
 
     def add(self, which, positions, coeffs):
         """Weight sorted indices >= each position by its coefficient.
@@ -286,12 +294,14 @@ class _TauTable(MaturitySlice):
         arrays and both accumulators are released as soon as they are
         read, so the backward passes that follow hold only ``order``,
         ``wx`` and ``wd`` per maturity among the slice's N-length arrays.
-        The products are formed in place, with the same operands.  With
-        no penalty term ``wd`` is None and ``wx`` the data term alone.
+        The suffix sums go in the spent prefix sums and ``wx`` in the
+        spent sorted growth, so they take no new array.  The products are
+        formed in place, with the same operands.  With no penalty term
+        ``wd`` is None and ``wx`` the data term alone.
         """
         order, gs, slope, coef_pen = self.order, self.gs, self.slope, self.coef_pen
         n = gs.size
-        data = np.cumsum(self.coef_data[:n])
+        data = np.cumsum(self.coef_data[:n], out=self.cum_g[:n])
         self.growth = self.slope = self.gs = self.cum_g = self.cum_a = None
         self.coef_pen = self.coef_data = None
         data *= gs
@@ -306,7 +316,7 @@ class _TauTable(MaturitySlice):
                 a_sorted *= gs
                 pen *= a_sorted
                 data += pen  # pen * a_sorted + data * gs
-        wx = np.empty(n)
+        wx = gs
         wx[order] = data
         self.wx, self.wd = wx, wd
         return wx, wd
@@ -397,13 +407,18 @@ class _QuantileAdapter(_Adapter):
     def build_tables(self, model, taus, chain_rate, z, hints=None, scratch=None):
         """The one maturity's table, plus u^Z, v^-Z and the shape for the gradient.
 
-        X = (r tau - logmeanexp(t)) + t is formed over t in place.
+        X = (r tau - logmeanexp(t)) + t is formed over t in place.  With
+        the fit's ``scratch`` every N-length array is one of its buffers:
+        the terms', the slice's and the data accumulator, whose buffer
+        first holds logmeanexp's exponentials.
         """
         tau = float(taus[0])
         rate = chain_rate(tau)
-        uz, vz, shape, x = rnq_terms(model, z)
-        x += rate * tau - logmeanexp(x)
-        return {tau: _TauTable(tau, rate, x, None, (hints or {}).get(tau))}, (uz, vz, shape)
+        uz, vz, shape, x = rnq_terms(model, z, scratch)
+        work = None if scratch is None else scratch.vector("coef", z.size + 1)
+        x += rate * tau - logmeanexp(x, work)
+        table = _TauTable(tau, rate, x, None, (hints or {}).get(tau), scratch)
+        return {tau: table}, (uz, vz, shape)
 
     def gradient(self, model, tables, terms, z):
         """Natural-space (sigma, u, v) gradient with the location eliminated.
@@ -549,8 +564,9 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
 
     ``hints`` maps a maturity to a candidate sort order for its slice;
     the returned ``orders`` hold each slice's order for the next
-    evaluation.  ``scratch`` is the ``nn.Scratch`` for the network
-    passes, one per fit; without it the evaluation makes its own.
+    evaluation.  ``scratch`` is the fit's ``nn.Scratch``: the network
+    passes' block buffers, or every N-length array of an rn-q evaluation;
+    without it the evaluation makes its own.
     ``needs_gradient(loss)`` says whether the caller uses the gradient;
     when it returns false the gradient is None, and its adjoint and
     backward passes do not run.  Without it the gradient is formed.
@@ -624,8 +640,13 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     reproduce the last trajectory entry exactly, and that evaluation
     forms no gradient.  Each evaluation starts every maturity's sort
     from the order the previous evaluation found; only those order
-    arrays, reordered in place, and one block-sized ``nn.Scratch`` for
-    the network passes are kept between iterations.
+    arrays, reordered in place, and one ``nn.Scratch`` are kept between
+    iterations.  The scratch holds the network passes' block buffers, or
+    for rn-q every N-length array of an evaluation (the terms, the
+    slice's growth, sorted growth and prefix sums, and the adjoint's
+    accumulator, suffix sums and weights, in seven buffers shared by
+    uses that do not overlap), so an rn-q evaluation after the first
+    allocates no N-length array; it is dropped before the final metrics.
     The final metrics price the returned model on the loop's draws,
     starting each maturity's sort from the last evaluation's order; the
     penalty grid's price surface, which gives the final penalty, is
@@ -687,6 +708,7 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
             # iteration is the one that would have evaluated it
             raise CalibrationDivergence(it + 1, str(exc)) from exc
 
+    del scratch
     final = adapter.finalize(current, train_chain, samples)
 
     # a maturity's X and dX/dtau depend only on (model, draws, tau, rate),

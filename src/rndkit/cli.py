@@ -31,6 +31,7 @@ from .calibration import (
 )
 from .data_io import (
     DataError,
+    check_distinct_tenors,
     interpolate_rate,
     load_chain,
     save_chain,
@@ -217,6 +218,7 @@ def _load_checkpoint(path):
                     and all(map(_is_number, pair)) for pair in curve)):
         raise DataError("checkpoint context rate_curve must be a list of "
                         "[tenor, rate] pairs of finite numbers")
+    check_distinct_tenors(curve, "checkpoint context rate_curve")
     return ctx, model
 
 
@@ -238,8 +240,9 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     days = [int(d) for d in args.days.split(",")] if args.days else None
+    cf_tables = {}  # one damped-CF table per maturity, for the chain and the density
     chain = generate_simulated_chain(args.scenario, spot=args.spot,
-                                     rate=args.rate, days=days)
+                                     rate=args.rate, days=days, cf_tables=cf_tables)
     chain_path = out / f"{args.scenario}_chain.csv"
     rates_path = chain_path.with_suffix(".rates.csv")
     save_chain(chain, chain_path)
@@ -256,7 +259,7 @@ def cmd_simulate(args) -> int:
         width = 12.0 * np.sqrt(var)
         log_grid = np.linspace(np.log(chain.spot) + rate * tau - width,
                                np.log(chain.spot) + rate * tau + width, 1501)
-        rnd = heston_rnd(params, chain.spot, tau, rate, np.exp(log_grid))
+        rnd = heston_rnd(params, chain.spot, tau, rate, np.exp(log_grid), cf_tables)
         suffix = f"_{int(round(tau * 365.0))}d" if maturities.size > 1 else ""
         rnd_path = out / f"{args.scenario}_true_rnd{suffix}.csv"
         write_csv(rnd_path, ["grid", "value"], zip(rnd.grid, rnd.values))

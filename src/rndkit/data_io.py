@@ -27,6 +27,7 @@ __all__ = [
     "OptionQuote",
     "OptionChain",
     "SplitChains",
+    "check_distinct_tenors",
     "interpolate_rate",
     "load_chain",
     "save_chain",
@@ -217,7 +218,18 @@ def _load_rates(path) -> list:
         curve.append((_parse_float(i, "tenor_days", row["tenor_days"]), _parse_float(i, "rate", row["rate"])))
     if not curve:
         raise DataError("empty rate curve")
+    check_distinct_tenors(curve, f"rates file {path}")
     return curve
+
+
+def check_distinct_tenors(curve, where) -> None:
+    """Raise a DataError naming the first tenor that ``curve`` lists twice:
+    one tenor with two rates has no one interpolated rate."""
+    seen = set()
+    for tenor, _ in curve:
+        if float(tenor) in seen:
+            raise DataError(f"{where} lists tenor {float(tenor):g} days twice")
+        seen.add(float(tenor))
 
 
 def save_chain(chain: OptionChain, path) -> None:

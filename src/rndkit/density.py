@@ -35,7 +35,7 @@ X_BLOCK = 65_536
 
 VARIABLE_KINDS = ("log-return", "terminal-price")
 
-QUANTILE_METHOD = "median_unbiased"
+CHARACTERISTIC_LEVELS = np.array([0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99])
 
 
 @dataclass
@@ -186,14 +186,39 @@ def _standardized_moments(x: np.ndarray):
     return mean, std, skewness, kurtosis
 
 
+def _median_unbiased_quantiles(x, levels):
+    """``np.quantile(x, levels, method="median_unbiased")`` of a 1-d sample.
+
+    Hyndman and Fan's type 8: numpy's virtual index with alpha = beta =
+    1/3, its clamping at the ends, and its ``_lerp`` expression, on the
+    order statistics from one partition, so the values carry numpy's bits
+    without the ``np.unique`` of the partition ranks (which imports
+    numpy.ma).
+    """
+    n = x.size
+    alpha = beta = 1 / 3.0
+    virtual = n * levels + (alpha + levels * (1 - alpha - beta)) - 1
+    below = np.floor(virtual)
+    above = below + 1
+    below[virtual >= n - 1] = above[virtual >= n - 1] = -1
+    below[virtual < 0] = above[virtual < 0] = 0
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    ordered = np.partition(x, np.concatenate(([0, -1], below, above)))
+    if np.isnan(ordered[-1]):
+        return np.full(levels.shape, np.nan)
+    a, b = ordered[below], ordered[above]
+    gamma = virtual - below
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+
+
 def characteristics(values) -> RndCharacteristics:
     """The ten distribution characteristics of a sample."""
     x = _sample_values(values)
     if x.size < 100:
         raise ValueError("need at least 100 samples")
     mean, std, skewness, kurtosis = _standardized_moments(x)
-    q = np.quantile(x, [0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99],
-                    method=QUANTILE_METHOD)
+    q = _median_unbiased_quantiles(x, CHARACTERISTIC_LEVELS)
     x01, x05, x25, x50, x75, x95, x99 = (float(v) for v in q)
     iqr_low = x50 - x25
     if iqr_low == 0.0:

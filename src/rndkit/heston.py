@@ -176,8 +176,13 @@ def _damped_cf_table(p, spot, tau, rate, alpha=DAMPING_ALPHA):
     raise RuntimeError("Fourier quadrature did not converge; CF tail decays too slowly")
 
 
-def heston_call_prices(p, spot, strikes, tau, rate) -> np.ndarray:
-    """Call prices at many strikes from one shared CF evaluation."""
+def heston_call_prices(p, spot, strikes, tau, rate, cf_tables=None) -> np.ndarray:
+    """Call prices at many strikes from one shared CF evaluation.
+
+    ``cf_tables``, a dict kept by the caller for one (p, spot), holds the
+    damped-CF table of each (tau, rate) it has priced, so later calls at
+    the same maturity and rate reuse it.
+    """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     strikes = np.asarray(strikes, dtype=float)
@@ -189,7 +194,10 @@ def heston_call_prices(p, spot, strikes, tau, rate) -> np.ndarray:
         out[zero] = np.exp(-rate * tau) * np.exp(_log_cf(p, np.array(-1j), tau, spot, rate)).real
     pos = ~zero
     if np.any(pos):
-        u, w, psi = _damped_cf_table(p, spot, tau, rate)
+        tables = {} if cf_tables is None else cf_tables
+        if (tau, rate) not in tables:
+            tables[tau, rate] = _damped_cf_table(p, spot, tau, rate)
+        u, w, psi = tables[tau, rate]
         k = np.log(strikes[pos])
         w_psi = (w * psi).reshape(-1, _OFFSETS.size)  # one row per panel
         # strikes x panels: each panel's nodes summed against e^{-ik offset}
@@ -222,12 +230,13 @@ def density_from_calls(call_prices, strikes, tau, rate) -> DensityEstimate:
     return DensityEstimate(grid=strikes[1:-1], values=clipped, variable_kind="terminal-price")
 
 
-def heston_rnd(p, spot, tau, rate, strike_grid) -> DensityEstimate:
-    """True terminal-price density implied by the CF pricer."""
+def heston_rnd(p, spot, tau, rate, strike_grid, cf_tables=None) -> DensityEstimate:
+    """True terminal-price density implied by the CF pricer (``cf_tables``
+    as in ``heston_call_prices``)."""
     strike_grid = np.asarray(strike_grid, dtype=float)
     if np.any(np.diff(strike_grid) <= 0.0):
         raise ValueError("strike grid must be strictly increasing")
-    calls = heston_call_prices(p, spot, strike_grid, tau, rate)
+    calls = heston_call_prices(p, spot, strike_grid, tau, rate, cf_tables)
     return density_from_calls(calls, strike_grid, tau, rate)
 
 
@@ -298,12 +307,12 @@ def heston_true_moments(p, spot, tau, rate):
 
 def generate_simulated_chain(scenario="left-skew", params=None, spot=1000.0,
                              rate=0.04, days=None, strikes=None,
-                             observation_date="2026-06-30") -> OptionChain:
+                             observation_date="2026-06-30", cf_tables=None) -> OptionChain:
     """Synthetic call chain priced by the CF engine.
 
     The default grid is strikes 400:20:1600 (61 calls) with bid = ask =
     model price.  `days` may be an int or a list of ints for the
-    multi-maturity variant.
+    multi-maturity variant.  `cf_tables` is as in `heston_call_prices`.
     """
     if params is None:
         if scenario not in SCENARIOS:
@@ -323,7 +332,7 @@ def generate_simulated_chain(scenario="left-skew", params=None, spot=1000.0,
     quotes = []
     for d in sorted(day_list):
         tau = d / 365.0
-        prices = heston_call_prices(params, spot, strikes, tau, rate)
+        prices = heston_call_prices(params, spot, strikes, tau, rate, cf_tables)
         if np.any(prices < -1e-8 * spot):
             raise FloatingPointError("negative call price from the CF pricer")
         prices = np.maximum(prices, 0.0)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from functools import reduce
 
 import numpy as np
@@ -87,21 +88,28 @@ class RnQParams:
             raise ValueError("a_const must be positive")
 
 
-def rnq_terms(p: RnQParams, z: np.ndarray):
+def rnq_terms(p: RnQParams, z: np.ndarray, work=None):
     """u^Z, v^-Z, the shape (u^Z + v^-Z)/a + 1 and t = sigma Z shape.
 
-    The one evaluator of rn-q's shape, so X = mu + t: two power passes,
-    v^-Z taken over a negated copy of Z in place, and the shape and t
-    each formed in one buffer.  The calibration gradient reads u^Z and
-    v^-Z back instead of raising u and v to Z again.
+    The one evaluator of rn-q's shape, so X = mu + t.  u^Z and v^-Z are
+    exp(Z ln u) and exp(Z (-ln v)), one multiply and one exp each (a
+    power with a scalar base costs about twice as much), and the shape
+    and t are each formed in one buffer.  Every array is new, or with
+    ``work`` (an ``nn.Scratch``, the rn-q fit's) one of its buffers, which
+    the next call through the same scratch overwrites.  The calibration
+    gradient reads u^Z and v^-Z back instead of raising u and v to Z again.
     """
-    uz = np.power(p.u, z)
-    vz = np.negative(z, out=np.empty_like(z))  # an array even for a 0-d Z
-    np.power(p.v, vz, out=vz)
-    shape = uz + vz
+    def buffer(key):
+        return np.empty_like(z) if work is None else work.vector(key, z.size)
+
+    uz = np.multiply(z, math.log(p.u), out=buffer("rnq_uz"))  # an array even for a 0-d Z
+    np.exp(uz, out=uz)
+    vz = np.multiply(z, -math.log(p.v), out=buffer("rnq_vz"))
+    np.exp(vz, out=vz)
+    shape = np.add(uz, vz, out=buffer("rnq_shape"))
     shape /= p.a_const
     shape += 1.0
-    t = np.multiply(p.sigma, z)
+    t = np.multiply(p.sigma, z, out=buffer("rnq_t"))
     t *= shape
     return uz, vz, shape, t
 

@@ -172,7 +172,7 @@ class _BatchCache:
 
 
 class Scratch:
-    """Block-sized layer buffers that every blocked pass reuses.
+    """Buffers that every blocked pass, or every evaluation of a fit, reuses.
 
     ``take(key, rows, width, dtype)`` returns a (rows, width) view of the
     leading elements of the float64 (``BLOCK_ROWS``, width) buffer stored
@@ -182,6 +182,9 @@ class Scratch:
     values are views into these buffers and last until the next pass
     through the same scratch, so each binding or fit makes or carries its
     own.  The blocks themselves come from ``_block_bounds``.
+    ``vector(key, n)`` is the same for a whole n-element float64 array,
+    sized on first use (or when a use asks for another length): the
+    rn-q fit keeps each N-length array of an evaluation there.
     """
 
     __slots__ = ("_buffers",)
@@ -194,6 +197,12 @@ class Scratch:
         if buf is None or buf.shape[1] != width:
             buf = self._buffers[key] = np.empty((BLOCK_ROWS, width))
         return buf.reshape(-1).view(dtype)[:rows * width].reshape(rows, width)
+
+    def vector(self, key, n):
+        buf = self._buffers.get(key)
+        if buf is None or buf.shape != (n,):
+            buf = self._buffers[key] = np.empty(n)
+        return buf
 
 
 def _block_bounds(n):

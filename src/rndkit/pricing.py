@@ -54,19 +54,31 @@ class MaturitySlice:
     re-sorted: the caller hands the array over, so a loop keeps one order
     buffer per maturity instead of allocating a new one that outlives
     each iteration (which fragments the heap).
+
+    ``work``, an ``nn.Scratch``, holds the slice's other N-length arrays
+    in a fit that evaluates one maturity again and again (rn-q's): the
+    growth factors are formed over x in place, and the sorted growth and
+    its prefix sums go in the scratch's ``"sorted"`` and ``"sums"``
+    buffers, which the next slice built through the same scratch
+    overwrites.  Without it every array is new.
     """
 
     __slots__ = ("tau", "rate", "growth", "slope", "order", "gs", "cum_g",
                  "cum_a", "mean_growth")
 
-    def __init__(self, tau, rate, x, slope=None, hint=None):
-        growth = growth_factors(x, tau)
+    def __init__(self, tau, rate, x, slope=None, hint=None, work=None):
         self.tau = tau
         self.rate = rate
-        self.growth = growth
         self.slope = slope
-        self.order, self.gs = _stable_order(growth, hint)
-        self.cum_g = _prefix_sums(self.gs)
+        if work is None:
+            growth = growth_factors(x, tau)
+            self.order, self.gs = _stable_order(growth, hint)
+            self.cum_g = _prefix_sums(self.gs)
+        else:
+            growth = growth_factors(x, tau, out=x)
+            self.order, self.gs = _stable_order(growth, hint, work.vector("sorted", x.size))
+            self.cum_g = _prefix_sums(self.gs, work.vector("sums", x.size + 1))
+        self.growth = growth
         if slope is not None:
             a = np.subtract(slope, rate)
             a *= growth
@@ -103,17 +115,18 @@ class MaturitySlice:
         return calls, pos_c, puts, pos_p
 
 
-def growth_factors(x, tau):
-    """e^X at one maturity; raises FloatingPointError if any overflows."""
+def growth_factors(x, tau, out=None):
+    """e^X at one maturity (into ``out`` when given); raises
+    FloatingPointError if any overflows."""
     with np.errstate(over="ignore"):
-        growth = np.exp(x)
+        growth = np.exp(x, out=out)
     if not np.all(np.isfinite(growth)):
         raise FloatingPointError(
             f"model produced non-finite growth factors at tau={float(tau):.6g}")
     return growth
 
 
-def _stable_order(growth, hint):
+def _stable_order(growth, hint, out=None):
     """Stable ascending order of ``growth`` and the sorted values.
 
     An order whose sorted values are strictly increasing is the unique
@@ -123,10 +136,12 @@ def _stable_order(growth, hint):
     first), else re-sorted and, when that passes, permuted in place
     (``take`` buffers ``out`` in raise mode); otherwise numpy's default
     sort, which is cheaper than the stable one, and the stable sort only
-    on ties.
+    on ties.  The sorted values go in ``out`` when it is given, except
+    after a re-sorted hint; gathering them in clip mode leaves ``out``
+    unbuffered, and the orders' indices are in range.
     """
     if hint is not None and hint.size == growth.size:
-        near = growth[hint]
+        near = np.take(growth, hint, out=out, mode="clip")
         if _strictly_increasing(near):
             return hint, near
         perm = np.argsort(near, kind="stable")
@@ -134,16 +149,17 @@ def _stable_order(growth, hint):
         if _strictly_increasing(gs):
             return np.take(hint, perm, out=hint), gs
     order = np.argsort(growth)
-    gs = growth[order]
+    gs = np.take(growth, order, out=out, mode="clip")
     if not _strictly_increasing(gs):
         order = np.argsort(growth, kind="stable")
-        gs = growth[order]
+        gs = np.take(growth, order, out=out, mode="clip")
     return order, gs
 
 
-def _prefix_sums(values):
-    """[0, v_0, v_0 + v_1, ...] in one (N+1)-long array, summed in order."""
-    out = np.empty(values.size + 1)
+def _prefix_sums(values, out=None):
+    """[0, v_0, v_0 + v_1, ...] in one (N+1)-long array (``out`` when
+    given), summed in order."""
+    out = np.empty(values.size + 1) if out is None else out
     out[0] = 0.0
     np.cumsum(values, out=out[1:])
     return out

@@ -8,6 +8,7 @@ networks only through ``DenseNetwork.scalar_batch``), the hidden
 activation by the overflow-safe max form (the package forms it from one
 e^h per layer), the Fourier pricer's and kernel density's sums as
 one dense 2-D array each (the package forms them in fixed row blocks),
+rn-q's u^Z and v^-Z by ``np.power`` (the package forms them as exps),
 and Heston prices and log returns by full-truncation Euler Monte Carlo
 (the package prices Heston only through its characteristic function).
 """
@@ -109,6 +110,20 @@ def input_gradient(net, x):
     for sig, w in zip(sigs, net.weights[1:]):
         jac = w @ (sig[0][:, None] * jac)
     return jac
+
+
+# ----------------------------------------------------------------------
+# rn-q shape terms
+
+
+def rnq_terms_power_form(p, z):
+    """u^Z, v^-Z, the shape (u^Z + v^-Z)/a + 1 and t = sigma Z shape, with
+    the two powers taken by ``np.power``."""
+    z = np.asarray(z, dtype=float)
+    uz = np.power(p.u, z)
+    vz = np.power(p.v, -z)
+    shape = (uz + vz) / p.a_const + 1.0
+    return uz, vz, shape, p.sigma * z * shape
 
 
 # ----------------------------------------------------------------------

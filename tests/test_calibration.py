@@ -30,7 +30,7 @@ from rndkit.models import (
     rnq_mu_from_constraint,
     with_parameter_vector,
 )
-from rndkit.nn import BLOCK_ROWS
+from rndkit.nn import BLOCK_ROWS, Scratch
 from rndkit.pricing import MaturitySlice, price_chain
 from rndkit.sampling import draw_standard_normal
 
@@ -228,8 +228,8 @@ def test_gradient_matches_fd_rnq(mixed_chain, loss_kind):
     assert fd_worst_error(model, mixed_chain, cfg) < 1e-4
 
 
-def test_rnq_evaluation_takes_two_power_passes(call_chain, monkeypatch):
-    # u^Z and v^-Z are formed once; the gradient reads them back
+def test_rnq_evaluation_takes_no_power_pass(call_chain, monkeypatch):
+    # u^Z and v^-Z are exps, formed once; the gradient reads them back
     cfg = CalibrationConfig(n_samples=4000, seed=3)
     samples = draw_standard_normal(cfg.n_samples, cfg.seed)
     model = RnQParams(mu=0.0, sigma=0.25, u=1.05, v=1.2)
@@ -243,7 +243,7 @@ def test_rnq_evaluation_takes_two_power_passes(call_chain, monkeypatch):
     monkeypatch.setattr(np, "power", spy)
     _, grad = objective_and_gradient(model, call_chain, grid_for(call_chain), cfg, samples)
     assert grad is not None
-    assert calls == [model.u, model.v]
+    assert calls == []
 
 
 def test_rnq_objective_peak_memory(call_chain):
@@ -262,6 +262,56 @@ def test_rnq_objective_peak_memory(call_chain):
     finally:
         tracemalloc.stop()
     assert peak < 9.5 * 8 * n
+
+
+@pytest.mark.parametrize("loss_kind", ["absolute-MSE", "relative-MSE"])
+def test_rnq_objective_is_the_same_through_the_fits_scratch(mixed_chain, loss_kind):
+    # a cold and a hinted evaluation through one scratch give the bits of
+    # evaluations that allocate their own arrays
+    cfg = CalibrationConfig(n_samples=4000, seed=3, loss_kind=loss_kind)
+    samples = draw_standard_normal(cfg.n_samples, cfg.seed)
+    grid = grid_for(mixed_chain)
+    adapter = calibration._adapter_of(RnQParams(0.0, 0.25, 1.05, 1.2))
+    scratch = Scratch()
+    orders = {}
+    for model in (RnQParams(0.0, 0.25, 1.05, 1.2), RnQParams(0.0, 0.3, 1.3, 1.02)):
+        runs = [calibration._objective_parts(
+                    adapter, model, mixed_chain, grid, cfg, samples,
+                    {tau: order.copy() for tau, order in orders.items()}, work)
+                for work in (None, scratch)]
+        (loss, grad, parts), (loss_w, grad_w, parts_w) = runs
+        assert loss == loss_w and grad.tobytes() == grad_w.tobytes()
+        assert parts["penalty"] == parts_w["penalty"]
+        assert parts["orders"].keys() == parts_w["orders"].keys()
+        for tau, order in parts["orders"].items():
+            assert order.tobytes() == parts_w["orders"][tau].tobytes()
+        orders = parts["orders"]
+
+
+def test_rnq_fit_allocates_no_n_length_array_after_its_first_evaluation(call_chain, monkeypatch):
+    # every N-length array of an evaluation lives in the fit's scratch, so
+    # no evaluation after the first raises the traced peak by 8 N bytes
+    n = 20_000
+    cfg = CalibrationConfig(n_samples=n, seed=3, iterations=6)
+    objective = calibration._objective_parts
+    growth = []
+
+    def spy(*args, **kwargs):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = objective(*args, **kwargs)
+        growth.append(tracemalloc.get_traced_memory()[1] - start)
+        return result
+
+    monkeypatch.setattr(calibration, "_objective_parts", spy)
+    tracemalloc.start()
+    try:
+        calibrate("rn-q", call_chain, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(growth) == cfg.iterations
+    assert growth[0] > 7 * 8 * n  # the first evaluation makes the buffers
+    assert max(growth[1:]) < 8 * n
 
 
 @pytest.mark.parametrize("loss_kind", ["absolute-MSE", "relative-MSE"])
@@ -410,8 +460,8 @@ def test_warm_started_sorts_reproduce_cold_sorts(call_chain, three_maturity_chai
     class ColdTable(calibration._TauTable):
         __slots__ = ()
 
-        def __init__(self, tau, rate, x, slope, hint=None):
-            super().__init__(tau, rate, x, slope)
+        def __init__(self, tau, rate, x, slope, hint=None, work=None):
+            super().__init__(tau, rate, x, slope, work=work)
 
     monkeypatch.setattr(calibration, "_TauTable", ColdTable)
     cold = calibrate(kind, chain, cfg)

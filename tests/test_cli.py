@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from rndkit import calibration, cli, pricing
+from rndkit import calibration, cli, heston, pricing
 from rndkit.cli import main, parse_tau_grid, read_config_file
 from rndkit.data_io import DataError, load_chain, save_chain, save_rates
 from rndkit.heston import generate_simulated_chain
@@ -78,6 +78,21 @@ def test_simulate_writes_chain_and_sidecars(sim_dir):
     rnd_rows = (sim_dir / "left-skew_true_rnd.csv").read_text().splitlines()[1:]
     grid, values = np.array([list(map(float, r.split(","))) for r in rnd_rows]).T
     assert abs(np.trapezoid(values, grid) - 1.0) < 1e-3
+
+
+def test_simulate_builds_one_cf_table_per_maturity(tmp_path, monkeypatch):
+    # the chain's strikes and the true density's share each maturity's table
+    taus = []
+    table = heston._damped_cf_table
+
+    def spy(p, spot, tau, rate, *args, **kwargs):
+        taus.append(tau)
+        return table(p, spot, tau, rate, *args, **kwargs)
+
+    monkeypatch.setattr(heston, "_damped_cf_table", spy)
+    assert main(["simulate", "--scenario", "left-skew", "--days", "30,91,182",
+                 "--out", str(tmp_path)]) == 0
+    assert taus == [30 / 365, 91 / 365, 182 / 365]
 
 
 def test_simulate_unknown_scenario_is_usage_error(tmp_path):
@@ -392,13 +407,14 @@ assert main(["calibrate", "--chain", chain, "--kind", "rn-dmlp", "--samples", "2
 ck = out + "/fit/checkpoint.json"
 assert main(["evaluate", "--checkpoint", ck, "--chain", chain, "--out", out + "/eval"]) == 0
 assert main(["audit", "--checkpoint", ck, "--out", out + "/audit"]) == 0
+assert main(["report", "--checkpoint", ck, "--out", out + "/report"]) == 0
 print("numpy.ma" in sys.modules)
 """
 
 
 def test_pipeline_leaves_numpy_ma_unimported(tmp_path):
-    # numpy's np.unique imports numpy.ma on its first call; report still
-    # does through np.quantile, so it is not run here
+    # numpy's np.unique imports numpy.ma on its first call, and so does
+    # np.quantile's interpolating path
     run = _run_child(_PIPELINE_WITHOUT_NUMPY_MA, str(tmp_path))
     assert run.returncode == 0 and run.stdout.splitlines()[-1] == "False", run.stderr
 
@@ -469,6 +485,33 @@ def test_malformed_checkpoint_context_exits_2(sim_dir, fit_dir, tmp_path, capsys
         argv += ["--chain", str(sim_dir / "left-skew_chain.csv")]
     assert main(argv) == 2
     assert "error: checkpoint context" in capsys.readouterr().err
+
+
+def test_rates_file_listing_a_tenor_twice_exits_2(sim_dir, tmp_path, capsys):
+    chain = tmp_path / "chain.csv"
+    chain.write_bytes((sim_dir / "left-skew_chain.csv").read_bytes())
+    (tmp_path / "chain.rates.csv").write_text("tenor_days,rate\n91,0.04\n91,0.09\n")
+    out = tmp_path / "out"
+    assert main(["calibrate", "--chain", str(chain), "--kind", "rn-q", "--samples", "2000",
+                 "--out", str(out)]) == 2
+    assert "tenor 91 days twice" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["evaluate", "audit", "report"])
+def test_checkpoint_rate_curve_listing_a_tenor_twice_exits_2(sim_dir, fit_dir, tmp_path,
+                                                             capsys, command):
+    doc = json.loads((fit_dir / "checkpoint.json").read_text())
+    curve = doc["context"]["rate_curve"]
+    curve.append([curve[0][0], curve[0][1] + 0.05])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = [command, "--checkpoint", str(bad), "--out", str(tmp_path / "out")]
+    if command == "evaluate":
+        argv += ["--chain", str(sim_dir / "left-skew_chain.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"rate_curve lists tenor {curve[0][0]:g} days twice" in err
 
 
 @pytest.mark.parametrize("command", ["calibrate", "evaluate"])

@@ -109,6 +109,15 @@ def test_load_chain_rejects_non_finite_numbers(tmp_path, sidecar, old, new, fiel
         load_chain(tmp_path / "chain.csv")
 
 
+def test_load_chain_rejects_a_tenor_listed_twice(tmp_path):
+    # two rates at 90 days would leave 60 days interpolating towards one
+    # and 90 days reading the other
+    (tmp_path / "chain.csv").write_text(CHAIN_CSV)
+    (tmp_path / "chain.rates.csv").write_text(RATES_CSV + "90.0,0.09\n")
+    with pytest.raises(DataError, match="tenor 90 days twice"):
+        load_chain(tmp_path / "chain.csv")
+
+
 def test_quote_validation():
     with pytest.raises(DataError):
         OptionQuote("call", -5.0, 30, 1.0, 1.1)

@@ -222,6 +222,18 @@ def test_characteristics_permutation_invariant():
         assert getattr(c0, name) == getattr(c1, name)
 
 
+@pytest.mark.parametrize("n", [100, 101, 103, 997, 4096, 60_001])
+def test_characteristic_quantiles_are_numpys_median_unbiased(n):
+    # the port reproduces np.quantile's type-8 values bit for bit, on
+    # samples with and without ties
+    rng = np.random.Generator(np.random.Philox(n))
+    levels = density.CHARACTERISTIC_LEVELS
+    for x in (rng.normal(size=n), np.round(rng.normal(size=n), 1),
+              rng.integers(0, 4, size=n).astype(float)):
+        want = np.quantile(x, levels, method="median_unbiased")
+        assert density._median_unbiased_quantiles(x, levels).tobytes() == want.tobytes()
+
+
 def test_characteristics_errors():
     with pytest.raises(ValueError):
         characteristics(np.zeros(50))

@@ -19,13 +19,14 @@ from rndkit.models import (
     parameter_vector,
     rnq_log_return,
     rnq_mu_from_constraint,
+    rnq_terms,
     sample_log_returns,
     zero_net_rnmlp,
 )
 from rndkit.numerics import kahan_sum, logmeanexp
 from rndkit.sampling import draw_standard_normal
 
-from oracles import forward
+from oracles import forward, rnq_terms_power_form
 
 
 def round_trip(model):
@@ -39,6 +40,28 @@ def test_rnq_log_return_frozen_values():
     assert rnq_log_return(RnQParams(mu=0.7, sigma=0.5, u=1.3, v=1.2), 0.0) == 0.7
     tilted = RnQParams(mu=0.0, sigma=0.2, u=1.1, v=1.1)
     assert rnq_log_return(tilted, 1.0) == pytest.approx(0.30045454545454545, rel=1e-15)
+
+
+@pytest.mark.parametrize("u", [1.0, 1.0 + 1e-7, 1.05, 1.3, 2.0, 3.5])
+def test_rnq_terms_match_the_power_form(u):
+    # u^Z = exp(Z ln u) and v^-Z = exp(Z (-ln v)) stay within 1e-14 of the
+    # powers, so the shape and t do too, 0-d Z included
+    z = np.concatenate([np.linspace(-8.0, 8.0, 3201), draw_standard_normal(5000, seed=2).values])
+    for v in (1.0, 1.0 + 1e-7, 1.05, 1.3, 2.0, 3.5):
+        p = RnQParams(mu=0.0, sigma=0.3, u=u, v=v)
+        for zz in (z, np.asarray(-7.25), np.asarray(0.5)):
+            got, want = rnq_terms(p, zz), rnq_terms_power_form(p, zz)
+            for g, w in zip(got, want):
+                assert isinstance(g, np.ndarray) and g.shape == zz.shape
+                assert np.all(np.abs(g - w) <= 1e-14 * np.abs(w))
+
+
+def test_rnq_terms_are_exact_at_unit_bases():
+    z = np.linspace(-8.0, 8.0, 1601)
+    p = RnQParams(mu=0.0, sigma=0.3, u=1.0, v=1.0)
+    uz, vz, shape, t = rnq_terms(p, z)
+    assert np.all(uz == 1.0) and np.all(vz == 1.0) and np.all(shape == 1.5)
+    assert t.tobytes() == rnq_terms_power_form(p, z)[3].tobytes()
 
 
 def test_rnq_parameter_validation():
