@@ -1,20 +1,21 @@
 """Moment term structures of a Gaussian baseline generator.
 
 With all three networks zeroed the mixture generator reduces to
-X = r tau + sigma sqrt(tau) Z, so the risk-neutral volatility must grow like
+X = sigma sqrt(tau) Z, so the risk-neutral volatility must grow like
 sqrt(tau), skewness must vanish and kurtosis must sit at 3 for every
 maturity.  The script exits non-zero when any maturity misses these
 targets: RNM2/sqrt(tau) spread at most 1e-12, |skewness| at most 1e-3 and
-|kurtosis - 3| at most 0.05 on these 2e5 draws.  The kernel density at
-one maturity is compared with the exact normal curve.
+|kurtosis - 3| at most 0.05 on these 2e5 draws, or when the density at
+one maturity is more than 1e-5 of its peak from the exact normal curve
+over the draws' range.
 """
 
 import sys
 
 import numpy as np
 
-from rndkit.density import kde_log_return, term_structure
-from rndkit.models import zero_net_rnmlp
+from rndkit.density import pushforward_density, term_structure
+from rndkit.models import bind, zero_net_rnmlp
 from rndkit.sampling import draw_standard_normal
 
 sigma, rate = 0.2, 0.04
@@ -39,12 +40,14 @@ if not np.all(np.abs(rows[:, 3] - 3.0) <= 0.05):
     misses.append(f"|kurtosis - 3| up to {np.max(np.abs(rows[:, 3] - 3.0)):.4f} > 0.05")
 
 tau = 0.25
-grid = np.linspace(-0.45, 0.55, 801)
-est = kde_log_return(model, tau, samples, grid, rate)
-mean = rate * tau
+x = bind(model, samples).log_returns(tau, rate)
+grid = np.linspace(x.min(), x.max(), 801)
+est = pushforward_density(model, tau, samples, grid, rate)
 sd = sigma * np.sqrt(tau)
-normal = np.exp(-0.5 * ((grid - mean) / sd) ** 2) / (sd * np.sqrt(2 * np.pi))
+normal = np.exp(-0.5 * (grid / sd) ** 2) / (sd * np.sqrt(2 * np.pi))
 gap = np.max(np.abs(est.values - normal)) / normal.max()
-print(f"\nKDE vs exact normal at tau={tau}: sup gap {100 * gap:.2f}% of peak")
+print(f"\ndensity vs exact normal at tau={tau}: sup gap {gap:.2e} of peak")
+if not gap <= 1e-5:
+    misses.append(f"density sup gap {gap:.2e} of peak > 1e-5")
 if misses:
     sys.exit("moment targets missed: " + "; ".join(misses))

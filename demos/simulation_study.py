@@ -1,8 +1,9 @@
 """Recover a known Heston risk-neutral density from 61 synthetic option prices.
 
 A Heston market with a pronounced left skew prices a strip of calls; the
-mixture generator is calibrated to those prices and its kernel density is
-compared against the exact density implied by the characteristic function.
+mixture generator is calibrated to those prices and its density, read off
+the generator by change of variables, is compared against the exact density
+implied by the characteristic function.
 Sample counts and iterations are kept small so the demo runs in about a
 minute.  No test runs this study; CI runs the demo as it stands.
 """
@@ -11,7 +12,7 @@ import numpy as np
 
 from rndkit.calibration import CalibrationConfig, calibrate
 from rndkit.data_io import MIN_QUOTE
-from rndkit.density import kde_log_return, risk_neutral_moments
+from rndkit.density import pushforward_density, risk_neutral_moments
 from rndkit.heston import SCENARIOS, generate_simulated_chain, heston_rnd, \
     heston_true_moments
 from rndkit.pricing import price_chain
@@ -53,7 +54,7 @@ print(f"  kurtosis   (RNM4)  {kurt_true:8.4f}  {rnm4:8.4f}")
 strike_grid = np.linspace(600.0, 1400.0, 401)
 true_rnd = heston_rnd(heston_params, chain.spot, tau, rate, strike_grid)
 log_grid = np.log(true_rnd.grid / chain.spot)
-est = kde_log_return(result.params, tau, samples, log_grid, rate)
+est = pushforward_density(result.params, tau, samples, log_grid, rate)
 fitted_price_density = est.values / true_rnd.grid
 sup_gap = np.max(np.abs(fitted_price_density - true_rnd.values))
 peak = np.max(true_rnd.values)

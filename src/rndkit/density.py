@@ -1,12 +1,10 @@
 """Density and moment extraction from model samples.
 
-The density of the log-return is estimated by a Gaussian kernel on a
-deterministic subsample; the terminal-price density follows by the change
-of variables f(s) = q(ln(s/S)) / s.  Moments are always computed from the
-full sample, never from the kernel estimate.  The kernel sums run over
-GRID_BLOCK grid points by at most X_BLOCK draws at a time in two reused
-buffers, so ``report`` holds only block-sized temporaries whatever the
-sample size, with the same row sums as whole-array evaluation.
+The log-return X = f(Z, tau) is an explicit function of the standard
+normal, so its density is read off the model by change of variables on a
+fixed grid of Z nodes, with no bandwidth to tune; the terminal-price
+density follows by the change of variables f(s) = q(ln(s/S)) / s.
+Moments and quantiles are always computed from the full sample.
 """
 
 from __future__ import annotations
@@ -20,18 +18,15 @@ from .models import bind, sample_log_returns
 __all__ = [
     "DensityEstimate",
     "RndCharacteristics",
-    "kde_log_return",
+    "pushforward_density",
     "price_density",
     "characteristics",
     "risk_neutral_moments",
     "term_structure",
 ]
 
-KDE_SUBSAMPLE = 10_000
-
-# _kernel_values works on GRID_BLOCK x X_BLOCK tiles of the grid-minus-draws matrix
-GRID_BLOCK = 8
-X_BLOCK = 65_536
+# uniform Z nodes over the pool's range on which pushforward_density reads X
+DENSITY_NODES = 4097
 
 VARIABLE_KINDS = ("log-return", "terminal-price")
 
@@ -43,7 +38,6 @@ class DensityEstimate:
     grid: np.ndarray
     values: np.ndarray
     variable_kind: str
-    bandwidth: float | None = None
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -93,74 +87,55 @@ def _sample_values(samples) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def subsample(x: np.ndarray, size: int = KDE_SUBSAMPLE) -> np.ndarray:
-    """Deterministic stride subsample: every (n // size)-th element."""
-    x = np.asarray(x)
-    if x.size <= size:
-        return x
-    stride = x.size // size
-    return x[::stride][:size]
+def pushforward_density(model, tau, samples, grid, rate=0.0) -> DensityEstimate:
+    """Density of the log-return X = f(Z, tau) at one maturity, read off the
+    model by change of variables: at x it is the sum of phi(z) / |dX/dz|
+    over the z with X(z) = x.
 
-
-def silverman_bandwidth(x: np.ndarray) -> float:
-    sigma = float(np.std(x))
-    return 1.06 * sigma * x.size ** (-0.2)
-
-
-def _kernel_values(x: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Kernel sum at each grid point, GRID_BLOCK rows by X_BLOCK draws at a time.
-
-    The two work buffers are allocated once; each block is a contiguous
-    view of their leading elements, so every row is summed over the same
-    contiguous run of draws whatever the grid or sample size.
-    """
-    norm = x.size * bandwidth * np.sqrt(2.0 * np.pi)
-    out = np.empty(grid.size)
-    width = min(X_BLOCK, x.size)
-    u_buf = np.empty(GRID_BLOCK * width)
-    k_buf = np.empty(GRID_BLOCK * width)
-    for gs in range(0, grid.size, GRID_BLOCK):
-        g = grid[gs:gs + GRID_BLOCK, None]
-        acc = np.zeros(g.size)
-        for xs in range(0, x.size, X_BLOCK):
-            xb = x[None, xs:xs + X_BLOCK]
-            shape = (g.size, xb.size)
-            u = u_buf[:g.size * xb.size].reshape(shape)
-            k = k_buf[:g.size * xb.size].reshape(shape)
-            np.subtract(g, xb, out=u)
-            u /= bandwidth
-            np.multiply(-0.5, u, out=k)
-            k *= u
-            np.exp(k, out=k)
-            acc += k.sum(axis=1)
-        out[gs:gs + GRID_BLOCK] = acc / norm
-    return out
-
-
-def kde_log_return(model, tau, samples, grid, rate=0.0,
-                   subsample_size=KDE_SUBSAMPLE) -> DensityEstimate:
-    """Gaussian-kernel density of the log-return at one maturity.
-
-    By default the estimate uses a size-10^4 deterministic subsample with
-    the Silverman bandwidth 1.06 sigma m^(-1/5), which is plenty for plots
-    (sup-norm error a few percent of the peak).  Pass subsample_size=None
-    to run on the full sample when tighter accuracy is needed; its work
-    memory is bounded by the kernel blocks too (about 8 MB at 6e4 draws),
-    and only its time grows with the sample.
+    X is evaluated on DENSITY_NODES uniform Z nodes over the pool's
+    [min Z, max Z], with dX/dz by central differences.  Between two nodes
+    the density is linear in x through the node values phi(z) / |dX/dz|,
+    scaled so the segment carries the trapezoid normal mass of its Z step;
+    folds of X add their branches and stay finite.  Grid points outside
+    X's range read 0, and the density integrates to the normal mass of the
+    pool's Z range, not to 1.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
+    z = _sample_values(samples)
+    if z.size == 0 or z.min() == z.max():
+        raise ValueError("degenerate pool: the draws span no Z range, so X has no density")
+    nodes = np.linspace(z.min(), z.max(), DENSITY_NODES)
+    x = bind(model, nodes).log_returns(tau, rate)
+    if x.min() == x.max():
+        raise ValueError("zero-range X: the model maps every draw to one log-return, "
+                         "which has no density")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be 1-d and strictly increasing")
-    x = sample_log_returns(model, tau, samples, rate)
-    sub = x if subsample_size is None else subsample(x, subsample_size)
-    if np.std(sub) == 0.0:
-        raise ValueError("degenerate samples: zero variance")
-    bandwidth = silverman_bandwidth(sub)
-    values = _kernel_values(sub, grid, bandwidth)
-    return DensityEstimate(grid=grid, values=values, variable_kind="log-return",
-                           bandwidth=bandwidth)
+    step = nodes[1] - nodes[0]
+    phi = np.exp(-0.5 * nodes * nodes) / np.sqrt(2.0 * np.pi)
+    dxdz = np.abs(np.gradient(x, step))
+    # segment i runs from x[i] to x[i + 1], its end values in the ratio
+    # w0 : w1 of the node densities phi / |X'|; a flat one holds no density
+    w0, w1 = phi[:-1] * dxdz[1:], phi[1:] * dxdz[:-1]
+    live = x[:-1] != x[1:]
+    x0, x1, dx, w0, w1 = x[:-1][live], x[1:][live], np.diff(x)[live], w0[live], w1[live]
+    share = np.divide(w0, w0 + w1, out=np.full(w0.shape, 0.5), where=w0 + w1 > 0.0)
+    heights = (phi[:-1] + phi[1:])[live] * step / np.abs(dx)  # sum of the two end values
+    slopes = heights * (1.0 - 2.0 * share) / dx
+    offsets = heights * share - slopes * x0
+    # each segment adds offset + slope * g at the grid points g in
+    # [low end, high end), and at X's top too; two difference arrays
+    lo, hi = np.minimum(x0, x1), np.maximum(x0, x1)
+    first, stop = np.searchsorted(grid, lo), np.searchsorted(grid, hi)
+    stop[hi == hi.max()] = np.searchsorted(grid, hi.max(), "right")
+    n = grid.size + 1
+    offset, slope = (np.cumsum(np.bincount(first, w, n) - np.bincount(stop, w, n))[:-1]
+                     for w in (offsets, slopes))
+    # the cumulative sums leave cancellation residue of either sign at 0
+    values = np.maximum(offset + slope * grid, 0.0)
+    return DensityEstimate(grid=grid, values=values, variable_kind="log-return")
 
 
 def price_density(est: DensityEstimate, spot) -> DensityEstimate:
@@ -171,7 +146,7 @@ def price_density(est: DensityEstimate, spot) -> DensityEstimate:
         raise ValueError("spot must be positive")
     s_grid = spot * np.exp(est.grid)
     return DensityEstimate(grid=s_grid, values=est.values / s_grid,
-                           variable_kind="terminal-price", bandwidth=est.bandwidth)
+                           variable_kind="terminal-price")
 
 
 def _standardized_moments(x: np.ndarray):

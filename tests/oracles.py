@@ -6,10 +6,9 @@ quadrature, network values and derivatives at a single input by
 plain layer-by-layer evaluation and chain rule (the package evaluates
 networks only through ``DenseNetwork.scalar_batch``), the hidden
 activation by the overflow-safe max form (the package forms it from one
-e^h per layer), the Fourier pricer's and kernel density's sums as
-one dense 2-D array each (the package forms them in fixed row blocks),
-rn-q's u^Z and v^-Z by ``np.power`` (the package forms them as exps),
-and Heston prices and log returns by full-truncation Euler Monte Carlo
+e^h per layer), the Fourier pricer's sums as one dense 2-D array (the
+package forms them in fixed row blocks), rn-q's u^Z and v^-Z by
+``np.power`` (the package forms them as exps), and Heston prices and log returns by full-truncation Euler Monte Carlo
 (the package prices Heston only through its characteristic function).
 """
 
@@ -146,20 +145,6 @@ def heston_call_prices_dense(p, spot, strikes, tau, rate):
         integral = (phase * (w * psi)).real.sum(axis=1)
         out[pos] = np.exp(-DAMPING_ALPHA * k) / np.pi * integral
     return out
-
-
-def kernel_values_dense(x, grid, bandwidth, xblock):
-    """Gaussian kernel sums from whole grid x draw-block arrays.
-
-    The draws are summed in the same ``xblock`` chunks as the package,
-    so each grid point's total is accumulated in the same order.
-    """
-    norm = x.size * bandwidth * np.sqrt(2.0 * np.pi)
-    acc = np.zeros(grid.size)
-    for xs in range(0, x.size, xblock):
-        u = (grid[:, None] - x[None, xs:xs + xblock]) / bandwidth
-        acc += np.exp(-0.5 * u * u).sum(axis=1)
-    return acc / norm
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from rndkit import calibration, cli, heston, pricing
+from rndkit import calibration, cli, density, heston, pricing
 from rndkit.cli import main, parse_tau_grid, read_config_file
 from rndkit.data_io import DataError, load_chain, save_chain, save_rates
 from rndkit.heston import generate_simulated_chain
@@ -669,6 +669,25 @@ def test_report_artifacts_and_idempotency(fit_dir, tmp_path):
             (tmp_path / "r2" / name).read_bytes()
 
 
+@pytest.mark.parametrize("case, message", [("one-draw", "degenerate pool"),
+                                           ("zero-sigma", "zero-range X")])
+def test_report_without_a_density_exits_2(fit_dir, tmp_path, capsys, case, message):
+    # one draw spans no Z range; rn-q with sigma 0 maps every draw to mu
+    ck = fit_dir / "checkpoint.json"
+    argv = ["report", "--out", str(tmp_path / "out")]
+    if case == "one-draw":
+        argv += ["--checkpoint", str(ck), "--samples", "1"]
+    else:
+        doc = json.loads(ck.read_text())
+        doc["scalars"]["sigma"] = 0.0
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps(doc))
+        argv += ["--checkpoint", str(flat)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert list((tmp_path / "out").glob("density_*.csv")) == []
+
+
 def test_parse_tau_grid():
     assert parse_tau_grid("1w,1m,3m,6m,9m,1y") == [7, 30, 90, 180, 270, 365]
     assert parse_tau_grid("30") == [30]
@@ -710,8 +729,10 @@ def test_network_checkpoint_commands_pass_draws_once_per_component(
         rows.update(value=0, recompute=0)
         assert main(argv) == 0
         assert rows["recompute"] == 0, name
-        # one G_Z pass over the draws per mixture component
-        assert 0 < rows["value"] <= 2 * DMLP_SAMPLES, name
+        # one G_Z pass over the draws per mixture component; report adds
+        # one over the density's fixed Z nodes
+        nodes = density.DENSITY_NODES if name == "report" else 0
+        assert 0 < rows["value"] <= 2 * (DMLP_SAMPLES + nodes), name
 
 
 def test_evaluate_sorts_each_maturity_once(dmlp_dir, tmp_path, monkeypatch):

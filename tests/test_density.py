@@ -1,22 +1,23 @@
-import tracemalloc
+import dataclasses
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import rndkit.density as density
 from rndkit.density import (
     DensityEstimate,
     characteristics,
-    kde_log_return,
     price_density,
+    pushforward_density,
     risk_neutral_moments,
-    subsample,
     term_structure,
 )
 from rndkit.models import RnQParams, bind, init_rndmlp, zero_net_rnmlp
+from rndkit.nn import DenseNetwork
 from rndkit.sampling import draw_standard_normal
 
-from oracles import kernel_values_dense, norm_pdf
+from oracles import norm_cdf, norm_pdf, rnq_terms_power_form
 
 
 def gaussian_rnq(mu=0.01, scale=0.15):
@@ -42,86 +43,100 @@ def test_density_estimate_validation():
         DensityEstimate(grid, vals, "strike")
 
 
-def test_subsample_stride():
-    x = np.arange(1_000_000)
-    sub = subsample(x)
-    assert sub.size == 10_000
-    assert sub[0] == 0 and sub[1] == 100
-    small = np.arange(50)
-    assert subsample(small) is small
-
-
 # ----------------------------------------------------------------------
-# KDE against the exact normal density
+# the pushforward density against exact references
 
 
-def test_kde_recovers_normal():
-    model = gaussian_rnq(mu=0.01, scale=0.15)
-    z = draw_standard_normal(1_000_000, seed=12)
-    grid = np.linspace(0.01 - 5 * 0.15, 0.01 + 5 * 0.15, 401)
-    # default subsample: plot accuracy (noise floor is ~2-5% of peak at m=1e4)
-    est = kde_log_return(model, 0.25, z, grid)
-    exact = np.array([norm_pdf((x - 0.01) / 0.15) / 0.15 for x in grid])
-    peak = exact.max()
-    assert np.max(np.abs(est.values - exact)) < 0.06 * peak
-    assert est.bandwidth == pytest.approx(1.06 * 0.15 * 10_000 ** -0.2, rel=0.05)
-    # full sample: tight accuracy
-    full = kde_log_return(model, 0.25, z, grid, subsample_size=None)
-    assert np.max(np.abs(full.values - exact)) < 0.02 * peak
+def test_pushforward_zero_net_rnmlp_is_the_normal_pdf():
+    # all-zero networks give X = sigma sqrt(tau) Z exactly
+    z = draw_standard_normal(60_000, seed=12)
+    scale = 0.2 * np.sqrt(0.25)
+    grid = np.linspace(scale * z.values.min(), scale * z.values.max(), 1001)
+    est = pushforward_density(zero_net_rnmlp(sigma=0.2), 0.25, z, grid, 0.03)
+    exact = np.array([norm_pdf(x / scale) / scale for x in grid])
+    assert est.variable_kind == "log-return"
+    assert np.max(np.abs(est.values - exact)) < 1e-5 * exact.max()
 
 
-def test_kde_integral_near_one():
-    model = gaussian_rnq()
-    z = draw_standard_normal(200_000, seed=13)
-    grid = np.linspace(0.01 - 8 * 0.15, 0.01 + 8 * 0.15, 601)
-    est = kde_log_return(model, 0.5, z, grid)
-    assert 0.99 <= est.integral() <= 1.01
+def test_pushforward_rnq_matches_the_closed_form():
+    # a skewed rn-q: X = mu + sigma z (u^z/a + v^-z/a + 1) rises in z, so
+    # each x has one root, found by bisection, and the density there is
+    # phi(z) / X'(z) with X' = sigma (shape + z (ln u u^z - ln v v^-z) / a)
+    p = RnQParams(mu=-0.01, sigma=0.12, u=1.6, v=1.05)
+    z = draw_standard_normal(60_000, seed=13)
+    lo, hi = z.values.min(), z.values.max()
+    x_of = lambda w: p.mu + rnq_terms_power_form(p, w)[3]
+    grid = np.linspace(x_of(lo), x_of(hi), 1001)
+    below, above = np.full(grid.size, lo), np.full(grid.size, hi)
+    for _ in range(80):
+        mid = 0.5 * (below + above)
+        rises = x_of(mid) < grid
+        below, above = np.where(rises, mid, below), np.where(rises, above, mid)
+    root = 0.5 * (below + above)
+    uz, vz, shape, _ = rnq_terms_power_form(p, root)
+    slope = p.sigma * (shape + root * (np.log(p.u) * uz - np.log(p.v) * vz) / p.a_const)
+    assert np.all(slope > 0.0)
+    exact = np.array([norm_pdf(w) for w in root]) / slope
+    est = pushforward_density(p, 0.25, z, grid, 0.03)
+    assert np.max(np.abs(est.values - exact)) < 1e-5 * exact.max()
 
 
-def test_kde_shift_moves_mode():
-    z = draw_standard_normal(100_000, seed=14)
-    grid = np.linspace(-1.0, 1.0, 801)
-    cell = grid[1] - grid[0]
-    base = kde_log_return(gaussian_rnq(mu=0.0), 0.25, z, grid)
-    shifted = kde_log_return(gaussian_rnq(mu=0.2), 0.25, z, grid)
-    mode_gap = grid[np.argmax(shifted.values)] - grid[np.argmax(base.values)]
-    assert abs(mode_gap - 0.2) <= cell + 1e-12
+def test_pushforward_sums_the_branches_of_a_folding_x():
+    # G_Z(z) = -softplus(z - 1) / 2 makes X = z (1 + G_Z) rise to a fold
+    # near z = 1.56 and fall again, so most x have two preimages.  The
+    # histogram reads X at 1e7 midpoint normal quantiles, which leave no
+    # sampling noise; the density is averaged over the same bins.  The bin
+    # holding the fold's extreme value, where the density is unbounded, is
+    # left out.
+    model = dataclasses.replace(zero_net_rnmlp(sigma=1.0), net_z=DenseNetwork(
+        [1, 1, 1], [[[1.0]], [[-0.5]]], [[-1.0], [0.0]]))
+    n, chunk, bins = 10_000_000, 1_000_000, 60
+    ends = ndtri(np.array([0.5, n - 0.5]) / n)
+    x_ends = bind(model, np.linspace(*ends, 20_001)).log_returns(1.0, 0.0)
+    edges = np.linspace(x_ends.min(), x_ends.max(), bins + 1)
+    counts = np.zeros(bins)
+    for start in range(0, n, chunk):
+        z = ndtri((np.arange(start, start + chunk) + 0.5) / n)
+        counts += np.histogram(bind(model, z).log_returns(1.0, 0.0), edges)[0]
+    width = edges[1] - edges[0]
+    histogram = counts / (n * width)
+    per_bin = 50
+    fine = np.linspace(edges[0], edges[-1], bins * per_bin + 1)
+    est = pushforward_density(model, 1.0, ends, fine, 0.0)
+    mass = np.concatenate(([0.0], np.cumsum(np.diff(fine) * 0.5 * (est.values[1:] + est.values[:-1]))))
+    average = np.diff(mass[::per_bin]) / width
+    fold = min(np.searchsorted(edges, x_ends.max(), "right") - 1, bins - 1)
+    off_fold = np.arange(bins) != fold
+    # both branches fall from the fold's extreme over more than 5 units of x
+    assert max(x_ends[0], x_ends[-1]) < x_ends.max() - 5.0
+    gap = np.abs(average - histogram)[off_fold]
+    assert gap.max() < 5e-5 * histogram.max()
 
 
-def test_kernel_values_blocked_equal_dense_arrays():
-    # a partial last block along both the draws and the grid
-    x = 0.2 * np.random.default_rng(5).standard_normal(70_000)
-    grid = np.linspace(-1.0, 1.0, 19)
-    assert x.size > density.X_BLOCK and grid.size % density.GRID_BLOCK != 0
-    bandwidth = 0.013
-    got = density._kernel_values(x, grid, bandwidth)
-    want = kernel_values_dense(x, grid, bandwidth, density.X_BLOCK)
-    assert got.tobytes() == want.tobytes()
+def test_pushforward_integral_is_the_normal_mass_of_the_pool_range():
+    # a small pool leaves a visible tail mass out of its Z range
+    model = init_rndmlp(seed=5)
+    z = draw_standard_normal(2_000, seed=14)
+    x = bind(model, z).log_returns(0.5, 0.03)
+    grid = np.linspace(x.min(), x.max(), 2001)
+    est = pushforward_density(model, 0.5, z, grid, 0.03)
+    inside = norm_cdf(z.values.max()) - norm_cdf(z.values.min())
+    assert inside < 1.0 - 1e-4
+    assert est.integral() == pytest.approx(inside, abs=1e-5)
 
 
-def test_kde_full_sample_memory_is_bounded_by_the_blocks():
-    # one 64 x 6e4 float work array alone would take 31 MB
-    z = draw_standard_normal(60_000, 3)
-    grid = np.linspace(-1.0, 1.0, 1001)
-    tracemalloc.start()
-    try:
-        kde_log_return(gaussian_rnq(), 0.5, z, grid, subsample_size=None)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
-
-
-def test_kde_validation():
+def test_pushforward_validation():
     z = draw_standard_normal(1_000, seed=15)
     grid = np.linspace(-1, 1, 51)
-    with pytest.raises(ValueError):
-        kde_log_return(gaussian_rnq(), 0.0, z, grid)
-    with pytest.raises(ValueError):
-        kde_log_return(gaussian_rnq(), 0.25, z, grid[::-1])
+    with pytest.raises(ValueError, match="tau must be positive"):
+        pushforward_density(gaussian_rnq(), 0.0, z, grid)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        pushforward_density(gaussian_rnq(), 0.25, z, grid[::-1])
+    with pytest.raises(ValueError, match="degenerate pool"):
+        pushforward_density(gaussian_rnq(), 0.25, z.values[:1], grid)
     degenerate = RnQParams(mu=0.01, sigma=0.0, u=1.1, v=1.1)
-    with pytest.raises(ValueError, match="zero variance"):
-        kde_log_return(degenerate, 0.25, z, grid)
+    with pytest.raises(ValueError, match="zero-range X"):
+        pushforward_density(degenerate, 0.25, z, grid)
 
 
 # ----------------------------------------------------------------------
@@ -305,11 +320,10 @@ def test_density_bound_model_is_bit_identical():
     other = draw_standard_normal(20_000, seed=26)
     grid = np.linspace(-1.0, 1.0, 101)
     rate_fn = lambda tau: 0.02 + 0.01 * tau
-    want = kde_log_return(model, 0.5, z, grid, 0.03)
+    want = pushforward_density(model, 0.5, z, grid, 0.03)
     for bound in (bind(model, z), bind(model, other)):
-        got = kde_log_return(bound, 0.5, z, grid, 0.03)
+        got = pushforward_density(bound, 0.5, z, grid, 0.03)
         np.testing.assert_array_equal(got.values, want.values)
-        assert got.bandwidth == want.bandwidth
         assert risk_neutral_moments(bound, 0.5, z, 0.03) == \
             risk_neutral_moments(model, 0.5, z, 0.03)
         np.testing.assert_array_equal(term_structure(bound, [0.1, 0.5], z, rate_fn),
