@@ -37,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -253,61 +254,60 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, learning_r
 # close to O(N) while the order barely moves (rn-q's never does).
 
 
-class _TauTable(MaturitySlice):
-    """A maturity slice plus the adjoint accumulators of one evaluation.
+def _step_sums(totals, out):
+    """Suffix weights over the out.size sorted indices: at k the sum of the
+    ``totals`` (position: coefficient sum) at positions <= k, in position
+    order.  Adding 0.0 leaves a sum begun at 0.0 unchanged (it is never
+    -0.0), so the bits are those of a cumsum over an N-long accumulator."""
+    at = sorted(p for p in totals if p < out.size)
+    out[:at[0] if at else out.size] = 0.0
+    for lo, hi, total in zip(at, at[1:] + [out.size], accumulate(totals[p] for p in at)):
+        out[lo:hi] = total
+    return out
 
-    The penalty accumulator is made by the first penalty term, so a slice
-    that records none (rn-q, a fit with ``lam = 0``, a market maturity
-    off the penalty grid) skips the penalty half of the adjoint.  With
-    ``work`` (see ``MaturitySlice``) the data accumulator is the
-    scratch's zeroed ``"coef"`` buffer.
+
+class _TauTable(MaturitySlice):
+    """A maturity slice plus the adjoint terms of one evaluation.
+
+    ``terms`` sums each weight's terms, data and penalty, by position; a
+    slice that records no penalty term (rn-q, a fit with ``lam = 0``, a
+    market maturity off the penalty grid) skips the penalty half of the
+    adjoint.  The terms sit at a few quote and hinge positions, so no
+    N-long accumulator is formed (``_step_sums``).
     """
 
-    __slots__ = ("coef_pen", "coef_data", "wx", "wd")
+    __slots__ = ("terms", "wx", "wd")
 
     def __init__(self, tau, rate, x, slope, hint=None, work=None):
         super().__init__(tau, rate, x, slope, hint, work)
-        self.coef_pen = None
-        n = self.growth.size + 1
-        if work is None:
-            self.coef_data = np.zeros(n)
-        else:
-            self.coef_data = work.vector("coef", n)
-            self.coef_data.fill(0.0)
+        self.terms = {"data": {}, "pen": {}}
 
     def add(self, which, positions, coeffs):
-        """Weight sorted indices >= each position by its coefficient.
-
-        ``np.add.at`` is unbuffered, so repeated positions add in order,
-        as a loop over the terms would.  No terms make no accumulator.
-        """
-        if not len(positions):
-            return
-        if which == "pen" and self.coef_pen is None:
-            self.coef_pen = np.zeros(self.coef_data.size)
-        np.add.at(self.coef_data if which == "data" else self.coef_pen, positions, coeffs)
+        """Weight sorted indices >= each position by its coefficient, in order."""
+        totals = self.terms[which]
+        for pos, coeff in zip(np.asarray(positions).tolist(), np.asarray(coeffs, float).tolist()):
+            totals[pos] = totals.get(pos, 0.0) + coeff
 
     def adjoint_weights(self):
         """Per-sample weights (wx on dX, wd on d slope) in draw order.
 
         This spends the slice: its growth, slope, sorted and prefix-sum
-        arrays and both accumulators are released as soon as they are
-        read, so the backward passes that follow hold only ``order``,
-        ``wx`` and ``wd`` per maturity among the slice's N-length arrays.
-        The suffix sums go in the spent prefix sums and ``wx`` in the
-        spent sorted growth, so they take no new array.  The products are
-        formed in place, with the same operands.  With no penalty term
-        ``wd`` is None and ``wx`` the data term alone.
+        arrays are released as soon as they are read, so the backward
+        passes that follow hold only ``order``, ``wx`` and ``wd`` per
+        maturity among the slice's N-length arrays.  The suffix sums go in
+        the spent prefix sums and ``wx`` in the spent sorted growth, so
+        they take no new array.  The products are formed in place, with
+        the same operands.  With no penalty term ``wd`` is None and ``wx``
+        the data term alone.
         """
-        order, gs, slope, coef_pen = self.order, self.gs, self.slope, self.coef_pen
+        order, gs, slope, terms = self.order, self.gs, self.slope, self.terms
         n = gs.size
-        data = np.cumsum(self.coef_data[:n], out=self.cum_g[:n])
-        self.growth = self.slope = self.gs = self.cum_g = self.cum_a = None
-        self.coef_pen = self.coef_data = None
+        data = _step_sums(terms["data"], self.cum_g[:n])
+        self.growth = self.slope = self.gs = self.cum_g = self.cum_a = self.terms = None
         data *= gs
         wd = None
-        if coef_pen is not None:
-            pen = np.cumsum(coef_pen[:n])
+        if terms["pen"]:
+            pen = _step_sums(terms["pen"], np.empty(n))
             wd = np.empty(n)
             wd[order] = pen * gs
             if slope is not None:
@@ -409,13 +409,13 @@ class _QuantileAdapter(_Adapter):
 
         X = (r tau - logmeanexp(t)) + t is formed over t in place.  With
         the fit's ``scratch`` every N-length array is one of its buffers:
-        the terms', the slice's and the data accumulator, whose buffer
-        first holds logmeanexp's exponentials.
+        the terms' and the slice's, whose sorted-growth buffer first holds
+        logmeanexp's exponentials.
         """
         tau = float(taus[0])
         rate = chain_rate(tau)
         uz, vz, shape, x = rnq_terms(model, z, scratch)
-        work = None if scratch is None else scratch.vector("coef", z.size + 1)
+        work = None if scratch is None else scratch.take("sorted", z.size)
         x += rate * tau - logmeanexp(x, work)
         table = _TauTable(tau, rate, x, None, (hints or {}).get(tau), scratch)
         return {tau: table}, (uz, vz, shape)
@@ -457,12 +457,11 @@ class _QuantileAdapter(_Adapter):
 class _NetworkAdapter(_Adapter):
     """rn-mlp and rn-dmlp: a mixture of one or two network components.
 
-    The tables come from the loop's binding, which keeps G_Z and one-row
-    net_mu and net_tau caches per maturity; the tau-net caches are stacked
-    so one backward pass per network serves every maturity at once, and
-    net_z's backward recomputes its activations block by block in the
-    fit's scratch, in float32: the gradient only sets the direction of
-    Adam's normalized step, and the loss comes from the float64 tables.
+    The tables come from the loop's binding, which keeps G_Z, each
+    net_z's knot pass and one-row net_mu and net_tau caches per maturity.
+    The tau-net caches are stacked so one backward pass per network serves
+    every maturity at once; net_z's is the exact gradient of G_Z's
+    interpolant, one float64 backward pass over the knot pass's M rows.
     """
 
     def __init__(self, init_model):
@@ -470,7 +469,7 @@ class _NetworkAdapter(_Adapter):
 
     def build_tables(self, model, taus, chain_rate, z, hints=None, scratch=None):
         """X, growth and d/dtau tables per maturity, plus the loop's binding."""
-        bound = _TrainingBinding(model, z, Scratch() if scratch is None else scratch)
+        bound = BoundModel(model, z, Scratch() if scratch is None else scratch)
         tables = {}
         for tau in taus:
             tau = float(tau)
@@ -483,7 +482,7 @@ class _NetworkAdapter(_Adapter):
             table.adjoint_weights()
         parts = []
         comp_proj = []  # sum over (tau, n) of wx dX_comp + wd dslope_comp
-        for (coef, comp, gz), rows in zip(bound._parts, bound._rows):
+        for (coef, comp, gz), rows, net_z in zip(bound._parts, bound._rows, bound.passes):
             gmu, gmu_s, gtau, gtau_s, caches_mu, caches_tau = zip(*rows)
             wz = np.zeros_like(z)
             zg = z * gz
@@ -519,25 +518,13 @@ class _NetworkAdapter(_Adapter):
             comp_proj.append(proj)
             g_mu = comp.net_mu.weighted_value_slope_param_gradient(
                 stack_caches(caches_mu), wv_mu, ws_mu)
-            g_z = comp.net_z.astype(np.float32).blocked_param_gradient(z, wz, bound.scratch)
+            g_z = net_z.param_gradient(wz)
             g_tau = comp.net_tau.weighted_value_slope_param_gradient(
                 stack_caches(caches_tau), wv_tau, ws_tau)
             parts += [[d_sigma], g_mu.to_vector(), g_z.to_vector(), g_tau.to_vector()]
         # a mixture's alpha leads the vector
         head = [[comp_proj[0] - comp_proj[1]]] if len(comp_proj) > 1 else []
         return np.concatenate(head + parts)
-
-
-class _TrainingBinding(BoundModel):
-    """The loop's binding: the tau-net passes keep their backward caches,
-    and the fit's scratch stays for net_z's blocked backward pass."""
-
-    __slots__ = ("scratch",)
-    _keep_caches = True
-
-    def __init__(self, model, z, scratch):
-        super().__init__(model, z, scratch)
-        self.scratch = scratch
 
 
 _ADAPTERS = {
@@ -564,9 +551,9 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
 
     ``hints`` maps a maturity to a candidate sort order for its slice;
     the returned ``orders`` hold each slice's order for the next
-    evaluation.  ``scratch`` is the fit's ``nn.Scratch``: the network
-    passes' block buffers, or every N-length array of an rn-q evaluation;
-    without it the evaluation makes its own.
+    evaluation.  ``scratch`` is the fit's ``nn.Scratch``: the draws' knot
+    lattices, the knot passes' buffers and G_Z, or every N-length array
+    of an rn-q evaluation; without it the evaluation makes its own.
     ``needs_gradient(loss)`` says whether the caller uses the gradient;
     when it returns false the gradient is None, and its adjoint and
     backward passes do not run.  Without it the gradient is formed.
@@ -629,11 +616,13 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
 
 
 def calibrate(kind: str, train_chain, config: CalibrationConfig,
-              init_model=None) -> CalibrationResult:
+              init_model=None, samples=None) -> CalibrationResult:
     """Fit a model of the given kind to the chain by full-batch Adam.
 
     The synthetic penalty grid comes from the chain's own maturities and
-    strikes; samples are drawn once from config.seed.  Iterations stop at
+    strikes; the samples are drawn once from config.seed, or are the
+    caller's ``NormalSampleSet`` of config.n_samples draws, so that
+    several fits on one pool draw it once.  Iterations stop at
     config.iterations or once the loss improves by less than
     convergence_tol over 100 consecutive iterations.  The loop never
     updates after the last evaluation, so the returned parameters
@@ -641,12 +630,13 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     forms no gradient.  Each evaluation starts every maturity's sort
     from the order the previous evaluation found; only those order
     arrays, reordered in place, and one ``nn.Scratch`` are kept between
-    iterations.  The scratch holds the network passes' block buffers, or
-    for rn-q every N-length array of an evaluation (the terms, the
-    slice's growth, sorted growth and prefix sums, and the adjoint's
-    accumulator, suffix sums and weights, in seven buffers shared by
-    uses that do not overlap), so an rn-q evaluation after the first
-    allocates no N-length array; it is dropped before the final metrics.
+    iterations.  The scratch holds the draws' knot lattices, the knot
+    passes' buffers and each component's G_Z, or for rn-q every
+    N-length array of an evaluation (the terms, logmeanexp's
+    exponentials, the slice's growth, sorted growth and prefix sums, and
+    the adjoint's suffix sums and weights, in six buffers shared by uses
+    that do not overlap), so an rn-q evaluation after the first allocates
+    no N-length array; it is dropped before the final metrics.
     The final metrics price the returned model on the loop's draws,
     starting each maturity's sort from the last evaluation's order; the
     penalty grid's price surface, which gives the final penalty, is
@@ -660,7 +650,10 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     model = adapter.init_model(config.seed) if init_model is None else init_model
     if _adapter_of(model) is not adapter:
         raise ValueError("init_model kind does not match model_kind")
-    samples = draw_standard_normal(config.n_samples, config.seed)
+    if samples is None:
+        samples = draw_standard_normal(config.n_samples, config.seed)
+    elif samples.values.size != config.n_samples:
+        raise ValueError(f"{samples.values.size} samples for n_samples = {config.n_samples}")
     grid = build_synthetic_grid([q.tau for q in train_chain.quotes],
                                 [q.strike for q in train_chain.quotes])
 

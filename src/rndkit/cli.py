@@ -393,7 +393,7 @@ def cmd_perturb(args) -> int:
                   for q, s in zip(train.quotes, signs)]
         perturbed = train.with_quotes(quotes)
         try:
-            result = calibrate(args.kind, perturbed, config)
+            result = calibrate(args.kind, perturbed, config, samples=eval_samples)
         except CalibrationDivergence as exc:
             print(f"trial {trial}: diverged at iteration {exc.iteration}",
                   file=sys.stderr)

@@ -13,10 +13,11 @@ X = ln(S_T / S_t):
 
 The additive structure keeps the maturity derivative of X analytic, which
 the no-arbitrage penalties rely on.  It also means G_Z(Z), the only
-network term evaluated on all N draws, does not depend on tau: ``bind``
-evaluates it once per (model, draws), in fixed blocks that keep only
-G_Z, and every maturity of every consumer, the calibration loop
-included, reads X and dX/dtau from that binding, one maturity at a time.
+network term read at all N draws, does not depend on tau: ``bind``
+forms it once per (model, draws), off net_z's values and slopes at a
+few thousand knots (``nn.KnotPass``), and every maturity of every
+consumer, the calibration loop included, reads X and dX/dtau from that
+binding, one maturity at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import reduce
 
 import numpy as np
 
-from .nn import DenseNetwork, Scratch, init_network
+from .nn import DenseNetwork, KnotPass, Scratch, init_network
 from .numerics import logmeanexp
 from .sampling import NormalSampleSet
 
@@ -100,7 +101,7 @@ def rnq_terms(p: RnQParams, z: np.ndarray, work=None):
     gradient reads u^Z and v^-Z back instead of raising u and v to Z again.
     """
     def buffer(key):
-        return np.empty_like(z) if work is None else work.vector(key, z.size)
+        return np.empty_like(z) if work is None else work.take(key, z.size)
 
     uz = np.multiply(z, math.log(p.u), out=buffer("rnq_uz"))  # an array even for a 0-d Z
     np.exp(uz, out=uz)
@@ -202,36 +203,41 @@ def mixture_components(model) -> tuple:
 class BoundModel:
     """A model bound to one draw vector: the one evaluator of X and dX/dtau.
 
-    G_Z, the only network term run over all N draws, does not depend on
-    tau, so each ``net_z`` runs once, here, in blocks through a
-    ``nn.Scratch`` (``DenseNetwork.blocked_values``); only G_Z, N floats
-    per component, is kept.  A maturity then costs two one-row passes
-    (``net_mu``, ``net_tau``) per component, so its values depend only
-    on (model, draws, tau, rate).  Calibration, pricing, penalties, the
-    audit and the density all read X and dX/dtau here.  Build it with
-    ``bind``, which gives the binding a scratch of its own for the one
-    pass; it never changes afterwards.
-    The calibration loop's own subclass passes the fit's scratch, which
-    its gradient reuses to recompute net_z block by block, and sets
-    ``_keep_caches``: ``_rows`` then collects, per component, one
-    (G_mu, G_mu', G_tau, G_tau', caches) row per maturity, in order.
+    G_Z, the only network term read at all N draws, does not depend on
+    tau, so each ``net_z`` runs once, here, through an ``nn.KnotPass`` (M
+    knots, M well under N for N >= 16,384), and only G_Z, N floats per
+    component, is kept.  A maturity then costs two one-row passes
+    (``net_mu``, ``net_tau``) per component, so its values depend only on
+    (model, draws, tau, rate).  Calibration, pricing, penalties, the audit
+    and the density all read X and dX/dtau here.  Build it with ``bind``;
+    it never changes afterwards.
+    The calibration loop binds with its fit's ``nn.Scratch``, which then
+    holds the knot lattices, network buffers and G_Z; the draws are read in
+    place, and the binding keeps for the gradient its knot passes and per
+    component a (G_mu, G_mu', G_tau, G_tau', caches) row per maturity.
     """
 
-    __slots__ = ("model", "kind", "z", "_parts", "_rows")
-    _keep_caches = False
+    __slots__ = ("model", "kind", "z", "passes", "_parts", "_rows")
 
     def __init__(self, model, z, scratch=None):
         self.model = model
         self.kind = model_kind(model)
-        # Private read-only copy: ``bind`` compares draws against it, so
-        # a caller mutating its own array cannot leave G_Z stale.
-        self.z = np.array(z, dtype=float)
-        self.z.setflags(write=False)
-        scratch = Scratch() if scratch is None else scratch
+        if scratch is None:
+            # Private read-only copy: ``bind`` compares draws against it, so
+            # a caller mutating its own array cannot leave G_Z stale.
+            z = np.array(z, dtype=float)
+            z.setflags(write=False)
+        self.z = z
+        components = mixture_components(model)
+        work = Scratch() if scratch is None else scratch
+        # G_Z first, so the passes' temporaries free from the top of the heap
+        g_z = [work.take(("g_z", c), z.size) for c in range(len(components))]
+        passes = [KnotPass(comp.net_z, z, work.lattices, work, out)
+                  for (_, comp), out in zip(components, g_z)]
         # (coefficient, component, G_Z(Z)) in mixture order
-        self._parts = tuple((coef, comp, comp.net_z.blocked_values(self.z, scratch))
-                            for coef, comp in mixture_components(model))
-        self._rows = tuple([] for _ in self._parts)
+        self._parts = tuple((coef, comp, p.values) for (coef, comp), p in zip(components, passes))
+        self.passes = None if scratch is None else passes
+        self._rows = tuple([] for _ in passes)
 
     def log_returns(self, tau, rate) -> np.ndarray:
         """Log-return vector X(Z, tau) on the bound draws.
@@ -262,7 +268,7 @@ class BoundModel:
             return self.log_returns(tau, rate), np.full_like(self.z, float(rate))
         if tau <= 0.0:
             raise ValueError("maturity derivative needs tau > 0")
-        z, t, root, keep = self.z, np.array([tau]), np.sqrt(tau), self._keep_caches
+        z, t, root, keep = self.z, np.array([tau]), np.sqrt(tau), self.passes is not None
         terms = []
         for (coef, comp, gz), rows in zip(self._parts, self._rows):
             gmu, gmu_s, cache_mu = comp.net_mu.scalar_batch(t, want_slope=True, keep_cache=keep)

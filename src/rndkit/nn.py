@@ -9,49 +9,36 @@ fixed (layer, row, column) order so flattened vectors are reproducible.
 A hidden layer takes one exp: with e = e^h the softplus is log1p(e) and
 its derivative, the sigmoid, is e / (1 + e), so a layer writes e and
 then the softplus over its pre-activation buffer and the sigmoid into
-one other buffer.  A block in which e^h would overflow (any h above
-ln of the largest double, about 709.78) takes the max form instead,
+one other buffer.  A pass in which e^h would overflow (any h above ln of
+the largest double, about 709.78) takes the max form instead,
 max(h, 0) + log1p(e^-|h|).  A layer with one input (net_z's first) and
 the backward pass through one output (its last) form their outer
 products by a broadcast multiply, with the bits of the 1-wide matmul.
 
-A pass over many inputs (G_Z over all N draws) runs in fixed blocks of
-``BLOCK_ROWS`` rows through ``blocked_values`` and
-``blocked_param_gradient``.  Each block's layers are written into one
-``Scratch``, a set of block-sized buffers allocated once and reused, so
-such a pass holds O(block x width) floats instead of O(N x width).  The
-value pass keeps only the outputs; the gradient recomputes each block's
-activations into the same scratch and runs the weighted backward pass
-on the block while it is in cache (gradient checkpointing, Chen et al.
-2016).  The per-block kernels are ``scalar_batch`` and
-``weighted_param_gradient``, so the layer arithmetic exists once: with
-one BLAS thread a blocked value equals the whole-array value bit for
-bit, and a blocked gradient, summed block by block in order, differs
-from the whole-array one only in the order of its row sums.
-
-The kernels work in the dtype of the network's weights and cast their
-inputs to it.  Calibration runs net_z's gradient pass on a float32 copy
-(``astype``), as in mixed-precision training (Micikevicius et al. 2018):
-each block's draws and adjoint weights are cast once, its layers are
-float32 views into the scratch's float64 buffers, and the block
-gradients are added in float64, in block order.  The gradient only sets
-the direction of Adam's normalized step; every value pass, and so every
-loss, price, penalty and sort, stays float64 and keeps its bits.  The
-one-exp test uses ln of the dtype's largest value, 88.72 for float32.
+A 1 -> ... -> 1 network read at many inputs (G_Z at all N draws) runs at
+M knots, and the inputs read the cubic Hermite interpolant of its knot
+values and slopes (``KnotPass``, on a ``KnotLattice`` a fit keeps); its
+parameter gradient, exact for the interpolant, moves the inputs' weights
+onto the knots and runs one float64 backward pass over M rows.  Both
+cost O(M) network rows and O(N) vector arithmetic.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import count, takewhile
 
 import numpy as np
 
+from .numerics import sorted_unique
+
 __all__ = [
-    "BLOCK_ROWS",
     "DenseNetwork",
+    "KnotLattice",
+    "KnotPass",
     "ParamGradient",
     "Scratch",
     "init_network",
@@ -87,47 +74,32 @@ def softplus_prime(x):
     return out if out.ndim else float(out)
 
 
-# Rows per block of a blocked pass.  At N = 1e6 on a 1 -> 32 -> 32 -> 1
-# net, one value pass plus one recompute-and-backward pass took 1.59 s
-# with 4096-row blocks, 1.63 s with 1024 and 1.79 s with 16384 (best of
-# 3, one BLAS thread); a block's layer buffers are then 1 MB each.
-BLOCK_ROWS = 4096
-
-
-# exp(h) is finite exactly when h <= ln(largest value of h's dtype):
-# 709.78... for float64, 88.72... for float32
+# exp(h) is finite exactly when h <= ln(largest double) = 709.78...
 _EXP_MAX = math.log(sys.float_info.max)
-_EXP_MAX_OF = {np.dtype(np.float64): _EXP_MAX,
-               np.dtype(np.float32): math.log(float(np.finfo(np.float32).max))}
 
 
-def _softplus_and_sigmoid(h, want_sig=True, t=None):
+def _softplus_and_sigmoid(h, t=None):
     # One exp per layer: e = e^h over h, the sigmoid e / (1 + e) into
     # ``t`` (h-shaped, or None to allocate), then the softplus log1p(e)
     # over e, so a layer uses h's buffer and one other.  Both keep full
     # relative accuracy in the lower tail, where e is the answer to
-    # working precision.  A block with any h above its dtype's _EXP_MAX
-    # (or a NaN) would overflow e and takes the max form, whose exp never
-    # overflows.  The test runs in float64, where a float32 h is exact.
-    if not float(h.max(initial=-math.inf)) <= _EXP_MAX_OF[h.dtype]:  # initial: no rows is fine
-        return _softplus_and_sigmoid_max_form(h, want_sig, t)
+    # working precision.  A pass with any h above _EXP_MAX (or a NaN)
+    # would overflow e and takes the max form, whose exp never overflows.
+    if not float(h.max(initial=-math.inf)) <= _EXP_MAX:  # initial: no rows is fine
+        return _softplus_and_sigmoid_max_form(h, t)
     e = np.exp(h, out=h)
-    sig = None
-    if want_sig:
-        sig = np.add(e, 1.0, out=t)
-        np.divide(e, sig, out=sig)
+    sig = np.add(e, 1.0, out=t)
+    np.divide(e, sig, out=sig)
     return np.log1p(e, out=e), sig
 
 
-def _softplus_and_sigmoid_max_form(h, want_sig, t):
+def _softplus_and_sigmoid_max_form(h, t):
     t = np.abs(h, out=t)
     np.negative(t, out=t)
     np.exp(t, out=t)
     np.log1p(t, out=t)
     sp = np.maximum(h, 0.0, out=h)
     sp += t
-    if not want_sig:
-        return sp, None
     sig = np.negative(sp, out=t)
     np.expm1(sig, out=sig)
     np.negative(sig, out=sig)
@@ -152,88 +124,156 @@ class ParamGradient:
     biases: list
 
     def to_vector(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(np.asarray(w, dtype=float).ravel())
-            parts.append(np.asarray(b, dtype=float).ravel())
-        return np.concatenate(parts)
+        return np.concatenate([np.asarray(a, dtype=float).ravel()
+                               for pair in zip(self.weights, self.biases) for a in pair])
 
 
-class _BatchCache:
-    """Forward-pass state reused by the weighted backward passes."""
-
-    __slots__ = ("acts", "sigs", "tangents", "tangent_pre")
-
-    def __init__(self, acts, sigs, tangents=None, tangent_pre=None):
-        self.acts = acts
-        self.sigs = sigs
-        self.tangents = tangents
-        self.tangent_pre = tangent_pre
+# forward-pass state reused by the weighted backward passes
+_BatchCache = namedtuple("_BatchCache", "acts sigs tangents tangent_pre", defaults=(None, None))
 
 
 class Scratch:
-    """Buffers that every blocked pass, or every evaluation of a fit, reuses.
-
-    ``take(key, rows, width, dtype)`` returns a (rows, width) view of the
-    leading elements of the float64 (``BLOCK_ROWS``, width) buffer stored
-    under ``key``, made on first use (or when a network of another width
-    asks for the key), so a fit that carries one scratch allocates its
-    buffers once, not per block, pass or dtype.  A pass's cache and
-    values are views into these buffers and last until the next pass
-    through the same scratch, so each binding or fit makes or carries its
-    own.  The blocks themselves come from ``_block_bounds``.
-    ``vector(key, n)`` is the same for a whole n-element float64 array,
-    sized on first use (or when a use asks for another length): the
-    rn-q fit keeps each N-length array of an evaluation there.
+    """Buffers that every evaluation of a fit reuses: ``take(key, rows,
+    *width)`` is the leading rows of the float64 buffer under ``key``, made
+    on first use or when a use asks for more rows or another width, and
+    ``lattices`` the fit's knot lattices by knot count (``KnotPass``).
+    A pass's cache and values are views into the buffers, valid until the
+    next pass through the same scratch, so each binding or fit makes or
+    carries its own.
     """
 
-    __slots__ = ("_buffers",)
+    __slots__ = ("_buffers", "lattices")
 
     def __init__(self):
-        self._buffers = {}
+        self._buffers, self.lattices = {}, {}
 
-    def take(self, key, rows, width, dtype=np.float64):
+    def take(self, key, rows, *width):
         buf = self._buffers.get(key)
-        if buf is None or buf.shape[1] != width:
-            buf = self._buffers[key] = np.empty((BLOCK_ROWS, width))
-        return buf.reshape(-1).view(dtype)[:rows * width].reshape(rows, width)
-
-    def vector(self, key, n):
-        buf = self._buffers.get(key)
-        if buf is None or buf.shape != (n,):
-            buf = self._buffers[key] = np.empty(n)
-        return buf
-
-
-def _block_bounds(n):
-    """(start, stop) row ranges of n inputs, in order.
-
-    Full blocks from the start; a last block shorter than half a block is
-    merged with the one before, and the pair split into half a block and
-    the rest.  So every block starts at a multiple of half a block, and
-    none is shorter than half a block unless n itself is: BLAS gives a
-    product's trailing rows, and all rows of a few-row product (OpenBLAS's
-    small-matrix path), other kernels, and only with these bounds does
-    each row get the bits a whole-array product gives it.
-    """
-    half = BLOCK_ROWS // 2
-    bounds = list(range(0, n, BLOCK_ROWS)) + [n]
-    if len(bounds) > 2 and n - bounds[-2] < half:
-        bounds[-2] = bounds[-3] + half
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _fresh(key, rows, width, dtype=None):
-    # no scratch: ``out=None`` makes numpy allocate, as a plain expression would
-    return None
+        if buf is None or buf.shape[0] < rows or buf.shape[1:] != width:
+            buf = self._buffers[key] = np.empty((rows, *width))
+        return buf[:rows]
 
 
 def stack_caches(caches) -> _BatchCache:
     """The cache of one pass over the inputs of several ``scalar_batch``
     passes of one network, in order, so one backward call serves them all."""
-    fields = [[getattr(c, name) for c in caches] for name in _BatchCache.__slots__]
+    fields = [[getattr(c, name) for c in caches] for name in _BatchCache._fields]
     return _BatchCache(*(None if f[0] is None else [np.concatenate(r) for r in zip(*f)]
                          for f in fields))
+
+
+# ----------------------------------------------------------------------
+# cubic Hermite interpolation on a knot lattice
+
+FIRST_KNOTS = 2048  # the first uniform lattice tried
+KNOT_GAP = 1e-13  # the largest midpoint gap, relative to the largest |value|
+
+
+class KnotLattice:
+    """Cubic Hermite interpolation from values y and slopes s at sorted
+    knots onto fixed inputs x in [knots[0], knots[-1]]: an input in interval
+    i (the top knot's a padded one) at local coordinate t in [0, 1) reads
+    y[i] + c1 t + c2 t^2 + c3 t^3 by Horner's rule, with h the width,
+    dy = y[i + 1] - y[i], c1 = h s[i], c2 = 3 dy - 2 h s[i] - h s[i + 1] and
+    c3 = h s[i] + h s[i + 1] - 2 dy; at a knot (t = 0) it reads y[i] exactly.
+    """
+
+    __slots__ = ("knots", "_index", "_coord", "_width")
+
+    def __init__(self, x, knots):
+        self.knots = knots
+        self._index = i = np.searchsorted(knots, x, side="right")
+        i -= 1
+        self._width = np.diff(knots)
+        t = np.take(knots, i)
+        np.subtract(x, t, out=t)
+        t /= np.take(np.append(self._width, 1.0), i)  # the top knot's t is 0 / 1
+        self._coord = t
+
+    def values(self, y, s, out=None) -> np.ndarray:
+        """The interpolant of knot values y and slopes s at every input."""
+        h, dy = self._width, y[1:] - y[:-1]
+        c = np.zeros((4, y.size))  # the padded interval's cubic is y alone
+        c[0], c[1, :-1] = y, h * s[:-1]
+        c[2, :-1] = 3.0 * dy - 2.0 * c[1, :-1] - h * s[1:]
+        c[3, :-1] = c[1, :-1] + h * s[1:] - 2.0 * dy
+        i, t = self._index, self._coord
+        out = np.take(c[3], i, out=out, mode="clip")  # "raise" would buffer out
+        part = np.empty_like(t)
+        for row in c[2::-1]:
+            out *= t
+            out += np.take(row, i, out=part, mode="clip")
+        return out
+
+    def adjoint(self, w):
+        """(wy, ws) with sum_n w_n G(x_n) = wy . y + ws . s, G the interpolant:
+        four ``np.bincount``s give each interval's sums of w t^k, the
+        adjoints of its cubic's coefficients, which are linear in y and s."""
+        i, t, m, h = self._index, self._coord, self.knots.size, self._width
+        a = [np.bincount(i, w, m)]
+        wt = np.multiply(w, t)
+        for _ in range(3):
+            a.append(np.bincount(i, wt, m)[:-1])
+            wt *= t
+        d = 3.0 * a[2] - 2.0 * a[3]  # the adjoint of dy
+        wy, ws = a[0].copy(), np.zeros(m)
+        wy[:-1] -= d
+        wy[1:] += d
+        ws[:-1] = h * (a[1] - 2.0 * a[2] + a[3])
+        ws[1:] += h * (a[3] - a[2])
+        return wy, ws
+
+
+def _lattice(x, lattices, m):
+    # x's KnotLattice of m uniform knots (None: its sorted distinct values),
+    # made on first use; the two used last are kept, one per mixture component
+    lattice = lattices.pop(m, None) or KnotLattice(
+        x, sorted_unique(x) if m is None else np.linspace(x.min(), x.max(), m))
+    if len(lattices) > 1:
+        del lattices[next(iter(lattices))]
+    lattices[m] = lattice
+    return lattice
+
+
+class KnotPass:
+    """A 1 -> ... -> 1 network at every input x, read off the cubic Hermite
+    interpolant of its values and slopes at knots: M uniform ones, for the
+    first M of 2048, 4096, ... up to N / 8 at which the interpolant is
+    within ``KNOT_GAP`` times the largest |value| of the network at every
+    knot midpoint, else the sorted distinct inputs.
+
+    ``lattices`` holds x's lattices by M (a fit keeps them).  With
+    ``scratch`` every network pass, the gradient's too, writes into its
+    buffers, which several networks' passes share, and ``out`` takes the
+    values.
+    """
+
+    __slots__ = ("net", "lattice", "values", "scratch")
+
+    def __init__(self, net, x, lattices, scratch=None, out=None):
+        for m in [*takewhile(lambda k: k <= x.size // 8, (FIRST_KNOTS << j for j in count())), None]:
+            if m is None:  # every input is a knot (t = 0): the slopes play no part
+                y = net.scalar_batch(_lattice(x, lattices, None).knots, keep_cache=False,
+                                     scratch=scratch)[0]
+                s = np.zeros_like(y)
+                break
+            knots = np.linspace(x.min(), x.max(), m)  # the knots of _lattice(x, lattices, m)
+            y, s, _ = net.scalar_batch(knots, want_slope=True, keep_cache=False, scratch=scratch)
+            y, s, h = y.copy(), s.copy(), np.diff(knots)  # the check reuses the pass's buffers
+            exact = net.scalar_batch(knots[:-1] + 0.5 * h, keep_cache=False, scratch=scratch)[0]
+            # at t = 1/2 the Hermite basis is (1/2, h/8, 1/2, -h/8)
+            gap = np.abs(0.5 * (y[:-1] + y[1:]) + 0.125 * h * (s[:-1] - s[1:]) - exact)
+            if gap.max() <= KNOT_GAP * max(np.abs(y).max(), np.abs(exact).max()):
+                break
+        self.net, self.lattice, self.scratch = net, _lattice(x, lattices, m), scratch
+        self.values = self.lattice.values(y, s, out)
+
+    def param_gradient(self, w) -> ParamGradient:
+        """Gradient of sum_n w_n G(x_n) in the parameters, G the interpolant: w onto
+        the knots, the knot pass again with its cache, one backward pass."""
+        wy, ws = self.lattice.adjoint(w)
+        cache = self.net.scalar_batch(self.lattice.knots, want_slope=True, scratch=self.scratch)[2]
+        return self.net.weighted_value_slope_param_gradient(cache, wy, ws, self.scratch)
 
 
 @dataclass
@@ -264,14 +304,6 @@ class DenseNetwork:
         self.weights = ws
         self.biases = bs
 
-    def astype(self, dtype) -> "DenseNetwork":
-        """A copy with its weights and biases cast to ``dtype``, in which
-        the kernels then run."""
-        net = copy.copy(self)
-        net.weights = [w.astype(dtype) for w in self.weights]
-        net.biases = [b.astype(dtype) for b in self.biases]
-        return net
-
     # ------------------------------------------------------------------
     # basic evaluation
 
@@ -296,18 +328,13 @@ class DenseNetwork:
 
         Returns (values, cache) or (values, slopes, cache); the cache feeds
         the weighted backward passes below.  ``keep_cache=False`` gives no
-        cache, keeps no activations and, without slopes, forms no sigmoids,
-        so a pass over many inputs holds a few layer-sized buffers at once.
-        With ``scratch`` the layer arrays, the values and the cache are
-        views into its buffers (one block's worth of rows at most), valid
-        until the next pass through it; the arithmetic is the same.  The
-        pass runs in the weights' dtype, to which ``x`` is cast.
+        cache and keeps no activations.  With ``scratch`` the layer arrays,
+        the values, the slopes and the cache are views into its buffers,
+        valid until the next pass through it; the arithmetic is the same.
         """
         self._check_scalar()
-        x = np.asarray(x, dtype=self.weights[0].dtype).reshape(-1, 1)
-        if scratch is not None and (want_slope or x.shape[0] > BLOCK_ROWS):
-            raise ValueError("a scratch pass takes at most one block and no slopes")
-        take = _fresh if scratch is None else scratch.take
+        x = np.asarray(x, dtype=float).reshape(-1, 1)
+        take = (lambda key, *shape: None) if scratch is None else scratch.take  # None: allocate
         n, last = x.shape[0], self.n_layers - 1
         acts = [x]
         sigs = []
@@ -315,21 +342,21 @@ class DenseNetwork:
         tangent_pre = [] if want_slope else None
         a = x
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = _product(a, w.T, take(("act", l), n, w.shape[0], x.dtype))
+            width = w.shape[0]
+            h = _product(a, w.T, take(("act", l), n, width))
             h += b
-            if want_slope:
-                u = _product(tangents[-1], w.T)
+            if want_slope:  # the input's tangent is 1, so the first layer's is w in every row
+                u = np.broadcast_to(w.T, (n, width)) if l == 0 else \
+                    _product(tangents[-1], w.T, take(("tangent_pre", l), n, width))
+                tangent_pre.append(u)
             if l < last:
-                a, sig = _softplus_and_sigmoid(h, want_sig=keep_cache or want_slope,
-                                               t=take(("sig", l), n, w.shape[0], x.dtype))
+                a, sig = _softplus_and_sigmoid(h, take(("sig", l), n, width))
                 sigs.append(sig)
                 if want_slope:
-                    tangent_pre.append(u)
-                    tangents.append(sig * u)
+                    tangents.append(np.multiply(sig, u, out=take(("tangent", l), n, width)))
             else:
                 a = h
                 if want_slope:
-                    tangent_pre.append(u)
                     tangents.append(u)
             if keep_cache:
                 acts.append(a)
@@ -339,83 +366,56 @@ class DenseNetwork:
             return values, tangents[-1][:, 0], cache
         return values, cache
 
-    def weighted_param_gradient(self, cache: _BatchCache, w_value,
-                                scratch: Scratch | None = None) -> ParamGradient:
-        """Gradient of sum_i w_i * y_i with respect to all parameters.
-
-        With ``scratch`` the backpropagated rows are written into its
-        buffers instead of fresh arrays.
-        """
-        take = _fresh if scratch is None else scratch.take
-        dtype = self.weights[0].dtype
-        delta = np.asarray(w_value, dtype=dtype).reshape(-1, 1)
+    def weighted_param_gradient(self, cache: _BatchCache, w_value) -> ParamGradient:
+        """Gradient of sum_i w_i * y_i with respect to all parameters."""
+        delta = np.asarray(w_value, dtype=float).reshape(-1, 1)
         g_w = [None] * self.n_layers
         g_b = [None] * self.n_layers
         for l in range(self.n_layers - 1, -1, -1):
             g_w[l] = delta.T @ cache.acts[l]
-            g_b[l] = np.ones(delta.shape[0], dtype) @ delta  # one BLAS pass, 5x delta.sum(axis=0)
+            g_b[l] = np.ones(delta.shape[0]) @ delta  # one BLAS pass, 5x delta.sum(axis=0)
             if l > 0:
-                w = self.weights[l]
-                delta = _product(delta, w, take(("delta", l), delta.shape[0], w.shape[1], dtype))
+                delta = _product(delta, self.weights[l])
                 delta *= cache.sigs[l - 1]
         return ParamGradient(g_w, g_b)
 
-    def blocked_values(self, x, scratch: Scratch) -> np.ndarray:
-        """Outputs at every input, one scratch block at a time.
-
-        Keeps only the outputs; bit-identical to ``scalar_batch(x)[0]``.
-        """
-        x = np.asarray(x, dtype=float).ravel()
-        out = np.empty(x.size)
-        for lo, hi in _block_bounds(x.size):
-            out[lo:hi] = self.scalar_batch(x[lo:hi], keep_cache=False, scratch=scratch)[0]
-        return out
-
-    def blocked_param_gradient(self, x, w_value, scratch: Scratch) -> ParamGradient:
-        """``weighted_param_gradient`` over every input, recomputing each
-        block's activations into the scratch and adding the per-block
-        gradients in block order, in float64.
-
-        Each block runs in the weights' dtype: a float32 copy
-        (``astype``) casts one block of ``x`` and ``w_value`` at a time.
-        """
-        x = np.asarray(x, dtype=float).ravel()
-        w_value = np.asarray(w_value, dtype=float).ravel()
-        total = ParamGradient([np.zeros(w.shape) for w in self.weights],
-                              [np.zeros(b.shape) for b in self.biases])
-        for lo, hi in _block_bounds(x.size):
-            _, cache = self.scalar_batch(x[lo:hi], scratch=scratch)
-            grad = self.weighted_param_gradient(cache, w_value[lo:hi], scratch=scratch)
-            for acc, part in zip(total.weights + total.biases, grad.weights + grad.biases):
-                acc += part
-        return total
-
-    def weighted_value_slope_param_gradient(self, cache: _BatchCache, w_value, w_slope) -> ParamGradient:
+    def weighted_value_slope_param_gradient(self, cache: _BatchCache, w_value, w_slope,
+                                            scratch: Scratch | None = None) -> ParamGradient:
         """Gradient of sum_i (wv_i * y_i + ws_i * y'_i) w.r.t. parameters.
 
         y' is the derivative of the network output in its scalar input; the
-        cache must come from scalar_batch(..., want_slope=True).
+        cache must come from scalar_batch(..., want_slope=True).  With
+        ``scratch`` the backpropagated rows are written into its buffers.
         """
         if cache.tangents is None:
             raise ValueError("cache was built without slopes")
+        take = (lambda key, *shape: None) if scratch is None else scratch.take  # None: allocate
         abar = np.asarray(w_value, dtype=float).reshape(-1, 1)
         tbar = np.asarray(w_slope, dtype=float).reshape(-1, 1)
         g_w = [None] * self.n_layers
         g_b = [None] * self.n_layers
+        a, t, f = "bar0", "bar1", "bar2"  # abar's, tbar's and a free buffer, rotating
         for l in range(self.n_layers - 1, -1, -1):
             if l == self.n_layers - 1:
-                hbar = abar
-                ubar = tbar
+                hbar, ubar = abar, tbar
             else:
+                # hbar = abar sig + tbar sig (1 - sig) u and ubar = tbar sig,
+                # over abar's and tbar's own buffers
                 sig = cache.sigs[l]
-                spp = sig * (1.0 - sig)
-                hbar = abar * sig + tbar * spp * cache.tangent_pre[l]
-                ubar = tbar * sig
+                term = np.subtract(1.0, sig, out=take(f, *sig.shape))
+                term *= sig
+                term *= tbar
+                term *= cache.tangent_pre[l]
+                hbar = np.multiply(abar, sig, out=abar)
+                hbar += term
+                ubar = np.multiply(tbar, sig, out=tbar)
             g_w[l] = hbar.T @ cache.acts[l] + ubar.T @ cache.tangents[l]
             g_b[l] = hbar.sum(axis=0)
             if l > 0:
-                abar = hbar @ self.weights[l]
-                tbar = ubar @ self.weights[l]
+                w = self.weights[l]
+                abar = np.matmul(hbar, w, out=take(f, hbar.shape[0], w.shape[1]))
+                tbar = np.matmul(ubar, w, out=take(a, hbar.shape[0], w.shape[1]))
+                a, t, f = f, a, t
         return ParamGradient(g_w, g_b)
 
     # ------------------------------------------------------------------

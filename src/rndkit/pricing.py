@@ -76,8 +76,8 @@ class MaturitySlice:
             self.cum_g = _prefix_sums(self.gs)
         else:
             growth = growth_factors(x, tau, out=x)
-            self.order, self.gs = _stable_order(growth, hint, work.vector("sorted", x.size))
-            self.cum_g = _prefix_sums(self.gs, work.vector("sums", x.size + 1))
+            self.order, self.gs = _stable_order(growth, hint, work.take("sorted", x.size))
+            self.cum_g = _prefix_sums(self.gs, work.take("sums", x.size + 1))
         self.growth = growth
         if slope is not None:
             a = np.subtract(slope, rate)

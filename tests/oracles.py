@@ -4,7 +4,10 @@ These stay deliberately separate from the package code paths they check:
 Black-Scholes via the error function, normal integrals via adaptive
 quadrature, network values and derivatives at a single input by
 plain layer-by-layer evaluation and chain rule (the package evaluates
-networks only through ``DenseNetwork.scalar_batch``), the hidden
+networks only through ``DenseNetwork.scalar_batch``), a network's
+values and weighted parameter gradient at every one of many inputs by
+exact passes over fixed row blocks (the package reads them off a knot
+lattice's cubic Hermite interpolant), the hidden
 activation by the overflow-safe max form (the package forms it from one
 e^h per layer), the Fourier pricer's sums as one dense 2-D array (the
 package forms them in fixed row blocks), rn-q's u^Z and v^-Z by
@@ -109,6 +112,68 @@ def input_gradient(net, x):
     for sig, w in zip(sigs, net.weights[1:]):
         jac = w @ (sig[0][:, None] * jac)
     return jac
+
+
+# ----------------------------------------------------------------------
+# a 1 -> ... -> 1 network at every one of many inputs, in row blocks
+
+BLOCK_ROWS = 4096
+
+
+def block_bounds(n):
+    """(start, stop) row ranges of n inputs, in order.
+
+    Full blocks from the start; a last block shorter than half a block is
+    merged with the one before, and the pair split into half a block and
+    the rest.  So every block starts at a multiple of half a block, and
+    none is shorter than half a block unless n itself is: BLAS gives a
+    product's trailing rows, and all rows of a few-row product (OpenBLAS's
+    small-matrix path), other kernels, and only with these bounds does
+    each row get the bits a whole-array product gives it.
+    """
+    half = BLOCK_ROWS // 2
+    bounds = list(range(0, n, BLOCK_ROWS)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] < half:
+        bounds[-2] = bounds[-3] + half
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def blocked_values(net, x):
+    """The network's output at every input, one block at a time."""
+    x = np.asarray(x, dtype=float).ravel()
+    out = np.empty(x.size)
+    for lo, hi in block_bounds(x.size):
+        out[lo:hi] = net.scalar_batch(x[lo:hi], keep_cache=False)[0]
+    return out
+
+
+def blocked_param_gradient(net, x, w):
+    """Gradient of sum_n w_n y(x_n) in the parameters, block gradients
+    added in block order."""
+    x = np.asarray(x, dtype=float).ravel()
+    w = np.asarray(w, dtype=float).ravel()
+    total = ParamGradient([np.zeros(a.shape) for a in net.weights],
+                          [np.zeros(b.shape) for b in net.biases])
+    for lo, hi in block_bounds(x.size):
+        grad = net.weighted_param_gradient(net.scalar_batch(x[lo:hi])[1], w[lo:hi])
+        for acc, part in zip(total.weights + total.biases, grad.weights + grad.biases):
+            acc += part
+    return total
+
+
+class BlockedPass:
+    """A stand-in for ``nn.KnotPass`` that evaluates the network exactly
+    at every input: the reference the knot lattice is measured against."""
+
+    def __init__(self, net, x, lattices, scratch=None, out=None):
+        self.net, self.x = net, x
+        self.values = blocked_values(net, self.x)
+        if out is not None:
+            out[:] = self.values
+            self.values = out
+
+    def param_gradient(self, w):
+        return blocked_param_gradient(self.net, self.x, w)
 
 
 # ----------------------------------------------------------------------

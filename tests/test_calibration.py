@@ -1,11 +1,14 @@
 """Objective, gradient, and optimizer tests for model calibration."""
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rndkit import calibration, pricing
+import oracles
+from rndkit import calibration, models, pricing
 from rndkit.arbitrage import audit_price_surface, build_synthetic_grid, price_surface
 from rndkit.calibration import (
     CONVERGENCE_WINDOW,
@@ -30,11 +33,13 @@ from rndkit.models import (
     rnq_mu_from_constraint,
     with_parameter_vector,
 )
-from rndkit.nn import BLOCK_ROWS, Scratch
+from rndkit.nn import FIRST_KNOTS, DenseNetwork, Scratch
 from rndkit.pricing import MaturitySlice, price_chain
 from rndkit.sampling import draw_standard_normal
 
 SPOT = 1000.0
+PINNED = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
+    "rn-dmlp-left-skew.checkpoint.json"
 
 
 @pytest.fixture(scope="module")
@@ -574,8 +579,10 @@ def test_network_gradient_spends_each_slice_before_the_backward_passes(
 
 
 def test_fit_scratch_holds_two_buffers_per_hidden_layer(three_maturity_chain, monkeypatch):
-    # one e^h per hidden layer still needs only the layer's own buffer
-    # and one other; the backward pass adds one per layer after the first
+    # one e^h per hidden layer still needs only the layer's own buffer and
+    # one other, and the slope two more (the first layer's tangent is one
+    # row); the backward pass rotates three.  The components share these
+    # M-row buffers whatever N is, and G_Z is each one's N-length buffer
     made = []
 
     class SpyScratch(calibration.Scratch):
@@ -584,19 +591,88 @@ def test_fit_scratch_holds_two_buffers_per_hidden_layer(three_maturity_chain, mo
             made.append(self)
 
     monkeypatch.setattr(calibration, "Scratch", SpyScratch)
+    n = 20_000
     calibrate("rn-dmlp", three_maturity_chain,
-              CalibrationConfig(n_samples=5000, seed=9, iterations=3))
-    (scratch,) = made
-    shapes = {key: buf.shape for key, buf in scratch._buffers.items()}
-    wide = (BLOCK_ROWS, 32)
-    assert shapes == {("act", 0): wide, ("sig", 0): wide, ("act", 1): wide, ("sig", 1): wide,
-                      ("act", 2): (BLOCK_ROWS, 1), ("delta", 2): wide, ("delta", 1): wide}
-    assert sum(buf.nbytes for buf in scratch._buffers.values()) == (6 * 32 + 1) * BLOCK_ROWS * 8
+              CalibrationConfig(n_samples=n, seed=9, iterations=3))
+    (fit,) = made
+    m = FIRST_KNOTS
+    assert list(fit.lattices) == [m]
+    assert {key: buf.shape for key, buf in fit._buffers.items()} == {
+        ("g_z", 0): (n,), ("g_z", 1): (n,),
+        ("act", 0): (m, 32), ("sig", 0): (m, 32), ("act", 1): (m, 32), ("sig", 1): (m, 32),
+        ("act", 2): (m, 1), ("tangent", 0): (m, 32), ("tangent_pre", 1): (m, 32),
+        ("tangent", 1): (m, 32), ("tangent_pre", 2): (m, 1),
+        "bar0": (m, 32), "bar1": (m, 32), "bar2": (m, 32)}
+
+
+def _net_z_rows(monkeypatch):
+    """Rows of every pass of more than one row (net_z's; the tau nets run
+    one row at a time), keyed by whether it forms slopes."""
+    rows = {"slopes": 0, "values": 0}
+    scalar_batch = DenseNetwork.scalar_batch
+
+    def spy(self, x, want_slope=False, **kwargs):
+        if np.size(x) > 1:
+            rows["slopes" if want_slope else "values"] += np.size(x)
+        return scalar_batch(self, x, want_slope=want_slope, **kwargs)
+
+    monkeypatch.setattr(DenseNetwork, "scalar_batch", spy)
+    return rows
+
+
+def test_net_z_rows_per_evaluation_do_not_depend_on_n(three_maturity_chain, monkeypatch):
+    # from N = 16,384 up a fresh net's G_Z comes off 2048 knots, with
+    # slopes, checked at 2047 midpoints, in every binding (two evaluations
+    # and the final one), and the one gradient runs the knots again
+    rows = _net_z_rows(monkeypatch)
+    counts = []
+    for n in (16_384, 40_000):
+        rows.update(slopes=0, values=0)
+        calibrate("rn-dmlp", three_maturity_chain,
+                  CalibrationConfig(n_samples=n, seed=9, iterations=2))
+        counts.append(dict(rows))
+    assert counts[0] == counts[1] == {"slopes": 2 * (3 + 1) * FIRST_KNOTS,
+                                      "values": 2 * 3 * (FIRST_KNOTS - 1)}
+
+
+def _pinned():
+    return model_from_checkpoint(json.loads(PINNED.read_text()))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: init_rnmlp(7),
+    lambda: init_rndmlp(7),
+    lambda: _pinned().comp1,
+    _pinned,
+], ids=["rn-mlp-fresh", "rn-dmlp-fresh", "rn-mlp-pinned", "rn-dmlp-pinned"])
+def test_knot_lattice_objective_matches_the_exact_blocked_passes(three_maturity_chain, monkeypatch,
+                                                                  make):
+    # the first evaluation's loss and gradient against net_z run exactly
+    # at every draw, in row blocks, as the fit did before the knot lattice
+    model = make()
+    cfg = CalibrationConfig(n_samples=20_000, seed=3)
+    samples = draw_standard_normal(cfg.n_samples, cfg.seed)
+    grid = grid_for(three_maturity_chain)
+    loss, grad = objective_and_gradient(model, three_maturity_chain, grid, cfg, samples)
+    monkeypatch.setattr(models, "KnotPass", oracles.BlockedPass)
+    ref_loss, ref_grad = objective_and_gradient(model, three_maturity_chain, grid, cfg, samples)
+    assert abs(loss - ref_loss) <= 1e-13 * abs(ref_loss)
+    assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+
+
+def test_calibrate_takes_the_callers_pool(call_chain):
+    cfg = CalibrationConfig(n_samples=3000, seed=4, iterations=3)
+    own = calibrate("rn-mlp", call_chain, cfg)
+    given = calibrate("rn-mlp", call_chain, cfg, samples=draw_standard_normal(3000, 4))
+    assert given.loss_trajectory.tobytes() == own.loss_trajectory.tobytes()
+    assert checkpoint_document(given.params) == checkpoint_document(own.params)
+    with pytest.raises(ValueError, match="3001 samples for n_samples = 3000"):
+        calibrate("rn-mlp", call_chain, cfg, samples=draw_standard_normal(3001, 4))
 
 
 def test_unpenalized_slice_skips_the_penalty_half_of_the_adjoint():
     # a slice that records no penalty term forms no penalty weights: wd is
-    # None and wx has the bits of a zero penalty accumulator's
+    # None and wx has the bits of a zero penalty term's
     rng = np.random.Generator(np.random.Philox(3))
     x, slope = 0.2 * rng.normal(size=5000), rng.normal(size=5000)
 
@@ -606,18 +682,34 @@ def test_unpenalized_slice_skips_the_penalty_half_of_the_adjoint():
         table.add("pen", [], [])
         if zero_penalty:
             table.add("pen", [2000], [0.0])
-        return table.coef_pen, table.adjoint_weights()
+        return list(table.terms["pen"]), table.adjoint_weights()
 
     pen, (wx, wd) = weights(False)
-    assert pen is None and wd is None
+    assert not pen and wd is None
     pen, (wx_zero, wd_zero) = weights(True)
-    assert pen is not None and not pen.any() and wd_zero.shape == (5000,) and not wd_zero.any()
+    assert len(pen) == 1 and wd_zero.shape == (5000,) and not wd_zero.any()
     assert wx.tobytes() == wx_zero.tobytes()
 
 
+def _dense_step_sums(n, terms):
+    # the N-long accumulator the sparse sums stand for: np.add.at adds each
+    # repeated position's terms in order, then one cumsum over it
+    acc = np.zeros(n + 1)
+    for positions, coeffs in terms:
+        np.add.at(acc, positions, coeffs)
+    return np.cumsum(acc[:n])
+
+
+def _sparse_step_sums(n, terms):
+    table = calibration._TauTable(0.25, 0.03, np.zeros(n), None)
+    for positions, coeffs in terms:
+        table.add("data", positions, coeffs)
+    return calibration._step_sums(table.terms["data"], np.empty(n))
+
+
 def test_add_accumulates_repeated_positions_like_the_scalar_loop():
-    # np.add.at is unbuffered: each repeated position, 0 among them, adds
-    # its terms in order, so the accumulator has the scalar loop's bits
+    # each repeated position, 0 among them, adds its terms in order, so
+    # the suffix weights are those of the scalar loop's accumulator
     rng = np.random.Generator(np.random.Philox(4))
     x, slope = 0.2 * rng.normal(size=3000), rng.normal(size=3000)
     positions = rng.choice([0, 0, 5, 1200, 2999, 3000], size=400)
@@ -629,10 +721,40 @@ def test_add_accumulates_repeated_positions_like_the_scalar_loop():
         acc = np.zeros(3001)
         for pos, coeff in zip(positions[order], coeffs[order]):
             acc[pos] += coeff
-        return acc.tobytes()
+        return np.cumsum(acc[:3000]).tobytes()
 
-    assert table.coef_pen.tobytes() == loop(slice(None))
+    assert calibration._step_sums(table.terms["pen"], np.empty(3000)).tobytes() == loop(slice(None))
     assert loop(slice(None, None, -1)) != loop(slice(None))  # these terms tell orders apart
+
+
+def test_sparse_step_sums_give_the_dense_cumsums_bits():
+    # the adjoint weights from the terms' positions alone equal, byte for
+    # byte, those of a dense accumulator and a full cumsum, with repeated
+    # positions, a position-0 defect term and terms past the last index
+    rng = np.random.Generator(np.random.Philox(5))
+    n = 4000
+    x, slope = 0.2 * rng.normal(size=n), rng.normal(size=n)
+    data = [(rng.choice([3, 3, 900, 900, 2500, n], size=30), rng.normal(size=30)),
+            (np.array([0]), np.array([1e-3])),
+            (np.array([900, 17]), np.array([-2.5, 0.25]))]
+    pen = [(rng.choice([0, 12, 12, 3999, n], size=25), rng.normal(size=25) * 1e-4)]
+    table = calibration._TauTable(0.25, 0.03, x, slope)
+    for positions, coeffs in data:
+        table.add("data", positions, coeffs)
+    for positions, coeffs in pen:
+        table.add("pen", positions, coeffs)
+    gs, order = table.gs.copy(), table.order.copy()
+    wx, wd = table.adjoint_weights()
+    dense_data = _dense_step_sums(n, data) * gs
+    dense_pen = _dense_step_sums(n, pen)
+    want_wd = np.empty(n)
+    want_wd[order] = dense_pen * gs
+    a_sorted = (slope - 0.03)[order] * gs
+    want_wx = np.empty(n)
+    want_wx[order] = dense_data + dense_pen * a_sorted
+    assert wx.tobytes() == want_wx.tobytes() and wd.tobytes() == want_wd.tobytes()
+    for terms in (data, pen, []):
+        assert _sparse_step_sums(n, terms).tobytes() == _dense_step_sums(n, terms).tobytes()
 
 
 def test_objective_penalty_is_the_surface_penalty(three_maturity_chain):

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from rndkit import calibration, cli, density, heston, pricing
+import oracles
+from rndkit import calibration, cli, density, heston, models, pricing
 from rndkit.cli import main, parse_tau_grid, read_config_file
 from rndkit.data_io import DataError, load_chain, save_chain, save_rates
 from rndkit.heston import generate_simulated_chain
@@ -302,17 +303,16 @@ def test_evaluate_train_mse_matches_network_calibration_result(dmlp_dir, tmp_pat
 
 def _net_z_row_spy(monkeypatch, rows):
     """Count the rows of every net_z pass into ``rows``, keyed by whether
-    the pass keeps its cache (a gradient's recompute) or not (a value pass).
+    it forms slopes.
 
-    net_z passes run over blocks of the draws and ask for no slopes; the
-    tau nets' one-row passes always do.
+    net_z passes run over many knots; the tau nets run one row at a time.
     """
     scalar_batch = DenseNetwork.scalar_batch
 
-    def spy(self, x, want_slope=False, keep_cache=True, **kwargs):
-        if not want_slope:
-            rows["recompute" if keep_cache else "value"] += np.size(x)
-        return scalar_batch(self, x, want_slope=want_slope, keep_cache=keep_cache, **kwargs)
+    def spy(self, x, want_slope=False, **kwargs):
+        if np.size(x) > 1:
+            rows["slopes" if want_slope else "values"] += np.size(x)
+        return scalar_batch(self, x, want_slope=want_slope, **kwargs)
 
     monkeypatch.setattr(DenseNetwork, "scalar_batch", spy)
 
@@ -327,7 +327,7 @@ def test_calibrate_draws_once_and_binds_once(sim_dir, tmp_path, monkeypatch, kin
                                              iterations, tol):
     draws = []
     steps = []
-    rows = {"value": 0, "recompute": 0}
+    rows = {"slopes": 0, "values": 0}
     real_draw = calibration.draw_standard_normal
     real_step = calibration.adam_step
 
@@ -355,14 +355,14 @@ def test_calibrate_draws_once_and_binds_once(sim_dir, tmp_path, monkeypatch, kin
     assert result["converged"] == (tol is not None)
     assert run == (calibration.CONVERGENCE_WINDOW + 1 if tol is not None else iterations)
     assert len(draws) == 1
-    # one G_Z value pass per component per evaluation, plus the final
-    # binding, which the audit reuses; a gradient, which recomputes
-    # net_z's activations once per component, is formed only for an
-    # evaluation that an Adam step follows: not the last one
+    # one knot pass per component per evaluation, plus the final binding,
+    # which the audit reuses; at 2000 draws the knots are the draws, read
+    # without slopes or a midpoint check.  A gradient, formed only for an
+    # evaluation that an Adam step follows (not the last one), runs the
+    # knots once more, with slopes
     n_components = {"rn-q": 0, "rn-dmlp": 2}[kind]
     assert len(steps) == run - 1
-    assert rows["value"] == n_components * (run + 1) * n
-    assert rows["recompute"] == n_components * (run - 1) * n
+    assert rows == {"values": n_components * (run + 1) * n, "slopes": n_components * (run - 1) * n}
 
 
 def _run_child(code, *args):
@@ -608,12 +608,23 @@ def test_perturb_tick_zero_gives_identical_rows_and_zero_stds(sim_dir, tmp_path)
     assert std_cells == [0.0] * len(std_cells)
 
 
-def test_perturb_writes_one_row_per_trial_plus_std(sim_dir, tmp_path):
+def test_perturb_writes_one_row_per_trial_plus_std(sim_dir, tmp_path, monkeypatch):
+    # every trial's fit runs on the one pool the command draws
+    draws = []
+    real_draw = cli.draw_standard_normal
+
+    def draw_spy(*args, **kwargs):
+        draws.append(args)
+        return real_draw(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "draw_standard_normal", draw_spy)
+    monkeypatch.setattr(calibration, "draw_standard_normal", draw_spy)
     rc = main(["perturb", "--chain", str(sim_dir / "left-skew_chain.csv"),
                "--kind", "rn-q", "--trials", "2", "--tick", "0.25",
                "--samples", "2000", "--iterations", "30",
                "--out", str(tmp_path)])
     assert rc == 0
+    assert len(draws) == 1
     lines = (tmp_path / "stability.csv").read_text().splitlines()
     assert lines[0].startswith("trial,diverged,train_mse,mean,std")
     assert len(lines) == 4
@@ -723,16 +734,16 @@ def test_network_checkpoint_artifacts_do_not_depend_on_threads(dmlp_dir, tmp_pat
 
 def test_network_checkpoint_commands_pass_draws_once_per_component(
         dmlp_dir, tmp_path, monkeypatch):
-    rows = {"value": 0, "recompute": 0}
+    rows = {"slopes": 0, "values": 0}
     _net_z_row_spy(monkeypatch, rows)
     for name, argv in _network_commands(dmlp_dir, tmp_path, 2).items():
-        rows.update(value=0, recompute=0)
+        rows.update(slopes=0, values=0)
         assert main(argv) == 0
-        assert rows["recompute"] == 0, name
-        # one G_Z pass over the draws per mixture component; report adds
-        # one over the density's fixed Z nodes
+        # one knot pass per mixture component, its knots the draws at this
+        # pool size; report adds one at the density's fixed Z nodes
         nodes = density.DENSITY_NODES if name == "report" else 0
-        assert 0 < rows["value"] <= 2 * (DMLP_SAMPLES + nodes), name
+        assert rows["slopes"] == 0, name
+        assert 0 < rows["values"] <= 2 * (DMLP_SAMPLES + nodes), name
 
 
 def test_evaluate_sorts_each_maturity_once(dmlp_dir, tmp_path, monkeypatch):
@@ -799,3 +810,50 @@ def test_calibrate_builds_no_slice_after_the_fit(dmlp_dir, tmp_path, monkeypatch
     assert slices == []
     report = json.loads((tmp_path / "audit_report.json").read_text())
     assert len(report["audit"]["martingale_defects"]) == 2
+
+
+PINNED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "data", "rn-dmlp-left-skew.checkpoint.json")
+
+
+def _numbers(path):
+    """Every number of a JSON or CSV artifact, in file order."""
+    if path.suffix == ".json":
+        doc = json.loads(path.read_text())
+        out = []
+
+        def walk(v):
+            if isinstance(v, dict):
+                for key in sorted(v):
+                    walk(v[key])
+            elif isinstance(v, list):
+                for x in v:
+                    walk(x)
+            elif isinstance(v, (int, float)) and not isinstance(v, bool):
+                out.append(float(v))
+        walk(doc)
+        return np.array(out)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return np.array([float(x) for row in rows for x in row])
+
+
+def test_pinned_checkpoint_artifacts_match_the_exact_blocked_passes(sim_dir, tmp_path, monkeypatch):
+    # evaluate, audit and report on the benchmark's pinned rn-dmlp
+    # checkpoint at 2e4 draws, where G_Z comes off 2048 knots, against
+    # net_z run exactly at every draw in row blocks
+    chain = str(sim_dir / "left-skew_chain.csv")
+    argv = {"evaluate": ["evaluate", "--checkpoint", PINNED, "--chain", chain],
+            "audit": ["audit", "--checkpoint", PINNED],
+            "report": ["report", "--checkpoint", PINNED, "--tau-grid", "1w,1m,3m,6m"]}
+    for side in ("knots", "exact"):
+        if side == "exact":
+            monkeypatch.setattr(models, "KnotPass", oracles.BlockedPass)
+        for name, args in argv.items():
+            assert main(args + ["--samples", "2e4", "--out", str(tmp_path / side / name)]) == 0
+    files = sorted(p.relative_to(tmp_path / "knots") for p in (tmp_path / "knots").rglob("*")
+                   if p.is_file() and not p.name.endswith("_manifest.json"))
+    assert len(files) == 6  # metrics, audit and four report files
+    for rel in files:
+        got, want = _numbers(tmp_path / "knots" / rel), _numbers(tmp_path / "exact" / rel)
+        assert got.shape == want.shape, rel
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), rel

@@ -9,12 +9,12 @@ import pytest
 from scipy.special import expit
 
 from rndkit.nn import (
-    BLOCK_ROWS,
+    FIRST_KNOTS,
     DenseNetwork,
+    KnotLattice,
+    KnotPass,
     Scratch,
     _EXP_MAX,
-    _EXP_MAX_OF,
-    _block_bounds,
     _product,
     _softplus_and_sigmoid,
     init_network,
@@ -22,9 +22,14 @@ from rndkit.nn import (
     softplus_prime,
     stack_caches,
 )
+from rndkit.sampling import draw_standard_normal
 
 from oracles import (
+    BLOCK_ROWS,
     backward_params,
+    block_bounds,
+    blocked_param_gradient,
+    blocked_values,
     forward,
     input_gradient,
     softplus_and_sigmoid_max_form,
@@ -81,10 +86,10 @@ def test_softplus_prime_equals_scipy_expit_bit_for_bit():
     assert softplus_prime(-745.0) == 0.0 and isinstance(softplus_prime(1.5), float)
 
 
-def _activation(h, want_sig=True):
+def _activation(h):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return _softplus_and_sigmoid(np.array(h, dtype=float), want_sig)
+        return _softplus_and_sigmoid(np.array(h, dtype=float))
 
 
 def test_one_exp_activation_matches_the_max_form_within_4_ulp():
@@ -106,7 +111,6 @@ def test_one_exp_activation_matches_the_max_form_within_4_ulp():
             np.testing.assert_allclose(got[keep], ref[keep], rtol=4 * np.finfo(float).eps,
                                        atol=0.0)
             assert np.all(got[~keep] <= 1e-300) and np.all(got >= 0.0)
-        assert np.array_equal(_activation(part, want_sig=False)[0], sp)
     assert high.size and high.min() > _EXP_MAX and np.exp(low.max()) < np.inf
 
 
@@ -118,30 +122,6 @@ def test_a_block_that_would_overflow_exp_gives_the_max_form_bits():
         sp, sig = _activation(h)
         ref_sp, ref_sig = softplus_and_sigmoid_max_form(h)
         assert sp.tobytes() == ref_sp.tobytes() and sig.tobytes() == ref_sig.tobytes()
-        assert _activation(h, want_sig=False)[0].tobytes() == ref_sp.tobytes()
-
-
-def test_a_float32_block_past_its_exp_limit_takes_the_max_form():
-    # ln(FLT_MAX) = 88.72...: float32 rounds it up, so that value and
-    # anything above it overflow e^h, and the block must take the max form
-    limit = _EXP_MAX_OF[np.dtype(np.float32)]
-    top = np.float32(limit)
-    below = np.nextafter(top, np.float32(0.0))
-    assert float(below) <= limit < float(top) and limit < 88.73
-    rng = np.random.Generator(np.random.Philox(5))
-    eps, tiny = np.finfo(np.float32).eps, np.finfo(np.float32).tiny
-    for big in (below, top, np.float32(100.0), np.float32(700.0)):
-        h = rng.normal(scale=30.0, size=(64, 8)).astype(np.float32)
-        h[17, 3] = big
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sp, sig = _softplus_and_sigmoid(h.copy())
-        ref_sp, ref_sig = softplus_and_sigmoid_max_form(h)
-        for got, ref in ((sp, ref_sp), (sig, ref_sig)):
-            assert got.dtype == np.float32 and np.all(np.isfinite(got))
-            keep = ref >= tiny  # float32 subnormals carry few digits
-            np.testing.assert_allclose(got[keep], ref[keep], rtol=4 * eps, atol=0.0)
-            assert np.all(got[~keep] <= tiny) and np.all(got >= 0.0)
 
 
 def test_one_wide_products_equal_matmul_bit_for_bit():
@@ -211,16 +191,16 @@ BLOCKED_SIZES = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS +
 # perfbench pins its workloads to one BLAS thread the same way.
 _BLOCKED_VALUES_CHECK = """
 import numpy as np
-from rndkit.nn import Scratch, init_network
+from oracles import blocked_values
+from rndkit.nn import init_network
 sizes = {sizes!r}
 for dims in ([1, 32, 32, 1], [1, 4, 1], [1, 5, 7, 1]):
     net = init_network(dims, seed=3)
-    scratch = Scratch()
     rng = np.random.Generator(np.random.Philox(7))
     for n in sizes:
         x = 2.0 * rng.normal(size=n)
         whole = net.scalar_batch(x, keep_cache=False)[0]
-        assert net.blocked_values(x, scratch).tobytes() == whole.tobytes(), (dims, n)
+        assert blocked_values(net, x).tobytes() == whole.tobytes(), (dims, n)
 print("ok")
 """
 
@@ -228,7 +208,7 @@ print("ok")
 def test_blocks_cover_the_rows_at_aligned_starts():
     half = BLOCK_ROWS // 2
     for n in (*BLOCKED_SIZES, BLOCK_ROWS + half - 1, BLOCK_ROWS + half, 7 * BLOCK_ROWS - 1):
-        bounds = _block_bounds(n)
+        bounds = block_bounds(n)
         assert bounds[0][0] == 0 and bounds[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
         for lo, hi in bounds:
@@ -237,6 +217,7 @@ def test_blocks_cover_the_rows_at_aligned_starts():
 
 
 def test_blocked_values_equal_one_whole_array_pass():
+    # the exact reference the knot lattice is measured against
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
     run = subprocess.run([sys.executable, "-c", _BLOCKED_VALUES_CHECK.format(sizes=BLOCKED_SIZES)],
@@ -244,73 +225,121 @@ def test_blocked_values_equal_one_whole_array_pass():
     assert run.returncode == 0 and run.stdout.strip() == "ok", run.stderr
 
 
-def test_blocked_param_gradient_matches_whole_array_without_n_row_arrays():
+# draws for the knot-lattice tests: 2e4 takes 2048 uniform knots (up to
+# N / 8), 2000 the sorted draws
+KNOT_SIZES = (1, 2, 2000, 20_000)
+
+
+def test_lattice_reads_its_knots_exactly_and_cubics_to_rounding():
+    rng = np.random.Generator(np.random.Philox(12))
+    knots = np.sort(rng.normal(size=40))
+    y, s = rng.normal(size=40), rng.normal(size=40)
+    x = np.concatenate([knots, rng.uniform(knots[0], knots[-1], size=500)])
+    lattice = KnotLattice(x, knots)
+    got = lattice.values(y, s)
+    assert got[:40].tobytes() == y.tobytes()
+    # on each interval the interpolant is the cubic with those end values and slopes
+    i = np.searchsorted(knots, x[40:], side="right") - 1
+    h = knots[i + 1] - knots[i]
+    t = (x[40:] - knots[i]) / h
+    want = ((2 * t**3 - 3 * t**2 + 1) * y[i] + (t**3 - 2 * t**2 + t) * h * s[i]
+            + (-2 * t**3 + 3 * t**2) * y[i + 1] + (t**3 - t**2) * h * s[i + 1])
+    np.testing.assert_allclose(got[40:], want, rtol=1e-13, atol=1e-14)
+    # the adjoint is the transpose of the linear map (y, s) -> G(x)
+    w = rng.normal(size=x.size)
+    wy, ws = lattice.adjoint(w)
+    basis = np.eye(40)
+    cols_y = np.array([lattice.values(e, np.zeros(40)) for e in basis]).T
+    cols_s = np.array([lattice.values(np.zeros(40), e) for e in basis]).T
+    np.testing.assert_allclose(wy, w @ cols_y, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(ws, w @ cols_s, rtol=1e-12, atol=1e-12)
+
+
+def test_knot_pass_takes_uniform_knots_from_2048_up_to_an_eighth_of_the_draws():
+    net = init_network([1, 32, 32, 1], seed=3)
+    for n in KNOT_SIZES:
+        x = draw_standard_normal(n, 5).values
+        got = KnotPass(net, x, {})
+        want = FIRST_KNOTS if n >= 8 * FIRST_KNOTS else np.unique(x).size
+        assert got.lattice.knots.size == want, n
+        assert got.lattice.knots[0] == x.min() and got.lattice.knots[-1] == x.max()
+        ref = blocked_values(net, x)
+        np.testing.assert_allclose(got.values, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+
+
+def test_a_sharp_network_takes_the_sorted_draws_and_reads_the_network_there():
+    # weights x 50 make the net too sharp for 2048 knots, the only uniform
+    # count at N = 2e4: its knots are then the draws, and G_Z is the
+    # network's own value at every draw, bit for bit
+    base = init_network([1, 32, 32, 1], seed=3)
+    sharp = DenseNetwork(base.layer_dims, [50.0 * w for w in base.weights], base.biases)
+    x = draw_standard_normal(20_000, 5).values
+    smooth = KnotPass(base, x, {})
+    got = KnotPass(sharp, x, {})
+    assert smooth.lattice.knots.size == FIRST_KNOTS
+    assert got.lattice.knots.tobytes() == np.sort(x).tobytes()
+    order = np.argsort(x)
+    want = np.empty_like(x)
+    want[order] = sharp.scalar_batch(x[order], keep_cache=False)[0]
+    assert got.values.tobytes() == want.tobytes()
+
+
+def test_knot_pass_gradient_matches_whole_array_without_n_row_arrays():
+    # the exact gradient of the interpolant, within 1e-12 of the network's
+    # own over every draw; nothing N rows by the hidden width is allocated
     net = init_network([1, 32, 32, 1], seed=3)
     rng = np.random.Generator(np.random.Philox(8))
-    scratch = Scratch()
-    for n in BLOCKED_SIZES:
-        x = rng.normal(size=n)
+    for n in KNOT_SIZES:
+        x = draw_standard_normal(n, 6).values
         w = rng.normal(size=n)
-        want = net.weighted_param_gradient(net.scalar_batch(x)[1], w).to_vector()
-        got = net.blocked_param_gradient(x, w, scratch).to_vector()
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-    # one scratch serves every pass: its buffers are made once, and no
-    # array of N rows by the hidden width is allocated
-    buffers = dict(scratch._buffers)
-    n = 20 * BLOCK_ROWS
+        want = blocked_param_gradient(net, x, w).to_vector()
+        got = KnotPass(net, x, {}).param_gradient(w).to_vector()
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), n
+    n = 100 * BLOCK_ROWS
     x, w = rng.normal(size=n), rng.normal(size=n)
+    lattices = {}
+    KnotPass(net, x, lattices)  # the lattice a fit keeps
     tracemalloc.start()
     try:
-        net.blocked_values(x, scratch)
-        net.blocked_param_gradient(x, w, scratch)
+        KnotPass(net, x, lattices).param_gradient(w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(scratch._buffers[key] is buf for key, buf in buffers.items())
-    assert len(scratch._buffers) == len(buffers)
-    assert peak < 2 * n * 8  # the outputs and one weight vector; N x 32 is 16x that
+    # G_Z, two N-length temporaries and the M-row passes; N x 32 is 32 N
+    assert peak < 6 * 8 * n
 
 
-def test_float32_blocked_gradient_matches_float64():
-    # the training gradient's net_z pass: float32 blocks added in float64
+def test_knot_pass_reuses_its_scratch_and_lattice_after_the_first():
+    # a fit's later evaluations add no buffer, replace none, and make no
+    # new lattice: their network arrays are M rows, in the same pages
     net = init_network([1, 32, 32, 1], seed=3)
-    low = net.astype(np.float32)
-    assert all(a.dtype == np.float32 for a in low.weights + low.biases)
-    assert all(a.dtype == np.float64 for a in net.weights + net.biases)
-    rng = np.random.Generator(np.random.Philox(8))
-    scratch = Scratch()
-    for n in BLOCKED_SIZES:
-        x = rng.normal(size=n)
-        w = rng.normal(size=n)
-        want = net.blocked_param_gradient(x, w, scratch).to_vector()
-        got = low.blocked_param_gradient(x, w, scratch)
-        assert all(a.dtype == np.float64 for a in got.weights + got.biases)
-        got = got.to_vector()
-        assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want), n
-    assert not np.array_equal(got, want)
-
-
-def test_float32_gradient_pass_allocates_no_n_by_width_array():
-    # its blocks are float32 views of the scratch's float64 buffers, under
-    # the same keys: no buffer is added and nothing N x width is allocated
-    net = init_network([1, 32, 32, 1], seed=3).astype(np.float32)
     rng = np.random.Generator(np.random.Philox(9))
-    scratch = Scratch()
-    net.blocked_param_gradient(rng.normal(size=10), rng.normal(size=10), scratch)
-    buffers = dict(scratch._buffers)
-    assert all(buf.dtype == np.float64 and buf.shape[0] == BLOCK_ROWS
-               for buf in buffers.values())
-    n = 20 * BLOCK_ROWS
+    n = 100 * BLOCK_ROWS
     x, w = rng.normal(size=n), rng.normal(size=n)
+    lattices = {}
+    scratch = Scratch()
+    out = scratch.take("g_z", n)
+    first = KnotPass(net, x, lattices, scratch=scratch, out=out)
+    grad = first.param_gradient(w).to_vector()
+    buffers = dict(scratch._buffers)
+    # the knot pass, its midpoint check and the gradient share M-row buffers
+    assert all(buf.shape[0] == FIRST_KNOTS for key, buf in buffers.items() if key != "g_z")
     tracemalloc.start()
     try:
-        net.blocked_param_gradient(x, w, scratch)
+        again = KnotPass(net, x, lattices, scratch=scratch, out=out)
+        again_grad = again.param_gradient(w).to_vector()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert again.lattice is first.lattice and again.values is out
     assert scratch._buffers.keys() == buffers.keys()
     assert all(scratch._buffers[key] is buf for key, buf in buffers.items())
-    assert peak < 4 * n  # less than one float32 N-vector; N x 32 is 32x that
+    assert again.values.tobytes() == first.values.tobytes()
+    assert again_grad.tobytes() == grad.tobytes()
+    assert grad.tobytes() == KnotPass(net, x, lattices).param_gradient(w).to_vector().tobytes()
+    # one N-length temporary each for the values and the adjoint, and the
+    # backward pass's M-row arrays; N x 32 is 32 N floats
+    assert peak < 2 * 8 * n
 
 
 def test_backward_params_zero_upstream():
