@@ -480,27 +480,29 @@ class _NetworkAdapter(_Adapter):
     def gradient(self, model, tables, bound, z):
         for table in tables.values():
             table.adjoint_weights()
-        parts = []
-        comp_proj = []  # sum over (tau, n) of wx dX_comp + wd dslope_comp
-        for (coef, comp, gz), rows, net_z in zip(bound._parts, bound._rows, bound.passes):
+        # per maturity what every component shares: the sums of wx and wd, each
+        # with z and with every component's z G_Z, then w_z, formed over wx and wd
+        zgs = [z * gz for _, _, gz in bound._parts]
+        def sums(w):
+            return float(np.sum(w)), float(np.dot(w, z)), [float(np.dot(w, zg)) for zg in zgs]
+        shared = []
+        for table in tables.values():
+            wx, wd, root = table.wx, table.wd, np.sqrt(table.tau)
+            d_sums = (0.0, 0.0, [0.0] * len(zgs)) if wd is None else sums(wd)
+            x_sums, w_z = sums(wx), np.multiply(root, wx, out=wx)
+            if wd is not None:  # the maturity has a penalty term
+                w_z += np.divide(wd, 2.0 * root, out=wd)
+            shared.append((*x_sums, *d_sums, w_z))
+        del zgs
+        parts, comp_proj = [], []  # comp_proj: sum over (tau, n) of wx dX_comp + wd dslope_comp
+        for c, ((coef, comp, _), rows, net_z) in enumerate(zip(bound._parts, bound._rows, bound.passes)):
             gmu, gmu_s, gtau, gtau_s, caches_mu, caches_tau = zip(*rows)
             wz = np.zeros_like(z)
-            zg = z * gz
             wv_mu, ws_mu, wv_tau, ws_tau = np.zeros((4, len(tables)))
-            d_sigma = 0.0
-            proj = 0.0
-            # tables and rows both follow build_tables' maturity order
-            for i, table in enumerate(tables.values()):
-                wx, wd = table.wx, table.wd
+            d_sigma = proj = 0.0
+            # tables, shared and rows all follow build_tables' maturity order
+            for i, (table, (sx, sxz, sxzg, sd, sdz, sdzg, w_z)) in enumerate(zip(tables.values(), shared)):
                 tau, rate, root = table.tau, table.rate, np.sqrt(table.tau)
-                sx = float(np.sum(wx))
-                sxz = float(np.dot(wx, z))
-                sxzg = float(np.dot(wx, zg))
-                w_z = root * wx
-                sd = sdz = sdzg = 0.0
-                if wd is not None:  # the maturity has a penalty term
-                    w_z += wd / (2.0 * root)
-                    sd, sdz, sdzg = float(np.sum(wd)), float(np.dot(wd, z)), float(np.dot(wd, zg))
                 wz += coef * comp.sigma * z * w_z
                 base = gtau[i] + 1.0
                 wv_mu[i] = coef * rate * (tau * sx + sd)
@@ -508,8 +510,8 @@ class _NetworkAdapter(_Adapter):
                 wv_tau[i] = coef * comp.sigma * (root * sxz + sdz / (2.0 * root))
                 ws_tau[i] = coef * comp.sigma * root * sdz
                 # adjoints against the scale direction z (G_Z + G_tau + 1)
-                x_dir = root * (sxzg + base * sxz)
-                s_dir = (sdzg + base * sdz) / (2.0 * root) + root * gtau_s[i] * sdz
+                x_dir = root * (sxzg[c] + base * sxz)
+                s_dir = (sdzg[c] + base * sdz) / (2.0 * root) + root * gtau_s[i] * sdz
                 d_sigma += coef * (x_dir + s_dir)
                 # adjoints against the full component map (for d/dalpha)
                 proj += rate * tau * gmu[i] * sx \

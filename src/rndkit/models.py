@@ -205,7 +205,7 @@ class BoundModel:
 
     G_Z, the only network term read at all N draws, does not depend on
     tau, so each ``net_z`` runs once, here, through an ``nn.KnotPass`` (M
-    knots, M well under N for N >= 16,384), and only G_Z, N floats per
+    knots, M well under N for N >= 8,192), and only G_Z, N floats per
     component, is kept.  A maturity then costs two one-row passes
     (``net_mu``, ``net_tau``) per component, so its values depend only on
     (model, draws, tau, rate).  Calibration, pricing, penalties, the audit
@@ -213,8 +213,9 @@ class BoundModel:
     it never changes afterwards.
     The calibration loop binds with its fit's ``nn.Scratch``, which then
     holds the knot lattices, network buffers and G_Z; the draws are read in
-    place, and the binding keeps for the gradient its knot passes and per
-    component a (G_mu, G_mu', G_tau, G_tau', caches) row per maturity.
+    place, and the binding keeps for the gradient per component its knot
+    pass, whose cache sits in buffers of its own, and a (G_mu, G_mu',
+    G_tau, G_tau', caches) row per maturity.
     """
 
     __slots__ = ("model", "kind", "z", "passes", "_parts", "_rows")
@@ -232,8 +233,8 @@ class BoundModel:
         work = Scratch() if scratch is None else scratch
         # G_Z first, so the passes' temporaries free from the top of the heap
         g_z = [work.take(("g_z", c), z.size) for c in range(len(components))]
-        passes = [KnotPass(comp.net_z, z, work.lattices, work, out)
-                  for (_, comp), out in zip(components, g_z)]
+        passes = [KnotPass(comp.net_z, z, work.lattices, work, out, None if scratch is None else c)
+                  for c, ((_, comp), out) in enumerate(zip(components, g_z))]
         # (coefficient, component, G_Z(Z)) in mixture order
         self._parts = tuple((coef, comp, p.values) for (coef, comp), p in zip(components, passes))
         self.passes = None if scratch is None else passes

@@ -19,8 +19,8 @@ A 1 -> ... -> 1 network read at many inputs (G_Z at all N draws) runs at
 M knots, and the inputs read the cubic Hermite interpolant of its knot
 values and slopes (``KnotPass``, on a ``KnotLattice`` a fit keeps); its
 parameter gradient, exact for the interpolant, moves the inputs' weights
-onto the knots and runs one float64 backward pass over M rows.  Both
-cost O(M) network rows and O(N) vector arithmetic.
+onto the knots and runs one float64 backward pass over the M rows the
+knot pass kept.  Both cost O(M) network rows and O(N) vector arithmetic.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ class Scratch:
     on first use or when a use asks for more rows or another width, and
     ``lattices`` the fit's knot lattices by knot count (``KnotPass``).
     A pass's cache and values are views into the buffers, valid until the
-    next pass through the same scratch, so each binding or fit makes or
+    next pass through the same buffers, so each binding or fit makes or
     carries its own.
     """
 
@@ -165,7 +165,7 @@ def stack_caches(caches) -> _BatchCache:
 # ----------------------------------------------------------------------
 # cubic Hermite interpolation on a knot lattice
 
-FIRST_KNOTS = 2048  # the first uniform lattice tried
+FIRST_KNOTS = 1024  # the first uniform lattice tried
 KNOT_GAP = 1e-13  # the largest midpoint gap, relative to the largest |value|
 
 
@@ -235,45 +235,52 @@ def _lattice(x, lattices, m):
     return lattice
 
 
+class _Own(namedtuple("_Own", "scratch key")):  # a pass's own buffers, under (key, name)
+    def take(self, name, rows, *width):
+        return self.scratch.take((self.key, name), rows, *width)
+
+
 class KnotPass:
     """A 1 -> ... -> 1 network at every input x, read off the cubic Hermite
     interpolant of its values and slopes at knots: M uniform ones, for the
-    first M of 2048, 4096, ... up to N / 8 at which the interpolant is
+    first M of 1024, 2048, ... up to N / 8 at which the interpolant is
     within ``KNOT_GAP`` times the largest |value| of the network at every
     knot midpoint, else the sorted distinct inputs.
 
     ``lattices`` holds x's lattices by M (a fit keeps them).  With
-    ``scratch`` every network pass, the gradient's too, writes into its
-    buffers, which several networks' passes share, and ``out`` takes the
-    values.
+    ``scratch`` every network pass writes into its buffers, which several
+    networks' passes share, and ``out`` takes the values.  ``key`` makes a
+    training pass: its forward passes get buffers of their own (under key),
+    where the accepted knot pass keeps its cache for ``param_gradient``.
     """
 
-    __slots__ = ("net", "lattice", "values", "scratch")
+    __slots__ = ("net", "lattice", "values", "scratch", "_cache")
 
-    def __init__(self, net, x, lattices, scratch=None, out=None):
+    def __init__(self, net, x, lattices, scratch=None, out=None, key=None):
+        keep = key is not None
+        own = _Own(scratch, key) if keep and scratch is not None else scratch
         for m in [*takewhile(lambda k: k <= x.size // 8, (FIRST_KNOTS << j for j in count())), None]:
             if m is None:  # every input is a knot (t = 0): the slopes play no part
-                y = net.scalar_batch(_lattice(x, lattices, None).knots, keep_cache=False,
-                                     scratch=scratch)[0]
-                s = np.zeros_like(y)
+                y, *s, cache = net.scalar_batch(_lattice(x, lattices, None).knots, want_slope=keep,
+                                                keep_cache=keep, scratch=own)
+                s = s[0] if keep else np.zeros_like(y)
                 break
             knots = np.linspace(x.min(), x.max(), m)  # the knots of _lattice(x, lattices, m)
-            y, s, _ = net.scalar_batch(knots, want_slope=True, keep_cache=False, scratch=scratch)
-            y, s, h = y.copy(), s.copy(), np.diff(knots)  # the check reuses the pass's buffers
-            exact = net.scalar_batch(knots[:-1] + 0.5 * h, keep_cache=False, scratch=scratch)[0]
+            h = np.diff(knots)  # the check runs first, so the knot pass's rows stay in the buffers
+            exact = net.scalar_batch(knots[:-1] + 0.5 * h, keep_cache=False, scratch=own)[0].copy()
+            y, s, cache = net.scalar_batch(knots, want_slope=True, keep_cache=keep, scratch=own)
             # at t = 1/2 the Hermite basis is (1/2, h/8, 1/2, -h/8)
             gap = np.abs(0.5 * (y[:-1] + y[1:]) + 0.125 * h * (s[:-1] - s[1:]) - exact)
             if gap.max() <= KNOT_GAP * max(np.abs(y).max(), np.abs(exact).max()):
                 break
-        self.net, self.lattice, self.scratch = net, _lattice(x, lattices, m), scratch
+        self.net, self.lattice, self.scratch, self._cache = net, _lattice(x, lattices, m), scratch, cache
         self.values = self.lattice.values(y, s, out)
 
     def param_gradient(self, w) -> ParamGradient:
-        """Gradient of sum_n w_n G(x_n) in the parameters, G the interpolant: w onto
-        the knots, the knot pass again with its cache, one backward pass."""
+        """Gradient of sum_n w_n G(x_n) in the parameters, G the interpolant, for
+        a training pass: w onto the knots, one backward pass over the kept cache."""
         wy, ws = self.lattice.adjoint(w)
-        cache = self.net.scalar_batch(self.lattice.knots, want_slope=True, scratch=self.scratch)[2]
-        return self.net.weighted_value_slope_param_gradient(cache, wy, ws, self.scratch)
+        return self.net.weighted_value_slope_param_gradient(self._cache, wy, ws, self.scratch)
 
 
 @dataclass
@@ -387,8 +394,8 @@ class DenseNetwork:
         cache must come from scalar_batch(..., want_slope=True).  With
         ``scratch`` the backpropagated rows are written into its buffers.
         """
-        if cache.tangents is None:
-            raise ValueError("cache was built without slopes")
+        if cache is None or cache.tangents is None:
+            raise ValueError("no cache, or a cache built without slopes")
         take = (lambda key, *shape: None) if scratch is None else scratch.take  # None: allocate
         abar = np.asarray(w_value, dtype=float).reshape(-1, 1)
         tbar = np.asarray(w_slope, dtype=float).reshape(-1, 1)

@@ -165,7 +165,7 @@ class BlockedPass:
     """A stand-in for ``nn.KnotPass`` that evaluates the network exactly
     at every input: the reference the knot lattice is measured against."""
 
-    def __init__(self, net, x, lattices, scratch=None, out=None):
+    def __init__(self, net, x, lattices, scratch=None, out=None, key=None):
         self.net, self.x = net, x
         self.values = blocked_values(net, self.x)
         if out is not None:

@@ -1,5 +1,6 @@
 """Objective, gradient, and optimizer tests for model calibration."""
 
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -23,6 +24,8 @@ from rndkit.calibration import (
 from rndkit.data_io import OptionQuote
 from rndkit.heston import generate_simulated_chain
 from rndkit.models import (
+    BoundModel,
+    RnDmlpParams,
     RnQParams,
     bind,
     checkpoint_document,
@@ -33,7 +36,7 @@ from rndkit.models import (
     rnq_mu_from_constraint,
     with_parameter_vector,
 )
-from rndkit.nn import FIRST_KNOTS, DenseNetwork, Scratch
+from rndkit.nn import FIRST_KNOTS, DenseNetwork, KnotPass, Scratch
 from rndkit.pricing import MaturitySlice, price_chain
 from rndkit.sampling import draw_standard_normal
 
@@ -581,8 +584,10 @@ def test_network_gradient_spends_each_slice_before_the_backward_passes(
 def test_fit_scratch_holds_two_buffers_per_hidden_layer(three_maturity_chain, monkeypatch):
     # one e^h per hidden layer still needs only the layer's own buffer and
     # one other, and the slope two more (the first layer's tangent is one
-    # row); the backward pass rotates three.  The components share these
-    # M-row buffers whatever N is, and G_Z is each one's N-length buffer
+    # row).  Each component's midpoint check and knot pass have M-row
+    # buffers of their own, where the knot pass keeps its cache; the
+    # backward pass's three rotating buffers are shared, whatever N is,
+    # and G_Z is each component's N-length buffer
     made = []
 
     class SpyScratch(calibration.Scratch):
@@ -597,12 +602,12 @@ def test_fit_scratch_holds_two_buffers_per_hidden_layer(three_maturity_chain, mo
     (fit,) = made
     m = FIRST_KNOTS
     assert list(fit.lattices) == [m]
+    own = {("act", 0): (m, 32), ("sig", 0): (m, 32), ("act", 1): (m, 32), ("sig", 1): (m, 32),
+           ("act", 2): (m, 1), ("tangent", 0): (m, 32), ("tangent_pre", 1): (m, 32),
+           ("tangent", 1): (m, 32), ("tangent_pre", 2): (m, 1)}
     assert {key: buf.shape for key, buf in fit._buffers.items()} == {
-        ("g_z", 0): (n,), ("g_z", 1): (n,),
-        ("act", 0): (m, 32), ("sig", 0): (m, 32), ("act", 1): (m, 32), ("sig", 1): (m, 32),
-        ("act", 2): (m, 1), ("tangent", 0): (m, 32), ("tangent_pre", 1): (m, 32),
-        ("tangent", 1): (m, 32), ("tangent_pre", 2): (m, 1),
-        "bar0": (m, 32), "bar1": (m, 32), "bar2": (m, 32)}
+        ("g_z", 0): (n,), ("g_z", 1): (n,), "bar0": (m, 32), "bar1": (m, 32), "bar2": (m, 32),
+        **{(c, key): shape for c in (0, 1) for key, shape in own.items()}}
 
 
 def _net_z_rows(monkeypatch):
@@ -621,18 +626,67 @@ def _net_z_rows(monkeypatch):
 
 
 def test_net_z_rows_per_evaluation_do_not_depend_on_n(three_maturity_chain, monkeypatch):
-    # from N = 16,384 up a fresh net's G_Z comes off 2048 knots, with
-    # slopes, checked at 2047 midpoints, in every binding (two evaluations
-    # and the final one), and the one gradient runs the knots again
+    # from N = 8,192 up a fresh net's G_Z comes off 1024 knots, with
+    # slopes, checked at 1023 midpoints, in every binding (two evaluations
+    # and the final one); the one gradient reads the evaluation's knot
+    # pass and runs none of its own
     rows = _net_z_rows(monkeypatch)
     counts = []
-    for n in (16_384, 40_000):
+    for n in (8_192, 40_000):
         rows.update(slopes=0, values=0)
         calibrate("rn-dmlp", three_maturity_chain,
                   CalibrationConfig(n_samples=n, seed=9, iterations=2))
         counts.append(dict(rows))
-    assert counts[0] == counts[1] == {"slopes": 2 * (3 + 1) * FIRST_KNOTS,
+    assert counts[0] == counts[1] == {"slopes": 2 * 3 * FIRST_KNOTS,
                                       "values": 2 * 3 * (FIRST_KNOTS - 1)}
+
+
+def _scaled_net_z(model, k):
+    """``model`` with every net_z weight times k."""
+    if isinstance(model, RnDmlpParams):
+        return dataclasses.replace(model, comp1=_scaled_net_z(model.comp1, k),
+                                   comp2=_scaled_net_z(model.comp2, k))
+    net = model.net_z
+    return dataclasses.replace(model, net_z=DenseNetwork(net.layer_dims,
+                                                         [k * w for w in net.weights], net.biases))
+
+
+def _param_gradient_rerun(self, w):
+    # the net_z gradient with its knot pass run again, with slopes and a
+    # cache, into the shared buffers, then one backward pass
+    wy, ws = self.lattice.adjoint(w)
+    cache = self.net.scalar_batch(self.lattice.knots, want_slope=True, scratch=self.scratch)[2]
+    return self.net.weighted_value_slope_param_gradient(cache, wy, ws, self.scratch)
+
+
+@pytest.mark.parametrize("kind", ["rn-mlp", "rn-dmlp"])
+@pytest.mark.parametrize("n, scale, knots", [
+    (20_000, 1.0, FIRST_KNOTS),
+    (5000, 1.0, None),  # under 8 * FIRST_KNOTS: the sorted draws
+    (10_000, 2.5, None),  # the seed-7 net_z's x 2.5 fail 1024 knots
+    (20_000, 2.5, 2 * FIRST_KNOTS),  # ... and pass 2048
+], ids=["uniform", "draws", "draws-after-1024", "2048-after-1024"])
+def test_training_gradient_equals_one_whose_knot_passes_rerun(three_maturity_chain, monkeypatch,
+                                                              kind, n, scale, knots):
+    # the gradient reads the accepted knot pass's kept cache: byte for
+    # byte what running that pass again gives, in one evaluation and over
+    # a fit's evaluations through one scratch
+    model = _scaled_net_z({"rn-mlp": init_rnmlp, "rn-dmlp": init_rndmlp}[kind](7), scale)
+    cfg = CalibrationConfig(n_samples=n, seed=3, iterations=3)
+    samples = draw_standard_normal(n, cfg.seed)
+    bound = BoundModel(model, samples.values, Scratch())
+    want = np.unique(samples.values).size if knots is None else knots
+    assert [p.lattice.knots.size for p in bound.passes] == [want] * len(bound.passes)
+    grid = grid_for(three_maturity_chain)
+    runs = []
+    for rerun in (False, True):
+        if rerun:
+            monkeypatch.setattr(KnotPass, "param_gradient", _param_gradient_rerun)
+        grad = objective_and_gradient(model, three_maturity_chain, grid, cfg, samples)[1]
+        fit = calibrate(kind, three_maturity_chain, cfg, init_model=model, samples=samples)
+        runs.append((grad.tobytes(), fit.loss_trajectory.tobytes(),
+                     parameter_vector(fit.params).tobytes()))
+    assert runs[0] == runs[1]
 
 
 def _pinned():

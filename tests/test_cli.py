@@ -356,13 +356,14 @@ def test_calibrate_draws_once_and_binds_once(sim_dir, tmp_path, monkeypatch, kin
     assert run == (calibration.CONVERGENCE_WINDOW + 1 if tol is not None else iterations)
     assert len(draws) == 1
     # one knot pass per component per evaluation, plus the final binding,
-    # which the audit reuses; at 2000 draws the knots are the draws, read
-    # without slopes or a midpoint check.  A gradient, formed only for an
-    # evaluation that an Adam step follows (not the last one), runs the
-    # knots once more, with slopes
+    # which the audit reuses; at 2000 draws the knots are the draws, with
+    # no midpoint check.  An evaluation's pass forms slopes and keeps its
+    # cache for the gradient, formed only for an evaluation that an Adam
+    # step follows (not the last one), which runs no net_z pass of its
+    # own; the final binding reads the knots without slopes
     n_components = {"rn-q": 0, "rn-dmlp": 2}[kind]
     assert len(steps) == run - 1
-    assert rows == {"values": n_components * (run + 1) * n, "slopes": n_components * (run - 1) * n}
+    assert rows == {"values": n_components * n, "slopes": n_components * run * n}
 
 
 def _run_child(code, *args):
@@ -839,7 +840,7 @@ def _numbers(path):
 
 def test_pinned_checkpoint_artifacts_match_the_exact_blocked_passes(sim_dir, tmp_path, monkeypatch):
     # evaluate, audit and report on the benchmark's pinned rn-dmlp
-    # checkpoint at 2e4 draws, where G_Z comes off 2048 knots, against
+    # checkpoint at 2e4 draws, where G_Z comes off 1024 knots, against
     # net_z run exactly at every draw in row blocks
     chain = str(sim_dir / "left-skew_chain.csv")
     argv = {"evaluate": ["evaluate", "--checkpoint", PINNED, "--chain", chain],

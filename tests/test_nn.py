@@ -1,8 +1,10 @@
+import json
 import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from rndkit.nn import (
     softplus_prime,
     stack_caches,
 )
+from rndkit.models import model_from_checkpoint
 from rndkit.sampling import draw_standard_normal
 
 from oracles import (
@@ -225,9 +228,11 @@ def test_blocked_values_equal_one_whole_array_pass():
     assert run.returncode == 0 and run.stdout.strip() == "ok", run.stderr
 
 
-# draws for the knot-lattice tests: 2e4 takes 2048 uniform knots (up to
+# draws for the knot-lattice tests: 2e4 takes 1024 uniform knots (up to
 # N / 8), 2000 the sorted draws
 KNOT_SIZES = (1, 2, 2000, 20_000)
+PINNED = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
+    "rn-dmlp-left-skew.checkpoint.json"
 
 
 def test_lattice_reads_its_knots_exactly_and_cubics_to_rounding():
@@ -255,7 +260,7 @@ def test_lattice_reads_its_knots_exactly_and_cubics_to_rounding():
     np.testing.assert_allclose(ws, w @ cols_s, rtol=1e-12, atol=1e-12)
 
 
-def test_knot_pass_takes_uniform_knots_from_2048_up_to_an_eighth_of_the_draws():
+def test_knot_pass_takes_uniform_knots_from_1024_up_to_an_eighth_of_the_draws():
     net = init_network([1, 32, 32, 1], seed=3)
     for n in KNOT_SIZES:
         x = draw_standard_normal(n, 5).values
@@ -265,12 +270,21 @@ def test_knot_pass_takes_uniform_knots_from_2048_up_to_an_eighth_of_the_draws():
         assert got.lattice.knots[0] == x.min() and got.lattice.knots[-1] == x.max()
         ref = blocked_values(net, x)
         np.testing.assert_allclose(got.values, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+    # the benchmark's pinned checkpoint, a trained fit: both net_z's pass
+    # the midpoint check at the first lattice
+    pinned = model_from_checkpoint(json.loads(PINNED.read_text()))
+    x = draw_standard_normal(20_000, 5).values
+    for comp in (pinned.comp1, pinned.comp2):
+        got = KnotPass(comp.net_z, x, {})
+        assert got.lattice.knots.size == FIRST_KNOTS == 1024
+        ref = blocked_values(comp.net_z, x)
+        np.testing.assert_allclose(got.values, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
 
 
 def test_a_sharp_network_takes_the_sorted_draws_and_reads_the_network_there():
-    # weights x 50 make the net too sharp for 2048 knots, the only uniform
-    # count at N = 2e4: its knots are then the draws, and G_Z is the
-    # network's own value at every draw, bit for bit
+    # weights x 50 make the net too sharp for 1024 and 2048 knots, the
+    # uniform counts at N = 2e4: its knots are then the draws, and G_Z is
+    # the network's own value at every draw, bit for bit
     base = init_network([1, 32, 32, 1], seed=3)
     sharp = DenseNetwork(base.layer_dims, [50.0 * w for w in base.weights], base.biases)
     x = draw_standard_normal(20_000, 5).values
@@ -293,7 +307,7 @@ def test_knot_pass_gradient_matches_whole_array_without_n_row_arrays():
         x = draw_standard_normal(n, 6).values
         w = rng.normal(size=n)
         want = blocked_param_gradient(net, x, w).to_vector()
-        got = KnotPass(net, x, {}).param_gradient(w).to_vector()
+        got = KnotPass(net, x, {}, key=0).param_gradient(w).to_vector()
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), n
     n = 100 * BLOCK_ROWS
     x, w = rng.normal(size=n), rng.normal(size=n)
@@ -301,7 +315,7 @@ def test_knot_pass_gradient_matches_whole_array_without_n_row_arrays():
     KnotPass(net, x, lattices)  # the lattice a fit keeps
     tracemalloc.start()
     try:
-        KnotPass(net, x, lattices).param_gradient(w)
+        KnotPass(net, x, lattices, key=0).param_gradient(w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -311,34 +325,53 @@ def test_knot_pass_gradient_matches_whole_array_without_n_row_arrays():
 
 def test_knot_pass_reuses_its_scratch_and_lattice_after_the_first():
     # a fit's later evaluations add no buffer, replace none, and make no
-    # new lattice: their network arrays are M rows, in the same pages
-    net = init_network([1, 32, 32, 1], seed=3)
+    # new lattice: their network arrays are M rows, in the same pages.  Each
+    # component's knot pass keeps its cache in buffers of its own, so the
+    # second one's passes leave the first one's gradient intact
+    nets = [init_network([1, 32, 32, 1], seed=seed) for seed in (3, 4)]
     rng = np.random.Generator(np.random.Philox(9))
     n = 100 * BLOCK_ROWS
     x, w = rng.normal(size=n), rng.normal(size=n)
     lattices = {}
     scratch = Scratch()
-    out = scratch.take("g_z", n)
-    first = KnotPass(net, x, lattices, scratch=scratch, out=out)
-    grad = first.param_gradient(w).to_vector()
+    outs = [scratch.take(("g_z", c), n) for c in range(2)]
+
+    def evaluation():
+        passes = [KnotPass(net, x, lattices, scratch, out, c)
+                  for c, (net, out) in enumerate(zip(nets, outs))]
+        return passes, [p.param_gradient(w).to_vector() for p in passes]
+
+    first, grads = evaluation()
     buffers = dict(scratch._buffers)
-    # the knot pass, its midpoint check and the gradient share M-row buffers
-    assert all(buf.shape[0] == FIRST_KNOTS for key, buf in buffers.items() if key != "g_z")
+    m = FIRST_KNOTS
+    for c in range(2):
+        assert first[c].lattice.knots.size == m
+        # the midpoint check and the kept knot pass: two buffers per hidden
+        # layer, the output, and the slope's tangents (the first layer's is
+        # one broadcast row)
+        assert {key[1]: buf.shape for key, buf in buffers.items() if key[0] == c} == {
+            ("act", 0): (m, 32), ("sig", 0): (m, 32), ("act", 1): (m, 32), ("sig", 1): (m, 32),
+            ("act", 2): (m, 1), ("tangent", 0): (m, 32), ("tangent_pre", 1): (m, 32),
+            ("tangent", 1): (m, 32), ("tangent_pre", 2): (m, 1)}
+    # shared: the backward pass's three rotating buffers
+    assert {key: buf.shape for key, buf in buffers.items() if key[0] not in (0, 1, "g_z")} == {
+        "bar0": (m, 32), "bar1": (m, 32), "bar2": (m, 32)}
     tracemalloc.start()
     try:
-        again = KnotPass(net, x, lattices, scratch=scratch, out=out)
-        again_grad = again.param_gradient(w).to_vector()
+        again, again_grads = evaluation()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert again.lattice is first.lattice and again.values is out
+    for c in range(2):
+        assert again[c].lattice is first[c].lattice and again[c].values is outs[c]
+        alone = KnotPass(nets[c], x, lattices, key=c)
+        assert again[c].values.tobytes() == alone.values.tobytes()
+        assert again_grads[c].tobytes() == grads[c].tobytes()
+        assert grads[c].tobytes() == alone.param_gradient(w).to_vector().tobytes()
     assert scratch._buffers.keys() == buffers.keys()
     assert all(scratch._buffers[key] is buf for key, buf in buffers.items())
-    assert again.values.tobytes() == first.values.tobytes()
-    assert again_grad.tobytes() == grad.tobytes()
-    assert grad.tobytes() == KnotPass(net, x, lattices).param_gradient(w).to_vector().tobytes()
-    # one N-length temporary each for the values and the adjoint, and the
-    # backward pass's M-row arrays; N x 32 is 32 N floats
+    # per component one N-length temporary each for the values and the
+    # adjoint, and the backward pass's M-row arrays; N x 32 is 32 N floats
     assert peak < 2 * 8 * n
 
 
