@@ -11,25 +11,20 @@ Monte Carlo payoffs, with the payoff hinge and the penalty indicator
 sets treated as locally constant (piecewise-smooth convention).
 
 What differs between model kinds lives in one adapter per kind: the
-initial model, the coordinates Adam works in, chain validation, whether
-the penalty applies, the maturity tables, the gradient and finalisation.
-The flat parameter vector is not the adapter's: ``models.parameter_vector``
-walks the field list the checkpoint writes, ``models.parameter_fields``.
-The objective, the Adam loop and the final metrics never test the kind.
-``_NetworkAdapter`` serves rn-mlp and rn-dmlp alike, rn-mlp being the
-one-component mixture, and reads X and dX/dtau from ``models.BoundModel``
-like every analysis consumer.
+initial model, the step rule and the coordinates it works in, chain
+validation, whether the penalty applies, the maturity tables, the
+gradient and finalisation.  The flat parameter vector is the one the
+checkpoint writes (``models.parameter_fields``).  The objective, the
+loop and the final metrics never test the kind.  ``_NetworkAdapter``
+serves rn-mlp and rn-dmlp alike and reads X and dX/dtau from
+``models.BoundModel`` like every analysis consumer; they step by Adam.
 ``_QuantileAdapter`` holds every rn-q difference: the location is
-eliminated through the martingale constraint at every evaluation (so the
-gradient carries a softmax correction term) and recomputed on the final
-parameters, an evaluation takes two exp passes (u^Z and v^-Z, from
-``models.rnq_terms``) that its gradient reuses, every N-length array of
-an evaluation lives in the fit's ``nn.Scratch``, Adam works in softplus
-coordinates, the chain must be single-maturity, and the arbitrage
-penalty is omitted.  With the location pinned, the martingale term is
-identically zero and, at a positive rate, the remaining calendar terms
-are constants of the data rather than useful training signal; the
-fit reduces to the data MSE alone.
+eliminated through the martingale constraint at every evaluation and
+recomputed on the final parameters, the chain is single-maturity, and
+the penalty is omitted (the pinned location zeroes its martingale term;
+at a positive rate its calendar terms are constants of the data).  The
+loss is a sum of squared residuals in three parameters, which
+Levenberg-Marquardt fits, a deviation from the paper's Adam.
 """
 
 from __future__ import annotations
@@ -208,7 +203,7 @@ def relative_mse(observed, fitted, sides, floor: float = 0.05):
 
 
 # ----------------------------------------------------------------------
-# Adam
+# step rules: Adam, and Levenberg-Marquardt for a least-squares loss
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # decay rates and denominator guard
@@ -238,6 +233,61 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, learning_r
     return params - learning_rate * mhat / (np.sqrt(vhat) + EPS)
 
 
+class _Adam:
+    """Full-batch Adam: every evaluation is accepted, a failed one diverges, and the
+    fit has converged once the loss gained under convergence_tol in CONVERGENCE_WINDOW."""
+
+    descent, errors = False, {}  # numpy's floating-point handling is left as it is
+
+    def __init__(self, config, state):
+        self.config, self.moments = config, AdamState.zeros(state.size)
+
+    def converged(self, loss, trajectory):  # the loss is not yet in the trajectory
+        it = len(trajectory)
+        return it >= CONVERGENCE_WINDOW and \
+            trajectory[it - CONVERGENCE_WINDOW] - loss < self.config.convergence_tol
+
+    def step(self, state, grad, jacobian):
+        return adam_step(self.moments, state, grad, self.config.learning_rate)
+
+
+LM_DAMPING, LM_FACTOR, LM_MAX_DAMPING = 10.0, 10.0, 1e10  # first lam, its step, its cap
+
+
+class _LevenbergMarquardt:
+    """Levenberg-Marquardt (Marquardt 1963; Nocedal and Wright 2006, ch. 10):
+    from an accepted evaluation's J a trial solves (J^T J + lam D) d = -J^T r,
+    D the running maximum of diag(J^T J) (More), regular when a column
+    vanishes (u -> 1).  A trial that lowers the loss is accepted and lam
+    falls; else, or when it fails, lam rises.  The fit has converged once a
+    step gains less than convergence_tol, or lam passes LM_MAX_DAMPING."""
+
+    descent, errors = True, {"over": "raise", "invalid": "raise"}  # a rejection, not a warning
+
+    def __init__(self, config, state):
+        self.tol, self.lam, self.scale = config.convergence_tol, None, np.zeros(state.size)
+
+    def converged(self, loss, trajectory):
+        return bool(trajectory) and trajectory[-1] - loss < self.tol
+
+    def step(self, state, grad, jacobian):
+        self.state, self.jtr = state, 0.5 * grad
+        self.jtj = np.einsum("qi,qj->ij", jacobian, jacobian)
+        self.scale = np.maximum(self.scale, np.diag(self.jtj))
+        self.lam = LM_DAMPING if self.lam is None else self.lam / LM_FACTOR
+        return self.retry(1.0)
+
+    def retry(self, factor=LM_FACTOR):  # the trial after lam *= factor; None: no step left
+        self.lam *= factor
+        m = self.jtj + self.lam * np.diag(self.scale)
+        # by the adjugate of the symmetric 3 x 3 m: a LAPACK solve's first call adds 0.3 MB RSS
+        r1, r2 = m[[1, 2, 0]], m[[2, 0, 1]]
+        adj = r1[:, [1, 2, 0]] * r2[:, [2, 0, 1]] - r1[:, [2, 0, 1]] * r2[:, [1, 2, 0]]
+        det = float(np.sum(m[0] * adj[0]))  # 0 when a column of J is zero from the start
+        if self.lam <= LM_MAX_DAMPING and det > 0.0:
+            return self.state - np.sum(adj * self.jtr, axis=1) / det
+
+
 # ----------------------------------------------------------------------
 # objective evaluation
 #
@@ -247,11 +297,11 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, learning_r
 # penalty values are its array lookups, the penalty total is the
 # surface's own (``arbitrage.aggregate_penalties``), and the per-sample
 # adjoint weights are cumulative sums of coefficients added at the
-# lookups' positions, so the cost per iteration is O(N log N) plus one
-# weighted backward pass per network, nearly independent of the number
-# of quotes and grid points.  The Adam loop passes each maturity's order
-# from the previous iteration as the slice's hint, which brings the sort
-# close to O(N) while the order barely moves (rn-q's never does).
+# lookups' positions (rn-q's Jacobian is three prefix sums read there),
+# so an evaluation costs O(N log N) plus one weighted backward pass per
+# network, nearly independent of the number of quotes and grid points.
+# The loop hands each slice the previous evaluation's order as a hint,
+# which brings the sort close to O(N) while the order barely moves.
 
 
 def _step_sums(totals, out):
@@ -270,8 +320,8 @@ class _TauTable(MaturitySlice):
     """A maturity slice plus the adjoint terms of one evaluation.
 
     ``terms`` sums each weight's terms, data and penalty, by position; a
-    slice that records no penalty term (rn-q, a fit with ``lam = 0``, a
-    market maturity off the penalty grid) skips the penalty half of the
+    slice that records no penalty term (a fit with ``lam = 0``, a market
+    maturity off the penalty grid) skips the penalty half of the
     adjoint.  The terms sit at a few quote and hinge positions, so no
     N-long accumulator is formed (``_step_sums``).
     """
@@ -291,7 +341,7 @@ class _TauTable(MaturitySlice):
     def adjoint_weights(self):
         """Per-sample weights (wx on dX, wd on d slope) in draw order.
 
-        This spends the slice: its growth, slope, sorted and prefix-sum
+        This spends the slice: its growth, sorted and prefix-sum
         arrays are released as soon as they are read, so the backward
         passes that follow hold only ``order``, ``wx`` and ``wd`` per
         maturity among the slice's N-length arrays.  The suffix sums go in
@@ -300,20 +350,17 @@ class _TauTable(MaturitySlice):
         the same operands.  With no penalty term ``wd`` is None and ``wx``
         the data term alone.
         """
-        order, gs, slope, terms = self.order, self.gs, self.slope, self.terms
+        order, gs, a_sorted, terms = self.order, self.gs, self.a_sorted, self.terms
         n = gs.size
         data = _step_sums(terms["data"], self.cum_g[:n])
-        self.growth = self.slope = self.gs = self.cum_g = self.cum_a = self.terms = None
+        self.growth = self.a_sorted = self.gs = self.cum_g = self.cum_a = self.terms = None
         data *= gs
         wd = None
         if terms["pen"]:
             pen = _step_sums(terms["pen"], np.empty(n))
             wd = np.empty(n)
             wd[order] = pen * gs
-            if slope is not None:
-                a_sorted = (slope - self.rate)[order]
-                del slope
-                a_sorted *= gs
+            if a_sorted is not None:
                 pen *= a_sorted
                 data += pen  # pen * a_sorted + data * gs
         wx = gs
@@ -333,18 +380,21 @@ def _side_terms(positions, coeffs, calls):
 
 
 def _loss_weights(observed, fitted, calls, loss_kind, floor):
-    """Per-option dL/dfitted for the configured loss, plus the loss value."""
+    """The loss value, per-option dL/dfitted, and the residual weights s
+    with loss = sum (s (fitted - observed))^2 (0 on dropped quotes)."""
     absolute = loss_kind == "absolute-MSE"
     keep = np.ones_like(calls) if absolute else observed >= floor
     n_call = max(int(np.sum(calls & keep)), 1)
     n_put = max(int(np.sum(~calls & keep)), 1)
     per_side = np.where(calls, n_call, n_put).astype(float)
+    weights = np.where(keep, 1.0 / np.sqrt(per_side), 0.0)
     if absolute:
-        return _side_mean(observed, fitted, calls), 2.0 * (fitted - observed) / per_side
+        return _side_mean(observed, fitted, calls), 2.0 * (fitted - observed) / per_side, weights
     grad = np.zeros_like(observed)
     ratio = fitted[keep] / observed[keep] - 1.0
     grad[keep] = 2.0 * ratio / (observed[keep] * per_side[keep])
-    return _side_mean(observed, fitted, calls, keep), grad
+    weights[keep] /= observed[keep]
+    return _side_mean(observed, fitted, calls, keep), grad, weights
 
 
 # ----------------------------------------------------------------------
@@ -355,6 +405,7 @@ class _Adapter:
     """Defaults: Adam works on the natural vector, the penalty applies."""
 
     penalized = True
+    step_rule = _Adam
 
     def check_chain(self, chain):
         pass
@@ -375,11 +426,13 @@ class _Adapter:
 class _QuantileAdapter(_Adapter):
     """rn-q: one maturity, location pinned by the martingale constraint.
 
-    Adam works in unconstrained coordinates sigma = softplus(s),
-    u = 1 + softplus(b), v = 1 + softplus(c); no penalty is applied.
+    Levenberg-Marquardt works in unconstrained coordinates sigma =
+    softplus(s), u = 1 + softplus(b), v = 1 + softplus(c); no penalty is
+    applied, so the loss is a sum of squared weighted residuals.
     """
 
     penalized = False
+    step_rule = _LevenbergMarquardt
 
     def init_model(self, seed):
         return RnQParams(mu=0.0, sigma=0.2, u=1.1, v=1.1)
@@ -405,7 +458,7 @@ class _QuantileAdapter(_Adapter):
                              f"the chain has {n_taus} maturities")
 
     def build_tables(self, model, taus, chain_rate, z, hints=None, scratch=None):
-        """The one maturity's table, plus u^Z, v^-Z and the shape for the gradient.
+        """The one maturity's table, plus u^Z, v^-Z and the shape for the Jacobian.
 
         X = (r tau - logmeanexp(t)) + t is formed over t in place.  With
         the fit's ``scratch`` every N-length array is one of its buffers:
@@ -420,31 +473,32 @@ class _QuantileAdapter(_Adapter):
         table = _TauTable(tau, rate, x, None, (hints or {}).get(tau), scratch)
         return {tau: table}, (uz, vz, shape)
 
-    def gradient(self, model, tables, terms, z):
-        """Natural-space (sigma, u, v) gradient with the location eliminated.
-
-        mu = r tau - logmeanexp(t) couples every sample, contributing a
-        softmax-weighted mean-field term: dX_n = dt_n - sum_m rho_m dt_m.
-        With w = w_eff Z, dt/dsigma = Z shape gives w . shape, and
-        dt/du = sigma Z^2 u^Z / (u a), dt/dv = -sigma Z^2 v^-Z / (v a) give
-        (w Z) . u^Z and (w Z) . v^-Z, so no power is taken here.
-        """
-        (table,) = tables.values()
-        uz, vz, shape = terms
-        growth, scale = table.growth, table.growth.size * table.mean_growth
-        wx, _ = table.adjoint_weights()  # releases the table's growth, reused as rho
-        rho = np.divide(growth, scale, out=growth)
-        rho *= np.sum(wx)
-        w = np.subtract(wx, rho, out=rho)  # w_eff
-        w *= z
-        d_sigma = float(np.dot(w, shape))
-        w *= z
-        sigma, a = model.sigma, model.a_const
-        return np.array([
-            d_sigma,
-            sigma * float(np.dot(w, uz)) / (model.u * a),
-            -sigma * float(np.dot(w, vz)) / (model.v * a),
-        ])
+    def gradient(self, model, tables, terms, z, fit):
+        """2 J^T r and J, the Jacobian in (sigma, u, v) of the residuals r
+        (``fit``: the quotes' positions, call mask, S s and r).  The pinned
+        location gives dX = dt - sum g dt / sum g (g = e^X): a call moves by
+        e^(-r tau) (S / N) sum_{g > k} g dX, a put by minus that over g < k.
+        Each column g dt (dt/dsigma = Z shape, dt/du = sigma Z^2 u^Z / (u a),
+        dt/dv = -sigma Z^2 v^-Z / (v a)) is formed over its term, sorted into
+        the spent sorted growth and summed over the spent sums."""
+        (table,), (uz, vz, shape) = tables.values(), terms
+        positions, calls, spot_weights, residuals = fit
+        cum = table.cum_g
+        g_sides, g_total = np.where(calls, cum[-1], 0.0) - cum[positions], cum[-1]
+        zg = np.multiply(table.growth, z, out=table.growth)
+        jac, scale = np.empty((positions.size, 3)), model.sigma / model.a_const
+        for j, (col, factor) in enumerate(((shape, 1.0), (uz, scale / model.u),
+                                           (vz, -scale / model.v))):
+            col *= zg
+            if j:
+                col *= z
+            np.take(col, table.order, out=table.gs, mode="clip")  # "raise" would buffer out
+            np.cumsum(table.gs, out=cum[1:])
+            jac[:, j] = factor * (np.where(calls, cum[-1], 0.0) - cum[positions]
+                                  - g_sides * (cum[-1] / g_total))
+        table.growth = table.gs = table.cum_g = None  # spent
+        jac *= (np.exp(-table.rate * table.tau) / z.size * spot_weights)[:, None]
+        return 2.0 * np.einsum("qi,q->i", jac, residuals), jac
 
     def finalize(self, model, chain, samples):
         """Pin the location on the final parameters."""
@@ -477,7 +531,7 @@ class _NetworkAdapter(_Adapter):
             tables[tau] = _TauTable(tau, rate, *bound.columns(tau, rate), (hints or {}).get(tau))
         return tables, bound
 
-    def gradient(self, model, tables, bound, z):
+    def gradient(self, model, tables, bound, z, fit=None):  # no Jacobian
         for table in tables.values():
             table.adjoint_weights()
         # per maturity what every component shares: the sums of wx and wd, each
@@ -526,7 +580,7 @@ class _NetworkAdapter(_Adapter):
             parts += [[d_sigma], g_mu.to_vector(), g_z.to_vector(), g_tau.to_vector()]
         # a mixture's alpha leads the vector
         head = [[comp_proj[0] - comp_proj[1]]] if len(comp_proj) > 1 else []
-        return np.concatenate(head + parts)
+        return np.concatenate(head + parts), None
 
 
 _ADAPTERS = {
@@ -549,16 +603,15 @@ def _adapter_of(model):
 
 def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
                      scratch=None, needs_gradient=None):
-    """Loss, natural-parameter gradient, and the penalty and sort orders.
+    """Loss, natural-parameter gradient, and the penalty, the residuals'
+    Jacobian (rn-q's; None for the networks) and the sort orders.
 
     ``hints`` maps a maturity to a candidate sort order for its slice;
     the returned ``orders`` hold each slice's order for the next
-    evaluation.  ``scratch`` is the fit's ``nn.Scratch``: the draws' knot
-    lattices, the knot passes' buffers and G_Z, or every N-length array
-    of an rn-q evaluation; without it the evaluation makes its own.
-    ``needs_gradient(loss)`` says whether the caller uses the gradient;
-    when it returns false the gradient is None, and its adjoint and
-    backward passes do not run.  Without it the gradient is formed.
+    evaluation.  ``scratch`` is the fit's ``nn.Scratch`` (see
+    ``calibrate``); without it the evaluation makes its own arrays.
+    When ``needs_gradient(loss)`` is false the gradient and Jacobian are
+    None and their passes do not run; without it they are formed.
     """
     z = samples.values
     n = z.size
@@ -576,8 +629,9 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
     fitted = np.concatenate([prices for prices, _ in priced])
 
     # pass 2: per-side averaging over the whole chain fixes the weights
-    data_loss, dl_dfit = _loss_weights(np.concatenate(mids), fitted, np.concatenate(calls),
-                                       config.loss_kind, config.relative_mse_floor)
+    observed, is_call = np.concatenate(mids), np.concatenate(calls)
+    data_loss, dl_dfit, weights = _loss_weights(observed, fitted, is_call, config.loss_kind,
+                                                config.relative_mse_floor)
     dl_dfit = np.split(dl_dfit, np.cumsum([c.size for c in calls])[:-1])
     for tau, c, (_, positions), dl in zip(quote_taus, calls, priced, dl_dfit):
         table = tables[tau]
@@ -606,10 +660,12 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
     if not np.isfinite(loss):
         raise FloatingPointError("objective is not finite")
 
-    grad = None
+    grad = jacobian = None
     if needs_gradient is None or needs_gradient(loss):
-        grad = adapter.gradient(model, tables, aux, z)
-    return loss, grad, {"penalty": penalty,
+        fit = (np.concatenate([positions for _, positions in priced]), is_call,
+               chain.spot * weights, weights * (fitted - observed))
+        grad, jacobian = adapter.gradient(model, tables, aux, z, fit)
+    return loss, grad, {"penalty": penalty, "jacobian": jacobian,
                         "orders": {tau: t.order for tau, t in tables.items()}}
 
 
@@ -619,30 +675,27 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
 
 def calibrate(kind: str, train_chain, config: CalibrationConfig,
               init_model=None, samples=None) -> CalibrationResult:
-    """Fit a model of the given kind to the chain by full-batch Adam.
+    """Fit a model of the given kind to the chain by its adapter's step
+    rule: full-batch Adam for the networks, Levenberg-Marquardt for rn-q
+    (which ignores ``learning_rate``).
 
     The synthetic penalty grid comes from the chain's own maturities and
     strikes; the samples are drawn once from config.seed, or are the
     caller's ``NormalSampleSet`` of config.n_samples draws, so that
-    several fits on one pool draw it once.  Iterations stop at
-    config.iterations or once the loss improves by less than
-    convergence_tol over 100 consecutive iterations.  The loop never
-    updates after the last evaluation, so the returned parameters
-    reproduce the last trajectory entry exactly, and that evaluation
-    forms no gradient.  Each evaluation starts every maturity's sort
-    from the order the previous evaluation found; only those order
-    arrays, reordered in place, and one ``nn.Scratch`` are kept between
-    iterations.  The scratch holds the draws' knot lattices, the knot
-    passes' buffers and each component's G_Z, or for rn-q every
-    N-length array of an evaluation (the terms, logmeanexp's
-    exponentials, the slice's growth, sorted growth and prefix sums, and
-    the adjoint's suffix sums and weights, in six buffers shared by uses
-    that do not overlap), so an rn-q evaluation after the first allocates
-    no N-length array; it is dropped before the final metrics.
-    The final metrics price the returned model on the loop's draws,
-    starting each maturity's sort from the last evaluation's order; the
-    penalty grid's price surface, which gives the final penalty, is
-    returned as ``surface``.
+    several fits on one pool draw it once.  The trajectory holds the
+    first loss and one per accepted step, at most config.iterations
+    entries; the fit stops early once the rule has converged.  The
+    returned parameters are the last accepted ones and reproduce the last
+    entry exactly; the evaluation that ends the fit forms no gradient.
+    Each evaluation starts every maturity's sort from the order the
+    previous evaluation found; only those order arrays, reordered in
+    place, and one ``nn.Scratch`` are kept between evaluations.  The
+    scratch holds the draws' knot lattices, the knot passes' buffers and
+    each component's G_Z, or every N-length array of an rn-q evaluation;
+    it is dropped before the final metrics.  These price the returned
+    model on the loop's draws, each maturity's sort starting from the last
+    evaluation's order; the penalty grid's price surface, which gives the
+    final penalty, is returned as ``surface``.
     """
     t0 = time.perf_counter()
     if not train_chain.quotes:
@@ -659,49 +712,50 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     grid = build_synthetic_grid([q.tau for q in train_chain.quotes],
                                 [q.strike for q in train_chain.quotes])
 
-    state = adapter.to_state(model)
-    adam = AdamState.zeros(state.size)
-    trajectory = []
-    penalties = []
-    converged = False
-    current = adapter.from_state(model, state)
-    orders = None
-    scratch = Scratch()
+    state = trial = adapter.to_state(model)
+    rule = adapter.step_rule(config, state)
+    current = candidate = adapter.from_state(model, state)
+    trajectory, penalties, converged, orders, scratch = [], [], False, None, Scratch()
 
-    def has_converged(loss):
-        # the loss, not yet in the trajectory, improved by less than the
-        # tolerance over the window
-        it = len(trajectory)
-        return it >= CONVERGENCE_WINDOW and \
-            trajectory[it - CONVERGENCE_WINDOW] - loss < config.convergence_tol
+    def accepts(loss):  # a descent rule accepts the first loss and then only lower ones
+        return not (trajectory and rule.descent) or loss < trajectory[-1]
 
     def steps_after(loss):
-        # an Adam step follows every evaluation but the converged and the last one
-        return len(trajectory) < config.iterations - 1 and not has_converged(loss)
+        # a step follows every accepted evaluation but the converged and the last one
+        return accepts(loss) and len(trajectory) < config.iterations - 1 \
+            and not rule.converged(loss, trajectory)
 
-    for it in range(config.iterations):
+    while len(trajectory) < config.iterations:
         try:
-            loss, nat_grad, parts = _objective_parts(adapter, current, train_chain, grid,
-                                                     config, samples, orders, scratch,
-                                                     steps_after)
+            with np.errstate(**rule.errors):
+                loss, nat_grad, parts = _objective_parts(adapter, candidate, train_chain, grid,
+                                                         config, samples, orders, scratch,
+                                                         steps_after)
         except FloatingPointError as exc:
-            raise CalibrationDivergence(it, str(exc)) from exc
-        if not np.isfinite(loss):
-            raise CalibrationDivergence(it, f"loss became {loss}")
-        converged = has_converged(loss)
-        trajectory.append(loss)
-        penalties.append(parts["penalty"])
-        orders = parts["orders"]
-        if nat_grad is None:
+            if not (trajectory and rule.descent):  # a descent rule rejects a failed trial
+                raise CalibrationDivergence(len(trajectory), str(exc)) from exc
+            loss = None
+        else:
+            orders = parts["orders"]
+        if loss is None or not accepts(loss):
+            trial = rule.retry()
+        else:
+            converged = rule.converged(loss, trajectory)
+            trajectory.append(loss)
+            penalties.append(parts["penalty"])
+            state, current = trial, candidate
+            if nat_grad is None:
+                break
+            trial = rule.step(state, *(adapter.state_gradient(state, d)  # Adam's J is None
+                                       for d in (nat_grad, parts["jacobian"])))
+        if trial is None:  # no step left to try
+            converged = True
             break
-        grad = adapter.state_gradient(state, nat_grad)
-        state = adam_step(adam, state, grad, config.learning_rate)
         try:
-            current = adapter.from_state(model, state)
+            candidate = adapter.from_state(model, trial)
         except ValueError as exc:
-            # the step left the model's domain (e.g. sigma < 0); the next
-            # iteration is the one that would have evaluated it
-            raise CalibrationDivergence(it + 1, str(exc)) from exc
+            # the step left the model's domain (e.g. sigma < 0), before the next evaluation
+            raise CalibrationDivergence(len(trajectory), str(exc)) from exc
 
     del scratch
     final = adapter.finalize(current, train_chain, samples)

@@ -537,7 +537,8 @@ def _add_common(parser):
 def _add_config_flags(parser):
     parser.add_argument("--config", default=None,
                         help="key=value file; flags take precedence")
-    parser.add_argument("--learning-rate", type=float, default=None)
+    parser.add_argument("--learning-rate", type=float, default=None,
+                        help="Adam's step size; rn-q, fitted by Levenberg-Marquardt, ignores it")
     parser.add_argument("--iterations", type=int, default=None)
     parser.add_argument("--lam", type=float, default=None,
                         help="no-arbitrage penalty weight")

@@ -98,7 +98,7 @@ def rnq_terms(p: RnQParams, z: np.ndarray, work=None):
     and t are each formed in one buffer.  Every array is new, or with
     ``work`` (an ``nn.Scratch``, the rn-q fit's) one of its buffers, which
     the next call through the same scratch overwrites.  The calibration
-    gradient reads u^Z and v^-Z back instead of raising u and v to Z again.
+    Jacobian reads u^Z and v^-Z back instead of raising u and v to Z again.
     """
     def buffer(key):
         return np.empty_like(z) if work is None else work.take(key, z.size)

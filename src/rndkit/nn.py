@@ -235,9 +235,11 @@ def _lattice(x, lattices, m):
     return lattice
 
 
-class _Own(namedtuple("_Own", "scratch key")):  # a pass's own buffers, under (key, name)
+class _Own(namedtuple("_Own", "scratch key rows", defaults=(0,))):
+    # a pass's buffers, under (key, name) for a training pass's own, made at least ``rows`` tall
     def take(self, name, rows, *width):
-        return self.scratch.take((self.key, name), rows, *width)
+        key = name if self.key is None else (self.key, name)
+        return self.scratch.take(key, max(rows, self.rows), *width)[:rows]
 
 
 class KnotPass:
@@ -258,7 +260,7 @@ class KnotPass:
 
     def __init__(self, net, x, lattices, scratch=None, out=None, key=None):
         keep = key is not None
-        own = _Own(scratch, key) if keep and scratch is not None else scratch
+        own = None if scratch is None else _Own(scratch, key)
         for m in [*takewhile(lambda k: k <= x.size // 8, (FIRST_KNOTS << j for j in count())), None]:
             if m is None:  # every input is a knot (t = 0): the slopes play no part
                 y, *s, cache = net.scalar_batch(_lattice(x, lattices, None).knots, want_slope=keep,
@@ -266,8 +268,9 @@ class KnotPass:
                 s = s[0] if keep else np.zeros_like(y)
                 break
             knots = np.linspace(x.min(), x.max(), m)  # the knots of _lattice(x, lattices, m)
-            h = np.diff(knots)  # the check runs first, so the knot pass's rows stay in the buffers
-            exact = net.scalar_batch(knots[:-1] + 0.5 * h, keep_cache=False, scratch=own)[0].copy()
+            h = np.diff(knots)  # the check runs first, in M-row buffers the knot pass then fills
+            exact = net.scalar_batch(knots[:-1] + 0.5 * h, keep_cache=False,
+                                     scratch=own and own._replace(rows=m))[0].copy()
             y, s, cache = net.scalar_batch(knots, want_slope=True, keep_cache=keep, scratch=own)
             # at t = 1/2 the Hermite basis is (1/2, h/8, 1/2, -h/8)
             gap = np.abs(0.5 * (y[:-1] + y[1:]) + 0.125 * h * (s[:-1] - s[1:]) - exact)

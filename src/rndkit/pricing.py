@@ -38,10 +38,11 @@ class MaturitySlice:
     """The growth factors e^X at one maturity, sorted once, with prefix sums.
 
     ``slope`` is dX/dtau on the same draws; without it ``calendars`` is
-    unavailable.  The two lookups, ``prices`` and ``calendars``, take an
-    array of moneyness values K/S and return the values and the
-    positions splitting the sorted growth array, which calibration's
-    adjoint pass reuses.  A call sums growth > K/S, a put growth < K/S,
+    unavailable.  With it the slice keeps ``a_sorted``, (slope - r) e^X
+    in sorted order, for calibration's adjoint.  The two lookups,
+    ``prices`` and ``calendars``, take an array of moneyness values K/S
+    and return the values and the positions splitting the sorted growth
+    array, which calibration's adjoint pass reuses.  A call sums growth > K/S, a put growth < K/S,
     a calendar call growth >= K/S and a calendar put growth <= K/S.
 
     ``hint`` is an optional candidate order, such as the previous
@@ -63,13 +64,13 @@ class MaturitySlice:
     overwrites.  Without it every array is new.
     """
 
-    __slots__ = ("tau", "rate", "growth", "slope", "order", "gs", "cum_g",
+    __slots__ = ("tau", "rate", "growth", "a_sorted", "order", "gs", "cum_g",
                  "cum_a", "mean_growth")
 
     def __init__(self, tau, rate, x, slope=None, hint=None, work=None):
         self.tau = tau
         self.rate = rate
-        self.slope = slope
+        self.a_sorted = None
         if work is None:
             growth = growth_factors(x, tau)
             self.order, self.gs = _stable_order(growth, hint)
@@ -79,10 +80,11 @@ class MaturitySlice:
             self.order, self.gs = _stable_order(growth, hint, work.take("sorted", x.size))
             self.cum_g = _prefix_sums(self.gs, work.take("sums", x.size + 1))
         self.growth = growth
-        if slope is not None:
-            a = np.subtract(slope, rate)
-            a *= growth
-            self.cum_a = _prefix_sums(a[self.order])
+        if slope is not None:  # (slope - r) e^X, gathered into sorted order before the arithmetic
+            a = self.a_sorted = np.take(slope, self.order)
+            a -= rate
+            a *= self.gs
+            self.cum_a = _prefix_sums(a)
         self.mean_growth = self.cum_g[-1] / growth.size
 
     @property

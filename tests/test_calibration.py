@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,42 @@ def test_gradient_matches_fd_rnq(mixed_chain, loss_kind):
     assert fd_worst_error(model, mixed_chain, cfg) < 1e-4
 
 
+@pytest.mark.parametrize("loss_kind", ["absolute-MSE", "relative-MSE"])
+def test_rnq_jacobian_matches_central_differences(mixed_chain, loss_kind):
+    # J is the Jacobian of the weighted residuals s (fitted - observed) in
+    # (sigma, u, v), location re-pinned; a far call quoted under the
+    # relative-MSE floor has a zero row there, and the gradient is 2 J^T r
+    chain = mixed_chain.with_quotes(
+        mixed_chain.quotes + [OptionQuote("call", 1600.0, 91, 0.01, 0.01)])
+    cfg = CalibrationConfig(n_samples=4000, seed=3, loss_kind=loss_kind)
+    samples = draw_standard_normal(cfg.n_samples, cfg.seed)
+    model = RnQParams(mu=0.0, sigma=0.25, u=1.05, v=1.2)
+    adapter = calibration._adapter_of(model)
+    _, grad, parts = calibration._objective_parts(adapter, model, chain, grid_for(chain), cfg,
+                                                  samples)
+    jac = parts["jacobian"]
+    tau = chain.quotes[0].tau
+    observed = np.array([q.mid for q in chain.quotes])
+    calls = np.array([q.side == "call" for q in chain.quotes])
+
+    def residuals(vec):
+        sigma, u, v = vec
+        mu = rnq_mu_from_constraint(sigma, u, v, 4.0, samples, chain.rate(tau), tau)
+        fitted = price_chain(RnQParams(mu, sigma, u, v), chain, samples)
+        weights = calibration._loss_weights(observed, fitted, calls, loss_kind,
+                                            cfg.relative_mse_floor)[2]
+        return weights * (fitted - observed)
+
+    vec, h = params_to_vector(model), 1e-6
+    fd = np.column_stack([(residuals(vec + h * e) - residuals(vec - h * e)) / (2 * h)
+                          for e in np.eye(3)])
+    assert jac.shape == (len(chain.quotes), 3)
+    assert np.abs(jac - fd).max() <= 1e-7 * np.abs(fd).max()
+    if loss_kind == "relative-MSE":
+        assert not jac[-1].any() and jac[:-1].all()
+    np.testing.assert_allclose(grad, 2.0 * jac.T @ residuals(vec), rtol=1e-12)
+
+
 def test_rnq_evaluation_takes_no_power_pass(call_chain, monkeypatch):
     # u^Z and v^-Z are exps, formed once; the gradient reads them back
     cfg = CalibrationConfig(n_samples=4000, seed=3)
@@ -297,10 +334,12 @@ def test_rnq_objective_is_the_same_through_the_fits_scratch(mixed_chain, loss_ki
 
 
 def test_rnq_fit_allocates_no_n_length_array_after_its_first_evaluation(call_chain, monkeypatch):
-    # every N-length array of an evaluation lives in the fit's scratch, so
-    # no evaluation after the first raises the traced peak by 8 N bytes
+    # every N-length array of an evaluation, accepted step or rejected
+    # trial, lives in the fit's scratch, so no evaluation after the first
+    # raises the traced peak by 8 N bytes.  With the stopping rule off the
+    # fit runs on through rejected trials until the damping passes its cap
     n = 20_000
-    cfg = CalibrationConfig(n_samples=n, seed=3, iterations=6)
+    cfg = CalibrationConfig(n_samples=n, seed=3, iterations=400, convergence_tol=-np.inf)
     objective = calibration._objective_parts
     growth = []
 
@@ -314,10 +353,10 @@ def test_rnq_fit_allocates_no_n_length_array_after_its_first_evaluation(call_cha
     monkeypatch.setattr(calibration, "_objective_parts", spy)
     tracemalloc.start()
     try:
-        calibrate("rn-q", call_chain, cfg)
+        res = calibrate("rn-q", call_chain, cfg)
     finally:
         tracemalloc.stop()
-    assert len(growth) == cfg.iterations
+    assert res.converged and res.iterations_run < len(growth) < cfg.iterations
     assert growth[0] > 7 * 8 * n  # the first evaluation makes the buffers
     assert max(growth[1:]) < 8 * n
 
@@ -371,7 +410,7 @@ def test_perfect_fit_has_negligible_loss_and_gradient(call_chain):
 @pytest.mark.parametrize("field", ["sigma", "u", "v"])
 def test_rnq_fit_rejects_a_start_on_its_domain_edge(call_chain, field):
     # sigma = 0 and u, v = 1 are valid models, but the softplus coordinates
-    # Adam works in reach only sigma > 0 and u, v > 1
+    # the fit works in reach only sigma > 0 and u, v > 1
     start = dict(mu=0.0, sigma=0.2, u=1.1, v=1.1)
     start[field] = 0.0 if field == "sigma" else 1.0
     cfg = CalibrationConfig(n_samples=100, iterations=2)
@@ -845,15 +884,15 @@ def test_training_tables_match_bound_slices(kind):
     for subset in (taus, taus[1:4], taus[2:3], taus[::-2]):
         tables, _ = calibration._adapter(kind).build_tables(model, subset, rate, z)
         for tau in subset:
-            want = MaturitySlice(tau, rate(tau), bound.log_returns(tau, rate(tau)))
+            want = MaturitySlice(tau, rate(tau), *bound.columns(tau, rate(tau)))
             assert tables[tau].growth.tobytes() == want.growth.tobytes()
-            assert tables[tau].slope.tobytes() == bound.columns(tau, rate(tau))[1].tobytes()
+            assert tables[tau].a_sorted.tobytes() == want.a_sorted.tobytes()
 
 
 def test_rnq_fit_sorts_unsorted_growth_once(call_chain, monkeypatch):
     # rn-q's X is increasing in Z, so after the first cold sort every
-    # maturity slice the loop builds finds its hint already in order and
-    # sorts nothing
+    # maturity slice the loop builds, accepted step or rejected trial,
+    # finds its hint already in order and sorts nothing
     real_argsort = np.argsort
     unsorted = []
 
@@ -872,9 +911,91 @@ def test_rnq_fit_sorts_unsorted_growth_once(call_chain, monkeypatch):
     monkeypatch.setattr(calibration._QuantileAdapter, "build_tables", build_tables)
     cfg = CalibrationConfig(n_samples=10_000, seed=9, iterations=50)
     res = calibrate("rn-q", call_chain, cfg)
-    assert res.iterations_run == 50
+    assert res.converged and 10 < res.iterations_run < 50
     assert len(unsorted) == 1  # the first cold sort; every later hint is already in order
     assert sum(unsorted) == 1
+
+
+def test_rnq_levenberg_marquardt_lowers_the_loss_at_every_step_and_stops_early(call_chain):
+    # each trajectory entry after the first is an accepted step, which
+    # lowers the loss, and the fit converges long before its cap
+    cfg = CalibrationConfig(n_samples=10_000, seed=9, iterations=400)
+    res = calibrate("rn-q", call_chain, cfg)
+    assert res.converged and res.iterations_run < 40
+    assert np.all(np.diff(res.loss_trajectory) < 0.0)
+    assert res.loss_trajectory[-1] < 1e-3 * res.loss_trajectory[0]
+
+
+@pytest.mark.parametrize("iterations", [0, 1])
+def test_rnq_zero_and_one_iterations_take_no_step(call_chain, monkeypatch, iterations):
+    # as with Adam: no evaluation, or one that forms no Jacobian; the
+    # returned model is the start, its location pinned
+    jacobians = []
+    gradient = calibration._QuantileAdapter.gradient
+
+    def spy(*args, **kwargs):
+        jacobians.append(1)
+        return gradient(*args, **kwargs)
+
+    monkeypatch.setattr(calibration._QuantileAdapter, "gradient", spy)
+    cfg = CalibrationConfig(n_samples=2000, seed=6, iterations=iterations)
+    res = calibrate("rn-q", call_chain, cfg)
+    assert res.iterations_run == res.loss_trajectory.size == iterations
+    assert not res.converged and not jacobians
+    adapter = calibration._adapter("rn-q")
+    start = adapter.init_model(cfg.seed)
+    start = adapter.from_state(start, adapter.to_state(start))
+    assert params_to_vector(res.params).tobytes() == params_to_vector(start).tobytes()
+    if iterations:
+        samples = draw_standard_normal(cfg.n_samples, cfg.seed)
+        loss, _ = objective_and_gradient(start, call_chain, grid_for(call_chain), cfg, samples)
+        assert res.loss_trajectory[0] == loss
+
+
+def test_rnq_trial_that_overflows_is_rejected_without_a_warning(call_chain, monkeypatch):
+    # the first trial is moved to u = 1 + softplus(1e87), where u^Z
+    # overflows: the trial is rejected with no RuntimeWarning, the damping
+    # rises, and the fit goes on to the loss of an undisturbed one
+    cfg = CalibrationConfig(n_samples=10_000, seed=9, iterations=400)
+    want = calibrate("rn-q", call_chain, cfg)
+    step = calibration._LevenbergMarquardt.step
+    objective = calibration._objective_parts
+    trials, failures = [], []
+
+    def step_spy(self, *args):
+        trial = step(self, *args)
+        if not trials:
+            trial = trial.copy()
+            trial[1] = 1e87
+        trials.append(trial)
+        return trial
+
+    def objective_spy(*args, **kwargs):
+        try:
+            return objective(*args, **kwargs)
+        except FloatingPointError:
+            failures.append(len(trials))
+            raise
+
+    monkeypatch.setattr(calibration._LevenbergMarquardt, "step", step_spy)
+    monkeypatch.setattr(calibration, "_objective_parts", objective_spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = calibrate("rn-q", call_chain, cfg)
+    assert failures == [1]
+    assert res.converged and np.all(np.diff(res.loss_trajectory) < 0.0)
+    assert res.loss_trajectory[-1] == pytest.approx(want.loss_trajectory[-1], rel=1e-9)
+
+
+def test_rnq_start_that_fails_diverges_at_evaluation_0(call_chain, monkeypatch):
+    # only a failed first evaluation ends an rn-q fit; later ones are
+    # rejected trials
+    def failing(*args, **kwargs):
+        raise FloatingPointError("objective is not finite")
+
+    monkeypatch.setattr(calibration, "_objective_parts", failing)
+    with pytest.raises(CalibrationDivergence, match="iteration 0: objective is not finite"):
+        calibrate("rn-q", call_chain, CalibrationConfig(n_samples=2000, iterations=5))
 
 
 def test_divergence_raises_with_iteration_index(call_chain):
@@ -950,4 +1071,7 @@ def test_rnq_recovers_its_own_chain(call_chain):
          for k, p in zip(strikes, prices)])
     cfg = CalibrationConfig(n_samples=50_000, seed=42, iterations=600)
     res = calibrate("rn-q", chain, cfg)
-    assert res.final_train_mse < 1.0
+    # Levenberg-Marquardt reaches 1e-23 to 3e-22 and parameters within
+    # 2.4e-12 of the truth at seeds 1 to 6
+    assert res.converged and res.final_train_mse < 1e-20
+    assert np.abs(params_to_vector(res.params) - [0.25, 1.05, 1.2]).max() < 1e-10

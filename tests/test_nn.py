@@ -375,6 +375,33 @@ def test_knot_pass_reuses_its_scratch_and_lattice_after_the_first():
     assert peak < 2 * 8 * n
 
 
+def test_a_knot_pass_makes_each_buffer_once_at_its_knot_rows():
+    # the midpoint check's M - 1 rows are the leading rows of M-row buffers,
+    # so the knot pass that follows replaces none of them, and the values
+    # keep the bits of a pass that allocates its own arrays
+    net = init_network([1, 32, 32, 1], seed=3)
+    x = draw_standard_normal(20_000, 5).values
+    made = []
+
+    class Counting(Scratch):
+        __slots__ = ()
+
+        def take(self, key, rows, *width):
+            buf = self._buffers.get(key)
+            if buf is None or buf.shape[0] < rows or buf.shape[1:] != width:
+                made.append(key)
+            return super().take(key, rows, *width)
+
+    for key in (None, 0):  # an analysis pass and a training pass
+        made.clear()
+        scratch = Counting()
+        got = KnotPass(net, x, {}, scratch, key=key)
+        assert got.lattice.knots.size == FIRST_KNOTS
+        assert made and len(made) == len(set(made)) == len(scratch._buffers)
+        assert all(buf.shape[0] == FIRST_KNOTS for buf in scratch._buffers.values())
+        assert got.values.tobytes() == KnotPass(net, x, {}, key=key).values.tobytes()
+
+
 def test_backward_params_zero_upstream():
     net = init_network([1, 4, 1], seed=0)
     g = backward_params(net, np.array([0.3]), np.array([0.0]))
