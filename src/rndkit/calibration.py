@@ -328,8 +328,8 @@ class _TauTable(MaturitySlice):
 
     __slots__ = ("terms", "wx", "wd")
 
-    def __init__(self, tau, rate, x, slope, hint=None, work=None):
-        super().__init__(tau, rate, x, slope, hint, work)
+    def __init__(self, tau, rate, x, slope, hint=None):
+        super().__init__(tau, rate, x, slope, hint)
         self.terms = {"data": {}, "pen": {}}
 
     def add(self, which, positions, coeffs):
@@ -341,19 +341,19 @@ class _TauTable(MaturitySlice):
     def adjoint_weights(self):
         """Per-sample weights (wx on dX, wd on d slope) in draw order.
 
-        This spends the slice: its growth, sorted and prefix-sum
-        arrays are released as soon as they are read, so the backward
-        passes that follow hold only ``order``, ``wx`` and ``wd`` per
-        maturity among the slice's N-length arrays.  The suffix sums go in
-        the spent prefix sums and ``wx`` in the spent sorted growth, so
-        they take no new array.  The products are formed in place, with
-        the same operands.  With no penalty term ``wd`` is None and ``wx``
-        the data term alone.
+        This spends the slice: its sorted and prefix-sum arrays are
+        released as soon as they are read, so the backward passes that
+        follow hold only ``order``, ``wx`` and ``wd`` per maturity among
+        the slice's N-length arrays.  The suffix sums go in the spent
+        prefix sums and ``wx`` in the spent sorted growth, so they take no
+        new array.  The products are formed in place, with the same
+        operands.  With no penalty term ``wd`` is None and ``wx`` the data
+        term alone.
         """
         order, gs, a_sorted, terms = self.order, self.gs, self.a_sorted, self.terms
         n = gs.size
         data = _step_sums(terms["data"], self.cum_g[:n])
-        self.growth = self.a_sorted = self.gs = self.cum_g = self.cum_a = self.terms = None
+        self.a_sorted = self.gs = self.cum_g = self.cum_a = self.terms = None
         data *= gs
         wd = None
         if terms["pen"]:
@@ -443,7 +443,10 @@ class _QuantileAdapter(_Adapter):
             if not getattr(model, name) > floor:
                 raise ValueError(f"the rn-q fit starts from sigma > 0 and u, v > 1; "
                                  f"the initial {name} is {getattr(model, name)!r}")
-        return np.log(np.expm1([model.sigma, model.u - 1.0, model.v - 1.0]))  # softplus^-1
+        # softplus^-1 is log(expm1(x)), and x + log(-expm1(-x)) above 30: no
+        # branch takes expm1 of a large x, which overflows past about 710
+        x = np.array([model.sigma, model.u - 1.0, model.v - 1.0])
+        return np.where(x > 30.0, x + np.log(-np.expm1(-x)), np.log(np.expm1(np.minimum(x, 30.0))))
 
     def from_state(self, template, state):
         return with_parameter_vector(template, softplus(state) + [0.0, 1.0, 1.0])
@@ -460,17 +463,14 @@ class _QuantileAdapter(_Adapter):
     def build_tables(self, model, taus, chain_rate, z, hints=None, scratch=None):
         """The one maturity's table, plus u^Z, v^-Z and the shape for the Jacobian.
 
-        X = (r tau - logmeanexp(t)) + t is formed over t in place.  With
-        the fit's ``scratch`` every N-length array is one of its buffers:
-        the terms' and the slice's, whose sorted-growth buffer first holds
-        logmeanexp's exponentials.
+        X = (r tau - logmeanexp(t)) + t is formed over t in place.  Every
+        array is new: the fit's ``scratch`` serves the networks' binding only.
         """
         tau = float(taus[0])
         rate = chain_rate(tau)
-        uz, vz, shape, x = rnq_terms(model, z, scratch)
-        work = None if scratch is None else scratch.take("sorted", z.size)
-        x += rate * tau - logmeanexp(x, work)
-        table = _TauTable(tau, rate, x, None, (hints or {}).get(tau), scratch)
+        uz, vz, shape, x = rnq_terms(model, z)
+        x += rate * tau - logmeanexp(x)
+        table = _TauTable(tau, rate, x, None, (hints or {}).get(tau))
         return {tau: table}, (uz, vz, shape)
 
     def gradient(self, model, tables, terms, z, fit):
@@ -479,24 +479,27 @@ class _QuantileAdapter(_Adapter):
         location gives dX = dt - sum g dt / sum g (g = e^X): a call moves by
         e^(-r tau) (S / N) sum_{g > k} g dX, a put by minus that over g < k.
         Each column g dt (dt/dsigma = Z shape, dt/du = sigma Z^2 u^Z / (u a),
-        dt/dv = -sigma Z^2 v^-Z / (v a)) is formed over its term, sorted into
-        the spent sorted growth and summed over the spent sums."""
+        dt/dv = -sigma Z^2 v^-Z / (v a)) is gathered into sorted order,
+        multiplied by g Z (formed over the spent sorted growth) and by Z,
+        and summed over the spent sums."""
         (table,), (uz, vz, shape) = tables.values(), terms
         positions, calls, spot_weights, residuals = fit
-        cum = table.cum_g
+        order, cum = table.order, table.cum_g
         g_sides, g_total = np.where(calls, cum[-1], 0.0) - cum[positions], cum[-1]
-        zg = np.multiply(table.growth, z, out=table.growth)
+        zs = np.take(z, order)
+        zg = np.multiply(table.gs, zs, out=table.gs)
+        col_s = np.empty_like(zg)
         jac, scale = np.empty((positions.size, 3)), model.sigma / model.a_const
         for j, (col, factor) in enumerate(((shape, 1.0), (uz, scale / model.u),
                                            (vz, -scale / model.v))):
-            col *= zg
+            np.take(col, order, out=col_s, mode="clip")  # "raise" would buffer out
+            col_s *= zg
             if j:
-                col *= z
-            np.take(col, table.order, out=table.gs, mode="clip")  # "raise" would buffer out
-            np.cumsum(table.gs, out=cum[1:])
+                col_s *= zs
+            np.cumsum(col_s, out=cum[1:])
             jac[:, j] = factor * (np.where(calls, cum[-1], 0.0) - cum[positions]
                                   - g_sides * (cum[-1] / g_total))
-        table.growth = table.gs = table.cum_g = None  # spent
+        table.gs = table.cum_g = None  # spent
         jac *= (np.exp(-table.rate * table.tau) / z.size * spot_weights)[:, None]
         return 2.0 * np.einsum("qi,q->i", jac, residuals), jac
 
@@ -609,7 +612,8 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
     ``hints`` maps a maturity to a candidate sort order for its slice;
     the returned ``orders`` hold each slice's order for the next
     evaluation.  ``scratch`` is the fit's ``nn.Scratch`` (see
-    ``calibrate``); without it the evaluation makes its own arrays.
+    ``calibrate``), which the networks' binding reads; without it the
+    binding makes its own.
     When ``needs_gradient(loss)`` is false the gradient and Jacobian are
     None and their passes do not run; without it they are formed.
     """
@@ -691,11 +695,11 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     previous evaluation found; only those order arrays, reordered in
     place, and one ``nn.Scratch`` are kept between evaluations.  The
     scratch holds the draws' knot lattices, the knot passes' buffers and
-    each component's G_Z, or every N-length array of an rn-q evaluation;
-    it is dropped before the final metrics.  These price the returned
-    model on the loop's draws, each maturity's sort starting from the last
-    evaluation's order; the penalty grid's price surface, which gives the
-    final penalty, is returned as ``surface``.
+    each component's G_Z (rn-q leaves it empty); it is dropped before
+    the final metrics.  These price the returned model on the loop's
+    draws, each maturity's sort starting from the last evaluation's order;
+    the penalty grid's price surface, which gives the final penalty, is
+    returned as ``surface``.
     """
     t0 = time.perf_counter()
     if not train_chain.quotes:

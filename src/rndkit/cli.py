@@ -207,6 +207,8 @@ def _load_checkpoint(path):
     if not (isinstance(config, dict)
             and all(_is_number(config.get(key), finite=False) for key in ("n_samples", "seed"))):
         raise DataError("checkpoint context config needs numeric n_samples and seed")
+    if "relative_mse_floor" in config and not _is_number(config["relative_mse_floor"]):
+        raise DataError("checkpoint context config relative_mse_floor must be a finite number")
     if not _is_number(ctx["spot"]):
         raise DataError("checkpoint context spot must be a finite number")
     for key in ("train_days", "train_strikes"):

@@ -89,28 +89,26 @@ class RnQParams:
             raise ValueError("a_const must be positive")
 
 
-def rnq_terms(p: RnQParams, z: np.ndarray, work=None):
+def rnq_terms(p: RnQParams, z: np.ndarray):
     """u^Z, v^-Z, the shape (u^Z + v^-Z)/a + 1 and t = sigma Z shape.
 
     The one evaluator of rn-q's shape, so X = mu + t.  u^Z and v^-Z are
     exp(Z ln u) and exp(Z (-ln v)), one multiply and one exp each (a
-    power with a scalar base costs about twice as much), and the shape
-    and t are each formed in one buffer.  Every array is new, or with
-    ``work`` (an ``nn.Scratch``, the rn-q fit's) one of its buffers, which
-    the next call through the same scratch overwrites.  The calibration
-    Jacobian reads u^Z and v^-Z back instead of raising u and v to Z again.
+    power with a scalar base costs about twice as much), and each of the
+    four is formed in one new array.  The calibration Jacobian reads u^Z
+    and v^-Z back instead of raising u and v to Z again.
     """
-    def buffer(key):
-        return np.empty_like(z) if work is None else work.take(key, z.size)
+    def new():  # keeps every term an array even for a 0-d Z
+        return np.empty_like(z)
 
-    uz = np.multiply(z, math.log(p.u), out=buffer("rnq_uz"))  # an array even for a 0-d Z
+    uz = np.multiply(z, math.log(p.u), out=new())
     np.exp(uz, out=uz)
-    vz = np.multiply(z, -math.log(p.v), out=buffer("rnq_vz"))
+    vz = np.multiply(z, -math.log(p.v), out=new())
     np.exp(vz, out=vz)
-    shape = np.add(uz, vz, out=buffer("rnq_shape"))
+    shape = np.add(uz, vz, out=new())
     shape /= p.a_const
     shape += 1.0
-    t = np.multiply(p.sigma, z, out=buffer("rnq_t"))
+    t = np.multiply(p.sigma, z, out=new())
     t *= shape
     return uz, vz, shape, t
 

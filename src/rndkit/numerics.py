@@ -32,19 +32,15 @@ def kahan_sum(values, chunk: int = _CHUNK) -> float:
     return total
 
 
-def logmeanexp(values, work=None) -> float:
-    """log(mean(exp(x))) with the usual max-shift for overflow safety.
-
-    ``work``, an array of at least x.size floats, takes the shifted
-    exponentials instead of a new array.
-    """
+def logmeanexp(values) -> float:
+    """log(mean(exp(x))) with the usual max-shift for overflow safety."""
     x = np.asarray(values, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("logmeanexp of empty array")
     m = float(np.max(x))
     if not np.isfinite(m):
         return m
-    e = np.subtract(x, m, out=None if work is None else work[:x.size])
+    e = x - m
     np.exp(e, out=e)
     return m + np.log(kahan_sum(e) / x.size)
 

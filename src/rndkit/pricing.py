@@ -9,11 +9,11 @@ model's log returns:
 The draws are fixed per run, so prices are deterministic functions of the
 model parameters.  Every sum over the draws at one maturity is read off
 one ``MaturitySlice``: the growth factors e^X are sorted once (stable
-sort) and prefix-summed in that fixed order, and its two lookups answer
-a whole array of moneyness values at once: one side's prices, or the
-calendar values.  Calibration, pricing, the penalties and the audit all
-read the same slice.  The calibration loop hands each slice the
-previous iteration's order as a hint: the slice takes the growth factors
+sort) and prefix-summed in that fixed order, only the sorted arrays are
+kept, and its two lookups answer a whole array of moneyness values at
+once: one side's prices, or the calendar values.  Calibration, pricing,
+the penalties and the audit all read the same slice.  The calibration
+loop hands each slice the previous iteration's order as a hint: the slice takes the growth factors
 in that order as they are when they are already strictly increasing, or
 else re-sorts them (nearly sorted, so about O(N)), and keeps the result
 only when it is strictly increasing, the one case in which it must equal
@@ -37,9 +37,12 @@ __all__ = ["MaturitySlice", "growth_factors", "price_chain", "quote_groups", "qu
 class MaturitySlice:
     """The growth factors e^X at one maturity, sorted once, with prefix sums.
 
-    ``slope`` is dX/dtau on the same draws; without it ``calendars`` is
-    unavailable.  With it the slice keeps ``a_sorted``, (slope - r) e^X
-    in sorted order, for calibration's adjoint.  The two lookups,
+    A slice keeps only sorted state: ``order``, the draws' stable
+    ascending order, the sorted growth ``gs`` and its prefix sums; e^X in
+    draw order is dropped once sorted.  ``slope`` is dX/dtau on the same
+    draws; without it ``calendars`` is unavailable.  With it the slice
+    keeps ``a_sorted``, (slope - r) e^X in sorted order, for
+    calibration's adjoint.  The two lookups,
     ``prices`` and ``calendars``, take an array of moneyness values K/S
     and return the values and the positions splitting the sorted growth
     array, which calibration's adjoint pass reuses.  A call sums growth > K/S, a put growth < K/S,
@@ -55,37 +58,22 @@ class MaturitySlice:
     re-sorted: the caller hands the array over, so a loop keeps one order
     buffer per maturity instead of allocating a new one that outlives
     each iteration (which fragments the heap).
-
-    ``work``, an ``nn.Scratch``, holds the slice's other N-length arrays
-    in a fit that evaluates one maturity again and again (rn-q's): the
-    growth factors are formed over x in place, and the sorted growth and
-    its prefix sums go in the scratch's ``"sorted"`` and ``"sums"``
-    buffers, which the next slice built through the same scratch
-    overwrites.  Without it every array is new.
     """
 
-    __slots__ = ("tau", "rate", "growth", "a_sorted", "order", "gs", "cum_g",
-                 "cum_a", "mean_growth")
+    __slots__ = ("tau", "rate", "a_sorted", "order", "gs", "cum_g", "cum_a", "mean_growth")
 
-    def __init__(self, tau, rate, x, slope=None, hint=None, work=None):
+    def __init__(self, tau, rate, x, slope=None, hint=None):
         self.tau = tau
         self.rate = rate
         self.a_sorted = None
-        if work is None:
-            growth = growth_factors(x, tau)
-            self.order, self.gs = _stable_order(growth, hint)
-            self.cum_g = _prefix_sums(self.gs)
-        else:
-            growth = growth_factors(x, tau, out=x)
-            self.order, self.gs = _stable_order(growth, hint, work.take("sorted", x.size))
-            self.cum_g = _prefix_sums(self.gs, work.take("sums", x.size + 1))
-        self.growth = growth
+        self.order, self.gs = _stable_order(growth_factors(x, tau), hint)
+        self.cum_g = _prefix_sums(self.gs)
         if slope is not None:  # (slope - r) e^X, gathered into sorted order before the arithmetic
             a = self.a_sorted = np.take(slope, self.order)
             a -= rate
             a *= self.gs
             self.cum_a = _prefix_sums(a)
-        self.mean_growth = self.cum_g[-1] / growth.size
+        self.mean_growth = self.cum_g[-1] / self.gs.size
 
     @property
     def defect(self):
@@ -117,33 +105,29 @@ class MaturitySlice:
         return calls, pos_c, puts, pos_p
 
 
-def growth_factors(x, tau, out=None):
-    """e^X at one maturity (into ``out`` when given); raises
-    FloatingPointError if any overflows."""
+def growth_factors(x, tau):
+    """e^X at one maturity; raises FloatingPointError if any overflows."""
     with np.errstate(over="ignore"):
-        growth = np.exp(x, out=out)
+        growth = np.exp(x)
     if not np.all(np.isfinite(growth)):
         raise FloatingPointError(
             f"model produced non-finite growth factors at tau={float(tau):.6g}")
     return growth
 
 
-def _stable_order(growth, hint, out=None):
+def _stable_order(growth, hint):
     """Stable ascending order of ``growth`` and the sorted values.
 
     An order whose sorted values are strictly increasing is the unique
     stable order, whatever sort produced it.  So a full-length hint is
     tried first: kept as it is when the growth is already strictly
     increasing in that order (in a fit, nearly every slice after the
-    first), else re-sorted and, when that passes, permuted in place
-    (``take`` buffers ``out`` in raise mode); otherwise numpy's default
-    sort, which is cheaper than the stable one, and the stable sort only
-    on ties.  The sorted values go in ``out`` when it is given, except
-    after a re-sorted hint; gathering them in clip mode leaves ``out``
-    unbuffered, and the orders' indices are in range.
+    first), else re-sorted and, when that passes, permuted in place;
+    otherwise numpy's default sort, which is cheaper than the stable one,
+    and the stable sort only on ties.
     """
     if hint is not None and hint.size == growth.size:
-        near = np.take(growth, hint, out=out, mode="clip")
+        near = np.take(growth, hint)
         if _strictly_increasing(near):
             return hint, near
         perm = np.argsort(near, kind="stable")
@@ -151,17 +135,16 @@ def _stable_order(growth, hint, out=None):
         if _strictly_increasing(gs):
             return np.take(hint, perm, out=hint), gs
     order = np.argsort(growth)
-    gs = np.take(growth, order, out=out, mode="clip")
+    gs = np.take(growth, order)
     if not _strictly_increasing(gs):
         order = np.argsort(growth, kind="stable")
-        gs = np.take(growth, order, out=out, mode="clip")
+        gs = np.take(growth, order)
     return order, gs
 
 
-def _prefix_sums(values, out=None):
-    """[0, v_0, v_0 + v_1, ...] in one (N+1)-long array (``out`` when
-    given), summed in order."""
-    out = np.empty(values.size + 1) if out is None else out
+def _prefix_sums(values):
+    """[0, v_0, v_0 + v_1, ...] in one (N+1)-long array, summed in order."""
+    out = np.empty(values.size + 1)
     out[0] = 0.0
     np.cumsum(values, out=out[1:])
     return out

@@ -310,58 +310,6 @@ def test_rnq_objective_peak_memory(call_chain):
 
 
 @pytest.mark.parametrize("loss_kind", ["absolute-MSE", "relative-MSE"])
-def test_rnq_objective_is_the_same_through_the_fits_scratch(mixed_chain, loss_kind):
-    # a cold and a hinted evaluation through one scratch give the bits of
-    # evaluations that allocate their own arrays
-    cfg = CalibrationConfig(n_samples=4000, seed=3, loss_kind=loss_kind)
-    samples = draw_standard_normal(cfg.n_samples, cfg.seed)
-    grid = grid_for(mixed_chain)
-    adapter = calibration._adapter_of(RnQParams(0.0, 0.25, 1.05, 1.2))
-    scratch = Scratch()
-    orders = {}
-    for model in (RnQParams(0.0, 0.25, 1.05, 1.2), RnQParams(0.0, 0.3, 1.3, 1.02)):
-        runs = [calibration._objective_parts(
-                    adapter, model, mixed_chain, grid, cfg, samples,
-                    {tau: order.copy() for tau, order in orders.items()}, work)
-                for work in (None, scratch)]
-        (loss, grad, parts), (loss_w, grad_w, parts_w) = runs
-        assert loss == loss_w and grad.tobytes() == grad_w.tobytes()
-        assert parts["penalty"] == parts_w["penalty"]
-        assert parts["orders"].keys() == parts_w["orders"].keys()
-        for tau, order in parts["orders"].items():
-            assert order.tobytes() == parts_w["orders"][tau].tobytes()
-        orders = parts["orders"]
-
-
-def test_rnq_fit_allocates_no_n_length_array_after_its_first_evaluation(call_chain, monkeypatch):
-    # every N-length array of an evaluation, accepted step or rejected
-    # trial, lives in the fit's scratch, so no evaluation after the first
-    # raises the traced peak by 8 N bytes.  With the stopping rule off the
-    # fit runs on through rejected trials until the damping passes its cap
-    n = 20_000
-    cfg = CalibrationConfig(n_samples=n, seed=3, iterations=400, convergence_tol=-np.inf)
-    objective = calibration._objective_parts
-    growth = []
-
-    def spy(*args, **kwargs):
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        result = objective(*args, **kwargs)
-        growth.append(tracemalloc.get_traced_memory()[1] - start)
-        return result
-
-    monkeypatch.setattr(calibration, "_objective_parts", spy)
-    tracemalloc.start()
-    try:
-        res = calibrate("rn-q", call_chain, cfg)
-    finally:
-        tracemalloc.stop()
-    assert res.converged and res.iterations_run < len(growth) < cfg.iterations
-    assert growth[0] > 7 * 8 * n  # the first evaluation makes the buffers
-    assert max(growth[1:]) < 8 * n
-
-
-@pytest.mark.parametrize("loss_kind", ["absolute-MSE", "relative-MSE"])
 def test_gradient_matches_fd_rnmlp(mixed_chain, loss_kind):
     cfg = CalibrationConfig(n_samples=4000, seed=3, loss_kind=loss_kind)
     assert fd_worst_error(init_rnmlp(11, hidden=(4, 4)), mixed_chain, cfg) < 1e-4
@@ -416,6 +364,26 @@ def test_rnq_fit_rejects_a_start_on_its_domain_edge(call_chain, field):
     cfg = CalibrationConfig(n_samples=100, iterations=2)
     with pytest.raises(ValueError, match=f"sigma > 0 and u, v > 1; the initial {field} is"):
         calibrate("rn-q", call_chain, cfg, init_model=RnQParams(**start))
+
+
+def test_rnq_softplus_coordinates_of_a_large_start_do_not_overflow(call_chain):
+    # softplus^-1 = log(expm1(x)) overflows past x of about 710; above 30 the
+    # fit's coordinates take x + log(-expm1(-x)), and below it keep their bits
+    adapter = calibration._adapter("rn-q")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for u in (1.1, 1e3, 1e6, 1e300):
+            start = RnQParams(0.0, 0.2, u, 1.1)
+            assert adapter.from_state(start, adapter.to_state(start)).u == u
+        start = RnQParams(0.0, 0.2, 1.1, 1.3)
+        assert adapter.to_state(start).tobytes() == np.log(np.expm1([0.2, 1.1 - 1.0, 1.3 - 1.0])).tobytes()
+        cfg = CalibrationConfig(n_samples=4000, seed=3, iterations=20)
+        res = calibrate("rn-q", call_chain, cfg, init_model=RnQParams(0.0, 0.2, 1e6, 1.1))
+        assert res.iterations_run >= 1 and np.isfinite(res.loss_trajectory).all()
+        # u^Z overflows on the first evaluation
+        with pytest.raises(CalibrationDivergence) as err:
+            calibrate("rn-q", call_chain, cfg, init_model=RnQParams(0.0, 0.2, 1e300, 1.1))
+    assert err.value.iteration == 0
 
 
 def test_calibrate_rejects_bad_inputs(call_chain):
@@ -507,8 +475,8 @@ def test_warm_started_sorts_reproduce_cold_sorts(call_chain, three_maturity_chai
     class ColdTable(calibration._TauTable):
         __slots__ = ()
 
-        def __init__(self, tau, rate, x, slope, hint=None, work=None):
-            super().__init__(tau, rate, x, slope, work=work)
+        def __init__(self, tau, rate, x, slope, hint=None):
+            super().__init__(tau, rate, x, slope)
 
     monkeypatch.setattr(calibration, "_TauTable", ColdTable)
     cold = calibrate(kind, chain, cfg)
@@ -589,8 +557,7 @@ def test_network_objective_holds_no_n_by_width_arrays(three_maturity_chain):
 
 def test_network_gradient_spends_each_slice_before_the_backward_passes(
         three_maturity_chain):
-    # adjoint_weights releases a slice's growth, slope, sorted and
-    # prefix-sum arrays, so the gradient adds at most a few N-length
+    # adjoint_weights releases a slice's sorted and prefix-sum arrays, so the gradient adds at most a few N-length
     # arrays to what the evaluation held when it started (about 18 when
     # the slices stayed whole), and one objective peaks near its tables
     n = 100_000
@@ -615,9 +582,33 @@ def test_network_gradient_spends_each_slice_before_the_backward_passes(
     assert gradient_peak - held < 4 * 8 * n
     assert objective_peak < 45e6
     for table in tables.values():
-        assert table.growth is None and table.gs is None and table.cum_a is None
+        assert table.gs is None and table.cum_g is None and table.cum_a is None
         # build_tables alone records no penalty term, so no slice forms wd
         assert table.wx.size == table.order.size == n and table.wd is None
+
+
+@pytest.mark.parametrize("kind", ["rn-mlp", "rn-dmlp"])
+def test_warm_network_objective_peaks_below_25_n_length_arrays(three_maturity_chain, kind):
+    # a slice keeps only sorted state, so e^X in draw order is freed once
+    # sorted; a warm evaluation (the fit's scratch and orders from a first
+    # one) then peaks at about 23 N-length arrays, 27 when each slice kept it
+    n = 100_000
+    cfg = CalibrationConfig(n_samples=n, seed=9)
+    samples = draw_standard_normal(n, cfg.seed)
+    adapter = calibration._adapter(kind)
+    model = adapter.init_model(4)
+    grid = grid_for(three_maturity_chain)
+    scratch = Scratch()
+    _, _, parts = calibration._objective_parts(adapter, model, three_maturity_chain, grid, cfg,
+                                               samples, None, scratch)
+    tracemalloc.start()
+    try:
+        calibration._objective_parts(adapter, model, three_maturity_chain, grid, cfg, samples,
+                                     parts["orders"], scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 8 * n
 
 
 def test_fit_scratch_holds_two_buffers_per_hidden_layer(three_maturity_chain, monkeypatch):
@@ -885,7 +876,8 @@ def test_training_tables_match_bound_slices(kind):
         tables, _ = calibration._adapter(kind).build_tables(model, subset, rate, z)
         for tau in subset:
             want = MaturitySlice(tau, rate(tau), *bound.columns(tau, rate(tau)))
-            assert tables[tau].growth.tobytes() == want.growth.tobytes()
+            assert tables[tau].order.tobytes() == want.order.tobytes()
+            assert tables[tau].gs.tobytes() == want.gs.tobytes()
             assert tables[tau].a_sorted.tobytes() == want.a_sorted.tobytes()
 
 

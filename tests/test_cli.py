@@ -478,10 +478,15 @@ def test_evaluate_truncated_checkpoint_exits_2(sim_dir, fit_dir, tmp_path, capsy
     ("report", lambda ctx: ctx["rate_curve"][0].__setitem__(0, float("nan"))),
     ("audit", lambda ctx: ctx["train_days"].append(float("nan"))),
     ("audit", lambda ctx: ctx["train_strikes"].append(float("inf"))),
+    # evaluate reads the floor; a string or null broke its numpy comparison, a list passed
+    ("evaluate", lambda ctx: ctx["config"].update(relative_mse_floor="abc")),
+    ("evaluate", lambda ctx: ctx["config"].update(relative_mse_floor=None)),
+    ("evaluate", lambda ctx: ctx["config"].update(relative_mse_floor=[1])),
 ], ids=["config-without-n_samples", "config-not-an-object", "no-train_strikes",
         "audit-rate_curve-not-a-list", "report-rate_curve-not-a-list",
         "spot-not-a-number", "train_days-not-a-list", "nan-spot", "inf-spot",
-        "nan-rate", "nan-tenor", "nan-train_days", "inf-train_strikes"])
+        "nan-rate", "nan-tenor", "nan-train_days", "inf-train_strikes",
+        "string-floor", "null-floor", "list-floor"])
 def test_malformed_checkpoint_context_exits_2(sim_dir, fit_dir, tmp_path, capsys,
                                               command, edit):
     doc = json.loads((fit_dir / "checkpoint.json").read_text())
