@@ -381,14 +381,16 @@ def _run_child(code, *args):
 
 def test_importing_the_cli_leaves_scipy_unimported():
     run = _run_child("import sys, rndkit.cli\n"
-                     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                     "print(sorted(m for m in sys.modules\n"
+                     "             if m.split('.')[0] in ('scipy', 'mpmath')))")
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
 
 
-_PIPELINE_WITHOUT_SCIPY = """
+_PIPELINE_WITHOUT_SCIPY_OR_MPMATH = """
 import sys
 sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+sys.modules["mpmath"] = None  # and so does every import of mpmath
 from rndkit.cli import main
 out = sys.argv[1]
 assert main(["simulate", "--scenario", "left-skew", "--out", out + "/sim"]) == 0
@@ -398,8 +400,8 @@ print("ok")
 """
 
 
-def test_simulate_and_calibrate_run_without_scipy(tmp_path):
-    run = _run_child(_PIPELINE_WITHOUT_SCIPY, str(tmp_path))
+def test_simulate_and_calibrate_run_without_scipy_or_mpmath(tmp_path):
+    run = _run_child(_PIPELINE_WITHOUT_SCIPY_OR_MPMATH, str(tmp_path))
     assert run.returncode == 0 and run.stdout.splitlines()[-1] == "ok", run.stderr
     assert (tmp_path / "fit" / "checkpoint.json").is_file()
 

@@ -350,6 +350,29 @@ def test_true_moments_match_monte_carlo():
     assert sample_skew == pytest.approx(skew, abs=0.08)
 
 
+# vol-of-vol so high that E[e^{v ln S_T}] explodes inside the contour at
+# two years but not at 7 or 91 days
+EXPLOSIVE = HestonParams(nu0=0.05, vartheta=0.25, kappa=0.15, xi=1.5, rho=-0.9)
+
+
+@pytest.mark.parametrize("p, days", [
+    pytest.param(p, days, id=f"{name}-{days}d")
+    for name, (p, _) in SCENARIOS.items() for days in (7, 30, 91, 182, 365, 730, 1825)
+] + [pytest.param(EXPLOSIVE, days, id=f"explosive-{days}d") for days in (7, 91)])
+def test_true_moments_match_the_50_digit_oracle(p, days):
+    tau = days / 365.0
+    got = heston_true_moments(p, SPOT, tau, RATE)
+    assert got == pytest.approx(oracles.heston_true_moments_50_digits(p, SPOT, tau, RATE),
+                                rel=1e-10)
+
+
+def test_true_moments_raise_where_the_contour_crosses_a_moment_explosion():
+    with pytest.raises(FloatingPointError, match="did not stabilize"):
+        heston_true_moments(EXPLOSIVE, SPOT, 730 / 365.0, RATE)
+    with pytest.raises(FloatingPointError, match="did not stabilize"):
+        oracles.heston_true_moments_50_digits(EXPLOSIVE, SPOT, 730 / 365.0, RATE)
+
+
 def test_true_moments_rejects_bad_tau():
     with pytest.raises(ValueError, match="tau"):
         heston_true_moments(NEAR_BS, 100.0, 0.0, 0.03)
