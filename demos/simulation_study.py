@@ -42,8 +42,7 @@ print(f"price RMSE {rmse:.4f} ({100.0 * rmse / chain.spot:.4f}% of spot)")
 tau = chain.quotes[0].tau
 rate = chain.rate(tau)
 heston_params, _ = SCENARIOS["left-skew"]
-var_true, skew_true, kurt_true = heston_true_moments(
-    heston_params, chain.spot, tau, rate)
+var_true, skew_true, kurt_true = heston_true_moments(heston_params, tau)
 rnm2, rnm3, rnm4 = risk_neutral_moments(result.params, tau, samples, rate)
 print("\nlog-return moments      true      fitted")
 print(f"  volatility (RNM2)  {np.sqrt(var_true):8.4f}  {rnm2:8.4f}")

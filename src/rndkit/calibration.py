@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -50,6 +51,7 @@ from .models import (
     checkpoint_document,
     init_rndmlp,
     init_rnmlp,
+    mixture_components,
     model_kind,
     parameter_vector,
     rnq_mu_from_constraint,
@@ -298,10 +300,13 @@ class _LevenbergMarquardt:
 # surface's own (``arbitrage.aggregate_penalties``), and the per-sample
 # adjoint weights are cumulative sums of coefficients added at the
 # lookups' positions (rn-q's Jacobian is three prefix sums read there),
-# so an evaluation costs O(N log N) plus one weighted backward pass per
-# network, nearly independent of the number of quotes and grid points.
-# The loop hands each slice the previous evaluation's order as a hint,
-# which brings the sort close to O(N) while the order barely moves.
+# so past any sort an evaluation costs O(N) plus one weighted backward
+# pass per network, nearly independent of the number of quotes and grid
+# points.
+# On the ascending pool a maturity whose growth is monotone in Z needs
+# no sort at all; for any other, the loop hands each slice the previous
+# evaluation's order as a hint, which brings the sort close to O(N)
+# while the order barely moves.
 
 
 def _step_sums(totals, out):
@@ -326,7 +331,7 @@ class _TauTable(MaturitySlice):
     N-long accumulator is formed (``_step_sums``).
     """
 
-    __slots__ = ("terms", "wx", "wd")
+    __slots__ = ("terms",)
 
     def __init__(self, tau, rate, x, slope, hint=None):
         super().__init__(tau, rate, x, slope, hint)
@@ -342,13 +347,12 @@ class _TauTable(MaturitySlice):
         """Per-sample weights (wx on dX, wd on d slope) in draw order.
 
         This spends the slice: its sorted and prefix-sum arrays are
-        released as soon as they are read, so the backward passes that
-        follow hold only ``order``, ``wx`` and ``wd`` per maturity among
-        the slice's N-length arrays.  The suffix sums go in the spent
-        prefix sums and ``wx`` in the spent sorted growth, so they take no
-        new array.  The products are formed in place, with the same
-        operands.  With no penalty term ``wd`` is None and ``wx`` the data
-        term alone.
+        released as soon as they are read.  The suffix sums go in the
+        spent prefix sums, so they take no new array.  With a slice
+        ``order`` the weights are views of the sorted ones; an index order
+        scatters ``wx`` into the spent sorted growth.  The products are
+        formed in place, with the same operands.  With no penalty term
+        ``wd`` is None and ``wx`` the data term alone.
         """
         order, gs, a_sorted, terms = self.order, self.gs, self.a_sorted, self.terms
         n = gs.size
@@ -358,15 +362,21 @@ class _TauTable(MaturitySlice):
         wd = None
         if terms["pen"]:
             pen = _step_sums(terms["pen"], np.empty(n))
-            wd = np.empty(n)
-            wd[order] = pen * gs
+            wd = _in_draw_order(order, pen * gs)
             if a_sorted is not None:
                 pen *= a_sorted
                 data += pen  # pen * a_sorted + data * gs
-        wx = gs
-        wx[order] = data
-        self.wx, self.wd = wx, wd
-        return wx, wd
+        return _in_draw_order(order, data, gs), wd
+
+
+def _in_draw_order(order, values, out=None):
+    """Sorted ``values`` in draw order: a view for a slice ``order``, else
+    scattered into ``out`` (a new array when None)."""
+    if isinstance(order, slice):
+        return values[order]
+    out = np.empty_like(values) if out is None else out
+    out[order] = values
+    return out
 
 
 def _side_terms(positions, coeffs, calls):
@@ -479,20 +489,20 @@ class _QuantileAdapter(_Adapter):
         location gives dX = dt - sum g dt / sum g (g = e^X): a call moves by
         e^(-r tau) (S / N) sum_{g > k} g dX, a put by minus that over g < k.
         Each column g dt (dt/dsigma = Z shape, dt/du = sigma Z^2 u^Z / (u a),
-        dt/dv = -sigma Z^2 v^-Z / (v a)) is gathered into sorted order,
-        multiplied by g Z (formed over the spent sorted growth) and by Z,
-        and summed over the spent sums."""
+        dt/dv = -sigma Z^2 v^-Z / (v a)) is taken in sorted order (with a
+        slice order ``rnq_terms``' own array, else a gather), multiplied by
+        g Z (formed over the spent sorted growth) and by Z, and summed over
+        the spent sums."""
         (table,), (uz, vz, shape) = tables.values(), terms
-        positions, calls, spot_weights, residuals = fit
         order, cum = table.order, table.cum_g
+        positions, calls = fit.positions, fit.calls
         g_sides, g_total = np.where(calls, cum[-1], 0.0) - cum[positions], cum[-1]
-        zs = np.take(z, order)
+        zs = z[order]
         zg = np.multiply(table.gs, zs, out=table.gs)
-        col_s = np.empty_like(zg)
         jac, scale = np.empty((positions.size, 3)), model.sigma / model.a_const
         for j, (col, factor) in enumerate(((shape, 1.0), (uz, scale / model.u),
                                            (vz, -scale / model.v))):
-            np.take(col, order, out=col_s, mode="clip")  # "raise" would buffer out
+            col_s = col[order]
             col_s *= zg
             if j:
                 col_s *= zs
@@ -500,8 +510,8 @@ class _QuantileAdapter(_Adapter):
             jac[:, j] = factor * (np.where(calls, cum[-1], 0.0) - cum[positions]
                                   - g_sides * (cum[-1] / g_total))
         table.gs = table.cum_g = None  # spent
-        jac *= (np.exp(-table.rate * table.tau) / z.size * spot_weights)[:, None]
-        return 2.0 * np.einsum("qi,q->i", jac, residuals), jac
+        jac *= (np.exp(-table.rate * table.tau) / z.size * fit.spot_weights)[:, None]
+        return 2.0 * np.einsum("qi,q->i", jac, fit.residuals), jac
 
     def finalize(self, model, chain, samples):
         """Pin the location on the final parameters."""
@@ -534,53 +544,60 @@ class _NetworkAdapter(_Adapter):
             tables[tau] = _TauTable(tau, rate, *bound.columns(tau, rate), (hints or {}).get(tau))
         return tables, bound
 
-    def gradient(self, model, tables, bound, z, fit=None):  # no Jacobian
+    def gradient(self, model, tables, bound, z, fit):  # no Jacobian
+        """The quotes' data terms go on their tables, then each maturity's
+        weights are read and spent: their sums, alone and with Z, and their
+        share of W = sum_tau (sqrt(tau) wx + wd / (2 sqrt(tau))).  G_Z enters
+        X only through Z G_Z and in that combination, so every component's
+        net_z gradient is coef sigma times that of the weights Z W, and
+        its scale adjoint has the G_Z part G_Z . Z W."""
+        n = z.size
+        for tau, table in tables.items():
+            on = fit.taus == tau
+            if on.any():
+                coeff = fit.dl_dfit[on] * np.exp(-table.rate * tau) * fit.spot / n
+                calls = fit.calls[on]
+                table.add("data", *_side_terms(fit.positions[on], np.where(calls, coeff, -coeff),
+                                               calls))
+        sums, zw = [], None
         for table in tables.values():
-            table.adjoint_weights()
-        # per maturity what every component shares: the sums of wx and wd, each
-        # with z and with every component's z G_Z, then w_z, formed over wx and wd
-        zgs = [z * gz for _, _, gz in bound._parts]
-        def sums(w):
-            return float(np.sum(w)), float(np.dot(w, z)), [float(np.dot(w, zg)) for zg in zgs]
-        shared = []
-        for table in tables.values():
-            wx, wd, root = table.wx, table.wd, np.sqrt(table.tau)
-            d_sums = (0.0, 0.0, [0.0] * len(zgs)) if wd is None else sums(wd)
-            x_sums, w_z = sums(wx), np.multiply(root, wx, out=wx)
-            if wd is not None:  # the maturity has a penalty term
-                w_z += np.divide(wd, 2.0 * root, out=wd)
-            shared.append((*x_sums, *d_sums, w_z))
-        del zgs
+            wx, wd = table.adjoint_weights()
+            root = np.sqrt(table.tau)
+            d_sums = (0.0, 0.0) if wd is None else (float(np.sum(wd)), float(np.dot(wd, z)))
+            sums.append((float(np.sum(wx)), float(np.dot(wx, z)), *d_sums))
+            for w, factor in ((wx, root), (wd, 0.5 / root)):
+                if w is not None:
+                    w *= factor
+                    zw = w if zw is None else np.add(zw, w, out=zw)
+        zw *= z
         parts, comp_proj = [], []  # comp_proj: sum over (tau, n) of wx dX_comp + wd dslope_comp
-        for c, ((coef, comp, _), rows, net_z) in enumerate(zip(bound._parts, bound._rows, bound.passes)):
+        for (coef, comp), rows, net_z in zip(mixture_components(model), bound._rows,
+                                             bound.passes):
             gmu, gmu_s, gtau, gtau_s, caches_mu, caches_tau = zip(*rows)
-            wz = np.zeros_like(z)
             wv_mu, ws_mu, wv_tau, ws_tau = np.zeros((4, len(tables)))
-            d_sigma = proj = 0.0
-            # tables, shared and rows all follow build_tables' maturity order
-            for i, (table, (sx, sxz, sxzg, sd, sdz, sdzg, w_z)) in enumerate(zip(tables.values(), shared)):
+            # adjoints against the scale direction z (G_Z + G_tau + 1): the
+            # G_Z part of every maturity at once, then the rest maturity by maturity
+            scale_adj = float(np.dot(net_z.values, zw))
+            proj = 0.0
+            # tables, sums and rows all follow build_tables' maturity order
+            for i, (table, (sx, sxz, sd, sdz)) in enumerate(zip(tables.values(), sums)):
                 tau, rate, root = table.tau, table.rate, np.sqrt(table.tau)
-                wz += coef * comp.sigma * z * w_z
                 base = gtau[i] + 1.0
                 wv_mu[i] = coef * rate * (tau * sx + sd)
                 ws_mu[i] = coef * rate * tau * sd
                 wv_tau[i] = coef * comp.sigma * (root * sxz + sdz / (2.0 * root))
                 ws_tau[i] = coef * comp.sigma * root * sdz
-                # adjoints against the scale direction z (G_Z + G_tau + 1)
-                x_dir = root * (sxzg[c] + base * sxz)
-                s_dir = (sdzg[c] + base * sdz) / (2.0 * root) + root * gtau_s[i] * sdz
-                d_sigma += coef * (x_dir + s_dir)
-                # adjoints against the full component map (for d/dalpha)
-                proj += rate * tau * gmu[i] * sx \
-                    + rate * (gmu[i] + tau * gmu_s[i]) * sd \
-                    + comp.sigma * (x_dir + s_dir)
-            comp_proj.append(proj)
+                scale_adj += root * base * sxz + base * sdz / (2.0 * root) + root * gtau_s[i] * sdz
+                # adjoints against the full component map (for d/dalpha), the scale part below
+                proj += rate * tau * gmu[i] * sx + rate * (gmu[i] + tau * gmu_s[i]) * sd
+            comp_proj.append(proj + comp.sigma * scale_adj)
             g_mu = comp.net_mu.weighted_value_slope_param_gradient(
                 stack_caches(caches_mu), wv_mu, ws_mu)
-            g_z = net_z.param_gradient(wz)
+            g_z = net_z.param_gradient(zw).to_vector()
+            g_z *= coef * comp.sigma  # the gradient is linear in the weights
             g_tau = comp.net_tau.weighted_value_slope_param_gradient(
                 stack_caches(caches_tau), wv_tau, ws_tau)
-            parts += [[d_sigma], g_mu.to_vector(), g_z.to_vector(), g_tau.to_vector()]
+            parts += [[coef * scale_adj], g_mu.to_vector(), g_z, g_tau.to_vector()]
         # a mixture's alpha leads the vector
         head = [[comp_proj[0] - comp_proj[1]]] if len(comp_proj) > 1 else []
         return np.concatenate(head + parts), None
@@ -602,6 +619,12 @@ def _adapter(kind: str):
 
 def _adapter_of(model):
     return _ADAPTERS[model_kind(model)]
+
+
+# the quotes of one evaluation, in quote_groups' order, for the gradients:
+# each quote's maturity, slice position, call flag and dL/dfitted, the spot,
+# and rn-q's residual weights S s and residuals r
+_Fit = namedtuple("_Fit", "taus positions calls dl_dfit spot spot_weights residuals")
 
 
 def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
@@ -636,11 +659,6 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
     observed, is_call = np.concatenate(mids), np.concatenate(calls)
     data_loss, dl_dfit, weights = _loss_weights(observed, fitted, is_call, config.loss_kind,
                                                 config.relative_mse_floor)
-    dl_dfit = np.split(dl_dfit, np.cumsum([c.size for c in calls])[:-1])
-    for tau, c, (_, positions), dl in zip(quote_taus, calls, priced, dl_dfit):
-        table = tables[tau]
-        coeff = dl * np.exp(-table.rate * tau) * chain.spot / n
-        table.add("data", *_side_terms(positions, np.where(c, coeff, -coeff), c))
 
     penalty = 0.0
     if use_penalty:
@@ -653,11 +671,11 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
         # -lam / N, strike by strike and a call before a put
         active = np.stack([jc, jp], axis=-1).reshape(len(grid_tables), -1) < 0.0
         positions = np.stack([pos_c, pos_p], axis=-1).reshape(active.shape)
-        is_call = np.tile([True, False], grid_m.size)
+        grid_calls = np.tile([True, False], grid_m.size)
         lam_n = config.lam / n
         for table, on, pos, defect in zip(grid_tables, active, positions, defects):
-            coeffs = np.where(is_call[on], -lam_n, lam_n)
-            table.add("pen", *_side_terms(pos[on], coeffs, is_call[on]))
+            coeffs = np.where(grid_calls[on], -lam_n, lam_n)
+            table.add("pen", *_side_terms(pos[on], coeffs, grid_calls[on]))
             table.add("data", [0], [config.lam * 2.0 * defect / (n * table.mean_growth)])
 
     loss = data_loss + config.lam * penalty
@@ -666,8 +684,9 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
 
     grad = jacobian = None
     if needs_gradient is None or needs_gradient(loss):
-        fit = (np.concatenate([positions for _, positions in priced]), is_call,
-               chain.spot * weights, weights * (fitted - observed))
+        fit = _Fit(np.repeat(quote_taus, [c.size for c in calls]),
+                   np.concatenate([positions for _, positions in priced]), is_call, dl_dfit,
+                   chain.spot, chain.spot * weights, weights * (fitted - observed))
         grad, jacobian = adapter.gradient(model, tables, aux, z, fit)
     return loss, grad, {"penalty": penalty, "jacobian": jacobian,
                         "orders": {tau: t.order for tau, t in tables.items()}}
@@ -692,14 +711,15 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     returned parameters are the last accepted ones and reproduce the last
     entry exactly; the evaluation that ends the fit forms no gradient.
     Each evaluation starts every maturity's sort from the order the
-    previous evaluation found; only those order arrays, reordered in
-    place, and one ``nn.Scratch`` are kept between evaluations.  The
-    scratch holds the draws' knot lattices, the knot passes' buffers and
-    each component's G_Z (rn-q leaves it empty); it is dropped before
-    the final metrics.  These price the returned model on the loop's
-    draws, each maturity's sort starting from the last evaluation's order;
-    the penalty grid's price surface, which gives the final penalty, is
-    returned as ``surface``.
+    previous evaluation found (a slice, with no array, for growth that
+    is monotone in the pool's storage order); only those orders,
+    reordered in place, and one ``nn.Scratch`` are kept between
+    evaluations.  The scratch holds the draws' knot lattices, the knot
+    passes' buffers, each component's G_Z and their combination H (rn-q
+    leaves it empty); it is dropped before the final metrics.  These
+    price the returned model on the loop's draws, each maturity's sort
+    starting from the last evaluation's order; the penalty grid's price
+    surface, which gives the final penalty, is returned as ``surface``.
     """
     t0 = time.perf_counter()
     if not train_chain.quotes:

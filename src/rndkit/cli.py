@@ -256,7 +256,7 @@ def cmd_simulate(args) -> int:
     maturities = chain.maturities()
     for tau in maturities:
         rate = chain.rate(tau)
-        var, skew, kurt = heston_true_moments(params, chain.spot, tau, rate)
+        var, skew, kurt = heston_true_moments(params, tau)
         moment_rows.append((tau, np.sqrt(var), skew, kurt))
         width = 12.0 * np.sqrt(var)
         log_grid = np.linspace(np.log(chain.spot) + rate * tau - width,

@@ -262,7 +262,7 @@ def _standardized_moments(psi, radius):
     return k2, k3 / k2**1.5, k4 / (k2 * k2) + 3.0
 
 
-def heston_true_moments(p, spot, tau, rate):
+def heston_true_moments(p, tau):
     """(variance, skewness, kurtosis) of ln S_T from the cumulants of the pricer's CF.
 
     The cumulants are the Taylor coefficients of psi(v) = ln E[e^{v ln S_T}],
@@ -274,8 +274,8 @@ def heston_true_moments(p, spot, tau, rate):
     E[e^{v ln S_T}].  The 32 even nodes give a second estimate from the
     same evaluations; if skew or kurtosis moves by more than 1e-9 between
     the two (the circle has reached a moment explosion), this raises
-    FloatingPointError.  ``spot`` and ``rate`` only shift the mean of
-    ln S_T, so psi is taken at spot 1 and rate 0.
+    FloatingPointError.  The spot and the rate would only shift the mean
+    of ln S_T, which is not returned, so psi is taken at spot 1 and rate 0.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")

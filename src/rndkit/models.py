@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -203,20 +202,23 @@ class BoundModel:
 
     G_Z, the only network term read at all N draws, does not depend on
     tau, so each ``net_z`` runs once, here, through an ``nn.KnotPass`` (M
-    knots, M well under N for N >= 8,192), and only G_Z, N floats per
-    component, is kept.  A maturity then costs two one-row passes
-    (``net_mu``, ``net_tau``) per component, so its values depend only on
+    knots, M well under N for N >= 8,192).  A mixture's X is then affine
+    in two draw vectors, Z and Z H with H = sum_c coef_c sigma_c G_Z,c,
+    which the binding forms once: a maturity costs two one-row passes
+    (``net_mu``, ``net_tau``) per component for the scalar coefficients and
+    a few N-long passes for X and dX/dtau, and its values depend only on
     (model, draws, tau, rate).  Calibration, pricing, penalties, the audit
     and the density all read X and dX/dtau here.  Build it with ``bind``;
     it never changes afterwards.
-    The calibration loop binds with its fit's ``nn.Scratch``, which then
-    holds the knot lattices, network buffers and G_Z; the draws are read in
-    place, and the binding keeps for the gradient per component its knot
-    pass, whose cache sits in buffers of its own, and a (G_mu, G_mu',
-    G_tau, G_tau', caches) row per maturity.
+    An analysis binding keeps H alone.  The calibration loop binds with
+    its fit's ``nn.Scratch``, which then holds the knot lattices, network
+    buffers, each component's G_Z and H; the draws are read in place, and
+    the binding keeps for the gradient per component its knot pass, whose
+    cache sits in buffers of its own, and a (G_mu, G_mu', G_tau, G_tau',
+    caches) row per maturity.
     """
 
-    __slots__ = ("model", "kind", "z", "passes", "_parts", "_rows")
+    __slots__ = ("model", "kind", "z", "passes", "_h", "_rows")
 
     def __init__(self, model, z, scratch=None):
         self.model = model
@@ -229,12 +231,17 @@ class BoundModel:
         self.z = z
         components = mixture_components(model)
         work = Scratch() if scratch is None else scratch
-        # G_Z first, so the passes' temporaries free from the top of the heap
+        # H and G_Z first, so the passes' temporaries free from the top of the heap
+        self._h = work.take("h", z.size) if components else None
         g_z = [work.take(("g_z", c), z.size) for c in range(len(components))]
         passes = [KnotPass(comp.net_z, z, work.lattices, work, out, None if scratch is None else c)
                   for c, ((_, comp), out) in enumerate(zip(components, g_z))]
-        # (coefficient, component, G_Z(Z)) in mixture order
-        self._parts = tuple((coef, comp, p.values) for (coef, comp), p in zip(components, passes))
+        for c, ((coef, comp), gz) in enumerate(zip(components, g_z)):
+            if c == 0:
+                np.multiply(gz, coef * comp.sigma, out=self._h)
+            else:
+                self._h += (coef * comp.sigma) * gz
+        # for the gradient: each component's knot pass, whose values are its G_Z(Z)
         self.passes = None if scratch is None else passes
         self._rows = tuple([] for _ in passes)
 
@@ -254,12 +261,15 @@ class BoundModel:
         return self.columns(tau, rate)[0]
 
     def columns(self, tau, rate):
-        """(X, dX/dtau) at one maturity; per network component
+        """(X, dX/dtau) at one maturity.  Per network component
 
         X = r tau G_mu + sigma sqrt(tau) Z (G_Z + G_tau + 1),
         dX/dtau = r G_mu + r tau G_mu' + sigma Z [ (G_Z + G_tau + 1) / (2 sqrt(tau))
                                                    + sqrt(tau) G_tau' ],
-        and a mixture sums c_1 (X_1, X_1') + c_2 (X_2, X_2') + ...  For the
+        and a mixture sums c_1 (X_1, X_1') + c_2 (X_2, X_2') + ...  With H
+        the binding's sum_c coef_c sigma_c G_Z,c that is
+        X = a + Z (b + sqrt(tau) H) and dX/dtau = a' + Z (b' + H / (2 sqrt(tau))),
+        whose scalars a, b, a', b' come from the one-row passes.  For the
         quantile model the location tracks the martingale constraint
         mu(tau) = r tau - const, so dX/dtau is the constant rate.
         """
@@ -267,20 +277,27 @@ class BoundModel:
             return self.log_returns(tau, rate), np.full_like(self.z, float(rate))
         if tau <= 0.0:
             raise ValueError("maturity derivative needs tau > 0")
-        z, t, root, keep = self.z, np.array([tau]), np.sqrt(tau), self.passes is not None
-        terms = []
-        for (coef, comp, gz), rows in zip(self._parts, self._rows):
+        t, root, keep = np.array([tau]), np.sqrt(tau), self.passes is not None
+        a = b = da = db = 0.0
+        for (coef, comp), rows in zip(mixture_components(self.model), self._rows):
             gmu, gmu_s, cache_mu = comp.net_mu.scalar_batch(t, want_slope=True, keep_cache=keep)
             gtau, gtau_s, cache_tau = comp.net_tau.scalar_batch(t, want_slope=True, keep_cache=keep)
             gmu, gmu_s, gtau, gtau_s = float(gmu[0]), float(gmu_s[0]), float(gtau[0]), float(gtau_s[0])
             if keep:
                 rows.append((gmu, gmu_s, gtau, gtau_s, cache_mu, cache_tau))
-            band = gz.reshape(z.shape) + gtau + 1.0
-            terms.append((coef * (rate * tau * gmu + comp.sigma * root * z * band),
-                          coef * (rate * gmu + rate * tau * gmu_s
-                                  + comp.sigma * z * (band / (2.0 * root) + root * gtau_s))))
-        # the one-component coefficient 1.0 multiplies exactly
-        return tuple(reduce(np.add, column) for column in zip(*terms))
+            a += coef * rate * tau * gmu
+            b += coef * comp.sigma * root * (gtau + 1.0)
+            da += coef * (rate * gmu + rate * tau * gmu_s)
+            db += coef * comp.sigma * ((gtau + 1.0) / (2.0 * root) + root * gtau_s)
+        return self._affine(root, b, a), self._affine(0.5 / root, db, da)
+
+    def _affine(self, scale, b, a):
+        # a + Z (b + scale H), in one new array
+        out = np.multiply(self._h, scale)
+        out += b
+        out *= self.z
+        out += a
+        return out
 
 
 def bind(model, samples) -> BoundModel:

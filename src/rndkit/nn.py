@@ -176,17 +176,27 @@ class KnotLattice:
     y[i] + c1 t + c2 t^2 + c3 t^3 by Horner's rule, with h the width,
     dy = y[i + 1] - y[i], c1 = h s[i], c2 = 3 dy - 2 h s[i] - h s[i + 1] and
     c3 = h s[i] + h s[i + 1] - 2 dy; at a knot (t = 0) it reads y[i] exactly.
+
+    The lattice works on the inputs in ascending order, x itself when it
+    is non-decreasing (the pool's own order), else x's stable sort, whose
+    order it keeps.  Each interval's inputs are then one contiguous run,
+    found by one ``searchsorted`` of the knots, and the adjoint sums each
+    run with ``np.add.reduceat``.
     """
 
-    __slots__ = ("knots", "_index", "_coord", "_width")
+    __slots__ = ("knots", "_order", "_starts", "_empty", "_index", "_coord", "_width")
 
     def __init__(self, x, knots):
         self.knots = knots
-        self._index = i = np.searchsorted(knots, x, side="right")
-        i -= 1
+        self._order = None if np.all(x[1:] >= x[:-1]) else np.argsort(x, kind="stable")
+        xs = x if self._order is None else x[self._order]
+        self._starts = np.searchsorted(xs, knots)  # each interval's first input
+        counts = np.diff(self._starts, append=x.size)
+        self._empty = counts == 0
+        self._index = i = np.repeat(np.arange(knots.size), counts)
         self._width = np.diff(knots)
         t = np.take(knots, i)
-        np.subtract(x, t, out=t)
+        np.subtract(xs, t, out=t)
         t /= np.take(np.append(self._width, 1.0), i)  # the top knot's t is 0 / 1
         self._coord = t
 
@@ -203,20 +213,32 @@ class KnotLattice:
         for row in c[2::-1]:
             out *= t
             out += np.take(row, i, out=part, mode="clip")
+        if self._order is not None:  # back to the inputs' order, through part
+            part[self._order] = out
+            out[...] = part
         return out
 
     def adjoint(self, w):
         """(wy, ws) with sum_n w_n G(x_n) = wy . y + ws . s, G the interpolant:
-        four ``np.bincount``s give each interval's sums of w t^k, the
-        adjoints of its cubic's coefficients, which are linear in y and s."""
-        i, t, m, h = self._index, self._coord, self.knots.size, self._width
-        a = [np.bincount(i, w, m)]
-        wt = np.multiply(w, t)
-        for _ in range(3):
-            a.append(np.bincount(i, wt, m)[:-1])
+        each interval's sums of w t^k, one ``reduceat`` per power over the
+        sorted runs, are the adjoints of its cubic's coefficients, which
+        are linear in y and s."""
+        t, m, h = self._coord, self.knots.size, self._width
+        sorted_w = w if self._order is None else w[self._order]
+
+        def runs(v):
+            out = np.add.reduceat(v, self._starts)
+            out[self._empty] = 0.0  # reduceat reads an empty run's first element
+            return out
+
+        a = [runs(sorted_w)]
+        wt = np.multiply(sorted_w, t, out=None if self._order is None else sorted_w)
+        a.append(runs(wt)[:-1])
+        for _ in range(2):
             wt *= t
+            a.append(runs(wt)[:-1])
         d = 3.0 * a[2] - 2.0 * a[3]  # the adjoint of dy
-        wy, ws = a[0].copy(), np.zeros(m)
+        wy, ws = a[0], np.zeros(m)
         wy[:-1] -= d
         wy[1:] += d
         ws[:-1] = h * (a[1] - 2.0 * a[2] + a[3])

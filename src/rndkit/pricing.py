@@ -8,21 +8,29 @@ model's log returns:
 
 The draws are fixed per run, so prices are deterministic functions of the
 model parameters.  Every sum over the draws at one maturity is read off
-one ``MaturitySlice``: the growth factors e^X are sorted once (stable
-sort) and prefix-summed in that fixed order, only the sorted arrays are
-kept, and its two lookups answer a whole array of moneyness values at
-once: one side's prices, or the calendar values.  Calibration, pricing,
-the penalties and the audit all read the same slice.  The calibration
-loop hands each slice the previous iteration's order as a hint: the slice takes the growth factors
-in that order as they are when they are already strictly increasing, or
-else re-sorts them (nearly sorted, so about O(N)), and keeps the result
-only when it is strictly increasing, the one case in which it must equal
-the cold stable sort; otherwise it sorts cold, with numpy's default sort
-under the same test and the stable sort only on ties.  ``growth_factors``
-is e^X alone, for callers that need no sums.  Each entry point binds the
-model to the draws once (``models.bind``), so G_Z(Z) is evaluated once
-per call however many maturities it prices, and not at all when the
-caller passes a model already bound to these draws.
+one ``MaturitySlice``: the growth factors e^X in ascending order (stable
+order) prefix-summed in that order, only the sorted arrays kept, and its
+two lookups answer a whole array of moneyness values at once: one side's
+prices, or the calendar values.  Calibration, pricing, the penalties and
+the audit all read the same slice.
+
+The pool is stored in ascending Z (``sampling``) and every model's X is,
+in practice, monotone in Z, so a slice first tests the growth in storage
+order: non-decreasing means its stable order is the identity and the
+growth is already sorted; strictly decreasing means the reversed view.
+Either order is a ``slice``, and no index array, gather or sort is made.
+Only a non-monotone X (a net that folds in Z, or a caller's unsorted
+pool) takes the general path, where the calibration loop hands each
+slice the previous iteration's order as a hint: the slice takes the
+growth factors in that order as they are when they are already strictly
+increasing, or else re-sorts them (nearly sorted, so about O(N)), and
+keeps the result only when it is strictly increasing, the one case in
+which it must equal the cold stable sort; otherwise it sorts cold, with
+numpy's default sort under the same test and the stable sort only on
+ties.  ``growth_factors`` is e^X alone, for callers that need no sums.
+Each entry point binds the model to the draws once (``models.bind``), so
+G_Z(Z) is evaluated once per call however many maturities it prices, and
+not at all when the caller passes a model already bound to these draws.
 """
 
 from __future__ import annotations
@@ -39,18 +47,23 @@ class MaturitySlice:
 
     A slice keeps only sorted state: ``order``, the draws' stable
     ascending order, the sorted growth ``gs`` and its prefix sums; e^X in
-    draw order is dropped once sorted.  ``slope`` is dX/dtau on the same
-    draws; without it ``calendars`` is unavailable.  With it the slice
-    keeps ``a_sorted``, (slope - r) e^X in sorted order, for
+    draw order is dropped once sorted.  ``order`` is ``slice(None)`` when
+    the growth is non-decreasing in storage order and ``slice(None, None,
+    -1)`` when it is strictly decreasing, else an index array; ``a[order]``
+    is the draw-order array ``a`` in sorted order, and ``a[order] = b``
+    puts a sorted ``b`` back, either way.  ``slope`` is dX/dtau on the
+    same draws; without it ``calendars`` is unavailable.  With it the
+    slice keeps ``a_sorted``, (slope - r) e^X in sorted order, for
     calibration's adjoint.  The two lookups,
     ``prices`` and ``calendars``, take an array of moneyness values K/S
     and return the values and the positions splitting the sorted growth
     array, which calibration's adjoint pass reuses.  A call sums growth > K/S, a put growth < K/S,
     a calendar call growth >= K/S and a calendar put growth <= K/S.
 
-    ``hint`` is an optional candidate order, such as the previous
-    iteration's ``order``.  It is used only when the growth factors in
-    that order, re-sorted if they are not already, give a strictly
+    ``hint`` is an optional candidate index order, such as the previous
+    iteration's ``order``, for growth that is not monotone in storage
+    order (a slice is no hint).  It is used only when the growth factors
+    in that order, re-sorted if they are not already, give a strictly
     increasing sequence: with no ties the stable order is unique, so
     every field is bit-identical to a cold sort.  Ties, rounding
     inversions or no hint fall back to the cold stable sort.  A hint that
@@ -68,9 +81,8 @@ class MaturitySlice:
         self.a_sorted = None
         self.order, self.gs = _stable_order(growth_factors(x, tau), hint)
         self.cum_g = _prefix_sums(self.gs)
-        if slope is not None:  # (slope - r) e^X, gathered into sorted order before the arithmetic
-            a = self.a_sorted = np.take(slope, self.order)
-            a -= rate
+        if slope is not None:  # (slope - r) e^X, slope in sorted order
+            a = self.a_sorted = np.subtract(slope[self.order], rate)
             a *= self.gs
             self.cum_a = _prefix_sums(a)
         self.mean_growth = self.cum_g[-1] / self.gs.size
@@ -115,18 +127,29 @@ def growth_factors(x, tau):
     return growth
 
 
+_IDENTITY, _REVERSED = slice(None), slice(None, None, -1)
+
+
 def _stable_order(growth, hint):
     """Stable ascending order of ``growth`` and the sorted values.
 
-    An order whose sorted values are strictly increasing is the unique
-    stable order, whatever sort produced it.  So a full-length hint is
-    tried first: kept as it is when the growth is already strictly
-    increasing in that order (in a fit, nearly every slice after the
-    first), else re-sorted and, when that passes, permuted in place;
-    otherwise numpy's default sort, which is cheaper than the stable one,
-    and the stable sort only on ties.
+    Growth that is non-decreasing in storage order has the identity as
+    its stable order, ties or not, and is its own sorted array; strictly
+    decreasing growth has the reversal (a tie would keep its pair's
+    storage order).  Otherwise an order whose sorted values are strictly
+    increasing is the unique stable order, whatever sort produced it.
+    So a full-length index hint is tried first: kept as it is when the
+    growth is already strictly increasing in that order (in a fit, nearly
+    every slice after the first), else re-sorted and, when that passes,
+    permuted in place; otherwise numpy's default sort, which is cheaper
+    than the stable one, and the stable sort only on ties.
     """
-    if hint is not None and hint.size == growth.size:
+    if growth[0] <= growth[-1]:
+        if np.all(growth[1:] >= growth[:-1]):
+            return _IDENTITY, growth
+    elif np.all(growth[1:] < growth[:-1]):
+        return _REVERSED, growth[::-1].copy()
+    if isinstance(hint, np.ndarray) and hint.size == growth.size:
         near = np.take(growth, hint)
         if _strictly_increasing(near):
             return hint, near

@@ -4,8 +4,16 @@ One sample set is drawn per run and reused across all maturities and
 strikes (common random numbers), so prices move smoothly in the model
 parameters.  The generator is counter-based (Philox) and the normals come
 from the inverse CDF applied to the midpoint of the 2^53 uniform lattice,
-which keeps the sequence reproducible across platforms and makes a longer
-draw with the same seed a prefix-preserving extension of a shorter one.
+which keeps the sequence reproducible across platforms.
+
+The pool is stored in ascending order: the uniforms are sorted before the
+inverse CDF, which is monotone, so each draw keeps its bits and only its
+position changes.  Every model's X is, in practice, monotone in Z, so each
+maturity's growth factors come out already sorted (or reversed) and the
+pricing slices need no sort and no permutation (``pricing.MaturitySlice``).
+A longer draw with the same seed is therefore not a prefix-preserving
+extension of a shorter one: it holds the shorter draw's values, bit for
+bit, interleaved with its own.
 
 The inverse CDF is ``_ndtri``, a numpy port of the Cephes ``ndtri``
 rational approximations, the algorithm ``scipy.special.ndtri`` runs, and
@@ -74,12 +82,13 @@ class NormalSampleSet:
 
 
 def draw_standard_normal(n: int, seed: int) -> NormalSampleSet:
-    """Draw n standard normals for the given seed."""
+    """Draw n standard normals for the given seed, in ascending order."""
     n = int(n)
     if n <= 0:
         raise ValueError("need at least one sample")
-    rng = np.random.Generator(np.random.Philox(seed))
-    values = _ndtri(rng.random(n) + _HALF_ULP)
+    uniforms = np.random.Generator(np.random.Philox(seed)).random(n)
+    uniforms.sort()
+    values = _ndtri(uniforms + _HALF_ULP)
     if n >= 100_000:
         _moment_guard(values, n)
     return NormalSampleSet(values=values, seed=int(seed), n=n)

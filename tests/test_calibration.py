@@ -36,10 +36,11 @@ from rndkit.models import (
     parameter_vector,
     rnq_mu_from_constraint,
     with_parameter_vector,
+    zero_net_rnmlp,
 )
 from rndkit.nn import FIRST_KNOTS, DenseNetwork, KnotPass, Scratch
-from rndkit.pricing import MaturitySlice, price_chain
-from rndkit.sampling import draw_standard_normal
+from rndkit.pricing import MaturitySlice, growth_factors, price_chain
+from rndkit.sampling import NormalSampleSet, draw_standard_normal
 
 SPOT = 1000.0
 PINNED = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
@@ -88,6 +89,27 @@ def params_to_vector(model):
 
 def vector_to_params(template, vec):
     return with_parameter_vector(template, vec)
+
+
+def shuffled(samples, seed=5):
+    """The pool in a fixed permutation of its ascending storage order: a
+    caller's unsorted pool, on which the slices take the hinted path."""
+    values = np.random.Generator(np.random.Philox(seed)).permutation(samples.values)
+    return NormalSampleSet(values=values, seed=samples.seed, n=samples.n)
+
+
+def index_order(order, n):
+    """A slice's order as the index array it stands for, an array as it is."""
+    return np.arange(n)[order]
+
+
+class ColdTable(calibration._TauTable):
+    """A training slice that ignores its hint and sorts cold."""
+
+    __slots__ = ()
+
+    def __init__(self, tau, rate, x, slope, hint=None):
+        super().__init__(tau, rate, x, slope)
 
 
 def objective_and_gradient(model, chain, grid, cfg, samples):
@@ -468,38 +490,39 @@ def test_final_metrics_reproduce_last_evaluation(call_chain, three_maturity_chai
 @pytest.mark.parametrize("kind", ["rn-q", "rn-mlp", "rn-dmlp"])
 def test_warm_started_sorts_reproduce_cold_sorts(call_chain, three_maturity_chain,
                                                  monkeypatch, kind):
+    # on the ascending pool and on a caller's unsorted one, whose slices
+    # take the hinted path
     chain = call_chain if kind == "rn-q" else three_maturity_chain
     cfg = CalibrationConfig(n_samples=4000, seed=9, iterations=12)
-    warm = calibrate(kind, chain, cfg)
+    ascending = draw_standard_normal(cfg.n_samples, cfg.seed)
 
-    class ColdTable(calibration._TauTable):
-        __slots__ = ()
-
-        def __init__(self, tau, rate, x, slope, hint=None):
-            super().__init__(tau, rate, x, slope)
-
-    monkeypatch.setattr(calibration, "_TauTable", ColdTable)
-    cold = calibrate(kind, chain, cfg)
-    assert warm.loss_trajectory.tobytes() == cold.loss_trajectory.tobytes()
-    assert warm.penalty_trajectory.tobytes() == cold.penalty_trajectory.tobytes()
-    assert checkpoint_document(warm.params) == checkpoint_document(cold.params)
-    doc_warm, doc_cold = warm.to_jsonable(), cold.to_jsonable()
-    del doc_warm["wall_time"], doc_cold["wall_time"]
-    assert doc_warm == doc_cold
+    for samples in (ascending, shuffled(ascending)):
+        warm = calibrate(kind, chain, cfg, samples=samples)
+        with monkeypatch.context() as m:
+            m.setattr(calibration, "_TauTable", ColdTable)
+            cold = calibrate(kind, chain, cfg, samples=samples)
+        assert warm.loss_trajectory.tobytes() == cold.loss_trajectory.tobytes()
+        assert warm.penalty_trajectory.tobytes() == cold.penalty_trajectory.tobytes()
+        assert checkpoint_document(warm.params) == checkpoint_document(cold.params)
+        doc_warm, doc_cold = warm.to_jsonable(), cold.to_jsonable()
+        del doc_warm["wall_time"], doc_cold["wall_time"]
+        assert doc_warm == doc_cold
 
 
 @pytest.mark.parametrize("kind", ["rn-q", "rn-mlp", "rn-dmlp"])
 def test_final_metrics_start_from_the_loops_orders(call_chain, three_maturity_chain,
                                                    monkeypatch, kind):
-    # the final pricing and penalty order every maturity from the last
-    # evaluation's order, so no sort there sees unsorted growth, and the
-    # results equal cold sorts bit for bit
+    # on the ascending pool every maturity's growth is monotone in storage
+    # order, so the final pricing and penalty keep slice orders and call no
+    # argsort.  On a caller's unsorted pool they order every maturity from
+    # the last evaluation's index order, so no sort there sees unsorted
+    # growth.  Either way the results equal cold sorts bit for bit
     chain = call_chain if kind == "rn-q" else three_maturity_chain
     cfg = CalibrationConfig(n_samples=4000, seed=9, iterations=6)
+    ascending = draw_standard_normal(cfg.n_samples, cfg.seed)
     real_argsort = np.argsort
     real_order = pricing._stable_order
-    unsorted = []
-    hinted = []
+    unsorted, hinted, orders = [], [], []
 
     def spy(a, *args, **kwargs):
         a = np.asarray(a)
@@ -507,8 +530,10 @@ def test_final_metrics_start_from_the_loops_orders(call_chain, three_maturity_ch
         return real_argsort(a, *args, **kwargs)
 
     def order_spy(growth, hint):
-        hinted.append(hint is not None)
-        return real_order(growth, hint)
+        hinted.append(isinstance(hint, np.ndarray))
+        order, gs = real_order(growth, hint)
+        orders.append(order)
+        return order, gs
 
     def in_final_metrics(fn):
         def run(*args, **kwargs):
@@ -520,23 +545,28 @@ def test_final_metrics_start_from_the_loops_orders(call_chain, three_maturity_ch
 
     monkeypatch.setattr(calibration, "price_chain", in_final_metrics(price_chain))
     monkeypatch.setattr(calibration, "price_surface", in_final_metrics(price_surface))
-    res = calibrate(kind, chain, cfg)
     grid = grid_for(chain)
-    # one slice per quoted maturity for the prices, one per grid maturity,
-    # each handed the loop's order (a hint already in order sorts nothing)
-    assert len(hinted) == len({q.tau for q in chain.quotes}) + len(grid.taus)
-    assert all(hinted)
-    if kind != "rn-q":
-        # rn-q's final location is recomputed, so its X may tie or round
-        # differently from the loop's, and its slices may sort cold
-        assert not any(unsorted)
-    samples = draw_standard_normal(cfg.n_samples, cfg.seed)
-    cold = price_chain(res.params, chain, samples)
-    observed = np.array([q.mid for q in chain.quotes])
-    assert mse(observed, cold, [q.side for q in chain.quotes]) == res.final_train_mse
-    report = price_surface(res.params, grid.taus, grid.strikes, chain.spot, chain.rate,
-                           samples).penalty()
-    assert report.to_jsonable() == res.final_penalty.to_jsonable()
+    for samples in (ascending, shuffled(ascending)):
+        unsorted.clear(), hinted.clear(), orders.clear()
+        res = calibrate(kind, chain, cfg, samples=samples)
+        # one slice per quoted maturity for the prices, one per grid maturity
+        assert len(orders) == len({q.tau for q in chain.quotes}) + len(grid.taus)
+        if samples is ascending:
+            assert not unsorted and not any(hinted)
+            assert all(isinstance(order, slice) for order in orders)
+        else:
+            # each handed the loop's index order (one already in order sorts nothing)
+            assert all(hinted)
+            if kind != "rn-q":
+                # rn-q's final location is recomputed, so its X may tie or round
+                # differently from the loop's, and its slices may sort cold
+                assert not any(unsorted)
+        cold = price_chain(res.params, chain, samples)
+        observed = np.array([q.mid for q in chain.quotes])
+        assert mse(observed, cold, [q.side for q in chain.quotes]) == res.final_train_mse
+        report = price_surface(res.params, grid.taus, grid.strikes, chain.spot, chain.rate,
+                               samples).penalty()
+        assert report.to_jsonable() == res.final_penalty.to_jsonable()
 
 
 def test_network_objective_holds_no_n_by_width_arrays(three_maturity_chain):
@@ -557,9 +587,12 @@ def test_network_objective_holds_no_n_by_width_arrays(three_maturity_chain):
 
 def test_network_gradient_spends_each_slice_before_the_backward_passes(
         three_maturity_chain):
-    # adjoint_weights releases a slice's sorted and prefix-sum arrays, so the gradient adds at most a few N-length
-    # arrays to what the evaluation held when it started (about 18 when
-    # the slices stayed whole), and one objective peaks near its tables
+    # adjoint_weights releases a slice's sorted and prefix-sum arrays and,
+    # on the ascending pool, hands back views of them, so the gradient adds
+    # under one N-length array to what the evaluation held when it started
+    # (about 4 when each maturity's weights were scattered into draw order),
+    # and one objective peaks near its tables (25.5 MB here, 28.7 MB with
+    # the scatters).  Every order is a slice: the slices hold no index array
     n = 100_000
     cfg = CalibrationConfig(n_samples=n, seed=9)
     samples = draw_standard_normal(n, cfg.seed)
@@ -568,6 +601,8 @@ def test_network_gradient_spends_each_slice_before_the_backward_passes(
     grid = grid_for(chain)
     adapter = calibration._adapter("rn-dmlp")
     taus = sorted({q.tau for q in chain.quotes} | {float(t) for t in grid.taus})
+    no_quotes = calibration._Fit(np.empty(0), np.empty(0, np.intp), np.empty(0, bool),
+                                 np.empty(0), chain.spot, np.empty(0), np.empty(0))
     tracemalloc.start()
     try:
         objective_and_gradient(model, chain, grid, cfg, samples)
@@ -575,16 +610,15 @@ def test_network_gradient_spends_each_slice_before_the_backward_passes(
         tables, bound = adapter.build_tables(model, taus, chain.rate, samples.values)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        adapter.gradient(model, tables, bound, samples.values)
+        adapter.gradient(model, tables, bound, samples.values, no_quotes)
         gradient_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert gradient_peak - held < 4 * 8 * n
-    assert objective_peak < 45e6
+    assert gradient_peak - held < 8 * n
+    assert objective_peak < 28e6
     for table in tables.values():
         assert table.gs is None and table.cum_g is None and table.cum_a is None
-        # build_tables alone records no penalty term, so no slice forms wd
-        assert table.wx.size == table.order.size == n and table.wd is None
+        assert isinstance(table.order, slice)
 
 
 @pytest.mark.parametrize("kind", ["rn-mlp", "rn-dmlp"])
@@ -611,13 +645,37 @@ def test_warm_network_objective_peaks_below_25_n_length_arrays(three_maturity_ch
     assert peak < 25 * 8 * n
 
 
+def test_warm_rnq_objective_peaks_below_7_n_length_arrays(call_chain):
+    # on the ascending pool rn-q's Jacobian multiplies rnq_terms' own arrays
+    # in place, with no gathered copy of Z or of a column: a warm evaluation
+    # peaks at six N-length arrays (u^Z, v^-Z, the shape, X, e^X and its
+    # prefix sums), seven when Z and each column were gathered
+    n = 100_000
+    cfg = CalibrationConfig(n_samples=n, seed=9)
+    samples = draw_standard_normal(n, cfg.seed)
+    adapter = calibration._adapter("rn-q")
+    model = adapter.init_model(0)
+    grid = grid_for(call_chain)
+    _, _, parts = calibration._objective_parts(adapter, model, call_chain, grid, cfg, samples)
+    tracemalloc.start()
+    try:
+        _, _, again = calibration._objective_parts(adapter, model, call_chain, grid, cfg, samples,
+                                                   parts["orders"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again["jacobian"] is not None and again["orders"] == {call_chain.quotes[0].tau: slice(None)}
+    assert peak < 6.5 * 8 * n
+
+
 def test_fit_scratch_holds_two_buffers_per_hidden_layer(three_maturity_chain, monkeypatch):
     # one e^h per hidden layer still needs only the layer's own buffer and
     # one other, and the slope two more (the first layer's tangent is one
     # row).  Each component's midpoint check and knot pass have M-row
     # buffers of their own, where the knot pass keeps its cache; the
     # backward pass's three rotating buffers are shared, whatever N is,
-    # and G_Z is each component's N-length buffer
+    # G_Z is each component's N-length buffer and H = sum coef sigma G_Z
+    # the binding's one more
     made = []
 
     class SpyScratch(calibration.Scratch):
@@ -636,7 +694,8 @@ def test_fit_scratch_holds_two_buffers_per_hidden_layer(three_maturity_chain, mo
            ("act", 2): (m, 1), ("tangent", 0): (m, 32), ("tangent_pre", 1): (m, 32),
            ("tangent", 1): (m, 32), ("tangent_pre", 2): (m, 1)}
     assert {key: buf.shape for key, buf in fit._buffers.items()} == {
-        ("g_z", 0): (n,), ("g_z", 1): (n,), "bar0": (m, 32), "bar1": (m, 32), "bar2": (m, 32),
+        "h": (n,), ("g_z", 0): (n,), ("g_z", 1): (n,),
+        "bar0": (m, 32), "bar1": (m, 32), "bar2": (m, 32),
         **{(c, key): shape for c in (0, 1) for key, shape in own.items()}}
 
 
@@ -863,28 +922,34 @@ def test_objective_penalty_is_the_surface_penalty(three_maturity_chain):
 @pytest.mark.parametrize("kind", ["rn-mlp", "rn-dmlp"])
 def test_training_tables_match_bound_slices(kind):
     # a maturity's training values depend only on (model, Z, tau, rate),
-    # whichever other maturities are evaluated with it
+    # whichever other maturities are evaluated with it; on the ascending
+    # pool every order is a slice, on a caller's unsorted one an index array
     model = calibration._adapter(kind).init_model(4)
-    z = draw_standard_normal(3000, seed=5).values
+    ascending = draw_standard_normal(3000, seed=5)
     taus = [0.08, 0.25, 0.5, 0.75, 1.0]
 
     def rate(tau):
         return 0.02 + 0.01 * tau
 
-    bound = bind(model, z)
-    for subset in (taus, taus[1:4], taus[2:3], taus[::-2]):
-        tables, _ = calibration._adapter(kind).build_tables(model, subset, rate, z)
-        for tau in subset:
-            want = MaturitySlice(tau, rate(tau), *bound.columns(tau, rate(tau)))
-            assert tables[tau].order.tobytes() == want.order.tobytes()
-            assert tables[tau].gs.tobytes() == want.gs.tobytes()
-            assert tables[tau].a_sorted.tobytes() == want.a_sorted.tobytes()
+    for z in (ascending.values, shuffled(ascending).values):
+        bound = bind(model, z)
+        for subset in (taus, taus[1:4], taus[2:3], taus[::-2]):
+            tables, _ = calibration._adapter(kind).build_tables(model, subset, rate, z)
+            for tau in subset:
+                want = MaturitySlice(tau, rate(tau), *bound.columns(tau, rate(tau)))
+                got = tables[tau]
+                assert isinstance(got.order, slice) == (z is ascending.values)
+                assert index_order(got.order, z.size).tobytes() == \
+                    index_order(want.order, z.size).tobytes()
+                assert got.gs.tobytes() == want.gs.tobytes()
+                assert got.a_sorted.tobytes() == want.a_sorted.tobytes()
 
 
 def test_rnq_fit_sorts_unsorted_growth_once(call_chain, monkeypatch):
-    # rn-q's X is increasing in Z, so after the first cold sort every
-    # maturity slice the loop builds, accepted step or rejected trial,
-    # finds its hint already in order and sorts nothing
+    # rn-q's X is increasing in Z.  On the ascending pool no slice the loop
+    # builds sorts anything.  On a caller's unsorted pool, after the first
+    # cold sort every slice, accepted step or rejected trial, finds its
+    # hint already in order and sorts nothing
     real_argsort = np.argsort
     unsorted = []
 
@@ -902,10 +967,83 @@ def test_rnq_fit_sorts_unsorted_growth_once(call_chain, monkeypatch):
 
     monkeypatch.setattr(calibration._QuantileAdapter, "build_tables", build_tables)
     cfg = CalibrationConfig(n_samples=10_000, seed=9, iterations=50)
-    res = calibrate("rn-q", call_chain, cfg)
-    assert res.converged and 10 < res.iterations_run < 50
-    assert len(unsorted) == 1  # the first cold sort; every later hint is already in order
-    assert sum(unsorted) == 1
+    ascending = draw_standard_normal(cfg.n_samples, cfg.seed)
+    for samples, sorts in ((ascending, 0), (shuffled(ascending), 1)):
+        unsorted.clear()
+        res = calibrate("rn-q", call_chain, cfg, samples=samples)
+        assert res.converged and 10 < res.iterations_run < 50
+        assert len(unsorted) == sum(unsorted) == sorts
+
+
+def test_rnq_trial_with_tied_growth_keeps_no_order_array(call_chain, monkeypatch):
+    # a far Levenberg-Marquardt trial whose growth underflows to exact ties:
+    # non-decreasing growth in storage order has the identity as its stable
+    # order, so the slice keeps a slice order and calls no argsort
+    cfg = CalibrationConfig(n_samples=10_000, seed=9)
+    z = draw_standard_normal(cfg.n_samples, cfg.seed).values
+    tau = call_chain.quotes[0].tau
+    trial = RnQParams(mu=0.0, sigma=1.0, u=5.8, v=12.6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argsort called")
+
+    monkeypatch.setattr(np, "argsort", refuse)
+    tables, _ = calibration._adapter("rn-q").build_tables(trial, [tau], call_chain.rate, z,
+                                                          {tau: np.arange(z.size)})
+    table = tables[tau]
+    assert table.order == slice(None)
+    assert np.sum(table.gs == 0.0) > 1 and np.all(table.gs[1:] >= table.gs[:-1])
+
+
+def _folding_rnmlp():
+    """X = sigma sqrt(tau) Z (3 - 3 softplus(Z)): zero tau nets and a net_z
+    G_Z = 2 - 3 softplus(Z), so X rises in Z up to a crest and then falls."""
+    net_z = DenseNetwork([1, 1, 1], [np.array([[1.0]]), np.array([[-3.0]])],
+                         [np.zeros(1), np.array([2.0])])
+    return dataclasses.replace(zero_net_rnmlp(0.2), net_z=net_z)
+
+
+def test_a_net_that_folds_in_z_takes_the_general_path(three_maturity_chain, monkeypatch):
+    # growth that is not monotone in storage order sorts: the slice keeps an
+    # index order equal to the cold stable sort, and a fit's hinted slices
+    # reproduce a fit whose slices all sort cold, bit for bit
+    model = _folding_rnmlp()
+    samples = draw_standard_normal(20_000, 3)
+    x, slope = bind(model, samples).columns(0.25, 0.03)
+    growth = growth_factors(x, 0.25)
+    assert np.any(growth[1:] > growth[:-1]) and np.any(growth[1:] < growth[:-1])
+    table = MaturitySlice(0.25, 0.03, x, slope)
+    want = np.argsort(growth, kind="stable")
+    assert isinstance(table.order, np.ndarray) and table.order.tobytes() == want.tobytes()
+    assert table.gs.tobytes() == growth[want].tobytes()
+    assert table.a_sorted.tobytes() == ((slope[want] - 0.03) * growth[want]).tobytes()
+
+    cfg = CalibrationConfig(n_samples=samples.n, seed=3, iterations=6)
+    warm = calibrate("rn-mlp", three_maturity_chain, cfg, init_model=model, samples=samples)
+
+    monkeypatch.setattr(calibration, "_TauTable", ColdTable)
+    cold = calibrate("rn-mlp", three_maturity_chain, cfg, init_model=model, samples=samples)
+    assert warm.loss_trajectory.tobytes() == cold.loss_trajectory.tobytes()
+    assert parameter_vector(warm.params).tobytes() == parameter_vector(cold.params).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["rn-q", "rn-mlp", "rn-dmlp"])
+def test_fit_on_a_permuted_pool_agrees_with_the_ascending_pool(call_chain, three_maturity_chain,
+                                                               kind):
+    # the pool's storage order changes only the order of sums over the
+    # draws: the same fit on the ascending pool and on a fixed permutation
+    # of it agree within 1e-10 relative over the whole loss trajectory and
+    # in the final parameters
+    chain = call_chain if kind == "rn-q" else three_maturity_chain
+    cfg = CalibrationConfig(n_samples=20_000, seed=3, iterations=30)
+    ascending = draw_standard_normal(cfg.n_samples, cfg.seed)
+    fits = [calibrate(kind, chain, cfg, samples=samples)
+            for samples in (ascending, shuffled(ascending))]
+    want, got = (fit.loss_trajectory for fit in fits)
+    assert want.size == got.size == (cfg.iterations if kind != "rn-q" else want.size)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+    want, got = (parameter_vector(fit.params) for fit in fits)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
 
 def test_rnq_levenberg_marquardt_lowers_the_loss_at_every_step_and_stops_early(call_chain):

@@ -777,18 +777,33 @@ def test_evaluate_sorts_each_maturity_once(dmlp_dir, tmp_path, monkeypatch):
 
 def test_audit_sorts_each_maturity_cold_once(dmlp_dir, tmp_path, monkeypatch):
     # the audit and the penalty read one surface on the penalty grid: the
-    # 2 training maturities and their midpoint, each sorted cold once
-    sorts = []
+    # 2 training maturities and their midpoint, one slice each.  On the
+    # ascending pool every maturity's growth is monotone in storage order,
+    # so its order is a slice and nothing is sorted; on a shuffled pool
+    # each maturity is sorted cold once
+    slices = []
     stable_order = pricing._stable_order
+    real_draw = cli.draw_standard_normal
 
     def spy(growth, hint):
-        sorts.append((growth.tobytes(), hint is None))
-        return stable_order(growth, hint)
+        order, gs = stable_order(growth, hint)
+        slices.append((growth.tobytes(), hint is None, order))
+        return order, gs
 
     monkeypatch.setattr(pricing, "_stable_order", spy)
-    assert main(_network_commands(dmlp_dir, tmp_path, 2)["audit"]) == 0
-    assert len(sorts) == len({growth for growth, _ in sorts}) == 3
-    assert all(is_cold for _, is_cold in sorts)
+    for shuffle in (False, True):
+        def draw(n, seed):
+            samples = real_draw(n, seed)
+            if shuffle:
+                samples.values = np.random.Generator(np.random.Philox(5)).permutation(samples.values)
+            return samples
+
+        monkeypatch.setattr(cli, "draw_standard_normal", draw)
+        slices.clear()
+        assert main(_network_commands(dmlp_dir, tmp_path, 2)["audit"]) == 0
+        assert len(slices) == len({growth for growth, _, _ in slices}) == 3
+        assert all(is_cold for _, is_cold, _ in slices)
+        assert all(isinstance(order, np.ndarray if shuffle else slice) for *_, order in slices)
 
 
 @pytest.mark.parametrize("fit", ["fit_dir", "dmlp_dir"])

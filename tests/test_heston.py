@@ -320,14 +320,14 @@ def test_density_from_calls_needs_three_strikes():
 
 
 def test_true_moments_gaussian_limit():
-    var, skew, kurt = heston_true_moments(NEAR_BS, 100.0, 0.5, 0.03)
+    var, skew, kurt = heston_true_moments(NEAR_BS, 0.5)
     assert var == pytest.approx(NEAR_BS.nu0 * 0.5, rel=1e-9)
     assert abs(skew) < 1e-8
     assert kurt == pytest.approx(3.0, abs=1e-8)
 
 
 def test_true_moments_scenario_signs():
-    moments = {name: heston_true_moments(p, SPOT, days / 365.0, RATE)
+    moments = {name: heston_true_moments(p, days / 365.0)
                for name, (p, days) in SCENARIOS.items()}
     assert moments["left-skew"][1] < -0.5
     assert moments["right-skew"][1] > 0.3
@@ -341,7 +341,7 @@ def test_true_moments_scenario_signs():
 def test_true_moments_match_monte_carlo():
     p, days = SCENARIOS["left-skew"]
     tau = days / 365.0
-    var, skew, _ = heston_true_moments(p, SPOT, tau, RATE)
+    var, skew, _ = heston_true_moments(p, tau)
     x = mc_terminal_log_returns(p, tau, RATE, paths=262_144, steps=200, seed=31)
     z = x - x.mean()
     m2 = np.mean(z * z)
@@ -361,21 +361,21 @@ EXPLOSIVE = HestonParams(nu0=0.05, vartheta=0.25, kappa=0.15, xi=1.5, rho=-0.9)
 ] + [pytest.param(EXPLOSIVE, days, id=f"explosive-{days}d") for days in (7, 91)])
 def test_true_moments_match_the_50_digit_oracle(p, days):
     tau = days / 365.0
-    got = heston_true_moments(p, SPOT, tau, RATE)
+    got = heston_true_moments(p, tau)
     assert got == pytest.approx(oracles.heston_true_moments_50_digits(p, SPOT, tau, RATE),
                                 rel=1e-10)
 
 
 def test_true_moments_raise_where_the_contour_crosses_a_moment_explosion():
     with pytest.raises(FloatingPointError, match="did not stabilize"):
-        heston_true_moments(EXPLOSIVE, SPOT, 730 / 365.0, RATE)
+        heston_true_moments(EXPLOSIVE, 730 / 365.0)
     with pytest.raises(FloatingPointError, match="did not stabilize"):
         oracles.heston_true_moments_50_digits(EXPLOSIVE, SPOT, 730 / 365.0, RATE)
 
 
 def test_true_moments_rejects_bad_tau():
     with pytest.raises(ValueError, match="tau"):
-        heston_true_moments(NEAR_BS, 100.0, 0.0, 0.03)
+        heston_true_moments(NEAR_BS, 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -260,6 +260,32 @@ def test_lattice_reads_its_knots_exactly_and_cubics_to_rounding():
     np.testing.assert_allclose(ws, w @ cols_s, rtol=1e-12, atol=1e-12)
 
 
+def test_lattice_on_sorted_and_shuffled_inputs_agree_bit_for_bit():
+    # the lattice works on its inputs in ascending order: x itself when it
+    # is sorted (ties included), else x's stable sort, whose order it keeps.
+    # A permutation of distinct inputs then permutes the values and keeps
+    # the adjoint's bits, and the intervals no input falls in (uniform
+    # knots denser than the tails) add nothing to the adjoint
+    rng = np.random.Generator(np.random.Philox(13))
+    x = np.sort(rng.normal(size=3000))
+    knots = np.linspace(x[0], x[-1], 1024)
+    y, s, w = rng.normal(size=1024), rng.normal(size=1024), rng.normal(size=x.size)
+    perm = rng.permutation(x.size)
+    ascending, shuffled = KnotLattice(x, knots), KnotLattice(x[perm], knots)
+    assert ascending.values(y, s)[perm].tobytes() == shuffled.values(y, s).tobytes()
+    for got, want in zip(shuffled.adjoint(w[perm]), ascending.adjoint(w)):
+        assert got.tobytes() == want.tobytes()
+    tied = np.sort(np.concatenate([x, x[::7]]))
+    assert np.sum(np.diff(np.searchsorted(tied, knots), append=tied.size) == 0) > 100
+    lattice, w = KnotLattice(tied, knots), rng.normal(size=tied.size)
+    basis = np.eye(1024)
+    cols_y = np.array([lattice.values(e, np.zeros(1024)) for e in basis]).T
+    cols_s = np.array([lattice.values(np.zeros(1024), e) for e in basis]).T
+    wy, ws = lattice.adjoint(w)
+    np.testing.assert_allclose(wy, w @ cols_y, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(ws, w @ cols_s, rtol=1e-12, atol=1e-12)
+
+
 def test_knot_pass_takes_uniform_knots_from_1024_up_to_an_eighth_of_the_draws():
     net = init_network([1, 32, 32, 1], seed=3)
     for n in KNOT_SIZES:
