@@ -15,8 +15,9 @@ Aggregation hinges the calendar terms, so only violations contribute:
 J = sum (-Jt_C)^+ + sum (-Jt_P)^+ + sum J_mu.
 
 Every term, and every price the audit checks, is read off the sorted
-prefix sums of one ``pricing.MaturitySlice`` per maturity, the same
-slice calibration reads, by the slice's array lookups.
+block sums of one ``pricing.MaturitySlice`` per maturity, the same
+slice calibration reads, by the slice's array lookups; the martingale
+defect is the log1p of the mean growth's excess over 1.
 ``aggregate_penalties`` is the one penalty total: the surface's penalty
 and calibration's objective both call it on per-maturity calendar rows
 and defects, so the final metrics of a fit reproduce its last objective

@@ -60,7 +60,15 @@ from .models import (
 )
 from .nn import Scratch, softplus, softplus_prime, stack_caches
 from .numerics import logmeanexp
-from .pricing import MaturitySlice, price_chain, quote_groups, quote_prices
+from .pricing import (
+    MaturitySlice,
+    block_sums,
+    block_totals,
+    price_chain,
+    quote_groups,
+    quote_prices,
+    range_sums,
+)
 from .sampling import draw_standard_normal
 
 
@@ -296,29 +304,31 @@ class _LevenbergMarquardt:
 # Everything below works on one shared draw of N normals.  Per maturity
 # the growth factors are sorted once into a ``pricing.MaturitySlice``,
 # the class every pricing and penalty consumer reads; option prices and
-# penalty values are its array lookups, the penalty total is the
-# surface's own (``arbitrage.aggregate_penalties``), and the per-sample
-# adjoint weights are cumulative sums of coefficients added at the
-# lookups' positions (rn-q's Jacobian is three prefix sums read there),
-# so past any sort an evaluation costs O(N) plus one weighted backward
-# pass per network, nearly independent of the number of quotes and grid
-# points.
+# penalty values are its array lookups, read off block sums
+# (``pricing.range_sums``), the penalty total is the surface's own
+# (``arbitrage.aggregate_penalties``), and the per-sample adjoint weights
+# are step sums of coefficients added at the lookups' positions, formed
+# in place over the slice's sorted arrays (rn-q's Jacobian is three
+# columns' block sums read there), so past any sort an evaluation costs
+# O(N) plus one weighted backward pass per network, nearly independent
+# of the number of quotes and grid points.
 # On the ascending pool a maturity whose growth is monotone in Z needs
 # no sort at all; for any other, the loop hands each slice the previous
 # evaluation's order as a hint, which brings the sort close to O(N)
 # while the order barely moves.
 
 
-def _step_sums(totals, out):
-    """Suffix weights over the out.size sorted indices: at k the sum of the
-    ``totals`` (position: coefficient sum) at positions <= k, in position
-    order.  Adding 0.0 leaves a sum begun at 0.0 unchanged (it is never
-    -0.0), so the bits are those of a cumsum over an N-long accumulator."""
-    at = sorted(p for p in totals if p < out.size)
-    out[:at[0] if at else out.size] = 0.0
-    for lo, hi, total in zip(at, at[1:] + [out.size], accumulate(totals[p] for p in at)):
-        out[lo:hi] = total
-    return out
+def _times_step_sums(totals, values):
+    """``values`` times the step sums, in place: at sorted index k, the sum
+    of the ``totals`` (position: coefficient sum) at positions <= k, in
+    position order, and 0.0 below the first.  Each product has the bits of
+    the step sum's own times the value, as with an N-long accumulator's
+    cumsum (adding 0.0 leaves a sum begun at 0.0 unchanged)."""
+    at = sorted(p for p in totals if p < values.size)
+    values[:at[0] if at else values.size] *= 0.0
+    for lo, hi, total in zip(at, at[1:] + [values.size], accumulate(totals[p] for p in at)):
+        values[lo:hi] *= total
+    return values
 
 
 class _TauTable(MaturitySlice):
@@ -328,7 +338,7 @@ class _TauTable(MaturitySlice):
     slice that records no penalty term (a fit with ``lam = 0``, a market
     maturity off the penalty grid) skips the penalty half of the
     adjoint.  The terms sit at a few quote and hinge positions, so no
-    N-long accumulator is formed (``_step_sums``).
+    N-long accumulator is formed (``_times_step_sums``).
     """
 
     __slots__ = ("terms",)
@@ -346,27 +356,23 @@ class _TauTable(MaturitySlice):
     def adjoint_weights(self):
         """Per-sample weights (wx on dX, wd on d slope) in draw order.
 
-        This spends the slice: its sorted and prefix-sum arrays are
-        released as soon as they are read.  The suffix sums go in the
-        spent prefix sums, so they take no new array.  With a slice
-        ``order`` the weights are views of the sorted ones; an index order
-        scatters ``wx`` into the spent sorted growth.  The products are
-        formed in place, with the same operands.  With no penalty term
-        ``wd`` is None and ``wx`` the data term alone.
+        This spends the slice: its sorted arrays are released as soon as
+        they are read, and the weights are formed in place over them (wx
+        over the sorted growth, a penalty term over ``a_sorted``), so only
+        wd takes a new array.  With a slice ``order`` the weights are views
+        of the sorted ones; an index order scatters ``wx`` into the spent
+        ``a_sorted``.  With no penalty term ``wd`` is None and ``wx`` the
+        data term alone.
         """
         order, gs, a_sorted, terms = self.order, self.gs, self.a_sorted, self.terms
-        n = gs.size
-        data = _step_sums(terms["data"], self.cum_g[:n])
-        self.a_sorted = self.gs = self.cum_g = self.cum_a = self.terms = None
-        data *= gs
+        self.a_sorted = self.gs = self.terms = None
         wd = None
         if terms["pen"]:
-            pen = _step_sums(terms["pen"], np.empty(n))
-            wd = _in_draw_order(order, pen * gs)
-            if a_sorted is not None:
-                pen *= a_sorted
-                data += pen  # pen * a_sorted + data * gs
-        return _in_draw_order(order, data, gs), wd
+            wd = _in_draw_order(order, _times_step_sums(terms["pen"], gs.copy()))
+        data = _times_step_sums(terms["data"], gs)
+        if terms["pen"] and a_sorted is not None:
+            data += _times_step_sums(terms["pen"], a_sorted)  # pen * a_sorted + data * gs
+        return _in_draw_order(order, data, a_sorted), wd
 
 
 def _in_draw_order(order, values, out=None):
@@ -491,12 +497,16 @@ class _QuantileAdapter(_Adapter):
         Each column g dt (dt/dsigma = Z shape, dt/du = sigma Z^2 u^Z / (u a),
         dt/dv = -sigma Z^2 v^-Z / (v a)) is taken in sorted order (with a
         slice order ``rnq_terms``' own array, else a gather), multiplied by
-        g Z (formed over the spent sorted growth) and by Z, and summed over
-        the spent sums."""
+        g Z (formed over the spent sorted growth) and by Z, and summed at
+        the quotes' positions from its block sums (``pricing.range_sums``)."""
         (table,), (uz, vz, shape) = tables.values(), terms
-        order, cum = table.order, table.cum_g
-        positions, calls = fit.positions, fit.calls
-        g_sides, g_total = np.where(calls, cum[-1], 0.0) - cum[positions], cum[-1]
+        order, positions, calls = table.order, fit.positions, fit.calls
+        signs = np.where(calls, 1.0, -1.0)
+
+        def sided(values, sums):  # sum_{g > k} of a call's values, -sum_{g < k} of a put's
+            return signs * range_sums(values, sums, positions, calls)
+
+        g_sides, g_total = sided(table.gs, table.blocks_g), table.blocks_g[0, -1]
         zs = z[order]
         zg = np.multiply(table.gs, zs, out=table.gs)
         jac, scale = np.empty((positions.size, 3)), model.sigma / model.a_const
@@ -506,10 +516,9 @@ class _QuantileAdapter(_Adapter):
             col_s *= zg
             if j:
                 col_s *= zs
-            np.cumsum(col_s, out=cum[1:])
-            jac[:, j] = factor * (np.where(calls, cum[-1], 0.0) - cum[positions]
-                                  - g_sides * (cum[-1] / g_total))
-        table.gs = table.cum_g = None  # spent
+            sums = block_sums(block_totals(col_s))
+            jac[:, j] = factor * (sided(col_s, sums) - g_sides * (sums[0, -1] / g_total))
+        table.gs = None  # spent
         jac *= (np.exp(-table.rate * table.tau) / z.size * fit.spot_weights)[:, None]
         return 2.0 * np.einsum("qi,q->i", jac, fit.residuals), jac
 

@@ -422,18 +422,18 @@ def with_parameter_vector(template, vec):
 CHECKPOINT_VERSION = 1
 
 
-def _float17(x) -> str:
-    x = float(x)
-    if x != x:
-        return "NaN"
-    if x == np.inf:
-        return "Infinity"
-    if x == -np.inf:
-        return "-Infinity"
-    text = "%.17g" % x
-    if not any(ch in text for ch in ".eE"):
-        text += ".0"
-    return text
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _floats17(values) -> list:
+    """Each float at 17 significant digits: an integral value keeps a
+    decimal marker (4.0) so json reads a float back, and NaN and the
+    infinities are spelled as JavaScript does."""
+    texts = ["%.17g" % v for v in values]
+    for i, text in enumerate(texts):
+        if "." not in text and "e" not in text:
+            texts[i] = _NON_FINITE.get(text, text + ".0")
+    return texts
 
 
 def _emit_json(obj, indent: int = 0) -> str:
@@ -442,10 +442,12 @@ def _emit_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _float17(obj)
+        return _floats17([float(obj)])[0]
     if isinstance(obj, str) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
+        if all(isinstance(v, float) for v in obj):  # a float64 is a float
+            return "[" + ", ".join(_floats17(obj)) + "]"
         return "[" + ", ".join(_emit_json(v, indent) for v in obj) + "]"
     if isinstance(obj, dict):
         if not obj:

@@ -9,10 +9,14 @@ model's log returns:
 The draws are fixed per run, so prices are deterministic functions of the
 model parameters.  Every sum over the draws at one maturity is read off
 one ``MaturitySlice``: the growth factors e^X in ascending order (stable
-order) prefix-summed in that order, only the sorted arrays kept, and its
-two lookups answer a whole array of moneyness values at once: one side's
-prices, or the calendar values.  Calibration, pricing, the penalties and
-the audit all read the same slice.
+order), only the sorted arrays kept, with the running sums of their
+block totals from below and from above (``block_sums``, N / SUM_BLOCK + 1
+values each way), and its two lookups answer a whole array of moneyness
+values at once: one side's prices, or the calendar values.  A lookup adds whole blocks and one
+pairwise sum within a block (``range_sums``); a call's tail is summed
+from the top, so an out-of-the-money price keeps its digits.
+Calibration, pricing, the penalties and the audit all read the same
+slice.
 
 The pool is stored in ascending Z (``sampling``) and every model's X is,
 in practice, monotone in Z, so a slice first tests the growth in storage
@@ -39,26 +43,30 @@ import numpy as np
 
 from .models import bind
 
-__all__ = ["MaturitySlice", "growth_factors", "price_chain", "quote_groups", "quote_prices"]
+__all__ = ["MaturitySlice", "block_sums", "block_totals", "growth_factors", "price_chain",
+           "quote_groups", "quote_prices", "range_sums"]
 
 
 class MaturitySlice:
-    """The growth factors e^X at one maturity, sorted once, with prefix sums.
+    """The growth factors e^X at one maturity, sorted once, with block sums.
 
     A slice keeps only sorted state: ``order``, the draws' stable
-    ascending order, the sorted growth ``gs`` and its prefix sums; e^X in
-    draw order is dropped once sorted.  ``order`` is ``slice(None)`` when
-    the growth is non-decreasing in storage order and ``slice(None, None,
-    -1)`` when it is strictly decreasing, else an index array; ``a[order]``
-    is the draw-order array ``a`` in sorted order, and ``a[order] = b``
-    puts a sorted ``b`` back, either way.  ``slope`` is dX/dtau on the
-    same draws; without it ``calendars`` is unavailable.  With it the
-    slice keeps ``a_sorted``, (slope - r) e^X in sorted order, for
-    calibration's adjoint.  The two lookups,
-    ``prices`` and ``calendars``, take an array of moneyness values K/S
-    and return the values and the positions splitting the sorted growth
-    array, which calibration's adjoint pass reuses.  A call sums growth > K/S, a put growth < K/S,
-    a calendar call growth >= K/S and a calendar put growth <= K/S.
+    ascending order, the sorted growth ``gs`` and ``blocks_g``, the
+    running sums of its block totals (``block_sums``); e^X in draw order
+    is dropped once sorted.  ``order`` is ``slice(None)`` when the growth
+    is non-decreasing in storage order and ``slice(None, None, -1)`` when
+    it is strictly decreasing, else an index array; ``a[order]`` is the
+    draw-order array ``a`` in sorted order, and ``a[order] = b`` puts a
+    sorted ``b`` back, either way.  ``slope`` is dX/dtau on the same
+    draws; without it ``calendars`` is unavailable.  With it the slice
+    keeps ``a_sorted``, (slope - r) e^X in sorted order, and its
+    ``blocks_a``.  The two lookups, ``prices`` and ``calendars``, take an
+    array of moneyness values K/S and return the values and the positions
+    splitting the sorted growth array, which calibration's adjoint pass
+    reuses.  A call sums growth > K/S, a put growth < K/S, a calendar call
+    growth >= K/S and a calendar put growth <= K/S.  Every sum is read off
+    the block sums (``range_sums``), so a value depends only on the slice
+    and its position, never on the other moneyness values asked for.
 
     ``hint`` is an optional candidate index order, such as the previous
     iteration's ``order``, for growth that is not monotone in storage
@@ -73,34 +81,46 @@ class MaturitySlice:
     each iteration (which fragments the heap).
     """
 
-    __slots__ = ("tau", "rate", "a_sorted", "order", "gs", "cum_g", "cum_a", "mean_growth")
+    __slots__ = ("tau", "rate", "a_sorted", "order", "gs", "blocks_g", "blocks_a", "mean_excess")
 
     def __init__(self, tau, rate, x, slope=None, hint=None):
         self.tau = tau
         self.rate = rate
         self.a_sorted = None
         self.order, self.gs = _stable_order(growth_factors(x, tau), hint)
-        self.cum_g = _prefix_sums(self.gs)
+        n = self.gs.size
+        totals = block_totals(self.gs)
+        self.blocks_g = block_sums(totals)
+        # each total less its block's length (exact within a factor 2 of
+        # it), so the mean's excess over 1 keeps the digits that rounding
+        # the mean itself near 1 drops
+        lengths = np.minimum(SUM_BLOCK, n - SUM_BLOCK * np.arange(totals.size))
+        self.mean_excess = np.sum(totals - lengths) / n
         if slope is not None:  # (slope - r) e^X, slope in sorted order
             a = self.a_sorted = np.subtract(slope[self.order], rate)
             a *= self.gs
-            self.cum_a = _prefix_sums(a)
-        self.mean_growth = self.cum_g[-1] / self.gs.size
+            self.blocks_a = block_sums(block_totals(a))
+
+    @property
+    def mean_growth(self):
+        """(1/N) sum_n e^X_n."""
+        return 1.0 + self.mean_excess
 
     @property
     def defect(self):
-        """Martingale defect ln((1/N) sum_n e^X_n) - r tau."""
-        return np.log(self.mean_growth) - self.rate * self.tau
+        """Martingale defect ln((1/N) sum_n e^X_n) - r tau, the log taken
+        as log1p of the mean's excess over 1."""
+        return np.log1p(self.mean_excess) - self.rate * self.tau
 
     def prices(self, side, moneyness, spot):
         """Discounted Monte Carlo prices of one side at K/S, with positions."""
         n = self.gs.size
         if side == "call":
             pos = np.searchsorted(self.gs, moneyness, side="right")
-            total = (self.cum_g[-1] - self.cum_g[pos]) - moneyness * (n - pos)
+            total = range_sums(self.gs, self.blocks_g, pos, True) - moneyness * (n - pos)
         else:
             pos = np.searchsorted(self.gs, moneyness, side="left")
-            total = moneyness * pos - self.cum_g[pos]
+            total = moneyness * pos - range_sums(self.gs, self.blocks_g, pos, False)
         return np.exp(-self.rate * self.tau) * spot * (total / n), pos
 
     def calendars(self, moneyness):
@@ -112,8 +132,9 @@ class MaturitySlice:
         n = self.gs.size
         pos_c = np.searchsorted(self.gs, moneyness, side="left")
         pos_p = np.searchsorted(self.gs, moneyness, side="right")
-        calls = ((self.cum_a[-1] - self.cum_a[pos_c]) + self.rate * moneyness * (n - pos_c)) / n
-        puts = (-self.cum_a[pos_p] - self.rate * moneyness * pos_p) / n
+        a, blocks = self.a_sorted, self.blocks_a
+        calls = (range_sums(a, blocks, pos_c, True) + self.rate * moneyness * (n - pos_c)) / n
+        puts = (-range_sums(a, blocks, pos_p, False) - self.rate * moneyness * pos_p) / n
         return calls, pos_c, puts, pos_p
 
 
@@ -165,12 +186,44 @@ def _stable_order(growth, hint):
     return order, gs
 
 
-def _prefix_sums(values):
-    """[0, v_0, v_0 + v_1, ...] in one (N+1)-long array, summed in order."""
-    out = np.empty(values.size + 1)
-    out[0] = 0.0
-    np.cumsum(values, out=out[1:])
-    return out
+SUM_BLOCK = 512  # elements per block total
+
+
+def block_totals(values):
+    """Totals of ``values`` in blocks of SUM_BLOCK from index 0, each
+    summed pairwise (``np.add.reduceat``)."""
+    return np.add.reduceat(values, np.arange(0, values.size, SUM_BLOCK))
+
+
+def block_sums(totals):
+    """The running sums of M block totals, one (2, M + 1) array: row 0
+    holds the sums below each block boundary, row 1 the sums at and above
+    it, both 0.0 at the far end.  Row 1 is summed from the top, not taken
+    as the total minus row 0, so a small upper tail keeps its digits."""
+    sums = np.zeros((2, totals.size + 1))
+    np.cumsum(totals, out=sums[0, 1:])
+    np.cumsum(totals[::-1], out=sums[1, -2::-1])
+    return sums
+
+
+def range_sums(values, sums, positions, upper):
+    """Sums of ``values`` below each position, or at and above it where
+    ``upper`` (one flag, or one per position), with ``sums`` the
+    ``block_sums`` of ``values``' ``block_totals``.
+
+    Each is a running sum of whole blocks plus one pairwise sum over the
+    rest of the position's block, so it depends only on (values, position),
+    never on the other positions asked for.
+    """
+    positions = np.asarray(positions)
+    upper = np.broadcast_to(upper, positions.shape)
+    block = np.minimum(positions // SUM_BLOCK, sums.shape[1] - 2)
+    start = block * SUM_BLOCK
+    lo = np.where(upper, positions, start)
+    hi = np.where(upper, np.minimum(start + SUM_BLOCK, values.size), positions)
+    part = np.array([np.add.reduce(values[i:j]) for i, j in zip(lo.tolist(), hi.tolist())],
+                    dtype=float)
+    return np.where(upper, part + sums[1, block + 1], sums[0, block] + part)
 
 
 def _strictly_increasing(values):

@@ -587,12 +587,13 @@ def test_network_objective_holds_no_n_by_width_arrays(three_maturity_chain):
 
 def test_network_gradient_spends_each_slice_before_the_backward_passes(
         three_maturity_chain):
-    # adjoint_weights releases a slice's sorted and prefix-sum arrays and,
-    # on the ascending pool, hands back views of them, so the gradient adds
-    # under one N-length array to what the evaluation held when it started
-    # (about 4 when each maturity's weights were scattered into draw order),
-    # and one objective peaks near its tables (25.5 MB here, 28.7 MB with
-    # the scatters).  Every order is a slice: the slices hold no index array
+    # adjoint_weights releases a slice's sorted arrays, forms the weights
+    # over them and, on the ascending pool, hands back views of them, so the
+    # gradient adds under one N-length array to what the evaluation held
+    # when it started (about 4 when each maturity's weights were scattered
+    # into draw order), and one objective peaks near its tables (17.5 MB
+    # here; 25.5 MB with N-long prefix sums, 28.7 MB with those and the
+    # scatters).  Every order is a slice: the slices hold no index array
     n = 100_000
     cfg = CalibrationConfig(n_samples=n, seed=9)
     samples = draw_standard_normal(n, cfg.seed)
@@ -615,17 +616,19 @@ def test_network_gradient_spends_each_slice_before_the_backward_passes(
     finally:
         tracemalloc.stop()
     assert gradient_peak - held < 8 * n
-    assert objective_peak < 28e6
+    assert objective_peak < 19.2e6
     for table in tables.values():
-        assert table.gs is None and table.cum_g is None and table.cum_a is None
+        assert table.gs is None and table.a_sorted is None
         assert isinstance(table.order, slice)
 
 
 @pytest.mark.parametrize("kind", ["rn-mlp", "rn-dmlp"])
 def test_warm_network_objective_peaks_below_25_n_length_arrays(three_maturity_chain, kind):
-    # a slice keeps only sorted state, so e^X in draw order is freed once
-    # sorted; a warm evaluation (the fit's scratch and orders from a first
-    # one) then peaks at about 23 N-length arrays, 27 when each slice kept it
+    # a slice keeps only sorted state and the block sums, so e^X in draw
+    # order is freed once sorted; a warm evaluation (the fit's scratch and
+    # orders from a first one) then peaks at about 12.2 N-length arrays,
+    # held under 13.75 (the name's 25 dates from when each slice kept two
+    # N-long prefix sums, 22 arrays, and 27 when it also kept e^X)
     n = 100_000
     cfg = CalibrationConfig(n_samples=n, seed=9)
     samples = draw_standard_normal(n, cfg.seed)
@@ -642,14 +645,15 @@ def test_warm_network_objective_peaks_below_25_n_length_arrays(three_maturity_ch
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25 * 8 * n
+    assert peak < 13.75 * 8 * n
 
 
 def test_warm_rnq_objective_peaks_below_7_n_length_arrays(call_chain):
     # on the ascending pool rn-q's Jacobian multiplies rnq_terms' own arrays
-    # in place, with no gathered copy of Z or of a column: a warm evaluation
-    # peaks at six N-length arrays (u^Z, v^-Z, the shape, X, e^X and its
-    # prefix sums), seven when Z and each column were gathered
+    # in place, with no gathered copy of Z or of a column, and reads it off
+    # block sums: a warm evaluation peaks at about five N-length arrays (u^Z,
+    # v^-Z, the shape, X and e^X), six with e^X's N-long prefix sums and
+    # seven when Z and each column were also gathered
     n = 100_000
     cfg = CalibrationConfig(n_samples=n, seed=9)
     samples = draw_standard_normal(n, cfg.seed)
@@ -665,7 +669,7 @@ def test_warm_rnq_objective_peaks_below_7_n_length_arrays(call_chain):
     finally:
         tracemalloc.stop()
     assert again["jacobian"] is not None and again["orders"] == {call_chain.quotes[0].tau: slice(None)}
-    assert peak < 6.5 * 8 * n
+    assert peak < 5.5 * 8 * n
 
 
 def test_fit_scratch_holds_two_buffers_per_hidden_layer(three_maturity_chain, monkeypatch):
@@ -847,7 +851,7 @@ def _sparse_step_sums(n, terms):
     table = calibration._TauTable(0.25, 0.03, np.zeros(n), None)
     for positions, coeffs in terms:
         table.add("data", positions, coeffs)
-    return calibration._step_sums(table.terms["data"], np.empty(n))
+    return calibration._times_step_sums(table.terms["data"], np.ones(n))
 
 
 def test_add_accumulates_repeated_positions_like_the_scalar_loop():
@@ -866,7 +870,8 @@ def test_add_accumulates_repeated_positions_like_the_scalar_loop():
             acc[pos] += coeff
         return np.cumsum(acc[:3000]).tobytes()
 
-    assert calibration._step_sums(table.terms["pen"], np.empty(3000)).tobytes() == loop(slice(None))
+    steps = calibration._times_step_sums(table.terms["pen"], np.ones(3000))
+    assert steps.tobytes() == loop(slice(None))
     assert loop(slice(None, None, -1)) != loop(slice(None))  # these terms tell orders apart
 
 

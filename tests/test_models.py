@@ -26,7 +26,7 @@ from rndkit.models import (
 from rndkit.numerics import kahan_sum, logmeanexp
 from rndkit.sampling import draw_standard_normal
 
-from oracles import forward, rnq_terms_power_form
+from oracles import emit_json, forward, rnq_terms_power_form
 
 
 def round_trip(model):
@@ -326,6 +326,24 @@ def test_pinned_dmlp_checkpoint_rewrites_byte_for_byte():
     again = checkpoint_document(model_from_checkpoint(doc))
     again["context"] = doc["context"]
     assert checkpoint_json(again) == text
+
+
+def test_checkpoint_json_equals_the_value_by_value_emitter():
+    # lists of floats are rendered in one join, with the same text
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
+        "rn-dmlp-left-skew.checkpoint.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert checkpoint_json(doc) == emit_json(doc) + "\n"
+    edges = [-0.0, 5e-324, 1e16, 2.0 ** 53, float("nan"), float("inf"), -float("inf"), 4.0,
+             0.1, -1.5e-300, 123456789.0]
+    doc = {"list": edges, "array": np.array(edges), "tuple": tuple(edges),
+           "float32": np.array([0.1, 2.0], dtype=np.float32), "mixed": [1.0, 2, True, None],
+           "nested": [edges, []], "scalars": {str(i): v for i, v in enumerate(edges)},
+           "empty": [], "ints": [1, 2]}
+    text = checkpoint_json(doc)
+    assert text == emit_json(doc) + "\n"
+    assert "[-0.0, 4.9406564584124654e-324, 10000000000000000.0, 9007199254740992.0, NaN, " \
+           "Infinity, -Infinity, 4.0, 0.10000000000000001, " in text
 
 
 _COMPONENT = ["sigma", "net_mu", "net_z", "net_tau"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -152,17 +154,83 @@ def test_price_chain_bound_model_is_bit_identical():
 
 
 def assert_same_slice(got, want):
-    for name in ("order", "gs", "cum_g", "cum_a"):
+    for name in ("order", "gs", "a_sorted", "blocks_g", "blocks_a"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert got.mean_growth == want.mean_growth
+    assert got.mean_excess == want.mean_excess
 
 
-@pytest.mark.parametrize("n", [1, 2, 4097, 40_000])
-def test_prefix_sums_match_the_concatenated_cumsum(n):
+B = pricing.SUM_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 4097, 40_000])
+def test_range_sums_match_fsum(n):
+    # below a position, and at and above it, within (blocks + 12) ulps of
+    # the exactly rounded sum: the blocks' running sum adds one rounding
+    # per block, the pairwise in-block sum about log2(B)
     values = np.exp(np.random.Generator(np.random.Philox(n)).normal(size=n))
-    want = np.concatenate([[0.0], np.cumsum(values)])
-    assert pricing._prefix_sums(values).tobytes() == want.tobytes()
+    sums = pricing.block_sums(pricing.block_totals(values))
+    assert sums.shape == (2, -(-n // B) + 1)
+    positions = np.unique(np.r_[0, 1, B - 1, B, B + 1, n - 1, n,
+                                np.linspace(0, n, 40).astype(int)].clip(0, n))
+    bound = (n // B + 12) * np.finfo(float).eps
+    for upper in (False, True):
+        got = pricing.range_sums(values, sums, positions, upper)
+        want = np.array([math.fsum(values[p:] if upper else values[:p]) for p in positions])
+        assert np.all(np.abs(got - want) <= bound * want), upper
+    assert pricing.range_sums(values, sums, [0], False)[0] == 0.0
+    assert pricing.range_sums(values, sums, [n], True)[0] == 0.0
+
+
+def lognormal_slice(n, tau=0.5, rate=0.03, sigma=0.25, seed=7):
+    """A Black-Scholes maturity slice on n ascending draws, with dX/dtau."""
+    z = draw_standard_normal(n, seed).values
+    x = (rate - 0.5 * sigma ** 2) * tau + sigma * np.sqrt(tau) * z
+    slope = rate - 0.5 * sigma ** 2 + 0.5 * sigma * z / np.sqrt(tau)
+    return MaturitySlice(tau, rate, x, slope)
+
+
+def test_far_out_of_the_money_values_match_fsum():
+    # at N = 1e5 the calls at K/S = 1.3 .. 1.9 sum the top 6759 .. 10 draws;
+    # a tail taken as total - prefix loses about 1e-12 of them, one summed
+    # from the top agrees with the exactly rounded sums to 1e-13
+    n, spot, bound = 100_000, 100.0, 1e-13
+    table = lognormal_slice(n)
+    gs, a, rate = table.gs, table.a_sorted, table.rate
+    disc = np.exp(-rate * table.tau) * spot
+    high, low = np.array([1.3, 1.5, 1.7, 1.9]), np.array([0.5, 0.6, 0.7, 0.8])
+    calls, pos = table.prices("call", high, spot)
+    assert pos.tolist()[-1] == n - 10
+    want = [disc * (math.fsum([*gs[p:], -(m * (n - p))]) / n) for m, p in zip(high, pos)]
+    np.testing.assert_allclose(calls, want, rtol=bound, atol=0.0)
+    puts, pos = table.prices("put", low, spot)
+    want = [disc * (math.fsum([m * p, *-gs[:p]]) / n) for m, p in zip(low, pos)]
+    np.testing.assert_allclose(puts, want, rtol=bound, atol=0.0)
+    cal_calls, pos_c, _, _ = table.calendars(high)
+    want = [math.fsum([*a[p:], rate * m * (n - p)]) / n for m, p in zip(high, pos_c)]
+    np.testing.assert_allclose(cal_calls, want, rtol=bound, atol=0.0)
+    _, _, cal_puts, pos_p = table.calendars(low)
+    want = [math.fsum([*-a[:p], -(rate * m * p)]) / n for m, p in zip(low, pos_p)]
+    np.testing.assert_allclose(cal_puts, want, rtol=bound, atol=0.0)
+    # the defect, a small difference near r tau, read off the mean's excess
+    # over 1: the log of the mean, rounded near 1, is 3e-11 off here
+    want = math.log1p(math.fsum(gs - 1.0) / n) - rate * table.tau
+    assert abs(table.defect - want) <= bound * abs(want)
+
+
+def test_a_lookup_alone_equals_its_entry_in_a_row():
+    # a value depends on (slice, position) only: blocks, block edges and
+    # both ends, looked up alone and in a shuffled row of strikes
+    n = 3 * B + 17
+    table = lognormal_slice(n, seed=3)
+    m = np.r_[table.gs[[0, 1, B - 1, B, B + 1, 2 * B, n - 2, n - 1]], 0.1, 1.0, 10.0]
+    m = m[np.random.default_rng(2).permutation(m.size)]
+    row = [table.prices("call", m, S)[0], table.prices("put", m, S)[0],
+           *table.calendars(m)[::2]]
+    for i, k in enumerate(m):
+        alone = [table.prices("call", m[i:i + 1], S)[0], table.prices("put", m[i:i + 1], S)[0],
+                 *table.calendars(m[i:i + 1])[::2]]
+        assert [v.tobytes() for v in alone] == [v[i:i + 1].tobytes() for v in row], k
 
 
 def test_growth_factors_reject_overflow_like_the_slice():
