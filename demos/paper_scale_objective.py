@@ -5,8 +5,8 @@ the simulated left-skew chain at 30, 91 and 182 days (5 penalty-grid
 maturities), on the N = 1e6 pool of seed 1.  Prints
 
 - the warm objective with its gradient: one cold evaluation fills the
-  fit's scratch and sort orders, then 5 more are timed (median and
-  quartiles);
+  fit's scratch (knot lattices and buffers), then 5 more are timed
+  (median and quartiles);
 - a 6-iteration ``calibrate()``, run in a fresh child process: its wall
   time and the child's peak RSS.
 
@@ -54,13 +54,11 @@ def warm_objective():
     samples = draw_standard_normal(N, SEED)
     grid = build_synthetic_grid([q.tau for q in train.quotes], [q.strike for q in train.quotes])
     adapter, model, scratch = calibration._adapter("rn-dmlp"), init_rndmlp(1), Scratch()
-    _, _, parts = calibration._objective_parts(adapter, model, train, grid, config, samples,
-                                               None, scratch)
+    calibration._objective_parts(adapter, model, train, grid, config, samples, scratch)
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        calibration._objective_parts(adapter, model, train, grid, config, samples,
-                                     parts["orders"], scratch)
+        calibration._objective_parts(adapter, model, train, grid, config, samples, scratch)
         times.append(time.perf_counter() - t0)
     return np.percentile(times, [25, 50, 75])
 

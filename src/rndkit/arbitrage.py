@@ -177,9 +177,8 @@ def _grid_index(grid, values, name):
     return pos
 
 
-def price_surface(model, taus, strikes, spot, rate_fn, samples, hints=None) -> PriceSurface:
-    """One slice per maturity, on the model bound once; ``hints`` maps a
-    maturity to a candidate sort order, as in ``pricing.price_chain``."""
+def price_surface(model, taus, strikes, spot, rate_fn, samples) -> PriceSurface:
+    """One slice per maturity, on the model bound once."""
     taus = sorted_unique(taus)
     strikes = sorted_unique(strikes)
     if taus.size == 0:
@@ -191,7 +190,7 @@ def price_surface(model, taus, strikes, spot, rate_fn, samples, hints=None) -> P
     rows = []
     for tau in map(float, taus):
         rate = rate_fn(tau)
-        table = MaturitySlice(tau, rate, *bound.columns(tau, rate), (hints or {}).get(tau))
+        table = MaturitySlice(tau, rate, *bound.columns(tau, rate))
         jtau_calls, _, jtau_puts, _ = table.calendars(moneyness)
         rows.append((table.prices("call", moneyness, spot)[0],
                      table.prices("put", moneyness, spot)[0],

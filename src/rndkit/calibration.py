@@ -313,9 +313,8 @@ class _LevenbergMarquardt:
 # O(N) plus one weighted backward pass per network, nearly independent
 # of the number of quotes and grid points.
 # On the ascending pool a maturity whose growth is monotone in Z needs
-# no sort at all; for any other, the loop hands each slice the previous
-# evaluation's order as a hint, which brings the sort close to O(N)
-# while the order barely moves.
+# no sort at all; any other takes one stable sort, and no order outlives
+# its evaluation.
 
 
 def _times_step_sums(totals, values):
@@ -343,8 +342,8 @@ class _TauTable(MaturitySlice):
 
     __slots__ = ("terms",)
 
-    def __init__(self, tau, rate, x, slope, hint=None):
-        super().__init__(tau, rate, x, slope, hint)
+    def __init__(self, tau, rate, x, slope):
+        super().__init__(tau, rate, x, slope)
         self.terms = {"data": {}, "pen": {}}
 
     def add(self, which, positions, coeffs):
@@ -476,7 +475,7 @@ class _QuantileAdapter(_Adapter):
             raise ValueError("the quantile model is single-maturity; "
                              f"the chain has {n_taus} maturities")
 
-    def build_tables(self, model, taus, chain_rate, z, hints=None, scratch=None):
+    def build_tables(self, model, taus, chain_rate, z, scratch=None):
         """The one maturity's table, plus u^Z, v^-Z and the shape for the Jacobian.
 
         X = (r tau - logmeanexp(t)) + t is formed over t in place.  Every
@@ -486,7 +485,7 @@ class _QuantileAdapter(_Adapter):
         rate = chain_rate(tau)
         uz, vz, shape, x = rnq_terms(model, z)
         x += rate * tau - logmeanexp(x)
-        table = _TauTable(tau, rate, x, None, (hints or {}).get(tau))
+        table = _TauTable(tau, rate, x, None)
         return {tau: table}, (uz, vz, shape)
 
     def gradient(self, model, tables, terms, z, fit):
@@ -543,14 +542,14 @@ class _NetworkAdapter(_Adapter):
     def __init__(self, init_model):
         self.init_model = init_model
 
-    def build_tables(self, model, taus, chain_rate, z, hints=None, scratch=None):
+    def build_tables(self, model, taus, chain_rate, z, scratch=None):
         """X, growth and d/dtau tables per maturity, plus the loop's binding."""
         bound = BoundModel(model, z, Scratch() if scratch is None else scratch)
         tables = {}
         for tau in taus:
             tau = float(tau)
             rate = chain_rate(tau)
-            tables[tau] = _TauTable(tau, rate, *bound.columns(tau, rate), (hints or {}).get(tau))
+            tables[tau] = _TauTable(tau, rate, *bound.columns(tau, rate))
         return tables, bound
 
     def gradient(self, model, tables, bound, z, fit):  # no Jacobian
@@ -636,16 +635,13 @@ def _adapter_of(model):
 _Fit = namedtuple("_Fit", "taus positions calls dl_dfit spot spot_weights residuals")
 
 
-def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
-                     scratch=None, needs_gradient=None):
-    """Loss, natural-parameter gradient, and the penalty, the residuals'
-    Jacobian (rn-q's; None for the networks) and the sort orders.
+def _objective_parts(adapter, model, chain, grid, config, samples, scratch=None,
+                     needs_gradient=None):
+    """Loss, natural-parameter gradient, and the penalty and the residuals'
+    Jacobian (rn-q's; None for the networks).
 
-    ``hints`` maps a maturity to a candidate sort order for its slice;
-    the returned ``orders`` hold each slice's order for the next
-    evaluation.  ``scratch`` is the fit's ``nn.Scratch`` (see
-    ``calibrate``), which the networks' binding reads; without it the
-    binding makes its own.
+    ``scratch`` is the fit's ``nn.Scratch`` (see ``calibrate``), which
+    the networks' binding reads; without it the binding makes its own.
     When ``needs_gradient(loss)`` is false the gradient and Jacobian are
     None and their passes do not run; without it they are formed.
     """
@@ -656,7 +652,7 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
     use_penalty = adapter.penalized and config.lam > 0.0 and grid is not None
     if use_penalty:
         taus |= {float(t) for t in grid.taus}
-    tables, aux = adapter.build_tables(model, sorted(taus), chain.rate, z, hints, scratch)
+    tables, aux = adapter.build_tables(model, sorted(taus), chain.rate, z, scratch)
 
     # pass 1: price every quote, maturity by maturity and then in chain order
     quote_taus, _, calls, moneyness, mids = zip(*groups)
@@ -697,8 +693,7 @@ def _objective_parts(adapter, model, chain, grid, config, samples, hints=None,
                    np.concatenate([positions for _, positions in priced]), is_call, dl_dfit,
                    chain.spot, chain.spot * weights, weights * (fitted - observed))
         grad, jacobian = adapter.gradient(model, tables, aux, z, fit)
-    return loss, grad, {"penalty": penalty, "jacobian": jacobian,
-                        "orders": {tau: t.order for tau, t in tables.items()}}
+    return loss, grad, {"penalty": penalty, "jacobian": jacobian}
 
 
 # ----------------------------------------------------------------------
@@ -714,21 +709,20 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     The synthetic penalty grid comes from the chain's own maturities and
     strikes; the samples are drawn once from config.seed, or are the
     caller's ``NormalSampleSet`` of config.n_samples draws, so that
-    several fits on one pool draw it once.  The trajectory holds the
+    several fits on one pool draw it once.  A caller's pool that is not
+    ascending is sorted once, into a new array (the caller's is left as
+    it is), so a fit on any permutation of a pool is the fit on the
+    ascending pool, bit for bit.  The trajectory holds the
     first loss and one per accepted step, at most config.iterations
     entries; the fit stops early once the rule has converged.  The
     returned parameters are the last accepted ones and reproduce the last
     entry exactly; the evaluation that ends the fit forms no gradient.
-    Each evaluation starts every maturity's sort from the order the
-    previous evaluation found (a slice, with no array, for growth that
-    is monotone in the pool's storage order); only those orders,
-    reordered in place, and one ``nn.Scratch`` are kept between
-    evaluations.  The scratch holds the draws' knot lattices, the knot
-    passes' buffers, each component's G_Z and their combination H (rn-q
-    leaves it empty); it is dropped before the final metrics.  These
-    price the returned model on the loop's draws, each maturity's sort
-    starting from the last evaluation's order; the penalty grid's price
-    surface, which gives the final penalty, is returned as ``surface``.
+    Only one ``nn.Scratch`` is kept between evaluations.  It holds the
+    draws' knot lattices, the knot passes' buffers, each component's G_Z
+    and their combination H (rn-q leaves it empty); it is dropped before
+    the final metrics.  These price the returned model on the loop's
+    draws; the penalty grid's price surface, which gives the final
+    penalty, is returned as ``surface``.
     """
     t0 = time.perf_counter()
     if not train_chain.quotes:
@@ -742,13 +736,15 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
         samples = draw_standard_normal(config.n_samples, config.seed)
     elif samples.values.size != config.n_samples:
         raise ValueError(f"{samples.values.size} samples for n_samples = {config.n_samples}")
+    elif np.any(samples.values[1:] < samples.values[:-1]):
+        samples = dataclasses.replace(samples, values=np.sort(samples.values))
     grid = build_synthetic_grid([q.tau for q in train_chain.quotes],
                                 [q.strike for q in train_chain.quotes])
 
     state = trial = adapter.to_state(model)
     rule = adapter.step_rule(config, state)
     current = candidate = adapter.from_state(model, state)
-    trajectory, penalties, converged, orders, scratch = [], [], False, None, Scratch()
+    trajectory, penalties, converged, scratch = [], [], False, Scratch()
 
     def accepts(loss):  # a descent rule accepts the first loss and then only lower ones
         return not (trajectory and rule.descent) or loss < trajectory[-1]
@@ -762,14 +758,11 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
         try:
             with np.errstate(**rule.errors):
                 loss, nat_grad, parts = _objective_parts(adapter, candidate, train_chain, grid,
-                                                         config, samples, orders, scratch,
-                                                         steps_after)
+                                                         config, samples, scratch, steps_after)
         except FloatingPointError as exc:
             if not (trajectory and rule.descent):  # a descent rule rejects a failed trial
                 raise CalibrationDivergence(len(trajectory), str(exc)) from exc
             loss = None
-        else:
-            orders = parts["orders"]
         if loss is None or not accepts(loss):
             trial = rule.retry()
         else:
@@ -794,16 +787,15 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     final = adapter.finalize(current, train_chain, samples)
 
     # a maturity's X and dX/dtau depend only on (model, draws, tau, rate),
-    # so the final metrics reproduce the last evaluation bit for bit, and
-    # its orders are valid hints: each slice re-sorts in O(N)
+    # so the final metrics reproduce the last evaluation bit for bit
     bound = bind(final, samples)
-    prices = price_chain(bound, train_chain, samples, hints=orders)
+    prices = price_chain(bound, train_chain, samples)
     observed = np.array([q.mid for q in train_chain.quotes])
     sides = [q.side for q in train_chain.quotes]
     final_mse = mse(observed, prices, sides)
     final_rel, n_excl = relative_mse(observed, prices, sides, config.relative_mse_floor)
     surface = price_surface(bound, grid.taus, grid.strikes, train_chain.spot,
-                            train_chain.rate, samples, hints=orders)
+                            train_chain.rate, samples)
 
     return CalibrationResult(
         kind=kind,

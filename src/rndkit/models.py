@@ -258,7 +258,8 @@ class BoundModel:
             return np.zeros_like(self.z)
         if self.kind == "rn-q":
             return rnq_log_return(self.model, self.z)
-        return self.columns(tau, rate)[0]
+        root, a, b, _, _ = self._scalars(tau, rate)
+        return self._affine(root, b, a)
 
     def columns(self, tau, rate):
         """(X, dX/dtau) at one maturity.  Per network component
@@ -277,6 +278,12 @@ class BoundModel:
             return self.log_returns(tau, rate), np.full_like(self.z, float(rate))
         if tau <= 0.0:
             raise ValueError("maturity derivative needs tau > 0")
+        root, a, b, da, db = self._scalars(tau, rate)
+        return self._affine(root, b, a), self._affine(0.5 / root, db, da)
+
+    def _scalars(self, tau, rate):
+        # (sqrt(tau), a, b, a', b') from each component's one-row passes; a
+        # training binding keeps each pass's row for the gradient
         t, root, keep = np.array([tau]), np.sqrt(tau), self.passes is not None
         a = b = da = db = 0.0
         for (coef, comp), rows in zip(mixture_components(self.model), self._rows):
@@ -289,7 +296,7 @@ class BoundModel:
             b += coef * comp.sigma * root * (gtau + 1.0)
             da += coef * (rate * gmu + rate * tau * gmu_s)
             db += coef * comp.sigma * ((gtau + 1.0) / (2.0 * root) + root * gtau_s)
-        return self._affine(root, b, a), self._affine(0.5 / root, db, da)
+        return root, a, b, da, db
 
     def _affine(self, scale, b, a):
         # a + Z (b + scale H), in one new array

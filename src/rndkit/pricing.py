@@ -24,14 +24,10 @@ order: non-decreasing means its stable order is the identity and the
 growth is already sorted; strictly decreasing means the reversed view.
 Either order is a ``slice``, and no index array, gather or sort is made.
 Only a non-monotone X (a net that folds in Z, or a caller's unsorted
-pool) takes the general path, where the calibration loop hands each
-slice the previous iteration's order as a hint: the slice takes the
-growth factors in that order as they are when they are already strictly
-increasing, or else re-sorts them (nearly sorted, so about O(N)), and
-keeps the result only when it is strictly increasing, the one case in
-which it must equal the cold stable sort; otherwise it sorts cold, with
-numpy's default sort under the same test and the stable sort only on
-ties.  ``growth_factors`` is e^X alone, for callers that need no sums.
+pool) takes one stable sort; numpy's is run-adaptive (timsort), so
+growth made of a few monotone runs sorts in about O(N).  Calibration
+sorts a caller's unsorted pool once, before its loop.
+``growth_factors`` is e^X alone, for callers that need no sums.
 Each entry point binds the model to the draws once (``models.bind``), so
 G_Z(Z) is evaluated once per call however many maturities it prices, and
 not at all when the caller passes a model already bound to these draws.
@@ -55,39 +51,27 @@ class MaturitySlice:
     running sums of its block totals (``block_sums``); e^X in draw order
     is dropped once sorted.  ``order`` is ``slice(None)`` when the growth
     is non-decreasing in storage order and ``slice(None, None, -1)`` when
-    it is strictly decreasing, else an index array; ``a[order]`` is the
-    draw-order array ``a`` in sorted order, and ``a[order] = b`` puts a
-    sorted ``b`` back, either way.  ``slope`` is dX/dtau on the same
-    draws; without it ``calendars`` is unavailable.  With it the slice
-    keeps ``a_sorted``, (slope - r) e^X in sorted order, and its
-    ``blocks_a``.  The two lookups, ``prices`` and ``calendars``, take an
-    array of moneyness values K/S and return the values and the positions
-    splitting the sorted growth array, which calibration's adjoint pass
-    reuses.  A call sums growth > K/S, a put growth < K/S, a calendar call
+    it is strictly decreasing, else the index array of one stable sort;
+    ``a[order]`` is the draw-order array ``a`` in sorted order, and
+    ``a[order] = b`` puts a sorted ``b`` back, either way.  ``slope`` is
+    dX/dtau on the same draws; without it ``calendars`` is unavailable.
+    With it the slice keeps ``a_sorted``, (slope - r) e^X in sorted
+    order, and its ``blocks_a``.  The two lookups, ``prices`` and
+    ``calendars``, take an array of moneyness values K/S and return the
+    values and the positions splitting the sorted growth array, which
+    calibration's adjoint pass reuses.  A call sums growth > K/S, a put growth < K/S, a calendar call
     growth >= K/S and a calendar put growth <= K/S.  Every sum is read off
     the block sums (``range_sums``), so a value depends only on the slice
     and its position, never on the other moneyness values asked for.
-
-    ``hint`` is an optional candidate index order, such as the previous
-    iteration's ``order``, for growth that is not monotone in storage
-    order (a slice is no hint).  It is used only when the growth factors
-    in that order, re-sorted if they are not already, give a strictly
-    increasing sequence: with no ties the stable order is unique, so
-    every field is bit-identical to a cold sort.  Ties, rounding
-    inversions or no hint fall back to the cold stable sort.  A hint that
-    is used becomes ``order``, reordered in place if it had to be
-    re-sorted: the caller hands the array over, so a loop keeps one order
-    buffer per maturity instead of allocating a new one that outlives
-    each iteration (which fragments the heap).
     """
 
     __slots__ = ("tau", "rate", "a_sorted", "order", "gs", "blocks_g", "blocks_a", "mean_excess")
 
-    def __init__(self, tau, rate, x, slope=None, hint=None):
+    def __init__(self, tau, rate, x, slope=None):
         self.tau = tau
         self.rate = rate
         self.a_sorted = None
-        self.order, self.gs = _stable_order(growth_factors(x, tau), hint)
+        self.order, self.gs = _stable_order(growth_factors(x, tau))
         n = self.gs.size
         totals = block_totals(self.gs)
         self.blocks_g = block_sums(totals)
@@ -151,39 +135,21 @@ def growth_factors(x, tau):
 _IDENTITY, _REVERSED = slice(None), slice(None, None, -1)
 
 
-def _stable_order(growth, hint):
+def _stable_order(growth):
     """Stable ascending order of ``growth`` and the sorted values.
 
     Growth that is non-decreasing in storage order has the identity as
     its stable order, ties or not, and is its own sorted array; strictly
     decreasing growth has the reversal (a tie would keep its pair's
-    storage order).  Otherwise an order whose sorted values are strictly
-    increasing is the unique stable order, whatever sort produced it.
-    So a full-length index hint is tried first: kept as it is when the
-    growth is already strictly increasing in that order (in a fit, nearly
-    every slice after the first), else re-sorted and, when that passes,
-    permuted in place; otherwise numpy's default sort, which is cheaper
-    than the stable one, and the stable sort only on ties.
+    storage order).  Any other growth takes one stable sort.
     """
     if growth[0] <= growth[-1]:
         if np.all(growth[1:] >= growth[:-1]):
             return _IDENTITY, growth
     elif np.all(growth[1:] < growth[:-1]):
         return _REVERSED, growth[::-1].copy()
-    if isinstance(hint, np.ndarray) and hint.size == growth.size:
-        near = np.take(growth, hint)
-        if _strictly_increasing(near):
-            return hint, near
-        perm = np.argsort(near, kind="stable")
-        gs = near[perm]
-        if _strictly_increasing(gs):
-            return np.take(hint, perm, out=hint), gs
-    order = np.argsort(growth)
-    gs = np.take(growth, order)
-    if not _strictly_increasing(gs):
-        order = np.argsort(growth, kind="stable")
-        gs = np.take(growth, order)
-    return order, gs
+    order = np.argsort(growth, kind="stable")
+    return order, np.take(growth, order)
 
 
 SUM_BLOCK = 512  # elements per block total
@@ -226,10 +192,6 @@ def range_sums(values, sums, positions, upper):
     return np.where(upper, part + sums[1, block + 1], sums[0, block] + part)
 
 
-def _strictly_increasing(values):
-    return bool(np.all(values[1:] > values[:-1]))
-
-
 def quote_groups(chain) -> list:
     """The chain's quotes by maturity, in maturity order and then chain order.
 
@@ -257,18 +219,16 @@ def quote_prices(table, calls, moneyness, spot):
     return prices, positions
 
 
-def price_chain(model, chain, samples, hints=None) -> np.ndarray:
+def price_chain(model, chain, samples) -> np.ndarray:
     """Price every quote in a chain from one maturity slice per maturity.
 
     The model is bound to the draws once, before the maturity loop.
-    ``hints`` optionally maps a maturity to a candidate order for its
-    slice (see ``MaturitySlice``), handed over as there.  Returns prices
-    aligned with ``chain.quotes``.
+    Returns prices aligned with ``chain.quotes``.
     """
     bound = bind(model, samples)
     prices = np.empty(len(chain.quotes))
     for tau, index, calls, moneyness, _ in quote_groups(chain):
         rate = chain.rate(tau)
-        table = MaturitySlice(tau, rate, bound.log_returns(tau, rate), hint=(hints or {}).get(tau))
+        table = MaturitySlice(tau, rate, bound.log_returns(tau, rate))
         prices[index] = quote_prices(table, calls, moneyness, chain.spot)[0]
     return prices

@@ -93,7 +93,8 @@ def vector_to_params(template, vec):
 
 def shuffled(samples, seed=5):
     """The pool in a fixed permutation of its ascending storage order: a
-    caller's unsorted pool, on which the slices take the hinted path."""
+    caller's unsorted pool, on which a slice sorts (``calibrate`` sorts
+    such a pool once, before its loop)."""
     values = np.random.Generator(np.random.Philox(seed)).permutation(samples.values)
     return NormalSampleSet(values=values, seed=samples.seed, n=samples.n)
 
@@ -101,15 +102,6 @@ def shuffled(samples, seed=5):
 def index_order(order, n):
     """A slice's order as the index array it stands for, an array as it is."""
     return np.arange(n)[order]
-
-
-class ColdTable(calibration._TauTable):
-    """A training slice that ignores its hint and sorts cold."""
-
-    __slots__ = ()
-
-    def __init__(self, tau, rate, x, slope, hint=None):
-        super().__init__(tau, rate, x, slope)
 
 
 def objective_and_gradient(model, chain, grid, cfg, samples):
@@ -488,57 +480,25 @@ def test_final_metrics_reproduce_last_evaluation(call_chain, three_maturity_chai
 
 
 @pytest.mark.parametrize("kind", ["rn-q", "rn-mlp", "rn-dmlp"])
-def test_warm_started_sorts_reproduce_cold_sorts(call_chain, three_maturity_chain,
-                                                 monkeypatch, kind):
-    # on the ascending pool and on a caller's unsorted one, whose slices
-    # take the hinted path
-    chain = call_chain if kind == "rn-q" else three_maturity_chain
-    cfg = CalibrationConfig(n_samples=4000, seed=9, iterations=12)
-    ascending = draw_standard_normal(cfg.n_samples, cfg.seed)
-
-    for samples in (ascending, shuffled(ascending)):
-        warm = calibrate(kind, chain, cfg, samples=samples)
-        with monkeypatch.context() as m:
-            m.setattr(calibration, "_TauTable", ColdTable)
-            cold = calibrate(kind, chain, cfg, samples=samples)
-        assert warm.loss_trajectory.tobytes() == cold.loss_trajectory.tobytes()
-        assert warm.penalty_trajectory.tobytes() == cold.penalty_trajectory.tobytes()
-        assert checkpoint_document(warm.params) == checkpoint_document(cold.params)
-        doc_warm, doc_cold = warm.to_jsonable(), cold.to_jsonable()
-        del doc_warm["wall_time"], doc_cold["wall_time"]
-        assert doc_warm == doc_cold
-
-
-@pytest.mark.parametrize("kind", ["rn-q", "rn-mlp", "rn-dmlp"])
-def test_final_metrics_start_from_the_loops_orders(call_chain, three_maturity_chain,
-                                                   monkeypatch, kind):
-    # on the ascending pool every maturity's growth is monotone in storage
-    # order, so the final pricing and penalty keep slice orders and call no
-    # argsort.  On a caller's unsorted pool they order every maturity from
-    # the last evaluation's index order, so no sort there sees unsorted
-    # growth.  Either way the results equal cold sorts bit for bit
+def test_final_metrics_equal_fresh_pricing(call_chain, three_maturity_chain, monkeypatch, kind):
+    # the final MSE and penalty are those of a fresh price_chain and
+    # price_surface on the ascending pool, bit for bit, whichever order the
+    # caller's pool is in: a fit sorts an unsorted pool first, so every
+    # slice of its final metrics keeps a slice order
     chain = call_chain if kind == "rn-q" else three_maturity_chain
     cfg = CalibrationConfig(n_samples=4000, seed=9, iterations=6)
     ascending = draw_standard_normal(cfg.n_samples, cfg.seed)
-    real_argsort = np.argsort
     real_order = pricing._stable_order
-    unsorted, hinted, orders = [], [], []
+    orders = []
 
-    def spy(a, *args, **kwargs):
-        a = np.asarray(a)
-        unsorted.append(bool(np.any(a[1:] < a[:-1])))
-        return real_argsort(a, *args, **kwargs)
-
-    def order_spy(growth, hint):
-        hinted.append(isinstance(hint, np.ndarray))
-        order, gs = real_order(growth, hint)
+    def order_spy(growth):
+        order, gs = real_order(growth)
         orders.append(order)
         return order, gs
 
     def in_final_metrics(fn):
         def run(*args, **kwargs):
             with monkeypatch.context() as m:
-                m.setattr(np, "argsort", spy)
                 m.setattr(pricing, "_stable_order", order_spy)
                 return fn(*args, **kwargs)
         return run
@@ -547,25 +507,16 @@ def test_final_metrics_start_from_the_loops_orders(call_chain, three_maturity_ch
     monkeypatch.setattr(calibration, "price_surface", in_final_metrics(price_surface))
     grid = grid_for(chain)
     for samples in (ascending, shuffled(ascending)):
-        unsorted.clear(), hinted.clear(), orders.clear()
+        orders.clear()
         res = calibrate(kind, chain, cfg, samples=samples)
         # one slice per quoted maturity for the prices, one per grid maturity
         assert len(orders) == len({q.tau for q in chain.quotes}) + len(grid.taus)
-        if samples is ascending:
-            assert not unsorted and not any(hinted)
-            assert all(isinstance(order, slice) for order in orders)
-        else:
-            # each handed the loop's index order (one already in order sorts nothing)
-            assert all(hinted)
-            if kind != "rn-q":
-                # rn-q's final location is recomputed, so its X may tie or round
-                # differently from the loop's, and its slices may sort cold
-                assert not any(unsorted)
-        cold = price_chain(res.params, chain, samples)
+        assert all(isinstance(order, slice) for order in orders)
+        fresh = price_chain(res.params, chain, ascending)
         observed = np.array([q.mid for q in chain.quotes])
-        assert mse(observed, cold, [q.side for q in chain.quotes]) == res.final_train_mse
+        assert mse(observed, fresh, [q.side for q in chain.quotes]) == res.final_train_mse
         report = price_surface(res.params, grid.taus, grid.strikes, chain.spot, chain.rate,
-                               samples).penalty()
+                               ascending).penalty()
         assert report.to_jsonable() == res.final_penalty.to_jsonable()
 
 
@@ -625,8 +576,8 @@ def test_network_gradient_spends_each_slice_before_the_backward_passes(
 @pytest.mark.parametrize("kind", ["rn-mlp", "rn-dmlp"])
 def test_warm_network_objective_peaks_below_25_n_length_arrays(three_maturity_chain, kind):
     # a slice keeps only sorted state and the block sums, so e^X in draw
-    # order is freed once sorted; a warm evaluation (the fit's scratch and
-    # orders from a first one) then peaks at about 12.2 N-length arrays,
+    # order is freed once sorted; a warm evaluation (the fit's scratch
+    # from a first one) then peaks at about 12.2 N-length arrays,
     # held under 13.75 (the name's 25 dates from when each slice kept two
     # N-long prefix sums, 22 arrays, and 27 when it also kept e^X)
     n = 100_000
@@ -636,12 +587,12 @@ def test_warm_network_objective_peaks_below_25_n_length_arrays(three_maturity_ch
     model = adapter.init_model(4)
     grid = grid_for(three_maturity_chain)
     scratch = Scratch()
-    _, _, parts = calibration._objective_parts(adapter, model, three_maturity_chain, grid, cfg,
-                                               samples, None, scratch)
+    calibration._objective_parts(adapter, model, three_maturity_chain, grid, cfg, samples,
+                                 scratch)
     tracemalloc.start()
     try:
         calibration._objective_parts(adapter, model, three_maturity_chain, grid, cfg, samples,
-                                     parts["orders"], scratch)
+                                     scratch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -660,15 +611,14 @@ def test_warm_rnq_objective_peaks_below_7_n_length_arrays(call_chain):
     adapter = calibration._adapter("rn-q")
     model = adapter.init_model(0)
     grid = grid_for(call_chain)
-    _, _, parts = calibration._objective_parts(adapter, model, call_chain, grid, cfg, samples)
+    calibration._objective_parts(adapter, model, call_chain, grid, cfg, samples)
     tracemalloc.start()
     try:
-        _, _, again = calibration._objective_parts(adapter, model, call_chain, grid, cfg, samples,
-                                                   parts["orders"])
+        _, _, again = calibration._objective_parts(adapter, model, call_chain, grid, cfg, samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert again["jacobian"] is not None and again["orders"] == {call_chain.quotes[0].tau: slice(None)}
+    assert again["jacobian"] is not None and set(again) == {"penalty", "jacobian"}
     assert peak < 5.5 * 8 * n
 
 
@@ -952,9 +902,8 @@ def test_training_tables_match_bound_slices(kind):
 
 def test_rnq_fit_sorts_unsorted_growth_once(call_chain, monkeypatch):
     # rn-q's X is increasing in Z.  On the ascending pool no slice the loop
-    # builds sorts anything.  On a caller's unsorted pool, after the first
-    # cold sort every slice, accepted step or rejected trial, finds its
-    # hint already in order and sorts nothing
+    # builds sorts anything.  A caller's unsorted pool is sorted once, before
+    # the loop, so there too no slice, accepted step or rejected trial, sorts
     real_argsort = np.argsort
     unsorted = []
 
@@ -973,11 +922,11 @@ def test_rnq_fit_sorts_unsorted_growth_once(call_chain, monkeypatch):
     monkeypatch.setattr(calibration._QuantileAdapter, "build_tables", build_tables)
     cfg = CalibrationConfig(n_samples=10_000, seed=9, iterations=50)
     ascending = draw_standard_normal(cfg.n_samples, cfg.seed)
-    for samples, sorts in ((ascending, 0), (shuffled(ascending), 1)):
+    for samples in (ascending, shuffled(ascending)):
         unsorted.clear()
         res = calibrate("rn-q", call_chain, cfg, samples=samples)
         assert res.converged and 10 < res.iterations_run < 50
-        assert len(unsorted) == sum(unsorted) == sorts
+        assert not unsorted
 
 
 def test_rnq_trial_with_tied_growth_keeps_no_order_array(call_chain, monkeypatch):
@@ -993,8 +942,7 @@ def test_rnq_trial_with_tied_growth_keeps_no_order_array(call_chain, monkeypatch
         raise AssertionError("argsort called")
 
     monkeypatch.setattr(np, "argsort", refuse)
-    tables, _ = calibration._adapter("rn-q").build_tables(trial, [tau], call_chain.rate, z,
-                                                          {tau: np.arange(z.size)})
+    tables, _ = calibration._adapter("rn-q").build_tables(trial, [tau], call_chain.rate, z)
     table = tables[tau]
     assert table.order == slice(None)
     assert np.sum(table.gs == 0.0) > 1 and np.all(table.gs[1:] >= table.gs[:-1])
@@ -1008,10 +956,10 @@ def _folding_rnmlp():
     return dataclasses.replace(zero_net_rnmlp(0.2), net_z=net_z)
 
 
-def test_a_net_that_folds_in_z_takes_the_general_path(three_maturity_chain, monkeypatch):
+def test_a_net_that_folds_in_z_takes_the_general_path(three_maturity_chain):
     # growth that is not monotone in storage order sorts: the slice keeps an
-    # index order equal to the cold stable sort, and a fit's hinted slices
-    # reproduce a fit whose slices all sort cold, bit for bit
+    # index order equal to the stable sort, and a fit whose slices sort so
+    # on a caller's unsorted pool is the fit on the ascending pool, bit for bit
     model = _folding_rnmlp()
     samples = draw_standard_normal(20_000, 3)
     x, slope = bind(model, samples).columns(0.25, 0.03)
@@ -1024,31 +972,31 @@ def test_a_net_that_folds_in_z_takes_the_general_path(three_maturity_chain, monk
     assert table.a_sorted.tobytes() == ((slope[want] - 0.03) * growth[want]).tobytes()
 
     cfg = CalibrationConfig(n_samples=samples.n, seed=3, iterations=6)
-    warm = calibrate("rn-mlp", three_maturity_chain, cfg, init_model=model, samples=samples)
-
-    monkeypatch.setattr(calibration, "_TauTable", ColdTable)
-    cold = calibrate("rn-mlp", three_maturity_chain, cfg, init_model=model, samples=samples)
-    assert warm.loss_trajectory.tobytes() == cold.loss_trajectory.tobytes()
-    assert parameter_vector(warm.params).tobytes() == parameter_vector(cold.params).tobytes()
+    want, got = (calibrate("rn-mlp", three_maturity_chain, cfg, init_model=model, samples=pool)
+                 for pool in (samples, shuffled(samples)))
+    assert got.loss_trajectory.tobytes() == want.loss_trajectory.tobytes()
+    assert parameter_vector(got.params).tobytes() == parameter_vector(want.params).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["rn-q", "rn-mlp", "rn-dmlp"])
 def test_fit_on_a_permuted_pool_agrees_with_the_ascending_pool(call_chain, three_maturity_chain,
                                                                kind):
-    # the pool's storage order changes only the order of sums over the
-    # draws: the same fit on the ascending pool and on a fixed permutation
-    # of it agree within 1e-10 relative over the whole loss trajectory and
-    # in the final parameters
+    # a fit sorts a caller's unsorted pool once, into a new array: the same
+    # fit on the ascending pool and on a fixed permutation of it has the
+    # same bits over the whole loss trajectory and in the final parameters,
+    # and the caller's pool keeps its order
     chain = call_chain if kind == "rn-q" else three_maturity_chain
     cfg = CalibrationConfig(n_samples=20_000, seed=3, iterations=30)
     ascending = draw_standard_normal(cfg.n_samples, cfg.seed)
-    fits = [calibrate(kind, chain, cfg, samples=samples)
-            for samples in (ascending, shuffled(ascending))]
+    permuted = shuffled(ascending)
+    before = permuted.values.copy()
+    fits = [calibrate(kind, chain, cfg, samples=samples) for samples in (ascending, permuted)]
+    assert permuted.values.tobytes() == before.tobytes()
     want, got = (fit.loss_trajectory for fit in fits)
     assert want.size == got.size == (cfg.iterations if kind != "rn-q" else want.size)
-    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+    assert got.tobytes() == want.tobytes()
     want, got = (parameter_vector(fit.params) for fit in fits)
-    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+    assert got.tobytes() == want.tobytes()
 
 
 def test_rnq_levenberg_marquardt_lowers_the_loss_at_every_step_and_stops_early(call_chain):

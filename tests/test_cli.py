@@ -780,14 +780,14 @@ def test_audit_sorts_each_maturity_cold_once(dmlp_dir, tmp_path, monkeypatch):
     # 2 training maturities and their midpoint, one slice each.  On the
     # ascending pool every maturity's growth is monotone in storage order,
     # so its order is a slice and nothing is sorted; on a shuffled pool
-    # each maturity is sorted cold once
+    # each maturity is sorted once
     slices = []
     stable_order = pricing._stable_order
     real_draw = cli.draw_standard_normal
 
-    def spy(growth, hint):
-        order, gs = stable_order(growth, hint)
-        slices.append((growth.tobytes(), hint is None, order))
+    def spy(growth):
+        order, gs = stable_order(growth)
+        slices.append((growth.tobytes(), order))
         return order, gs
 
     monkeypatch.setattr(pricing, "_stable_order", spy)
@@ -801,9 +801,8 @@ def test_audit_sorts_each_maturity_cold_once(dmlp_dir, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "draw_standard_normal", draw)
         slices.clear()
         assert main(_network_commands(dmlp_dir, tmp_path, 2)["audit"]) == 0
-        assert len(slices) == len({growth for growth, _, _ in slices}) == 3
-        assert all(is_cold for _, is_cold, _ in slices)
-        assert all(isinstance(order, np.ndarray if shuffle else slice) for *_, order in slices)
+        assert len(slices) == len({growth for growth, _ in slices}) == 3
+        assert all(isinstance(order, np.ndarray if shuffle else slice) for _, order in slices)
 
 
 @pytest.mark.parametrize("fit", ["fit_dir", "dmlp_dir"])

@@ -153,8 +153,8 @@ def test_price_chain_bound_model_is_bit_identical():
         assert surface_prices(bound, 0.4, 0.03, [95.0], z)[1].tobytes() == want_put.tobytes()
 
 
-def assert_same_slice(got, want):
-    for name in ("order", "gs", "a_sorted", "blocks_g", "blocks_a"):
+def assert_same_sorted_state(got, want):
+    for name in ("gs", "a_sorted", "blocks_g", "blocks_a"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert got.mean_excess == want.mean_excess
@@ -250,47 +250,34 @@ def test_cold_slice_order_is_the_stable_order(ties):
         x = np.round(x, 2)  # many repeated values
     growth = np.exp(x)
     stable = np.argsort(growth, kind="stable")
-    # numpy's default sort orders ties differently, so the slice must fall back
+    # numpy's default sort orders ties differently; the slice's is the stable one
     assert np.array_equal(np.argsort(growth), stable) != ties
     got = MaturitySlice(0.25, 0.03, x)
     assert got.order.tobytes() == stable.tobytes()
     assert got.gs.tobytes() == growth[stable].tobytes()
 
 
-@pytest.mark.parametrize("case", ["cold-order", "reversed", "random", "perturbed", "truncated"])
-def test_slice_hint_reproduces_cold_sort(case):
-    rng = np.random.default_rng(11)
-    prev = 0.2 * rng.standard_normal(20_000)
-    x = prev + 1e-3 * rng.standard_normal(prev.size) if case == "perturbed" else prev
-    slope = 0.1 + 0.3 * x + 0.05 * rng.standard_normal(x.size)
-    want = MaturitySlice(0.25, 0.03, x, slope)
-    hint = {
-        "cold-order": want.order.copy(),
-        "reversed": want.order[::-1].copy(),
-        "random": rng.permutation(x.size),
-        "perturbed": MaturitySlice(0.25, 0.03, prev).order,
-        "truncated": want.order[:-1].copy(),  # not a permutation of the draws
-    }[case]
-    if case == "perturbed":
-        # the previous order is close to, but not, this one
-        assert not np.array_equal(hint, want.order)
-    assert_same_slice(MaturitySlice(0.25, 0.03, x, slope, hint), want)
-
-
-@pytest.mark.parametrize("case", ["reversed", "random"])
-def test_slice_hint_with_ties_falls_back_to_cold_sort(case):
+@pytest.mark.parametrize("case", ["runs", "random"])
+def test_slice_on_tied_non_monotone_growth_has_the_stable_order(case):
+    # growth made of a few monotone runs (a net that folds in Z) or in random
+    # order, with many ties: one stable sort orders the ties by storage order
     rng = np.random.default_rng(12)
     x = np.round(0.2 * rng.standard_normal(5_000), 2)  # many repeated values
+    if case == "runs":
+        x = np.concatenate([np.sort(x[:2_000]), np.sort(x[2_000:])[::-1]])
     slope = 0.1 + 0.3 * x + 0.05 * rng.standard_normal(x.size)
-    want = MaturitySlice(0.25, 0.03, x, slope)
-    hint = {
-        "reversed": want.order[::-1].copy(),
-        "random": rng.permutation(x.size),
-    }[case]
-    # taken unchecked, the hint would order the ties differently
-    unchecked = hint[np.argsort(x[hint], kind="stable")]
-    assert not np.array_equal(unchecked, want.order)
-    assert_same_slice(MaturitySlice(0.25, 0.03, x, slope, hint), want)
+    growth = np.exp(x)
+    stable = np.argsort(growth, kind="stable")
+    # the default sort orders these ties differently
+    assert not np.array_equal(np.argsort(growth), stable)
+    got = MaturitySlice(0.25, 0.03, x, slope)
+    assert got.order.tobytes() == stable.tobytes()
+    assert got.gs.tobytes() == growth[stable].tobytes()
+    assert got.a_sorted.tobytes() == ((slope[stable] - 0.03) * growth[stable]).tobytes()
+    # the same draws stored in sorted order: the identity, and the same sums
+    presorted = MaturitySlice(0.25, 0.03, x[stable], slope[stable])
+    assert presorted.order == slice(None)
+    assert_same_sorted_state(got, presorted)
 
 
 def test_quote_groups_follow_maturity_then_chain_order():
