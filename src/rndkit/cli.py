@@ -469,7 +469,7 @@ def cmd_report(args) -> int:
     term_path = out / "term_structure.csv"
     write_csv(term_path, ["tau", "rnm2", "rnm3", "rnm4"], term_rows)
 
-    integral = float(np.trapezoid(est.values, est.grid))
+    integral = est.integral()
     checks = {"log_return_density_integral": integral,
               "density_integral_within_1pct": bool(abs(integral - 1.0) < 0.01)}
     _write_manifest(out, "report", args,

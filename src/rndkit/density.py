@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import bind, sample_log_returns
+from .models import _values, bind, sample_log_returns
 
 __all__ = [
     "DensityEstimate",
@@ -82,11 +82,6 @@ class RndCharacteristics:
         return {name: float(getattr(self, name)) for name in self.FIELD_ORDER}
 
 
-def _sample_values(samples) -> np.ndarray:
-    values = getattr(samples, "values", samples)
-    return np.asarray(values, dtype=float)
-
-
 def pushforward_density(model, tau, samples, grid, rate=0.0) -> DensityEstimate:
     """Density of the log-return X = f(Z, tau) at one maturity, read off the
     model by change of variables: at x it is the sum of phi(z) / |dX/dz|
@@ -102,7 +97,7 @@ def pushforward_density(model, tau, samples, grid, rate=0.0) -> DensityEstimate:
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    z = _sample_values(samples)
+    z = _values(samples)
     if z.size == 0 or z.min() == z.max():
         raise ValueError("degenerate pool: the draws span no Z range, so X has no density")
     nodes = np.linspace(z.min(), z.max(), DENSITY_NODES)
@@ -189,7 +184,7 @@ def _median_unbiased_quantiles(x, levels):
 
 def characteristics(values) -> RndCharacteristics:
     """The ten distribution characteristics of a sample."""
-    x = _sample_values(values)
+    x = _values(values)
     if x.size < 100:
         raise ValueError("need at least 100 samples")
     mean, std, skewness, kurtosis = _standardized_moments(x)

@@ -13,7 +13,7 @@ __all__ = ["kahan_sum", "logmeanexp", "sorted_unique"]
 _CHUNK = 4096
 
 
-def kahan_sum(values, chunk: int = _CHUNK) -> float:
+def kahan_sum(values) -> float:
     """Compensated sum of a 1-d array.
 
     Values are summed pairwise inside fixed-size chunks and the chunk
@@ -23,8 +23,8 @@ def kahan_sum(values, chunk: int = _CHUNK) -> float:
     x = np.asarray(values, dtype=float).ravel()
     total = 0.0
     comp = 0.0
-    for start in range(0, x.size, chunk):
-        part = float(np.sum(x[start:start + chunk]))
+    for start in range(0, x.size, _CHUNK):
+        part = float(np.sum(x[start:start + _CHUNK]))
         y = part - comp
         t = total + y
         comp = (t - total) - y

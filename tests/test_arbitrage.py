@@ -400,3 +400,63 @@ def test_audit_report_is_json_ready():
     report = audit_price_surface(price_surface(model, [0.1, 0.25], [90.0, 100.0, 110.0], 100.0,
                                                lambda t: 0.03, z))
     json.dumps(report)  # no numpy scalars allowed
+
+
+def _audited_rnmlp_surface(taus=(0.1, 0.25)):
+    z = draw_standard_normal(20_000, seed=3)
+    return price_surface(init_rnmlp(seed=9), list(taus), [80.0, 90.0, 100.0, 110.0, 120.0], 100.0,
+                         lambda t: 0.03, z)
+
+
+def test_audit_monotone_worst_is_the_largest_violation_on_either_side():
+    broken = _audited_rnmlp_surface()
+    broken.calls[0, 2] = broken.calls[0, 1] + 5.0  # a call rises by 5 in strike
+    broken.puts[1, 3] = broken.puts[1, 2] - 0.5  # a put falls by 0.5 in strike
+    check = audit_price_surface(broken)["checks"]["monotone_in_strike"]
+    assert check["n_violations"] == 2
+    assert [e["side"] for e in check["examples"]] == ["call", "put"]
+    assert check["worst"] == check["examples"][0]["value"] == pytest.approx(5.0)
+
+
+def test_audit_parity_value_is_the_largest_excess_over_a_limit():
+    # call and put fall together, so parity holds, but the put goes
+    # negative and the call falls below its lower bound
+    broken = _audited_rnmlp_surface(taus=(0.25,))
+    broken.calls[0, 0] -= 5.0
+    broken.puts[0, 0] -= 5.0
+    s = broken
+    slack = s.spot * abs(np.expm1(s.defects[0])) + 1e-10 * s.spot
+    disc_k = 80.0 * np.exp(-0.03 * 0.25)
+    put_excess = (0.0 - slack) - s.puts[0, 0]
+    call_excess = (max(s.spot - disc_k, 0.0) - slack) - s.calls[0, 0]
+    gap = abs(s.calls[0, 0] - s.puts[0, 0] - (s.spot - disc_k))
+    assert gap <= slack < min(put_excess, call_excess)
+    check = audit_price_surface(broken)["checks"]["parity_and_bounds"]
+    assert not check["passed"] and check["n_violations"] == 1
+    assert check["examples"][0]["value"] == check["worst"] == max(put_excess, call_excess)
+
+
+def test_audit_entries_follow_each_checks_axis_order():
+    def keys(check):
+        assert all(list(e)[-1] == "value" for e in check["examples"])
+        return [tuple(v for k, v in e.items() if k != "value") for e in check["examples"]]
+
+    flipped = _audited_rnmlp_surface()
+    flipped.calls, flipped.puts = flipped.calls[:, ::-1].copy(), flipped.puts[:, ::-1].copy()
+    check = audit_price_surface(flipped)["checks"]["monotone_in_strike"]
+    assert check["n_violations"] == 16  # maturity, side, strike
+    assert keys(check) == [(0.1, k, "call") for k in (90.0, 100.0, 110.0, 120.0)] + [(0.1, 90.0, "put")]
+
+    later = _audited_rnmlp_surface()
+    later.calls[1], later.puts[1] = later.calls[0] - 5.0, later.puts[0] - 5.0
+    check = audit_price_surface(later)["checks"]["calendar_in_tau"]
+    assert check["n_violations"] == 10  # maturity, strike, side
+    assert keys(check) == [(0.25, 80.0, "call"), (0.25, 80.0, "put"), (0.25, 90.0, "call"),
+                           (0.25, 90.0, "put"), (0.25, 100.0, "call")]
+
+    lowered = _audited_rnmlp_surface()
+    lowered.calls -= 5.0
+    lowered.puts -= 5.0
+    check = audit_price_surface(lowered)["checks"]["parity_and_bounds"]
+    assert check["n_violations"] == 10  # maturity, strike
+    assert keys(check) == [(0.1, k) for k in (80.0, 90.0, 100.0, 110.0, 120.0)]
