@@ -209,8 +209,8 @@ def _load_checkpoint(path):
         raise DataError("checkpoint context config needs numeric n_samples and seed")
     if "relative_mse_floor" in config and not _is_number(config["relative_mse_floor"]):
         raise DataError("checkpoint context config relative_mse_floor must be a finite number")
-    if not _is_number(ctx["spot"]):
-        raise DataError("checkpoint context spot must be a finite number")
+    if not (_is_number(ctx["spot"]) and ctx["spot"] > 0.0):
+        raise DataError("checkpoint context spot must be a positive finite number")
     for key in ("train_days", "train_strikes"):
         if not (isinstance(ctx[key], list) and all(map(_is_number, ctx[key]))):
             raise DataError(f"checkpoint context {key} must be a list of finite numbers")
@@ -617,6 +617,8 @@ def main(argv=None) -> int:
     for flag in ("spot", "rate", "tick"):  # None where the command has no such flag
         if not math.isfinite(getattr(args, flag, None) or 0.0):
             parser.error(f"--{flag} must be finite")
+    if getattr(args, "spot", None) is not None and args.spot <= 0.0:
+        parser.error("--spot must be positive")
     if args.command == "perturb":
         if args.trials < 2:
             parser.error("--trials must be at least 2")

@@ -8,13 +8,13 @@ Chain CSV format (comment lines start with '#'):
 
 Rates come from a sidecar CSV with columns ``tenor_days,rate``; by default
 ``<chain>.rates.csv`` next to the chain file.  Quotes with bid or ask
-below $0.025 are dropped before mids are formed.
+below $0.025 are dropped before mids are formed; the chain's
+``load_report`` counts them, and the crossed quotes dropped.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,8 +34,6 @@ __all__ = [
     "save_rates",
     "split_train_test",
 ]
-
-log = logging.getLogger(__name__)
 
 MIN_QUOTE = 0.025
 MONEYNESS_BAND = (0.8, 1.2)
@@ -196,8 +194,6 @@ def load_chain(path, rates_path=None, spot=None) -> OptionChain:
         "dropped_low_quote": dropped_low,
         "dropped_crossed": dropped_crossed,
     }
-    if dropped_low or dropped_crossed:
-        log.info("dropped %d low and %d crossed quotes from %s", dropped_low, dropped_crossed, path)
     return OptionChain(
         observation_date=date or "", spot=float(spot), quotes=quotes,
         rate_curve=curve, load_report=report,

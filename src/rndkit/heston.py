@@ -22,6 +22,7 @@ The dynamics are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -42,14 +43,23 @@ __all__ = [
 DAMPING_ALPHA = 1.5
 
 _PANEL_WIDTH = 20.0
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
-_OFFSETS = (_NODES + 1.0) * (_PANEL_WIDTH / 2.0)  # node u = panel start + offset
 _MAX_PANELS = 400
 _TAIL_TOL = 1e-10
 
 _CONTOUR_NODES = 64
 _CONTOUR_SCALE = 0.25  # cumulant contour radius, in units of 1/sqrt(nu0 tau)
 _CONTOUR_TOL = 1e-9  # largest skew or kurtosis gap between 64 and 32 nodes
+
+
+@cache
+def _panel_rule():
+    """64-node Gauss-Legendre rule on one panel: (node offsets, weights).
+
+    Node u = panel start + offset.  Formed on first use, so only a process
+    that prices under Heston loads numpy.polynomial.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    return (nodes + 1.0) * (_PANEL_WIDTH / 2.0), weights * (_PANEL_WIDTH / 2.0)
 
 
 @dataclass
@@ -161,12 +171,12 @@ def _damped_cf_table(p, spot, tau, rate, alpha=DAMPING_ALPHA):
     bound drops below 1e-10.
     """
     disc = np.exp(-rate * tau)
+    offsets, w = _panel_rule()
     nodes_all, weights_all, psi_all = [], [], []
     prev_l1 = None
     for panel in range(_MAX_PANELS):
         lo = panel * _PANEL_WIDTH
-        u = lo + _OFFSETS
-        w = _WEIGHTS * (_PANEL_WIDTH / 2.0)
+        u = lo + offsets
         cf = np.exp(_log_cf(p, u - (alpha + 1.0) * 1j, tau, spot, rate))
         denom = alpha * alpha + alpha - u * u + 1j * (2.0 * alpha + 1.0) * u
         psi = disc * cf / denom
@@ -207,9 +217,10 @@ def heston_call_prices(p, spot, strikes, tau, rate, cf_tables=None) -> np.ndarra
             tables[tau, rate] = _damped_cf_table(p, spot, tau, rate)
         u, w, psi = tables[tau, rate]
         k = np.log(strikes[pos])
-        w_psi = (w * psi).reshape(-1, _OFFSETS.size)  # one row per panel
+        offsets = _panel_rule()[0]
+        w_psi = (w * psi).reshape(-1, offsets.size)  # one row per panel
         # strikes x panels: each panel's nodes summed against e^{-ik offset}
-        by_panel = np.exp(-1j * np.outer(k, _OFFSETS)) @ w_psi.T
+        by_panel = np.exp(-1j * np.outer(k, offsets)) @ w_psi.T
         by_panel *= np.exp(-1j * np.outer(k, _PANEL_WIDTH * np.arange(len(w_psi))))
         out[pos] = np.exp(-DAMPING_ALPHA * k) / np.pi * by_panel.real.sum(axis=1)
     return out

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+import rndkit
 from rndkit import calibration, cli, density, heston, models, pricing
 from rndkit.cli import main, parse_tau_grid, read_config_file
 from rndkit.data_io import DataError, load_chain, save_chain, save_rates
@@ -429,6 +431,42 @@ def test_pipeline_leaves_numpy_ma_unimported(tmp_path):
     assert run.returncode == 0 and run.stdout.splitlines()[-1] == "False", run.stderr
 
 
+def test_importing_the_cli_loads_every_module():
+    # perfbench/spans.py rebinds its traced functions only in the rndkit
+    # modules that `import rndkit.cli` loaded: a module the CLI imported
+    # later would run untraced
+    run = _run_child("import sys, rndkit.cli\n"
+                     "print(sorted(m for m in sys.modules if m.startswith('rndkit.')))")
+    assert run.returncode == 0, run.stderr
+    modules = sorted(f"rndkit.{m.name}" for m in pkgutil.iter_modules(rndkit.__path__))
+    assert run.stdout.strip() == str(modules)
+
+
+_LOADED_MODULES = """
+import json, sys
+from rndkit.cli import main
+assert main(sys.argv[1:]) == 0
+print(json.dumps(["logging" in sys.modules, "numpy.polynomial" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate", "calibrate", "perturb", "evaluate", "audit", "report"])
+def test_only_simulate_loads_numpy_polynomial(sim_dir, fit_dir, tmp_path, command):
+    chain, ck = str(sim_dir / "left-skew_chain.csv"), str(fit_dir / "checkpoint.json")
+    fit = ["--chain", chain, "--kind", "rn-q", "--samples", "2000", "--iterations", "2"]
+    argv = {"simulate": ["--scenario", "left-skew", "--days", "30"],
+            "calibrate": fit,
+            "perturb": fit + ["--trials", "2"],
+            "evaluate": ["--checkpoint", ck, "--chain", chain, "--samples", "2000"],
+            "audit": ["--checkpoint", ck, "--samples", "2000"],
+            "report": ["--checkpoint", ck, "--samples", "2000"]}[command]
+    run = _run_child(_LOADED_MODULES, command, *argv, "--out", str(tmp_path))
+    assert run.returncode == 0, run.stderr
+    # heston's quadrature nodes; and no command loads logging
+    assert json.loads(run.stdout.splitlines()[-1]) == [False, command == "simulate"]
+
+
 def test_evaluate_empty_extreme_set_gives_nulls_and_warning(
         fit_dir, tmp_path, capsys):
     chain = generate_simulated_chain("left-skew",
@@ -476,6 +514,9 @@ def test_evaluate_truncated_checkpoint_exits_2(sim_dir, fit_dir, tmp_path, capsy
     # non-finite numbers, written as NaN and Infinity, which json.load reads back
     ("audit", lambda ctx: ctx.update(spot=float("nan"))),
     ("report", lambda ctx: ctx.update(spot=float("inf"))),
+    # a spot of 0 divided by zero and passed the audit; a negative one failed every check
+    ("audit", lambda ctx: ctx.update(spot=0.0)),
+    ("report", lambda ctx: ctx.update(spot=-100.0)),
     ("audit", lambda ctx: ctx["rate_curve"][0].__setitem__(1, float("nan"))),
     ("report", lambda ctx: ctx["rate_curve"][0].__setitem__(0, float("nan"))),
     ("audit", lambda ctx: ctx["train_days"].append(float("nan"))),
@@ -487,6 +528,7 @@ def test_evaluate_truncated_checkpoint_exits_2(sim_dir, fit_dir, tmp_path, capsy
 ], ids=["config-without-n_samples", "config-not-an-object", "no-train_strikes",
         "audit-rate_curve-not-a-list", "report-rate_curve-not-a-list",
         "spot-not-a-number", "train_days-not-a-list", "nan-spot", "inf-spot",
+        "zero-spot", "negative-spot",
         "nan-rate", "nan-tenor", "nan-train_days", "inf-train_strikes",
         "string-floor", "null-floor", "list-floor"])
 def test_malformed_checkpoint_context_exits_2(sim_dir, fit_dir, tmp_path, capsys,
@@ -564,15 +606,21 @@ def test_every_command_accepts_threads(command):
     assert args.threads == 3 and args.func is getattr(cli, f"cmd_{command}")
 
 
+# a spot of 0 divided by zero and passed the audit; a negative one failed every check
+_FLAG_ERROR = {"nan": "must be finite", "inf": "must be finite",
+               "0": "must be positive", "-1": "must be positive"}
+
+
 @pytest.mark.parametrize("command, flag, value", [
     *((command, "--spot", "nan") for command in sorted(_MINIMAL_ARGV)),
     ("simulate", "--rate", "nan"), ("perturb", "--tick", "inf"),
+    *((command, "--spot", spot) for command in sorted(_MINIMAL_ARGV) for spot in ("0", "-1")),
 ])
 def test_non_finite_market_flags_are_usage_errors(tmp_path, capsys, command, flag, value):
     with pytest.raises(SystemExit) as excinfo:
         main([command, *_MINIMAL_ARGV[command], flag, value, "--out", str(tmp_path)])
     assert excinfo.value.code == 2
-    assert f"{flag} must be finite" in capsys.readouterr().err
+    assert f"{flag} {_FLAG_ERROR[value]}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -153,10 +153,11 @@ def test_quadrature_nodes_are_panel_starts_plus_fixed_offsets(days):
     # heston_call_prices factors e^{-iku} over exactly this layout
     p, _ = SCENARIOS["left-skew"]
     u, _, _ = heston._damped_cf_table(p, SPOT, days / 365.0, RATE)
-    panels = u.size // heston._OFFSETS.size
-    assert panels > 1 and u.size == panels * heston._OFFSETS.size
+    offsets = heston._panel_rule()[0]
+    panels = u.size // offsets.size
+    assert panels > 1 and u.size == panels * offsets.size
     starts = np.arange(panels) * heston._PANEL_WIDTH
-    assert u.reshape(panels, -1).tobytes() == (starts[:, None] + heston._OFFSETS).tobytes()
+    assert u.reshape(panels, -1).tobytes() == (starts[:, None] + offsets).tobytes()
 
 
 def test_call_prices_memory_is_bounded_by_the_factored_phase():
