@@ -452,6 +452,7 @@ def cmd_report(args) -> int:
     log_returns = bound.log_returns(tau, rate)
     growth = growth_factors(log_returns, tau)
     grid = np.linspace(log_returns.min(), log_returns.max(), 1001)
+    del log_returns  # N floats that nothing below reads
     est = pushforward_density(bound, tau, samples, grid, rate)
     log_density_path = out / "density_log_return.csv"
     write_csv(log_density_path, ["grid", "value"], zip(est.grid, est.values))
@@ -460,7 +461,8 @@ def cmd_report(args) -> int:
     write_csv(price_density_path, ["grid", "value"],
               zip(price_est.grid, price_est.values))
 
-    ch = characteristics(spot * growth)
+    growth *= spot  # the terminal prices, over the growth factors
+    ch = characteristics(growth)
     char_path = out / "characteristics.json"
     write_json(char_path, dataclasses.asdict(ch))
 

@@ -149,10 +149,15 @@ def _standardized_moments(x: np.ndarray):
     std = float(np.std(x))
     if std == 0.0:
         raise ValueError("degenerate sample: zero variance")
-    z = (x - mean) / std
-    z2 = z * z  # products, not z**3 and z**4, which numpy runs through pow
-    skewness = float(np.mean(z2 * z))
-    kurtosis = float(np.mean(z2 * z2))  # non-excess: normal -> 3
+    # z and its powers in two N-long arrays, formed in place; products, not
+    # z**3 and z**4, which numpy runs through pow
+    z = np.subtract(x, mean)
+    z /= std
+    z2 = np.multiply(z, z)
+    z *= z2
+    skewness = float(np.mean(z))
+    z2 *= z2
+    kurtosis = float(np.mean(z2))  # non-excess: normal -> 3
     return mean, std, skewness, kurtosis
 
 

@@ -210,7 +210,8 @@ class BoundModel:
     (model, draws, tau, rate).  Calibration, pricing, penalties, the audit
     and the density all read X and dX/dtau here.  Build it with ``bind``;
     it never changes afterwards.
-    An analysis binding keeps H alone.  The calibration loop binds with
+    An analysis binding keeps H alone, formed one component at a time
+    through one N-long G_Z buffer.  The calibration loop binds with
     its fit's ``nn.Scratch``, which then holds the knot lattices, network
     buffers, each component's G_Z and H; the draws are read in place, and
     the binding keeps for the gradient per component its knot pass, whose
@@ -231,18 +232,21 @@ class BoundModel:
         self.z = z
         components = mixture_components(model)
         work = Scratch() if scratch is None else scratch
-        # H and G_Z first, so the passes' temporaries free from the top of the heap
+        train = scratch is not None
+        # H first, so the passes' temporaries free from the top of the heap.
+        # A training binding keeps each component's G_Z for the gradient;
+        # an analysis binding forms one component's at a time in one buffer
         self._h = work.take("h", z.size) if components else None
-        g_z = [work.take(("g_z", c), z.size) for c in range(len(components))]
-        passes = [KnotPass(comp.net_z, z, work.lattices, work, out, None if scratch is None else c)
-                  for c, ((_, comp), out) in enumerate(zip(components, g_z))]
-        for c, ((coef, comp), gz) in enumerate(zip(components, g_z)):
+        passes = []
+        for c, (coef, comp) in enumerate(components):
+            gz = work.take(("g_z", c if train else 0), z.size)
+            passes.append(KnotPass(comp.net_z, z, work.lattices, work, gz, c if train else None))
             if c == 0:
                 np.multiply(gz, coef * comp.sigma, out=self._h)
             else:
-                self._h += (coef * comp.sigma) * gz
+                self._h += np.multiply(gz, coef * comp.sigma, out=None if train else gz)
         # for the gradient: each component's knot pass, whose values are its G_Z(Z)
-        self.passes = None if scratch is None else passes
+        self.passes = passes if train else None
         self._rows = tuple([] for _ in passes)
 
     def log_returns(self, tau, rate) -> np.ndarray:

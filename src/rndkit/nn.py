@@ -78,28 +78,34 @@ def softplus_prime(x):
 _EXP_MAX = math.log(sys.float_info.max)
 
 
-def _softplus_and_sigmoid(h, t=None):
+def _softplus_and_sigmoid(h, t=None, sigmoid=True):
     # One exp per layer: e = e^h over h, the sigmoid e / (1 + e) into
     # ``t`` (h-shaped, or None to allocate), then the softplus log1p(e)
     # over e, so a layer uses h's buffer and one other.  Both keep full
     # relative accuracy in the lower tail, where e is the answer to
     # working precision.  A pass with any h above _EXP_MAX (or a NaN)
     # would overflow e and takes the max form, whose exp never overflows.
+    # ``sigmoid=False`` forms the softplus alone, the same bits over h's
+    # buffer only, and gives None for the sigmoid.
     if not float(h.max(initial=-math.inf)) <= _EXP_MAX:  # initial: no rows is fine
-        return _softplus_and_sigmoid_max_form(h, t)
+        return _softplus_and_sigmoid_max_form(h, t, sigmoid)
     e = np.exp(h, out=h)
-    sig = np.add(e, 1.0, out=t)
-    np.divide(e, sig, out=sig)
+    sig = None
+    if sigmoid:
+        sig = np.add(e, 1.0, out=t)
+        np.divide(e, sig, out=sig)
     return np.log1p(e, out=e), sig
 
 
-def _softplus_and_sigmoid_max_form(h, t):
+def _softplus_and_sigmoid_max_form(h, t, sigmoid):
     t = np.abs(h, out=t)
     np.negative(t, out=t)
     np.exp(t, out=t)
     np.log1p(t, out=t)
     sp = np.maximum(h, 0.0, out=h)
     sp += t
+    if not sigmoid:
+        return sp, None
     sig = np.negative(sp, out=t)
     np.expm1(sig, out=sig)
     np.negative(sig, out=sig)
@@ -140,6 +146,12 @@ class Scratch:
     A pass's cache and values are views into the buffers, valid until the
     next pass through the same buffers, so each binding or fit makes or
     carries its own.
+
+    A network pass keys its buffers by layer: ``("act", l)``, and with
+    slopes ``("tangent_pre", l)`` and ``("tangent", l)``.  Only a pass
+    that keeps its cache holds a sigmoid buffer per hidden layer,
+    ``("sig", l)``; one with slopes and no cache shares ``("sig", 0)``
+    across its layers, and one with neither holds none.
     """
 
     __slots__ = ("_buffers", "lattices")
@@ -273,9 +285,13 @@ class KnotPass:
 
     ``lattices`` holds x's lattices by M (a fit keeps them).  With
     ``scratch`` every network pass writes into its buffers, which several
-    networks' passes share, and ``out`` takes the values.  ``key`` makes a
-    training pass: its forward passes get buffers of their own (under key),
-    where the accepted knot pass keeps its cache for ``param_gradient``.
+    networks' passes share, and ``out`` takes the values.  The midpoint
+    checks form values alone, with no sigmoid.  ``key`` makes a training
+    pass: its forward passes get buffers of their own (under key), where
+    the accepted knot pass keeps its cache, a sigmoid per hidden layer, for
+    ``param_gradient``.  Without it the every-input-a-knot pass forms values
+    alone too, and a knot pass's slopes take one sigmoid buffer for all
+    its layers.
     """
 
     __slots__ = ("net", "lattice", "values", "scratch", "_cache")
@@ -360,9 +376,12 @@ class DenseNetwork:
 
         Returns (values, cache) or (values, slopes, cache); the cache feeds
         the weighted backward passes below.  ``keep_cache=False`` gives no
-        cache and keeps no activations.  With ``scratch`` the layer arrays,
+        cache and keeps no activations: a pass without slopes then forms
+        no sigmoid, and one with slopes writes every layer's sigmoid into
+        one buffer, ``("sig", 0)``.  With ``scratch`` the layer arrays,
         the values, the slopes and the cache are views into its buffers,
-        valid until the next pass through it; the arithmetic is the same.
+        valid until the next pass through it; the arithmetic, and so every
+        value and slope, is the same whatever the pass keeps.
         """
         self._check_scalar()
         x = np.asarray(x, dtype=float).reshape(-1, 1)
@@ -382,7 +401,11 @@ class DenseNetwork:
                     _product(tangents[-1], w.T, take(("tangent_pre", l), n, width))
                 tangent_pre.append(u)
             if l < last:
-                a, sig = _softplus_and_sigmoid(h, take(("sig", l), n, width))
+                # the cache's backward pass reads every layer's sigmoid, a
+                # slope only its own layer's, and a value none
+                formed = want_slope or keep_cache
+                t = take(("sig", l if keep_cache else 0), n, width) if formed else None
+                a, sig = _softplus_and_sigmoid(h, t, formed)
                 sigs.append(sig)
                 if want_slope:
                     tangents.append(np.multiply(sig, u, out=take(("tangent", l), n, width)))
@@ -445,8 +468,8 @@ class DenseNetwork:
             g_b[l] = hbar.sum(axis=0)
             if l > 0:
                 w = self.weights[l]
-                abar = np.matmul(hbar, w, out=take(f, hbar.shape[0], w.shape[1]))
-                tbar = np.matmul(ubar, w, out=take(a, hbar.shape[0], w.shape[1]))
+                abar = _product(hbar, w, out=take(f, hbar.shape[0], w.shape[1]))
+                tbar = _product(ubar, w, out=take(a, hbar.shape[0], w.shape[1]))
                 a, t, f = f, a, t
         return ParamGradient(g_w, g_b)
 

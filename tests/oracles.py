@@ -18,7 +18,9 @@ ln S_T by 50-digit central differences of a second formulation of the
 log-CF, Richardson extrapolated (the package reads them in float64 off
 its own log-CF on a circle, by the trapezoidal rule), and checkpoint
 JSON by a recursive emitter that renders every float on its own (the
-package renders a list of floats in one join).
+package renders a list of floats in one join), and a sample's
+standardized moments by whole-array expressions, one new array each (the
+package forms z and its powers in place).
 """
 
 import json
@@ -195,6 +197,20 @@ def rnq_terms_power_form(p, z):
     vz = np.power(p.v, -z)
     shape = (uz + vz) / p.a_const + 1.0
     return uz, vz, shape, p.sigma * z * shape
+
+
+# ----------------------------------------------------------------------
+# sample moments
+
+
+def standardized_moments_expression_form(x):
+    """(mean, std, skewness, kurtosis) of a sample, each power of z in an
+    array of its own: the package's arithmetic, operation for operation."""
+    mean = float(np.mean(x))
+    std = float(np.std(x))
+    z = (x - mean) / std
+    z2 = z * z
+    return mean, std, float(np.mean(z2 * z)), float(np.mean(z2 * z2))
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from rndkit.models import RnQParams, bind, init_rndmlp, zero_net_rnmlp
 from rndkit.nn import DenseNetwork
 from rndkit.sampling import draw_standard_normal
 
-from oracles import norm_cdf, norm_pdf, rnq_terms_power_form
+from oracles import norm_cdf, norm_pdf, rnq_terms_power_form, standardized_moments_expression_form
 
 
 def gaussian_rnq(mu=0.01, scale=0.15):
@@ -268,6 +268,15 @@ def test_characteristics_vector_order():
 
 # ----------------------------------------------------------------------
 # risk-neutral moments and the term structure
+
+
+def test_standardized_moments_formed_in_place_keep_the_expression_bits():
+    rng = np.random.Generator(np.random.Philox(23))
+    z = draw_standard_normal(50_000, seed=23).values
+    for x in (z, 0.3 * z - 7.0, np.exp(0.8 * z), rng.standard_t(3, size=4097)):
+        want = standardized_moments_expression_form(x)
+        got = density._standardized_moments(x)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_moments_zero_net_gaussian():

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rndkit.models as models
 from rndkit.models import (
     CHECKPOINT_VERSION,
     RnDmlpParams,
@@ -23,6 +24,7 @@ from rndkit.models import (
     sample_log_returns,
     zero_net_rnmlp,
 )
+from rndkit.nn import KnotPass, Scratch
 from rndkit.numerics import kahan_sum, logmeanexp
 from rndkit.sampling import draw_standard_normal
 
@@ -237,6 +239,31 @@ def test_bound_model_is_bit_identical_and_rebinds_on_other_draws():
     raw[0] += 1.0
     np.testing.assert_array_equal(sample_log_returns(bound, 0.5, raw, 0.03),
                                   sample_log_returns(model, 0.5, raw, 0.03))
+
+
+def test_an_analysis_binding_forms_h_through_one_g_z_buffer(monkeypatch):
+    # at N >= 8192 G_Z comes off a knot lattice.  An analysis binding forms
+    # the components' G_Z one at a time in one N-long buffer, and its H has
+    # the bits of the coef sigma weighted sum of their standalone passes
+    made = []
+
+    class Recording(Scratch):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(models, "Scratch", Recording)
+    model = init_rndmlp(seed=12, alpha=0.3)
+    z = draw_standard_normal(3 * 8192, seed=5).values
+    bound = bind(model, z)
+    (work,) = made
+    assert {key for key, buf in work._buffers.items() if buf.shape[0] == z.size} == {
+        "h", ("g_z", 0)}
+    want = KnotPass(model.comp1.net_z, z, {}).values * (model.alpha * model.comp1.sigma)
+    want += ((1.0 - model.alpha) * model.comp2.sigma) * KnotPass(model.comp2.net_z, z, {}).values
+    assert bound._h.tobytes() == want.tobytes()
 
 
 def test_mlp_variance_scale_bounded_near_zero_tau():

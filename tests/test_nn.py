@@ -186,6 +186,38 @@ def test_scalar_batch_without_cache_gives_the_same_bits():
     assert none is None and values_only.tobytes() == vals.tobytes()
 
 
+def _sharp_net():
+    # net_z-shaped, with first-layer weights large enough that some h
+    # exceeds ln(DBL_MAX) = 709.78 on [-3, 3], so a pass takes the max form
+    net = init_network([1, 32, 32, 1], seed=3)
+    net.weights[0] = 1000.0 * net.weights[0]
+    return net
+
+
+@pytest.mark.parametrize("make_net", [lambda: init_network([1, 32, 32, 1], seed=3), _sharp_net],
+                         ids=["one-exp form", "max form"])
+def test_a_pass_without_cache_holds_only_the_sigmoids_it_reads(make_net):
+    # values alone form no sigmoid; values and slopes write every layer's
+    # sigmoid into one buffer; both keep the cached pass's bits
+    net = make_net()
+    xs = np.linspace(-3, 3, 257)
+    vals, slopes, _ = net.scalar_batch(xs, want_slope=True)
+    h = xs[:, None] @ net.weights[0].T + net.biases[0]
+    assert (h.max() > _EXP_MAX) == (make_net is _sharp_net)
+
+    scratch = Scratch()
+    values_only, none = net.scalar_batch(xs, keep_cache=False, scratch=scratch)
+    assert none is None and values_only.tobytes() == vals.tobytes()
+    assert not [key for key in scratch._buffers if key[0] == "sig"]
+
+    scratch = Scratch()
+    bare_vals, bare_slopes, none = net.scalar_batch(xs, want_slope=True, keep_cache=False,
+                                                    scratch=scratch)
+    assert none is None
+    assert bare_vals.tobytes() == vals.tobytes() and bare_slopes.tobytes() == slopes.tobytes()
+    assert [key for key in scratch._buffers if key[0] == "sig"] == [("sig", 0)]
+
+
 BLOCKED_SIZES = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17)
 
 # Run in a child with one BLAS thread: a multi-threaded BLAS splits one

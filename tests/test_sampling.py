@@ -56,6 +56,16 @@ def test_draws_equal_scipy_ndtri_bit_for_bit(seed, n):
     assert draw_standard_normal(n, seed).values.tobytes() == want.tobytes()
 
 
+def test_draws_keep_their_bits_whatever_the_chunk(monkeypatch):
+    # 2e5 draws reach both tails and run the moment guard; the inverse CDF
+    # is elementwise, so the chunk length moves no bit
+    draws = []
+    for chunk in (1 << 10, 1 << 15, 1 << 16):
+        monkeypatch.setattr(sampling, "_CHUNK", chunk)
+        draws.append(draw_standard_normal(200_000, seed=3).values.tobytes())
+    assert draws[0] == draws[1] == draws[2]
+
+
 def test_ndtri_equals_scipy_at_branch_edges_and_in_the_tails():
     e2, e32 = np.exp(-2.0), np.exp(-32.0)
     edges = [e2, 1.0 - e2, e32, 2.0 ** -54, 1.0 - 2.0 ** -53, 1.0, 0.0, 0.5]
