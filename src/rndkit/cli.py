@@ -37,6 +37,7 @@ from .data_io import (
     save_chain,
     save_rates,
     split_train_test,
+    write_csv,
 )
 from .density import RndCharacteristics, characteristics, price_density, \
     pushforward_density, term_structure
@@ -44,7 +45,6 @@ from .heston import SCENARIOS, generate_simulated_chain, heston_rnd, heston_true
 from .models import (
     bind,
     checkpoint_document,
-    checkpoint_json,
     model_from_checkpoint,
     model_kind,
     sample_log_returns,
@@ -71,22 +71,11 @@ def _coerce(obj):
 
 
 def write_json(path, obj) -> None:
+    """The one JSON writer (checkpoints, results, manifests): keys sorted,
+    two-space indent, each float by repr, which reads back bit for bit."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, default=_coerce)
         fh.write("\n")
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
-def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
 def _sha256(path) -> str:
@@ -212,8 +201,10 @@ def _load_checkpoint(path):
     if not (_is_number(ctx["spot"]) and ctx["spot"] > 0.0):
         raise DataError("checkpoint context spot must be a positive finite number")
     for key in ("train_days", "train_strikes"):
-        if not (isinstance(ctx[key], list) and all(map(_is_number, ctx[key]))):
-            raise DataError(f"checkpoint context {key} must be a list of finite numbers")
+        if not (isinstance(ctx[key], list) and ctx[key]
+                and all(_is_number(v) and v > 0 for v in ctx[key])):
+            raise DataError(f"checkpoint context {key} must be a non-empty list "
+                            "of positive finite numbers")
     curve = ctx["rate_curve"]
     if not (isinstance(curve, list)
             and all(isinstance(pair, list) and len(pair) == 2
@@ -303,7 +294,7 @@ def cmd_calibrate(args) -> int:
         "train_strikes": train_strikes,
     }
     ck_path = out / "checkpoint.json"
-    ck_path.write_bytes(checkpoint_json(checkpoint).encode("utf-8"))
+    write_json(ck_path, checkpoint)
     result_path = out / "calibration_result.json"
     write_json(result_path, result.to_jsonable())
 
@@ -364,8 +355,8 @@ def cmd_evaluate(args) -> int:
                     seed, [args.checkpoint, args.chain], [metrics_path], t0)
     for name in ("test", "extreme"):
         cell = metrics[name]
-        print(f"{name:8s} mse={_fmt(cell['mse'])} "
-              f"relative_mse={_fmt(cell['relative_mse'])} "
+        print(f"{name:8s} mse={cell['mse']!r} "
+              f"relative_mse={cell['relative_mse']!r} "
               f"(n={cell['n_quotes']})")
     return 0
 
@@ -384,7 +375,8 @@ def cmd_perturb(args) -> int:
                 else float(max(q.tau for q in train.quotes)))
     rate_star = train.rate(tau_star)
 
-    header = ["trial", "diverged", "train_mse"] + list(RndCharacteristics.FIELD_ORDER)
+    names = [f.name for f in dataclasses.fields(RndCharacteristics)]
+    header = ["trial", "diverged", "train_mse", *names]
     rows = []
     kept = []
     for trial in range(args.trials):
@@ -399,13 +391,11 @@ def cmd_perturb(args) -> int:
         except CalibrationDivergence as exc:
             print(f"trial {trial}: diverged at iteration {exc.iteration}",
                   file=sys.stderr)
-            rows.append([trial, 1, np.nan] + [np.nan] * 10)
+            rows.append([trial, 1, np.nan] + [np.nan] * len(names))
             continue
         values = chain.spot * np.exp(sample_log_returns(
             result.params, tau_star, eval_samples, rate_star))
-        ch = characteristics(values)
-        row = [trial, 0, result.final_train_mse]
-        row += [getattr(ch, name) for name in RndCharacteristics.FIELD_ORDER]
+        row = [trial, 0, result.final_train_mse, *dataclasses.astuple(characteristics(values))]
         rows.append(row)
         kept.append(row)
         print(f"trial {trial}: train MSE {result.final_train_mse:.6g}", flush=True)

@@ -1,4 +1,5 @@
-"""Option-chain ingestion, rate interpolation, and train/test splitting.
+"""Option-chain ingestion, rate interpolation, train/test splitting, and
+``write_csv``, the one writer of every CSV table the package produces.
 
 Chain CSV format (comment lines start with '#'):
 
@@ -33,6 +34,7 @@ __all__ = [
     "save_chain",
     "save_rates",
     "split_train_test",
+    "write_csv",
 ]
 
 MIN_QUOTE = 0.025
@@ -228,25 +230,28 @@ def check_distinct_tenors(curve, where) -> None:
         seen.add(float(tenor))
 
 
-def save_chain(chain: OptionChain, path) -> None:
-    path = Path(path)
+def write_csv(path, header, rows, comment=None) -> None:
+    """Write a table: an optional ``#comment`` line, the header, then one
+    line per row, each float by repr (enough digits to read back bit for
+    bit) and any other value as ``csv.writer`` writes it."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"#spot={chain.spot!r}\n")
+        if comment is not None:
+            fh.write(f"#{comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "side", "strike", "days", "bid", "ask"])
-        for q in chain.quotes:
-            writer.writerow([
-                chain.observation_date, q.side, repr(float(q.strike)),
-                q.days_to_maturity, repr(float(q.bid)), repr(float(q.ask)),
-            ])
+        writer.writerow(header)
+        writer.writerows([repr(float(x)) if isinstance(x, (float, np.floating)) else x
+                          for x in row] for row in rows)
+
+
+def save_chain(chain: OptionChain, path) -> None:
+    write_csv(path, ["date", "side", "strike", "days", "bid", "ask"],
+              ([chain.observation_date, q.side, float(q.strike), q.days_to_maturity,
+                float(q.bid), float(q.ask)] for q in chain.quotes),
+              comment=f"spot={chain.spot!r}")
 
 
 def save_rates(curve, path) -> None:
-    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["tenor_days", "rate"])
-        for tenor, rate in curve:
-            writer.writerow([repr(float(tenor)), repr(float(rate))])
+    write_csv(path, ["tenor_days", "rate"], ([float(t), float(r)] for t, r in curve))
 
 
 def split_train_test(chain: OptionChain) -> SplitChains:

@@ -59,7 +59,8 @@ class DensityEstimate:
 
 @dataclass
 class RndCharacteristics:
-    """The ten summary numbers reported for a risk-neutral density."""
+    """The ten summary numbers reported for a risk-neutral density, in
+    the column order of ``perturb``'s stability table."""
 
     mean: float
     std: float
@@ -71,15 +72,6 @@ class RndCharacteristics:
     x05: float
     x95: float
     x99: float
-
-    FIELD_ORDER = ("mean", "std", "skewness", "skew_pm", "skew_am",
-                   "kurtosis", "x01", "x05", "x95", "x99")
-
-    def to_vector(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in self.FIELD_ORDER])
-
-    def to_jsonable(self) -> dict:
-        return {name: float(getattr(self, name)) for name in self.FIELD_ORDER}
 
 
 def pushforward_density(model, tau, samples, grid, rate=0.0) -> DensityEstimate:

@@ -23,7 +23,6 @@ binding, one maturity at a time.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -52,7 +51,6 @@ __all__ = [
     "with_parameter_vector",
     "CHECKPOINT_VERSION",
     "checkpoint_document",
-    "checkpoint_json",
     "model_from_checkpoint",
 ]
 
@@ -426,55 +424,11 @@ def with_parameter_vector(template, vec):
 # ----------------------------------------------------------------------
 # checkpoints
 #
-# Stdlib json always writes floats via repr, so a small emitter renders
-# the document with every float as a decimal literal carrying 17
-# significant digits (enough for an exact float64 round trip).
+# A checkpoint is a plain dict of the parameter layout; the CLI's one JSON
+# writer renders it, and json writes each float by repr, which reads back
+# bit for bit.
 
 CHECKPOINT_VERSION = 1
-
-
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _floats17(values) -> list:
-    """Each float at 17 significant digits: an integral value keeps a
-    decimal marker (4.0) so json reads a float back, and NaN and the
-    infinities are spelled as JavaScript does."""
-    texts = ["%.17g" % v for v in values]
-    for i, text in enumerate(texts):
-        if "." not in text and "e" not in text:
-            texts[i] = _NON_FINITE.get(text, text + ".0")
-    return texts
-
-
-def _emit_json(obj, indent: int = 0) -> str:
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _floats17([float(obj)])[0]
-    if isinstance(obj, str) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        if all(isinstance(v, float) for v in obj):  # a float64 is a float
-            return "[" + ", ".join(_floats17(obj)) + "]"
-        return "[" + ", ".join(_emit_json(v, indent) for v in obj) + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        pad = " " * (indent + 2)
-        body = ",\n".join(
-            pad + json.dumps(str(k)) + ": " + _emit_json(v, indent + 2)
-            for k, v in sorted(obj.items())
-        )
-        return "{\n" + body + "\n" + " " * indent + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r} into a checkpoint")
-
-
-def checkpoint_json(doc: dict) -> str:
-    """Render a JSON document with floats at 17 significant digits."""
-    return _emit_json(doc) + "\n"
 
 
 def checkpoint_document(model) -> dict:

@@ -23,7 +23,6 @@ standardized moments by whole-array expressions, one new array each (the
 package forms z and its powers in place).
 """
 
-import json
 import math
 
 import numpy as np
@@ -364,38 +363,3 @@ def heston_true_moments_50_digits(p, spot, tau, rate):
         kurt = float(mp.re(rich[2]) / (k2 * k2)) + 3.0
         k2 = float(k2)
     return k2, skew, kurt
-
-
-def _float17(x):
-    x = float(x)
-    if x != x:
-        return "NaN"
-    if x == np.inf:
-        return "Infinity"
-    if x == -np.inf:
-        return "-Infinity"
-    text = "%.17g" % x
-    if not any(ch in text for ch in ".eE"):
-        text += ".0"
-    return text
-
-
-def emit_json(obj, indent=0):
-    """Checkpoint JSON, value by value: floats at 17 significant digits,
-    keys sorted, objects indented by two spaces, lists on one line."""
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _float17(obj)
-    if isinstance(obj, str) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(emit_json(v, indent) for v in obj) + "]"
-    if not obj:
-        return "{}"
-    pad = " " * (indent + 2)
-    body = ",\n".join(pad + json.dumps(str(k)) + ": " + emit_json(v, indent + 2)
-                      for k, v in sorted(obj.items()))
-    return "{\n" + body + "\n" + " " * indent + "}"

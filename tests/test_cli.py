@@ -120,6 +120,15 @@ def test_calibrate_writes_checkpoint_result_and_audit(fit_dir):
     assert isinstance(report["audit"]["passed"], bool)
 
 
+def test_checkpoint_is_the_results_params_plus_its_context(fit_dir, dmlp_dir):
+    # one JSON writer writes the fitted parameters into both files
+    for out in (fit_dir, dmlp_dir / "fit"):
+        ck = json.loads((out / "checkpoint.json").read_text())
+        result = json.loads((out / "calibration_result.json").read_text())
+        del ck["context"]
+        assert ck == result["params"]
+
+
 def test_calibrate_rnq_on_multi_maturity_chain_exits_2(tmp_path, capsys):
     rc = main(["simulate", "--scenario", "left-skew", "--days", "91,182",
                "--out", str(tmp_path)])
@@ -521,6 +530,14 @@ def test_evaluate_truncated_checkpoint_exits_2(sim_dir, fit_dir, tmp_path, capsy
     ("report", lambda ctx: ctx["rate_curve"][0].__setitem__(0, float("nan"))),
     ("audit", lambda ctx: ctx["train_days"].append(float("nan"))),
     ("audit", lambda ctx: ctx["train_strikes"].append(float("inf"))),
+    # an empty grid stopped report at max() and audit at the grid; a
+    # non-positive day or strike is no maturity or strike at all
+    ("report", lambda ctx: ctx.update(train_days=[])),
+    ("audit", lambda ctx: ctx.update(train_days=[])),
+    ("audit", lambda ctx: ctx.update(train_strikes=[])),
+    ("report", lambda ctx: ctx["train_days"].append(-30)),
+    ("audit", lambda ctx: ctx["train_days"].append(0)),
+    ("audit", lambda ctx: ctx["train_strikes"].append(-1000.0)),
     # evaluate reads the floor; a string or null broke its numpy comparison, a list passed
     ("evaluate", lambda ctx: ctx["config"].update(relative_mse_floor="abc")),
     ("evaluate", lambda ctx: ctx["config"].update(relative_mse_floor=None)),
@@ -530,6 +547,8 @@ def test_evaluate_truncated_checkpoint_exits_2(sim_dir, fit_dir, tmp_path, capsy
         "spot-not-a-number", "train_days-not-a-list", "nan-spot", "inf-spot",
         "zero-spot", "negative-spot",
         "nan-rate", "nan-tenor", "nan-train_days", "inf-train_strikes",
+        "report-empty-train_days", "audit-empty-train_days", "empty-train_strikes",
+        "negative-train_days", "zero-train_days", "negative-train_strikes",
         "string-floor", "null-floor", "list-floor"])
 def test_malformed_checkpoint_context_exits_2(sim_dir, fit_dir, tmp_path, capsys,
                                               command, edit):

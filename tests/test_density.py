@@ -256,16 +256,6 @@ def test_characteristics_errors():
         characteristics(np.zeros(500))
 
 
-def test_characteristics_vector_order():
-    z = draw_standard_normal(1_000, seed=19)
-    c = characteristics(z)
-    vec = c.to_vector()
-    assert vec.shape == (10,)
-    assert vec[0] == c.mean and vec[1] == c.std and vec[9] == c.x99
-    payload = c.to_jsonable()
-    assert list(payload) == list(c.FIELD_ORDER)
-
-
 # ----------------------------------------------------------------------
 # risk-neutral moments and the term structure
 

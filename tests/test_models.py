@@ -1,10 +1,13 @@
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rndkit.models as models
+from rndkit.cli import write_json
 from rndkit.models import (
     CHECKPOINT_VERSION,
     RnDmlpParams,
@@ -12,7 +15,6 @@ from rndkit.models import (
     RnQParams,
     bind,
     checkpoint_document,
-    checkpoint_json,
     init_rndmlp,
     init_rnmlp,
     model_from_checkpoint,
@@ -28,12 +30,20 @@ from rndkit.nn import KnotPass, Scratch
 from rndkit.numerics import kahan_sum, logmeanexp
 from rndkit.sampling import draw_standard_normal
 
-from oracles import emit_json, forward, rnq_terms_power_form
+from oracles import forward, rnq_terms_power_form
+
+
+def json_text(doc) -> str:
+    """The text the CLI's JSON writer writes for ``doc``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        write_json(path, doc)
+        return path.read_text(encoding="utf-8")
 
 
 def round_trip(model):
     """Write a checkpoint as the CLI does and read it back."""
-    return model_from_checkpoint(json.loads(checkpoint_json(checkpoint_document(model))))
+    return model_from_checkpoint(json.loads(json_text(checkpoint_document(model))))
 
 
 def test_rnq_log_return_frozen_values():
@@ -320,13 +330,14 @@ def test_checkpoint_roundtrip_is_bit_exact_for_all_kinds():
 
 
 def test_checkpoint_floats_carry_17_significant_digits():
-    text = checkpoint_json(checkpoint_document(RnQParams(0.0, 0.2, 1.1, 1.3)))
-    assert "0.20000000000000001" in text
+    # repr writes the fewest digits that read back, 17 where a float needs them
+    text = json_text(checkpoint_document(RnQParams(0.0, 0.1 + 0.2, 1.1, 1.3)))
+    assert '"sigma": 0.30000000000000004' in text
     # integer-valued floats keep a decimal marker so json preserves the type
     assert '"a_const": 4.0' in text
     doc = json.loads(text)
     assert isinstance(doc["scalars"]["a_const"], float)
-    assert doc["scalars"]["sigma"] == 0.2
+    assert doc["scalars"]["sigma"] == 0.1 + 0.2
 
 
 def test_checkpoint_unknown_model_type_is_rejected():
@@ -343,34 +354,32 @@ def test_checkpoint_version_mismatch_is_rejected():
         model_from_checkpoint(doc)
 
 
-def test_pinned_dmlp_checkpoint_rewrites_byte_for_byte():
+def test_pinned_dmlp_checkpoint_rewrites_to_the_same_document():
     # the benchmark's pinned rn-dmlp checkpoint, read and written again
     # through the parameter layout, context carried over
     path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
         "rn-dmlp-left-skew.checkpoint.json"
-    text = path.read_text(encoding="utf-8")
-    doc = json.loads(text)
+    doc = json.loads(path.read_text(encoding="utf-8"))
     again = checkpoint_document(model_from_checkpoint(doc))
     again["context"] = doc["context"]
-    assert checkpoint_json(again) == text
+    assert json.loads(json_text(again)) == doc
 
 
-def test_checkpoint_json_equals_the_value_by_value_emitter():
-    # lists of floats are rendered in one join, with the same text
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
-        "rn-dmlp-left-skew.checkpoint.json"
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert checkpoint_json(doc) == emit_json(doc) + "\n"
+def test_json_writer_round_trips_edge_floats_bit_for_bit():
     edges = [-0.0, 5e-324, 1e16, 2.0 ** 53, float("nan"), float("inf"), -float("inf"), 4.0,
              0.1, -1.5e-300, 123456789.0]
-    doc = {"list": edges, "array": np.array(edges), "tuple": tuple(edges),
-           "float32": np.array([0.1, 2.0], dtype=np.float32), "mixed": [1.0, 2, True, None],
-           "nested": [edges, []], "scalars": {str(i): v for i, v in enumerate(edges)},
-           "empty": [], "ints": [1, 2]}
-    text = checkpoint_json(doc)
-    assert text == emit_json(doc) + "\n"
-    assert "[-0.0, 4.9406564584124654e-324, 10000000000000000.0, 9007199254740992.0, NaN, " \
-           "Infinity, -Infinity, 4.0, 0.10000000000000001, " in text
+    float32 = np.array([0.1, 2.0, -0.0, np.nan, np.inf], dtype=np.float32)
+    doc = {"list": edges, "array": np.array(edges), "tuple": tuple(edges), "float32": float32,
+           "scalars": {str(i): np.float64(v) for i, v in enumerate(edges)}}
+    text = json_text(doc)
+    back = json.loads(text)
+    want = np.array(edges).tobytes()
+    for key in ("list", "array", "tuple"):
+        assert np.array(back[key]).tobytes() == want
+    assert np.array([back["scalars"][str(i)] for i in range(len(edges))]).tobytes() == want
+    assert np.array(back["float32"], dtype=np.float32).tobytes() == float32.tobytes()
+    # NaN and the infinities are spelled as JavaScript does, which json.load reads
+    assert set(re.findall(r"-?Infinity|NaN", text)) == {"NaN", "Infinity", "-Infinity"}
 
 
 _COMPONENT = ["sigma", "net_mu", "net_z", "net_tau"]
