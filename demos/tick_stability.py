@@ -14,7 +14,7 @@ import numpy as np
 from rndkit.calibration import CalibrationConfig, calibrate
 from rndkit.density import characteristics
 from rndkit.heston import generate_simulated_chain
-from rndkit.models import sample_log_returns
+from rndkit.models import bind
 from rndkit.pricing import price_chain
 from rndkit.sampling import draw_standard_normal
 
@@ -33,8 +33,8 @@ for trial in range(4):
     quotes = [dataclasses.replace(q, bid=q.bid + tick * s, ask=q.ask + tick * s)
               for q, s in zip(train.quotes, signs)]
     result = calibrate("rn-q", train.with_quotes(quotes), config)
-    values = chain.spot * np.exp(sample_log_returns(
-        result.params, tau, samples, train.rate(tau)))
+    values = chain.spot * np.exp(bind(result.params, samples).log_returns(
+        tau, train.rate(tau)))
     ch = characteristics(values)
     rows.append((ch.mean, ch.std, ch.x05, ch.x95))
     print(f"trial {trial}: mean {ch.mean:9.3f}  std {ch.std:8.3f}  "

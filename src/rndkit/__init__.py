@@ -22,7 +22,6 @@ _LAZY = {
     "RnMlpParams": "models",
     "RnDmlpParams": "models",
     "bind": "models",
-    "sample_log_returns": "models",
     "rnq_mu_from_constraint": "models",
     "init_rnmlp": "models",
     "init_rndmlp": "models",

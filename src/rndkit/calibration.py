@@ -30,7 +30,6 @@ Levenberg-Marquardt fits, a deviation from the paper's Adam.
 from __future__ import annotations
 
 import dataclasses
-import time
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import accumulate
@@ -59,16 +58,8 @@ from .models import (
     with_parameter_vector,
 )
 from .nn import Scratch, softplus, softplus_prime, stack_caches
-from .numerics import logmeanexp
-from .pricing import (
-    MaturitySlice,
-    block_sums,
-    block_totals,
-    price_chain,
-    quote_groups,
-    quote_prices,
-    range_sums,
-)
+from .numerics import block_sums, block_totals, logmeanexp, range_sums
+from .pricing import MaturitySlice, price_chain, quote_groups, quote_prices
 from .sampling import draw_standard_normal
 
 
@@ -76,8 +67,6 @@ __all__ = [
     "CalibrationConfig",
     "CalibrationResult",
     "CalibrationDivergence",
-    "AdamState",
-    "adam_step",
     "mse",
     "relative_mse",
     "calibrate",
@@ -139,7 +128,6 @@ class CalibrationResult:
     final_penalty: PenaltyReport
     iterations_run: int
     converged: bool
-    wall_time: float
     seed: int
     # the penalty grid's surface on the fit's draws; not serialized
     surface: PriceSurface = dataclasses.field(default=None, repr=False, compare=False)
@@ -156,7 +144,6 @@ class CalibrationResult:
             "final_penalty": self.final_penalty.to_jsonable(),
             "iterations_run": self.iterations_run,
             "converged": self.converged,
-            "wall_time": self.wall_time,
             "seed": self.seed,
         }
 
@@ -219,38 +206,15 @@ def relative_mse(observed, fitted, sides, floor: float = 0.05):
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # decay rates and denominator guard
 
 
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def zeros(cls, n: int) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n))
-
-
-def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, learning_rate: float) -> np.ndarray:
-    """One bias-corrected Adam update; mutates ``state``, returns new params."""
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != state.m.shape or grad.shape != np.shape(params):
-        raise ValueError("gradient shape does not match optimizer state")
-    state.t += 1
-    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
-    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
-    mhat = state.m / (1.0 - BETA1 ** state.t)
-    vhat = state.v / (1.0 - BETA2 ** state.t)
-    return params - learning_rate * mhat / (np.sqrt(vhat) + EPS)
-
-
 class _Adam:
     """Full-batch Adam: every evaluation is accepted, a failed one diverges, and the
-    fit has converged once the loss gained under convergence_tol in CONVERGENCE_WINDOW."""
+    fit has converged once the loss gained under convergence_tol in CONVERGENCE_WINDOW.
+    The moments m, v and the step count t are kept here."""
 
     descent, errors = False, {}  # numpy's floating-point handling is left as it is
 
     def __init__(self, config, state):
-        self.config, self.moments = config, AdamState.zeros(state.size)
+        self.config, self.m, self.v, self.t = config, np.zeros(state.size), np.zeros(state.size), 0
 
     def converged(self, loss, trajectory):  # the loss is not yet in the trajectory
         it = len(trajectory)
@@ -258,7 +222,16 @@ class _Adam:
             trajectory[it - CONVERGENCE_WINDOW] - loss < self.config.convergence_tol
 
     def step(self, state, grad, jacobian):
-        return adam_step(self.moments, state, grad, self.config.learning_rate)
+        """One bias-corrected Adam update from ``state``; returns the new state."""
+        grad = np.asarray(grad, dtype=float)
+        if grad.shape != self.m.shape or grad.shape != np.shape(state):
+            raise ValueError("gradient shape does not match optimizer state")
+        self.t += 1
+        self.m = BETA1 * self.m + (1.0 - BETA1) * grad
+        self.v = BETA2 * self.v + (1.0 - BETA2) * grad * grad
+        mhat = self.m / (1.0 - BETA1 ** self.t)
+        vhat = self.v / (1.0 - BETA2 ** self.t)
+        return state - self.config.learning_rate * mhat / (np.sqrt(vhat) + EPS)
 
 
 LM_DAMPING, LM_FACTOR, LM_MAX_DAMPING = 10.0, 10.0, 1e10  # first lam, its step, its cap
@@ -305,7 +278,7 @@ class _LevenbergMarquardt:
 # the growth factors are sorted once into a ``pricing.MaturitySlice``,
 # the class every pricing and penalty consumer reads; option prices and
 # penalty values are its array lookups, read off block sums
-# (``pricing.range_sums``), the penalty total is the surface's own
+# (``numerics.range_sums``), the penalty total is the surface's own
 # (``arbitrage.aggregate_penalties``), and the per-sample adjoint weights
 # are step sums of coefficients added at the lookups' positions, formed
 # in place over the slice's sorted arrays (rn-q's Jacobian is three
@@ -497,7 +470,7 @@ class _QuantileAdapter(_Adapter):
         dt/dv = -sigma Z^2 v^-Z / (v a)) is taken in sorted order (with a
         slice order ``rnq_terms``' own array, else a gather), multiplied by
         g Z (formed over the spent sorted growth) and by Z, and summed at
-        the quotes' positions from its block sums (``pricing.range_sums``)."""
+        the quotes' positions from its block sums (``numerics.range_sums``)."""
         (table,), (uz, vz, shape) = tables.values(), terms
         order, positions, calls = table.order, fit.positions, fit.calls
         signs = np.where(calls, 1.0, -1.0)
@@ -724,7 +697,6 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
     draws; the penalty grid's price surface, which gives the final
     penalty, is returned as ``surface``.
     """
-    t0 = time.perf_counter()
     if not train_chain.quotes:
         raise ValueError("empty chain")
     adapter = _adapter(kind)
@@ -808,7 +780,6 @@ def calibrate(kind: str, train_chain, config: CalibrationConfig,
         final_penalty=surface.penalty(),
         iterations_run=len(trajectory),
         converged=converged,
-        wall_time=time.perf_counter() - t0,
         seed=config.seed,
         surface=surface,
     )

@@ -47,7 +47,6 @@ from .models import (
     checkpoint_document,
     model_from_checkpoint,
     model_kind,
-    sample_log_returns,
 )
 from .pricing import growth_factors, price_chain
 from .sampling import draw_standard_normal
@@ -393,8 +392,8 @@ def cmd_perturb(args) -> int:
                   file=sys.stderr)
             rows.append([trial, 1, np.nan] + [np.nan] * len(names))
             continue
-        values = chain.spot * np.exp(sample_log_returns(
-            result.params, tau_star, eval_samples, rate_star))
+        values = chain.spot * np.exp(bind(result.params, eval_samples).log_returns(
+            tau_star, rate_star))
         row = [trial, 0, result.final_train_mse, *dataclasses.astuple(characteristics(values))]
         rows.append(row)
         kept.append(row)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _values, bind, sample_log_returns
+from .models import _values, bind
 
 __all__ = [
     "DensityEstimate",
@@ -208,7 +208,7 @@ def risk_neutral_moments(model, tau, samples, rate=0.0):
     """(RNM2, RNM3, RNM4) = std, skewness, kurtosis of the log-return at tau."""
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    x = sample_log_returns(model, tau, samples, rate)
+    x = bind(model, samples).log_returns(tau, rate)
     _, std, skewness, kurtosis = _standardized_moments(x)
     return std, skewness, kurtosis
 

@@ -36,9 +36,7 @@ __all__ = [
     "RnMlpParams",
     "RnDmlpParams",
     "rnq_terms",
-    "rnq_log_return",
     "rnq_mu_from_constraint",
-    "sample_log_returns",
     "BoundModel",
     "bind",
     "init_rnmlp",
@@ -108,13 +106,6 @@ def rnq_terms(p: RnQParams, z: np.ndarray):
     t = np.multiply(p.sigma, z, out=new())
     t *= shape
     return uz, vz, shape, t
-
-
-def rnq_log_return(p: RnQParams, z) -> np.ndarray:
-    """X = mu + sigma * Z * (u^Z/a + v^-Z/a + 1), elementwise in Z."""
-    t = rnq_terms(p, np.asarray(z, dtype=float))[3]
-    t += p.mu
-    return t
 
 
 def rnq_mu_from_constraint(sigma, u, v, a_const, samples, rate, tau) -> float:
@@ -252,14 +243,17 @@ class BoundModel:
 
         tau = 0 returns the zero vector for every model kind (degenerate
         distribution at no elapsed time), so prices collapse to intrinsic.
-        The quantile model ignores tau and rate.
+        The quantile model's X = mu + sigma Z (u^Z/a + v^-Z/a + 1) ignores
+        tau and rate.  This is the one log-return entry point.
         """
         if tau < 0.0:
             raise ValueError("tau must be non-negative")
         if tau == 0.0:
             return np.zeros_like(self.z)
         if self.kind == "rn-q":
-            return rnq_log_return(self.model, self.z)
+            x = rnq_terms(self.model, self.z)[3]
+            x += self.model.mu
+            return x
         root, a, b, _, _ = self._scalars(tau, rate)
         return self._affine(root, b, a)
 
@@ -323,11 +317,6 @@ def bind(model, samples) -> BoundModel:
             return model
         model = model.model
     return BoundModel(model, z)
-
-
-def sample_log_returns(model, tau, samples, rate) -> np.ndarray:
-    """Log-return vector on the shared draws at one maturity."""
-    return bind(model, samples).log_returns(tau, rate)
 
 
 # ----------------------------------------------------------------------

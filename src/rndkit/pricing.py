@@ -14,9 +14,10 @@ block totals from below and from above (``block_sums``, N / SUM_BLOCK + 1
 values each way), and its two lookups answer a whole array of moneyness
 values at once: one side's prices, or the calendar values.  A lookup adds whole blocks and one
 pairwise sum within a block (``range_sums``); a call's tail is summed
-from the top, so an out-of-the-money price keeps its digits.
-Calibration, pricing, the penalties and the audit all read the same
-slice.
+from the top, so an out-of-the-money price keeps its digits.  The block
+sums are ``numerics``', the one owner of how the pool is summed; this
+module only applies them.  Calibration, pricing, the penalties and the
+audit all read the same slice.
 
 The pool is stored in ascending Z (``sampling``) and every model's X is,
 in practice, monotone in Z, so a slice first tests the growth in storage
@@ -38,9 +39,9 @@ from __future__ import annotations
 import numpy as np
 
 from .models import bind
+from .numerics import SUM_BLOCK, block_sums, block_totals, range_sums
 
-__all__ = ["MaturitySlice", "block_sums", "block_totals", "growth_factors", "price_chain",
-           "quote_groups", "quote_prices", "range_sums"]
+__all__ = ["MaturitySlice", "growth_factors", "price_chain", "quote_groups", "quote_prices"]
 
 
 class MaturitySlice:
@@ -150,46 +151,6 @@ def _stable_order(growth):
         return _REVERSED, growth[::-1].copy()
     order = np.argsort(growth, kind="stable")
     return order, np.take(growth, order)
-
-
-SUM_BLOCK = 512  # elements per block total
-
-
-def block_totals(values):
-    """Totals of ``values`` in blocks of SUM_BLOCK from index 0, each
-    summed pairwise (``np.add.reduceat``)."""
-    return np.add.reduceat(values, np.arange(0, values.size, SUM_BLOCK))
-
-
-def block_sums(totals):
-    """The running sums of M block totals, one (2, M + 1) array: row 0
-    holds the sums below each block boundary, row 1 the sums at and above
-    it, both 0.0 at the far end.  Row 1 is summed from the top, not taken
-    as the total minus row 0, so a small upper tail keeps its digits."""
-    sums = np.zeros((2, totals.size + 1))
-    np.cumsum(totals, out=sums[0, 1:])
-    np.cumsum(totals[::-1], out=sums[1, -2::-1])
-    return sums
-
-
-def range_sums(values, sums, positions, upper):
-    """Sums of ``values`` below each position, or at and above it where
-    ``upper`` (one flag, or one per position), with ``sums`` the
-    ``block_sums`` of ``values``' ``block_totals``.
-
-    Each is a running sum of whole blocks plus one pairwise sum over the
-    rest of the position's block, so it depends only on (values, position),
-    never on the other positions asked for.
-    """
-    positions = np.asarray(positions)
-    upper = np.broadcast_to(upper, positions.shape)
-    block = np.minimum(positions // SUM_BLOCK, sums.shape[1] - 2)
-    start = block * SUM_BLOCK
-    lo = np.where(upper, positions, start)
-    hi = np.where(upper, np.minimum(start + SUM_BLOCK, values.size), positions)
-    part = np.array([np.add.reduce(values[i:j]) for i, j in zip(lo.tolist(), hi.tolist())],
-                    dtype=float)
-    return np.where(upper, part + sums[1, block + 1], sums[0, block] + part)
 
 
 def quote_groups(chain) -> list:

@@ -13,7 +13,9 @@ e^h per layer), the Fourier pricer's sums as one dense 2-D array (the
 package forms them in fixed row blocks), rn-q's u^Z and v^-Z by
 ``np.power`` (the package forms them as exps), Heston prices and log
 returns by full-truncation Euler Monte Carlo (the package prices Heston
-only through its characteristic function), and the Heston cumulants of
+only through its characteristic function), the Monte Carlo payoff means
+by Kahan-compensated chunk sums (the package sums a pool by block
+totals), and the Heston cumulants of
 ln S_T by 50-digit central differences of a second formulation of the
 log-CF, Richardson extrapolated (the package reads them in float64 off
 its own log-CF on a circle, by the trapezoidal rule), and checkpoint
@@ -31,7 +33,6 @@ from scipy.special import expit
 
 from rndkit.heston import DAMPING_ALPHA, _damped_cf_table, _log_cf
 from rndkit.nn import ParamGradient
-from rndkit.numerics import kahan_sum
 
 
 def norm_cdf(x):
@@ -275,6 +276,28 @@ def mc_terminal_log_returns(p, tau, rate, paths, steps, seed) -> np.ndarray:
         return x
 
     return np.concatenate([run_chunk(spec) for spec in _chunk_bounds(paths)])
+
+
+KAHAN_CHUNK = 4096
+
+
+def kahan_sum(values) -> float:
+    """Compensated sum of a 1-d array.
+
+    Values are summed pairwise inside fixed-size chunks and the chunk
+    totals are combined with Kahan compensation in chunk order, so the
+    result is identical across runs.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    total = 0.0
+    comp = 0.0
+    for start in range(0, x.size, KAHAN_CHUNK):
+        part = float(np.sum(x[start:start + KAHAN_CHUNK]))
+        y = part - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
 
 
 def heston_mc_price(p, side, spot, strike, tau, rate, paths, steps, seed):

@@ -14,10 +14,8 @@ from rndkit import calibration, models, pricing
 from rndkit.arbitrage import audit_price_surface, build_synthetic_grid, price_surface
 from rndkit.calibration import (
     CONVERGENCE_WINDOW,
-    AdamState,
     CalibrationConfig,
     CalibrationDivergence,
-    adam_step,
     calibrate,
     mse,
     relative_mse,
@@ -157,35 +155,37 @@ def test_relative_mse_keeps_prices_at_the_floor():
 # Adam
 
 
+def adam(x, learning_rate=0.01):
+    """The fit's Adam rule, fresh, on a state shaped like ``x``."""
+    return calibration._Adam(CalibrationConfig(learning_rate=learning_rate), x)
+
+
 def test_adam_drives_quadratic_to_zero():
-    state = AdamState.zeros(1)
     x = np.array([1.0])
+    rule = adam(x)
     for _ in range(500):
-        x = adam_step(state, x, 2.0 * x, 0.01)
+        x = rule.step(x, 2.0 * x, None)
     assert abs(x[0]) < 0.05
     assert abs(x[0]) < 1e-6
 
 
 def test_adam_zero_gradient_leaves_params():
-    state = AdamState.zeros(3)
     x = np.array([1.0, -2.0, 0.5])
-    out = adam_step(state, x, np.zeros(3), 0.01)
+    out = adam(x).step(x, np.zeros(3), None)
     assert np.array_equal(out, x)
 
 
 def test_adam_first_step_is_learning_rate_sized():
     # with constant gradient the bias-corrected step is lr * sign(g)
-    state = AdamState.zeros(2)
     x = np.zeros(2)
     g = np.array([3.0, -0.25])
-    out = adam_step(state, x, g, 0.01)
+    out = adam(x).step(x, g, None)
     np.testing.assert_allclose(out, [-0.01, 0.01], rtol=1e-6)
 
 
 def test_adam_shape_mismatch_raises():
-    state = AdamState.zeros(2)
     with pytest.raises(ValueError):
-        adam_step(state, np.zeros(2), np.zeros(3), 0.01)
+        adam(np.zeros(2)).step(np.zeros(2), np.zeros(3), None)
 
 
 # ----------------------------------------------------------------------

@@ -290,9 +290,7 @@ def test_moments_match_characteristics_std():
     model = zero_net_rnmlp(sigma=0.3)
     z = draw_standard_normal(50_000, seed=22)
     rnm2, rnm3, rnm4 = risk_neutral_moments(model, 0.5, z)
-    from rndkit.models import sample_log_returns
-
-    c = characteristics(sample_log_returns(model, 0.5, z, 0.0))
+    c = characteristics(bind(model, z).log_returns(0.5, 0.0))
     assert rnm2 == c.std
     assert rnm3 == c.skewness
     assert rnm4 == c.kurtosis

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -20,14 +21,12 @@ from rndkit.models import (
     model_from_checkpoint,
     parameter_fields,
     parameter_vector,
-    rnq_log_return,
     rnq_mu_from_constraint,
     rnq_terms,
-    sample_log_returns,
     zero_net_rnmlp,
 )
 from rndkit.nn import KnotPass, Scratch
-from rndkit.numerics import kahan_sum, logmeanexp
+from rndkit.numerics import SUM_BLOCK, logmeanexp
 from rndkit.sampling import draw_standard_normal
 
 from oracles import forward, rnq_terms_power_form
@@ -47,11 +46,14 @@ def round_trip(model):
 
 
 def test_rnq_log_return_frozen_values():
+    def x_at(model, z):  # rn-q's X ignores tau and rate
+        return bind(model, [z]).log_returns(0.5, 0.04)[0]
+
     flat = RnQParams(mu=0.0, sigma=1.0, u=1.0, v=1.0)
-    assert rnq_log_return(flat, 2.0) == 3.0  # 2 * ((1+1)/4 + 1)
-    assert rnq_log_return(RnQParams(mu=0.7, sigma=0.5, u=1.3, v=1.2), 0.0) == 0.7
+    assert x_at(flat, 2.0) == 3.0  # 2 * ((1+1)/4 + 1)
+    assert x_at(RnQParams(mu=0.7, sigma=0.5, u=1.3, v=1.2), 0.0) == 0.7
     tilted = RnQParams(mu=0.0, sigma=0.2, u=1.1, v=1.1)
-    assert rnq_log_return(tilted, 1.0) == pytest.approx(0.30045454545454545, rel=1e-15)
+    assert x_at(tilted, 1.0) == pytest.approx(0.30045454545454545, rel=1e-15)
 
 
 @pytest.mark.parametrize("u", [1.0, 1.0 + 1e-7, 1.05, 1.3, 2.0, 3.5])
@@ -91,15 +93,27 @@ def test_rnq_mu_constraint_degenerate_and_identity():
 
     mu = rnq_mu_from_constraint(0.3, 1.2, 1.4, 4.0, z, rate=0.04, tau=0.5)
     model = RnQParams(mu=mu, sigma=0.3, u=1.2, v=1.4)
-    x = rnq_log_return(model, z.values)
+    x = bind(model, z).log_returns(0.5, 0.04)
     # Plugging mu back in satisfies the martingale constraint on the draws.
     assert abs(logmeanexp(x) - 0.04 * 0.5) < 1e-12
 
 
-def test_logmeanexp_keeps_the_shifted_kahan_form():
-    x = 0.3 * draw_standard_normal(10_000, seed=4).values
-    m = float(np.max(x))
-    assert logmeanexp(x) == m + np.log(kahan_sum(np.exp(x - m)) / x.size)
+def test_logmeanexp_matches_fsum():
+    # m + log(mean(e^(x - m))) with the mean's sum exactly rounded is the
+    # reference; the two terms may cancel, so ulps count at the larger one.
+    # Pools that end in a partial block, and one where a value dominates
+    def reference(x):
+        m = float(np.max(x))
+        log_mean = math.log(math.fsum(np.exp(x - m).tolist()) / x.size)
+        return m + log_mean, max(abs(m), abs(log_mean))
+
+    pools = [0.3 * draw_standard_normal(n, seed=4).values for n in (2_000, 40_001)]
+    assert all(x.size % SUM_BLOCK for x in pools)
+    dominated = np.full(5_000, -40.0)
+    dominated[1234] = 3.0
+    for x in pools + [dominated]:
+        want, scale = reference(x)
+        assert abs(logmeanexp(x) - want) <= 4 * np.spacing(scale)
 
 
 def test_rnq_mu_constraint_lognormal_limit():
@@ -118,14 +132,14 @@ def test_rnq_quantile_map_is_monotone():
     rng = np.random.Generator(np.random.Philox(17))
     z = np.sort(rng.normal(size=1000))
     for u, v in [(1.0, 1.0), (1.5, 1.05), (1.05, 1.9), (2.0, 2.0)]:
-        x = rnq_log_return(RnQParams(mu=0.1, sigma=0.4, u=u, v=v), z)
+        x = bind(RnQParams(mu=0.1, sigma=0.4, u=u, v=v), z).log_returns(1.0, 0.0)
         assert np.all(np.diff(x) >= 0.0)
 
 
 def test_rnmlp_zero_net_reduces_to_driftless_lognormal():
     p = zero_net_rnmlp(sigma=0.3)
     z = np.linspace(-3, 3, 11)
-    x = sample_log_returns(p, 0.25, z, 0.04)
+    x = bind(p, z).log_returns(0.25, 0.04)
     np.testing.assert_allclose(x, 0.3 * 0.5 * z, rtol=0, atol=1e-16)
     d = bind(p, z).columns(0.25, 0.04)[1]
     np.testing.assert_allclose(d, 0.3 * z / (2.0 * 0.5), rtol=0, atol=1e-16)
@@ -135,7 +149,7 @@ def test_rnmlp_matches_straight_line_assembly():
     p = init_rnmlp(seed=5)
     z = np.array([-2.0, -0.3, 0.0, 1.1, 2.4])
     tau, rate = 0.7, 0.03
-    got = sample_log_returns(p, tau, z, rate)
+    got = bind(p, z).log_returns(tau, rate)
     gmu = forward(p.net_mu, np.array([tau]))[0]
     gtau = forward(p.net_tau, np.array([tau]))[0]
     want = np.array([
@@ -149,9 +163,9 @@ def test_rnmlp_matches_straight_line_assembly():
 def test_rnmlp_tau_zero_and_validation():
     p = init_rnmlp(seed=2)
     z = np.linspace(-2, 2, 7)
-    assert np.all(sample_log_returns(p, 0.0, z, 0.05) == 0.0)
+    assert np.all(bind(p, z).log_returns(0.0, 0.05) == 0.0)
     with pytest.raises(ValueError):
-        sample_log_returns(p, -0.1, z, 0.05)
+        bind(p, z).log_returns(-0.1, 0.05)
     with pytest.raises(ValueError):
         bind(p, z).columns(0.0, 0.05)[1]
 
@@ -161,7 +175,7 @@ def test_rnmlp_dtau_matches_finite_differences():
     z = np.array([-1.7, -0.2, 0.4, 2.2])
     tau, rate = 0.4, 0.05
     h = 1e-6 * tau
-    fd = (sample_log_returns(p, tau + h, z, rate) - sample_log_returns(p, tau - h, z, rate)) / (2 * h)
+    fd = (bind(p, z).log_returns(tau + h, rate) - bind(p, z).log_returns(tau - h, rate)) / (2 * h)
     np.testing.assert_allclose(bind(p, z).columns(tau, rate)[1], fd, rtol=1e-5)
 
 
@@ -177,17 +191,17 @@ def test_rndmlp_affine_combination():
     p = init_rndmlp(seed=3)
     z = np.linspace(-2, 2, 9)
     tau, rate = 0.3, 0.04
-    x1 = sample_log_returns(p.comp1, tau, z, rate)
-    x2 = sample_log_returns(p.comp2, tau, z, rate)
+    x1 = bind(p.comp1, z).log_returns(tau, rate)
+    x2 = bind(p.comp2, z).log_returns(tau, rate)
 
     only_first = RnDmlpParams(alpha=1.0, comp1=p.comp1, comp2=p.comp2)
-    np.testing.assert_array_equal(sample_log_returns(only_first, tau, z, rate), x1)
+    np.testing.assert_array_equal(bind(only_first, z).log_returns(tau, rate), x1)
 
     twin = RnDmlpParams(alpha=0.31, comp1=p.comp1, comp2=p.comp1)
-    np.testing.assert_allclose(sample_log_returns(twin, tau, z, rate), x1, rtol=1e-15)
+    np.testing.assert_allclose(bind(twin, z).log_returns(tau, rate), x1, rtol=1e-15)
 
     only_second = RnDmlpParams(alpha=0.0, comp1=p.comp1, comp2=p.comp2)
-    np.testing.assert_array_equal(sample_log_returns(only_second, tau, z, rate), x2)
+    np.testing.assert_array_equal(bind(only_second, z).log_returns(tau, rate), x2)
 
     # the mixture is convex: alpha outside [0, 1], or NaN, is rejected
     for alpha in (2.0, 1.0 + 1e-12, -1e-12, -0.2, np.nan, np.inf):
@@ -197,22 +211,22 @@ def test_rndmlp_affine_combination():
 
 def test_sample_log_returns_dispatch_and_edge_cases():
     z = draw_standard_normal(64, seed=11)
-    assert np.all(sample_log_returns(init_rnmlp(seed=1), 0.0, z, 0.04) == 0.0)
-    assert np.all(sample_log_returns(RnQParams(0.1, 0.2, 1.1, 1.1), 0.0, z, 0.04) == 0.0)
+    assert np.all(bind(init_rnmlp(seed=1), z).log_returns(0.0, 0.04) == 0.0)
+    assert np.all(bind(RnQParams(0.1, 0.2, 1.1, 1.1), z).log_returns(0.0, 0.04) == 0.0)
 
-    const = sample_log_returns(RnQParams(mu=0.25, sigma=0.0, u=1.0, v=1.0), 0.5, z, 0.04)
+    const = bind(RnQParams(mu=0.25, sigma=0.0, u=1.0, v=1.0), z).log_returns(0.5, 0.04)
     np.testing.assert_array_equal(const, np.full(64, 0.25))
 
     with pytest.raises(TypeError):
-        sample_log_returns(object(), 0.5, z, 0.04)
+        bind(object(), z).log_returns(0.5, 0.04)
 
 
 def test_sample_log_returns_commutes_with_permutation():
     z = draw_standard_normal(256, seed=6)
     perm = np.random.Generator(np.random.Philox(1)).permutation(256)
     for model in (RnQParams(0.05, 0.3, 1.2, 1.4), init_rnmlp(seed=10), init_rndmlp(seed=10)):
-        x = sample_log_returns(model, 0.8, z, 0.03)
-        x_perm = sample_log_returns(model, 0.8, z.values[perm], 0.03)
+        x = bind(model, z).log_returns(0.8, 0.03)
+        x_perm = bind(model, z.values[perm]).log_returns(0.8, 0.03)
         np.testing.assert_allclose(x_perm, x[perm], rtol=1e-12, atol=1e-15)
 
 
@@ -230,15 +244,15 @@ def test_bound_model_is_bit_identical_and_rebinds_on_other_draws():
         assert bind(bound, za) is bound
         assert bind(bound, draw_standard_normal(512, seed=3)) is bound
         for tau in (0.0, 0.25, 1.0):
-            np.testing.assert_array_equal(sample_log_returns(bound, tau, za, 0.03),
-                                          sample_log_returns(model, tau, za, 0.03))
+            np.testing.assert_array_equal(bind(bound, za).log_returns(tau, 0.03),
+                                          bind(model, za).log_returns(tau, 0.03))
         np.testing.assert_array_equal(bind(bound, za).columns(0.5, 0.03)[1],
                                       bind(model, za).columns(0.5, 0.03)[1])
         # bound to draws A, asked about draws B: the unbound result on B
         rebound = bind(bound, zb)
         assert rebound is not bound and rebound.model is model
-        np.testing.assert_array_equal(sample_log_returns(bound, 0.5, zb, 0.03),
-                                      sample_log_returns(model, 0.5, zb, 0.03))
+        np.testing.assert_array_equal(bind(bound, zb).log_returns(0.5, 0.03),
+                                      bind(model, zb).log_returns(0.5, 0.03))
         np.testing.assert_array_equal(bind(bound, zb).columns(0.5, 0.03)[1],
                                       bind(model, zb).columns(0.5, 0.03)[1])
 
@@ -247,8 +261,8 @@ def test_bound_model_is_bit_identical_and_rebinds_on_other_draws():
     raw = za.values.copy()
     bound = bind(model, raw)
     raw[0] += 1.0
-    np.testing.assert_array_equal(sample_log_returns(bound, 0.5, raw, 0.03),
-                                  sample_log_returns(model, 0.5, raw, 0.03))
+    np.testing.assert_array_equal(bind(bound, raw).log_returns(0.5, 0.03),
+                                  bind(model, raw).log_returns(0.5, 0.03))
 
 
 def test_an_analysis_binding_forms_h_through_one_g_z_buffer(monkeypatch):
@@ -282,7 +296,7 @@ def test_mlp_variance_scale_bounded_near_zero_tau():
     z = draw_standard_normal(20_000, seed=3)
     ratios = []
     for tau in (1e-1, 1e-2, 1e-3, 1e-4):
-        x = sample_log_returns(p, tau, z.values, 0.04)
+        x = bind(p, z.values).log_returns(tau, 0.04)
         ratios.append(np.var(x) / tau)
     ratios = np.array(ratios)
     assert np.all(ratios < 10.0 * ratios[0] + 1.0)

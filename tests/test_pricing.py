@@ -11,9 +11,9 @@ from rndkit.models import (
     init_rndmlp,
     init_rnmlp,
     rnq_mu_from_constraint,
-    sample_log_returns,
     zero_net_rnmlp,
 )
+from rndkit import numerics
 from rndkit.numerics import logmeanexp
 from rndkit.arbitrage import price_surface
 from rndkit.pricing import (
@@ -41,7 +41,7 @@ def surface_prices(model, tau, rate, strikes, z):
 
 def payoff_stderr(model, side, strike, tau, rate, z):
     """Standard error of the discounted payoff's sample mean on the draws."""
-    growth = np.exp(sample_log_returns(model, tau, z, rate))
+    growth = np.exp(bind(model, z).log_returns(tau, rate))
     m = strike / S
     payoff = np.maximum(growth - m, 0.0) if side == "call" else np.maximum(m - growth, 0.0)
     return np.exp(-rate * tau) * S * np.std(payoff) / np.sqrt(payoff.size)
@@ -91,7 +91,7 @@ def test_parity_gap_equals_martingale_defect():
     model = zero_net_rnmlp(sigma=0.3)
     rate, tau = 0.05, 0.4
     z = draw_standard_normal(50_000, seed=11)
-    delta = logmeanexp(sample_log_returns(model, tau, z, rate)) - rate * tau
+    delta = logmeanexp(bind(model, z).log_returns(tau, rate)) - rate * tau
     slack = S * abs(np.expm1(delta))
     strikes = np.array([85.0, 105.0])
     c, p = surface_prices(model, tau, rate, strikes, z)
@@ -160,7 +160,7 @@ def assert_same_sorted_state(got, want):
     assert got.mean_excess == want.mean_excess
 
 
-B = pricing.SUM_BLOCK
+B = numerics.SUM_BLOCK
 
 
 @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 4097, 40_000])
@@ -169,17 +169,17 @@ def test_range_sums_match_fsum(n):
     # the exactly rounded sum: the blocks' running sum adds one rounding
     # per block, the pairwise in-block sum about log2(B)
     values = np.exp(np.random.Generator(np.random.Philox(n)).normal(size=n))
-    sums = pricing.block_sums(pricing.block_totals(values))
+    sums = numerics.block_sums(numerics.block_totals(values))
     assert sums.shape == (2, -(-n // B) + 1)
     positions = np.unique(np.r_[0, 1, B - 1, B, B + 1, n - 1, n,
                                 np.linspace(0, n, 40).astype(int)].clip(0, n))
     bound = (n // B + 12) * np.finfo(float).eps
     for upper in (False, True):
-        got = pricing.range_sums(values, sums, positions, upper)
+        got = numerics.range_sums(values, sums, positions, upper)
         want = np.array([math.fsum(values[p:] if upper else values[:p]) for p in positions])
         assert np.all(np.abs(got - want) <= bound * want), upper
-    assert pricing.range_sums(values, sums, [0], False)[0] == 0.0
-    assert pricing.range_sums(values, sums, [n], True)[0] == 0.0
+    assert numerics.range_sums(values, sums, [0], False)[0] == 0.0
+    assert numerics.range_sums(values, sums, [n], True)[0] == 0.0
 
 
 def lognormal_slice(n, tau=0.5, rate=0.03, sigma=0.25, seed=7):
